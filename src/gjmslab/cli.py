@@ -32,6 +32,7 @@ from .conformal import (
     radius_from_angle,
 )
 from .errors import AccuracyError, DomainError, InconsistencyError, ToolkitError
+from .kernels import IDENTITY_TOLERANCE, _kernel_moments
 from .kernels import funk_hecke_spectrum, green_constant, hls_functional
 from .lane_emden import (
     Nonlinearity,
@@ -52,6 +53,7 @@ from .spectral import (
     ZonalFunction,
     build_quadrature,
     default_rule_size,
+    gamma_ratio,
     gjms_eigenvalues,
     gjms_lambda0,
     laplace_beltrami_ode_residual,
@@ -211,6 +213,7 @@ def _nonlinearity(args, params: SphereParams) -> Nonlinearity:
 
 
 def cmd_eigenvalues(args) -> int:
+    started = time.time()
     params = SphereParams(n=args.n, m=args.m)
     K = args.K
     spec = gjms_eigenvalues(params, K)
@@ -223,7 +226,6 @@ def cmd_eigenvalues(args) -> int:
     if args.format == "csv":
         _emit(_csv_table(["k", "lambda", "mu", "g_mu_lambda"], rows), args.out)
     else:
-        started = time.time()
         report = make_report(
             "eigenvalues",
             {"m": args.m, "n": args.n, "K": K},
@@ -234,7 +236,7 @@ def cmd_eigenvalues(args) -> int:
                     {"k": k, "lambda": lam, "mu": mu, "g_mu_lambda": glm}
                     for k, lam, mu, glm in rows
                 ],
-                "identity_tolerance": 1e-8,
+                "identity_tolerance": IDENTITY_TOLERANCE,
             },
             started,
             seed=None,
@@ -475,11 +477,7 @@ def _verify_checks(m: int, n: int, K: int, seed: int, trials: int):
     add("laplace-beltrami-ode", laplace_beltrami_ode_residual(params, K), 1e-8)
 
     spec = gjms_eigenvalues(params, K)
-    from scipy.special import gammaln
-
-    kk = np.arange(K + 1, dtype=float)
-    ref = np.exp(gammaln(kk + n / 2 + m) - gammaln(kk + n / 2 - m))
-    add("spectrum-cross-form", float(np.max(np.abs(spec.lam / ref - 1.0))), 1e-10)
+    add("spectrum-cross-form", np.max(np.abs(spec.lam / gamma_ratio(params, K) - 1.0)), 1e-10)
     add("spectrum-monotone", 0.0 if np.all(np.diff(spec.lam) > 0) else 1.0, 0.5)
 
     gap_worst = 0.0
@@ -494,8 +492,11 @@ def _verify_checks(m: int, n: int, K: int, seed: int, trials: int):
     add(
         "green-identity",
         float(np.max(np.abs(gc.g_mn * kernel.mu * spec.lam - 1.0))),
-        1e-8,
+        IDENTITY_TOLERANCE,
     )
+    # one Jacobi rule of K//2 + 8 nodes integrates the degree-K integrand exactly
+    quad_gap = np.max(np.abs(_kernel_moments(params, K, K // 2 + 8) - kernel.mu)) / kernel.mu[0]
+    add("kernel-funk-hecke-quadrature", quad_gap, 1e-12)
     add("kernel-monotone", 0.0 if np.all(np.diff(kernel.mu) < 0) else 1.0, 0.5)
 
     hls_worst = 0.0
@@ -523,8 +524,7 @@ def _verify_checks(m: int, n: int, K: int, seed: int, trials: int):
     v = ZonalFunction(params, rng.standard_normal(K + 1))
     grid = np.linspace(0.0, 30.0, 300)
     prof = pullback_to_plane(v, grid)
-    sup_v = float(np.max(np.abs(v.evaluate(np.cos(np.linspace(0, np.pi, 2048))))))
-    bound = sup_v * 2.0 ** (n / 2 - m) + 1e-9
+    bound = v.sup_bound() * 2.0 ** (n / 2 - m) * (1.0 + 1e-9)
     decay = float(np.max(np.abs(prof.values) * (1 + grid**2) ** (n / 2 - m))) - bound
     add("pullback-decay-bound", max(decay, 0.0), 0.0)
 

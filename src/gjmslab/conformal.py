@@ -103,24 +103,18 @@ class BubbleParams:
             raise DomainError(f"dilation must be positive and finite, got {self.lam}")
 
 
-def _sup_abs(v: ZonalFunction, samples: int = 2048) -> float:
-    t = np.cos(np.linspace(0.0, math.pi, samples))
-    return float(np.max(np.abs(v.evaluate(t))))
-
-
 def pullback_to_plane(v: ZonalFunction, grid) -> RadialProfile:
     """Transport a zonal function to R^n: u(r) = (2/(1+r^2))^(n/2-m) v(t(r)).
 
-    For bounded v the result obeys the decay bound
-    u(r) (1+r^2)^(n/2-m) <= sup|v| 2^(n/2-m); the construction is checked
-    against it with a 1e-9 slack.
+    The result obeys the decay bound u(r) (1+r^2)^(n/2-m) <= sup|v| 2^(n/2-m),
+    checked here with v.sup_bound() for sup|v| and a relative slack of 1e-9.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     n, m = v.params.n, v.params.m
     t = angle_from_radius(grid)
     exponent = n / 2.0 - m
     values = conformal_factor(grid) ** exponent * v.evaluate(t)
-    bound = _sup_abs(v) * 2.0**exponent + 1e-9
+    bound = v.sup_bound() * 2.0**exponent * (1.0 + 1e-9)
     excess = np.max(np.abs(values) * (1.0 + grid * grid) ** exponent) - bound
     if excess > 0:  # pragma: no cover - construction satisfies the bound identically
         raise InconsistencyError(f"pullback violates its decay bound by {excess:.3e}")
@@ -185,13 +179,10 @@ def norm_transport_check(
     ring = sphere_area(n - 1)
 
     def integrand(r):
-        u = conformal_factor(r) ** exponent * float(v.evaluate(r_to_t(r))[0])
+        u = conformal_factor(r) ** exponent * float(v.evaluate(angle_from_radius(r))[0])
         return abs(u) ** q * conformal_factor(r) ** weight_exp * r ** (n - 1)
 
-    def r_to_t(r):
-        return (1.0 - r * r) / (1.0 + r * r)
-
-    sup_v = _sup_abs(v)
+    sup_v = v.sup_bound()
     if sup_v == 0.0 and sphere_side == 0.0:
         return 0.0
 

@@ -1,11 +1,12 @@
 """Surface Riesz kernel |xi - eta|^(2m-n) on S^n: spectrum, inverse operator, duality.
 
-A rotation-invariant kernel acts diagonally on spherical harmonics; for the
-Riesz kernel the degree-k eigenvalue reduces to a one-dimensional Jacobi-type
-integral because the singularity exponents combine as
-(2 - 2t)^((2m-n)/2) (1 - t^2)^((n-2)/2) = 2^((2m-n)/2) (1-t)^(m-1) (1+t)^((n-2)/2).
-The kernel inverts the order-2m conformal operator up to one normalization
-g_mn, fixed here spectrally and then certified degree by degree.
+A rotation-invariant kernel acts diagonally on spherical harmonics; Funk-Hecke
+gives the Riesz kernel's eigenvalues in closed form (Lieb, Ann. Math. 118, 1983;
+Beckner, Ann. Math. 138, 1993).  The Funk-Hecke integral stays as a cross-check;
+its weight (2 - 2t)^((2m-n)/2) (1 - t^2)^((n-2)/2) = 2^((2m-n)/2) (1-t)^(m-1) (1+t)^((n-2)/2)
+makes each eigenvalue a Jacobi-weight integral of a polynomial.  The kernel
+inverts the order-2m conformal operator up to one normalization g_mn, fixed
+here spectrally and then certified degree by degree.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .errors import AccuracyError, DomainError, InconsistencyError
+from .errors import DomainError, InconsistencyError
 from .spectral import (
     GjmsSpectrum,
     SphereParams,
@@ -26,10 +27,13 @@ from .spectral import (
     basis_values,
     build_quadrature,
     default_rule_size,
+    gamma_ratio,
     gjms_eigenvalues,
     sphere_area,
     zonal_basis,
 )
+
+IDENTITY_TOLERANCE = 1e-8  #: largest |g_mn mu_k Lambda_k - 1| green_constant accepts
 
 
 def ball_volume(n: int) -> float:
@@ -81,28 +85,15 @@ def _kernel_moments(params: SphereParams, K: int, nodes: int) -> np.ndarray:
     return scale * ((w @ B) / at_one)
 
 
-def funk_hecke_spectrum(params: SphereParams, K: int, tol: float = 1e-9) -> KernelSpectrum:
-    """Kernel eigenvalues mu_0..mu_K, certified by comparing two Jacobi rules.
+def funk_hecke_spectrum(params: SphereParams, K: int) -> KernelSpectrum:
+    """Kernel eigenvalues mu_0..mu_K from the Funk-Hecke closed form.
 
-    The polynomial part of the integrand is degree K, so the base rule is
-    already exact up to roundoff; the doubled rule bounds the achieved
-    relative accuracy.  High degrees sit on a cancellation floor of order
-    eps * mu_0 / mu_k, which is folded into the acceptance threshold; if the
-    two rules still disagree an accuracy error reports the achieved estimate.
+    mu_k = 2^(2m) pi^(n/2) Gamma(m) Gamma(k+n/2-m) / (Gamma(n/2-m) Gamma(k+n/2+m)),
+    sharing the Gamma ratio that cross-checks the operator spectrum.
     """
-    base = max(K // 2 + 8, 8)
-    mu_a = _kernel_moments(params, K, base)
-    mu_b = _kernel_moments(params, K, 2 * base + 8)
-    rel = np.abs(mu_a - mu_b) / np.abs(mu_b)
-    floor = 32.0 * np.finfo(float).eps * mu_b[0] / np.abs(mu_b)
-    allowed = np.maximum(tol, floor)
-    if np.any(rel > allowed):
-        worst = int(np.argmax(rel - allowed))
-        raise AccuracyError(
-            f"kernel eigenvalue k={worst} achieved rel {rel[worst]:.3e} "
-            f"(target {allowed[worst]:.3e}) for n={params.n}, m={params.m}"
-        )
-    return KernelSpectrum(params=params, mu=mu_b)
+    h, m = params.n / 2.0, params.m
+    scale = 4.0**m * math.pi**h * math.gamma(m) / math.gamma(h - m)
+    return KernelSpectrum(params=params, mu=scale / gamma_ratio(params, K))
 
 
 @dataclass(frozen=True)
@@ -127,7 +118,7 @@ def green_constant(
     """Fix g_mn = 1/(mu_0 Lambda_0) and certify the inverse identity spectrally.
 
     Raises an inconsistency error if max_k |g_mn mu_k Lambda_k - 1| exceeds
-    1e-6, which would indicate a quadrature or spectrum bug.
+    IDENTITY_TOLERANCE, which would indicate a spectrum bug.
     """
     if kernel is None:
         kernel = funk_hecke_spectrum(params, K)
@@ -136,7 +127,7 @@ def green_constant(
     lam = gjms.lam[: kernel.K + 1]
     g = 1.0 / (kernel.mu[0] * lam[0])
     deviation = float(np.max(np.abs(g * kernel.mu * lam - 1.0)))
-    if deviation > 1e-6:
+    if deviation > IDENTITY_TOLERANCE:
         raise InconsistencyError(
             f"inverse-kernel identity violated by {deviation:.3e} "
             f"for n={params.n}, m={params.m}"

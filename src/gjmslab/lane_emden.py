@@ -528,23 +528,35 @@ def _cheb_fit(x: np.ndarray, values: np.ndarray, deg: int) -> np.ndarray:
     return coef
 
 
-def radial_laplacian(profile: RadialProfile) -> np.ndarray:
-    """One application of the radial Laplacian u'' + (n-1) u'/r on the grid.
+def _polar_chart(profile: RadialProfile):
+    """Chebyshev points x and fit degree on the grid's range of t = cos(theta).
 
-    Computed through the polar-cosine representation, so the r = 0 limit
-    n u''(0) comes out of the same formula instead of a special case.
+    Also returns the radial Laplacian (1-t)(1+t)^3 d^2/dt^2 + (1+t)^2 (2(1-t) - n) d/dt
+    as a map from Chebyshev coefficients in x to values on the grid.
     """
     n = profile.params.n
     t = angle_from_radius(profile.grid)
     t_min = float(np.min(t))
     span = 1.0 - t_min
     x = (2.0 * (t - t_min) / span) - 1.0
-    deg = min(len(x) - 1, 400)
     dx_dt = 2.0 / span
-    coef = _cheb_fit(x, profile.values, deg)
-    d1 = cheb.chebval(x, cheb.chebder(coef, 1)) * dx_dt
-    d2 = cheb.chebval(x, cheb.chebder(coef, 2)) * dx_dt**2
-    return (1.0 - t) * (1.0 + t) ** 3 * d2 + (1.0 + t) ** 2 * (2.0 * (1.0 - t) - n) * d1
+
+    def laplacian(coef: np.ndarray) -> np.ndarray:
+        d1 = cheb.chebval(x, cheb.chebder(coef, 1)) * dx_dt
+        d2 = cheb.chebval(x, cheb.chebder(coef, 2)) * dx_dt**2
+        return (1.0 - t) * (1.0 + t) ** 3 * d2 + (1.0 + t) ** 2 * (2.0 * (1.0 - t) - n) * d1
+
+    return x, min(len(x) - 1, 400), laplacian
+
+
+def radial_laplacian(profile: RadialProfile) -> np.ndarray:
+    """One application of the radial Laplacian u'' + (n-1) u'/r on the grid.
+
+    Computed through the polar-cosine representation, so the r = 0 limit
+    n u''(0) comes out of the same formula instead of a special case.
+    """
+    x, deg, laplacian = _polar_chart(profile)
+    return laplacian(_cheb_fit(x, profile.values, deg))
 
 
 def verify_super_polyharmonic(
@@ -561,22 +573,12 @@ def verify_super_polyharmonic(
         raise DomainError(f"need m >= 1, got {m}")
     if m == 1:
         return SuperPolyReport(True, [], [], rtol)
-    n = profile.params.n
-    t = angle_from_radius(profile.grid)
-    t_min = float(np.min(t))
-    span = 1.0 - t_min
-    x = (2.0 * (t - t_min) / span) - 1.0
-    deg = min(len(x) - 1, 400)
-    dx_dt = 2.0 / span
-
+    x, deg, laplacian = _polar_chart(profile)
     coef = _cheb_fit(x, profile.values, deg)
     minima, scales = [], []
     passed = True
     for _ in range(1, m):
-        d1 = cheb.chebval(x, cheb.chebder(coef, 1)) * dx_dt
-        d2 = cheb.chebval(x, cheb.chebder(coef, 2)) * dx_dt**2
-        lap = (1.0 - t) * (1.0 + t) ** 3 * d2 + (1.0 + t) ** 2 * (2.0 * (1.0 - t) - n) * d1
-        values = -lap
+        values = -laplacian(coef)
         scale = max(float(np.max(np.abs(values))), 1e-300)
         low = float(np.min(values))
         minima.append(low)

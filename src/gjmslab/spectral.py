@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi
+from scipy.special import roots_jacobi
 
 from .errors import AliasingError, DomainError, InconsistencyError
 
@@ -197,6 +197,10 @@ class ZonalFunction:
         """Pointwise values at arbitrary cosines t via the stable recurrence."""
         return basis_values(self.params.n, self.K, t) @ self.coeffs
 
+    def sup_bound(self) -> float:
+        """Bound sum |c_k| Y_k(1) on sup |u|: for n >= 2, |Y_k(t)| <= Y_k(1) on [-1, 1]."""
+        return float(np.abs(self.coeffs) @ basis_values(self.params.n, self.K, 1.0)[0])
+
     def distance_to_constant(self) -> float:
         """Relative L^2 distance from the mean, ||u - mean(u)|| / ||u||, in [0, 1]."""
         total = self.l2_norm()
@@ -301,21 +305,32 @@ def gjms_lambda0(m: int, n: int) -> float:
     return out
 
 
+def gamma_ratio(params: SphereParams, K: int) -> np.ndarray:
+    """Gamma(k+n/2+m) / Gamma(k+n/2-m) for k = 0..K.
+
+    Evaluated as the rising factorial prod_{j=-m}^{m-1} (k+n/2+j), which costs
+    2m roundings; a log-Gamma difference loses about 1e-12 relative by k = 800.
+    """
+    if K < 0:
+        raise DomainError("truncation degree must be >= 0")
+    x = np.arange(K + 1, dtype=float) + params.n / 2.0
+    return np.prod([x + j for j in range(-params.m, params.m)], axis=0)
+
+
 def gjms_eigenvalues(params: SphereParams, K: int) -> GjmsSpectrum:
     """Spectrum of the order-2m conformal operator, factored through the order-2 one.
 
     Lambda_k = prod_{j=0}^{m-1} (mu_k - j(j+1)) with mu_k = k(k+n-1) + n(n-2)/4
     the eigenvalue of the conformally shifted Laplacian.  The equivalent
-    Gamma-ratio closed form Gamma(k+n/2+m)/Gamma(k+n/2-m) is evaluated through
-    log-Gamma and must agree to 1e-10 relative, guarding the factorization.
+    Gamma-ratio closed form Gamma(k+n/2+m)/Gamma(k+n/2-m) must agree to 1e-10
+    relative, guarding the factorization.
     """
     n, m = params.n, params.m
-    k = np.arange(K + 1, dtype=float)
+    lam_gamma = gamma_ratio(params, K)
     mu = laplace_beltrami_eigenvalues(n, K) + n * (n - 2.0) / 4.0
     lam = np.ones_like(mu)
     for j in range(m):
         lam *= mu - j * (j + 1.0)
-    lam_gamma = np.exp(gammaln(k + n / 2.0 + m) - gammaln(k + n / 2.0 - m))
     rel = np.max(np.abs(lam / lam_gamma - 1.0))
     if rel > 1e-10:
         raise InconsistencyError(

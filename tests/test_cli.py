@@ -29,6 +29,15 @@ class TestEigenvalues:
         assert float(rows[0]["lambda"]) == pytest.approx(6.5625, rel=1e-14)
         assert float(rows[0]["g_mu_lambda"]) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("m,n", [(1, 3), (5, 11)])
+    def test_high_degree_identity(self, capsys, m, n):
+        code, out, _ = run(capsys, "eigenvalues", "--m", str(m), "--n", str(n), "--K", "2000", "--format", "json")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["identity_tolerance"] == 1e-8
+        assert len(results["rows"]) == 2001
+        assert max(abs(row["g_mu_lambda"] - 1.0) for row in results["rows"]) <= 1e-8
+
     def test_csv_round_trip(self, capsys):
         code, out, _ = run(capsys, "eigenvalues", "--m", "1", "--n", "3", "--K", "6", "--format", "csv")
         rows = list(csv.DictReader(out.splitlines()))
@@ -82,6 +91,20 @@ class TestExitCodes:
         code, out, _ = run(capsys, "verify", "--m", "1", "--n", "3", "--K", "12", "--trials", "4")
         assert code == 0
         assert "overall" in out and "FAIL" not in out
+
+    @pytest.mark.parametrize(
+        "m,n,seed", [(1, 3, 0), (2, 5, 0), (2, 7, 0), (3, 9, 0), (1, 3, 434548015)]
+    )
+    def test_verify_default_truncation(self, capsys, m, n, seed):
+        # seed 434548015 draws a function whose sampled supremum undershot the
+        # true one, which made the pullback decay-bound guard fire
+        code, out, _ = run(
+            capsys, "verify", "--m", str(m), "--n", str(n), "--seed", str(seed), "--format", "json"
+        )
+        assert code == 0
+        checks = {row["name"]: row for row in json.loads(out)["results"]["checks"]}
+        quad = checks["kernel-funk-hecke-quadrature"]
+        assert quad["passed"] and quad["margin"] <= 1e-12
 
     def test_verify_failure_exits_3_with_failure_rows(self, capsys, monkeypatch):
         import gjmslab.cli as cli

@@ -83,6 +83,18 @@ class TestPullback:
         prof = pullback_to_plane(v, [1.0])
         assert prof.values[0] == pytest.approx(float(v.evaluate(0.0)[0]), rel=1e-14)
 
+    def test_sup_bound(self):
+        # dominates a dense sample, and is attained at t = 1 for nonnegative coefficients
+        rng = np.random.default_rng(5)
+        t = np.cos(np.linspace(0, np.pi, 4096))
+        for m, n in [(1, 3), (1, 4), (2, 5), (3, 9)]:
+            params = SphereParams(n=n, m=m)
+            for _ in range(20):
+                v = ZonalFunction(params, rng.standard_normal(17))
+                assert np.max(np.abs(v.evaluate(t))) <= v.sup_bound()
+            w = ZonalFunction(params, np.abs(rng.standard_normal(17)))
+            assert w.sup_bound() == pytest.approx(float(w.evaluate(1.0)[0]), rel=1e-13)
+
     def test_decay_bound(self):
         rng = np.random.default_rng(2)
         params = SphereParams(n=5, m=2)

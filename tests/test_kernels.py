@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -67,6 +68,19 @@ class TestKernelSpectrum:
         k = np.arange(25, dtype=float)
         prod = spec.mu * (k + 0.5) * (k + 1.5)
         assert np.max(np.abs(prod / prod[0] - 1)) <= 1e-8
+
+    @pytest.mark.parametrize("m,n,K", [(5, 11, 800), (5, 11, 2000), (1, 3, 2000)])
+    def test_closed_form_against_arbitrary_precision(self, m, n, K):
+        # mpmath oracle at 30 digits: float log-Gamma differences (scipy or
+        # math.lgamma) themselves err by 1e-12 relative at these degrees
+        spec = funk_hecke_spectrum(SphereParams(n=n, m=m), K)
+        h = mpmath.mpf(n) / 2
+        with mpmath.workdps(30):
+            scale = 4**m * mpmath.pi**h * mpmath.gamma(m) / mpmath.gamma(h - m)
+            ref = np.array(
+                [float(scale * mpmath.gamma(k + h - m) / mpmath.gamma(k + h + m)) for k in range(K + 1)]
+            )
+        assert np.max(np.abs(spec.mu / ref - 1)) <= 1e-12
 
     def test_low_degrees_against_bruteforce(self):
         params = SphereParams(n=5, m=2)

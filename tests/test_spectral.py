@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import eval_chebyu, roots_legendre
@@ -14,6 +15,7 @@ from gjmslab.spectral import (
     analyze,
     basis_values,
     build_quadrature,
+    gamma_ratio,
     gjms_eigenvalues,
     gjms_lambda0,
     laplace_beltrami_ode_residual,
@@ -186,6 +188,16 @@ class TestGjmsSpectrum:
                 k = np.arange(49, dtype=float)
                 ref = np.exp(gammaln(k + n / 2 + m) - gammaln(k + n / 2 - m))
                 assert np.max(np.abs(spec.lam / ref - 1)) <= 1e-10
+
+    def test_gamma_ratio_against_arbitrary_precision(self):
+        for m, n in [(1, 3), (2, 6), (5, 11)]:
+            ratio = gamma_ratio(SphereParams(n=n, m=m), 2000)
+            h = mpmath.mpf(n) / 2
+            with mpmath.workdps(30):
+                ref = [float(mpmath.gamma(k + h + m) / mpmath.gamma(k + h - m)) for k in range(0, 2001, 50)]
+            assert np.max(np.abs(ratio[::50] / ref - 1)) <= 1e-14
+        with pytest.raises(DomainError):
+            gamma_ratio(SphereParams(n=3, m=1), -1)
 
     def test_positive_and_increasing(self):
         for m, n in [(1, 3), (2, 5), (3, 7), (4, 9), (4, 12)]:
