@@ -248,6 +248,7 @@ def cmd_eigenvalues(args) -> int:
 
 
 def cmd_sharp_constant(args) -> int:
+    started = time.time()
     ps = _parse_float_list(args.p)
     rows = []
     for p in ps:
@@ -255,7 +256,6 @@ def cmd_sharp_constant(args) -> int:
     if args.format == "csv":
         _emit(_csv_table(["m", "n", "p", "sharp_constant"], rows), args.out)
     else:
-        started = time.time()
         report = make_report(
             "sharp-constant",
             {"m": args.m, "n": args.n, "p": ps},
@@ -280,7 +280,6 @@ def cmd_minimize(args) -> int:
         K=args.K,
         starts=args.starts,
         seed=args.seed,
-        step0=args.step0,
         tol_grad=args.tol,
         max_iter=args.max_iter,
     )
@@ -299,7 +298,6 @@ def cmd_minimize(args) -> int:
             "seed": args.seed,
             "tol_grad": args.tol,
             "max_iter": args.max_iter,
-            "step0": args.step0,
         },
         {
             "minimization": result.to_dict(),
@@ -651,7 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=None, help="norm exponent (required here or in config)")
     p.add_argument("--starts", type=int, default=20)
     p.add_argument("--max-iter", type=int, default=2000)
-    p.add_argument("--step0", type=float, default=1.0)
     p.add_argument("--trace-out", help="CSV path for the convergence trace")
     p.set_defaults(func=cmd_minimize)
 

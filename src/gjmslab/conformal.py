@@ -155,19 +155,16 @@ def bubble_on_sphere(bubble: BubbleParams, rule: QuadratureRule, K: int) -> Zona
     return u
 
 
-def norm_transport_check(
-    v: ZonalFunction,
-    q: float,
-    rule: QuadratureRule,
-    rtol: float = 1e-10,
-) -> float:
+def norm_transport_check(v: ZonalFunction, q: float, rule: QuadratureRule) -> float:
     """Relative gap between the sphere-side and plane-side integrals of |v|^q.
 
     Sphere side is the quadrature sum of |v|^q; the plane side integrates the
     pulled-back |u|^q against (2/(1+r^2))^(n - q(n/2-m)) on R^n by adaptive
     radial quadrature, with the cutoff radius chosen so the analytic tail
-    bound sits below 1e-12 of the total.  At q = 2n/(n-2m) the weight exponent
-    vanishes and both sides express one conformally invariant quantity.
+    bound sits below 1e-12 of the total.  Raises AccuracyError when the
+    radial quadrature's error estimate exceeds 1e-6 of the larger side.  At
+    q = 2n/(n-2m) the weight exponent vanishes and both sides express one
+    conformally invariant quantity.
     """
     if q < 1:
         raise DomainError(f"need q >= 1, got q={q}")

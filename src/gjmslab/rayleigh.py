@@ -3,9 +3,12 @@
 The quotient Q(u) = (energy of u) / ||u||_p^2 is scale invariant; over
 2 < p < 2n/(n-2m) its infimum is Lambda_0 |S^n|^(1-2/p), attained exactly at
 the constants.  minimize() reproduces this numerically by multistart
-projected descent on the p-sphere, using the gradient in the operator's own
-metric (coefficient k scaled by 1/Lambda_k) so the quadratic term is perfectly
-conditioned at every order.
+saddle-free Riemannian Newton on the p-sphere ||u||_p = 1 (Absil, Mahony &
+Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008).  The tangent
+Hessian is scaled by Lambda^(-1/2), so its quadratic part is the identity at
+every order, and its eigenvalues are replaced by their absolute values
+(floored at 1e-2), so every step descends and moves away from the
+sign-changing saddles.
 """
 
 from __future__ import annotations
@@ -33,6 +36,16 @@ from .spectral import (
 #: Quotient gradients degenerate as p -> 2 (|u|^(p-2) loses smoothness at zeros),
 #: and the admissible range is open anyway, so a small guard band is enforced.
 MIN_EXPONENT_GAP = 1e-3
+
+#: Floor on the absolute eigenvalues of the scaled tangent Hessian in the
+#: saddle-free Newton step; the high modes sit at 1, so this caps the step
+#: at 100 times the Newton step of a perfectly conditioned mode.
+SADDLE_FREE_FLOOR = 1e-2
+#: A start stops when its Newton decrement -g.s falls to this many units of
+#: roundoff in the quotient value.
+ROUNDING_FLOOR = 16.0 * np.finfo(float).eps
+#: Why a start stopped: the first two count as converged.
+STOP_REASONS = ("tolerance", "rounding_floor", "line_search_exhausted", "max_iter")
 
 
 def sharp_constant(m: int, n: int, p: float) -> float:
@@ -83,6 +96,10 @@ class _Workspace:
         grad = 2.0 * self.lam * c / den - 2.0 * num * ip ** (-1.0 - 2.0 / p) * moment
         return val, grad
 
+    def weighted_gram(self, s: np.ndarray) -> np.ndarray:
+        """B^T diag(w s) B for node values s."""
+        return self.basis.T @ ((self.weights * s)[:, None] * self.basis)
+
 
 def rayleigh_quotient(u: ZonalFunction, p: float, workspace: _Workspace | None = None) -> float:
     """Energy over squared L^p norm; scale invariant, and >= the sharp constant
@@ -114,14 +131,18 @@ def _check_exponent(params: SphereParams, p: float) -> None:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Multistart projected-descent settings for one (n, m, p) instance."""
+    """Multistart Newton settings for one (n, m, p) instance.
+
+    A start stops once ||g / (2 Lambda)|| <= tol_grad ||c|| at its p-normalized
+    coefficients c, where g is the quotient gradient; the test is relative, so
+    one tolerance serves every (n, m, p).
+    """
 
     params: SphereParams
     p: float
     K: int = 32
     starts: int = 20
     seed: int = 0
-    step0: float = 1.0
     tol_grad: float = 1e-9
     max_iter: int = 2000
 
@@ -133,13 +154,17 @@ class OptimizerConfig:
             raise DomainError("gradient tolerance must be positive")
         if self.K < 1:
             raise DomainError("need K >= 1")
-        if self.max_iter < 1 or self.step0 <= 0:
-            raise DomainError("need max_iter >= 1 and step0 > 0")
+        if self.max_iter < 1:
+            raise DomainError("need max_iter >= 1")
 
 
 @dataclass
 class MinimizationResult:
-    """Best iterate over all starts, normalized to ||u||_p = 1."""
+    """Best iterate over all starts, normalized to ||u||_p = 1.
+
+    `start_values`, `start_iters` and `start_stop_reasons` hold one entry per
+    start, in start order; a stop reason is one of STOP_REASONS.
+    """
 
     minimizer: ZonalFunction
     value: float
@@ -149,6 +174,8 @@ class MinimizationResult:
     converged: bool
     trace: list = field(default_factory=list)
     start_values: list = field(default_factory=list)
+    start_iters: list = field(default_factory=list)
+    start_stop_reasons: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -159,6 +186,8 @@ class MinimizationResult:
             "distance_to_constant": self.distance_to_constant,
             "converged": self.converged,
             "start_values": [float(v) for v in self.start_values],
+            "start_iters": list(self.start_iters),
+            "start_stop_reasons": list(self.start_stop_reasons),
         }
 
     def write_trace_csv(self, path) -> None:
@@ -171,26 +200,48 @@ class MinimizationResult:
                 writer.writerow([it, repr(float(val)), repr(float(gn))])
 
 
+def _newton_step(ws: _Workspace, c: np.ndarray, p: float, val: float, grad: np.ndarray):
+    """Saddle-free Newton step on the p-sphere at the p-normalized c.
+
+    The tangent directions s satisfy M^T s = 0 with M = B^T(w |u|^(p-2) u), and
+    the Hessian there is 2H with H = Lambda - Q (p-1) B^T diag(w |u|^(p-2)) B.
+    In the variables y = Lambda^(1/2) s, H restricted to the tangent space is
+    a K x K symmetric matrix; its eigenvalues enter by absolute value, floored
+    at SADDLE_FREE_FLOOR.
+    """
+    vals = ws.basis @ c
+    a = np.abs(vals) ** (p - 2.0)
+    moment = ws.basis.T @ (ws.weights * a * vals)
+    scale = 1.0 / np.sqrt(ws.lam)
+    H = np.eye(ws.K + 1) - val * (p - 1.0) * (scale[:, None] * ws.weighted_gram(a) * scale)
+    # the last K columns of a complete QR of Lambda^(-1/2) M span the tangent space
+    Z = np.linalg.qr((scale * moment)[:, None], mode="complete")[0][:, 1:]
+    evals, V = np.linalg.eigh(Z.T @ H @ Z)
+    coords = V.T @ (Z.T @ (scale * grad))
+    return -scale * (Z @ (V @ (coords / (2.0 * np.maximum(np.abs(evals), SADDLE_FREE_FLOOR)))))
+
+
 def _descend(ws: _Workspace, c0: np.ndarray, p: float, cfg: OptimizerConfig):
     c = ws.normalize(c0, p)
     val, grad = ws.quotient_and_gradient(c, p)
     gnorm = float(np.linalg.norm(grad))
     trace = [(0, val, gnorm)]
-    step = cfg.step0
     it = 0
-    converged = gnorm <= cfg.tol_grad
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, cfg.max_iter + 1):
-            if converged:
-                it -= 1
+        while True:
+            if np.linalg.norm(grad / (2.0 * ws.lam)) <= cfg.tol_grad * np.linalg.norm(c):
+                reason = "tolerance"
                 break
-            # scaling by 1/(2 Lambda_k) makes the unit step the exact Newton
-            # step on the high modes, where the quotient Hessian is 2 Lambda_k
-            # per unit p-norm; low modes are then contracted geometrically.
-            direction = -grad / (2.0 * ws.lam)
+            direction = _newton_step(ws, c, p, val, grad)
             slope = float(np.dot(grad, direction))
-            step = min(step * 2.0, 2.0 * cfg.step0)
-            accepted = False
+            # a decrease below the rounding of the quotient cannot be verified
+            if -slope <= ROUNDING_FLOOR * abs(val):
+                reason = "rounding_floor"
+                break
+            if it == cfg.max_iter:
+                reason = "max_iter"
+                break
+            step, accepted = 1.0, False
             while step > 1e-18:
                 cand = c + step * direction
                 cand_norm = ws.p_norm(cand, p)
@@ -203,12 +254,13 @@ def _descend(ws: _Workspace, c0: np.ndarray, p: float, cfg: OptimizerConfig):
                         break
                 step *= 0.5
             if not accepted:
-                break  # no representable decrease left
-            val, grad = ws.quotient_and_gradient(c, p)
+                reason = "line_search_exhausted"
+                break
+            it += 1
+            grad = ws.quotient_and_gradient(c, p)[1]
             gnorm = float(np.linalg.norm(grad))
             trace.append((it, val, gnorm))
-            converged = gnorm <= cfg.tol_grad
-    return c, val, gnorm, it, converged, trace
+    return c, val, gnorm, it, reason, trace
 
 
 def _starts(cfg: OptimizerConfig, ws: _Workspace) -> list[np.ndarray]:
@@ -230,19 +282,26 @@ def minimize(cfg: OptimizerConfig) -> MinimizationResult:
     """Best-of-multistart quotient minimization on the p-sphere.
 
     Starts at the constant, two bubble profiles, and damped random coefficient
-    draws seeded per (seed, index); the per-start descent renormalizes after
-    every accepted step and backtracks with Armijo parameter 1e-4, shrink 0.5.
-    Non-convergent starts are kept (flagged through `converged`), never hidden.
+    draws seeded per (seed, index).  Each start takes saddle-free Newton
+    steps (see _newton_step), backtracks from the unit step with Armijo
+    parameter 1e-4, shrink 0.5, and renormalizes every candidate to the
+    p-sphere.  It stops at the relative gradient tolerance, at the rounding
+    floor of its Newton decrement, when the line search finds no decrease, or
+    at max_iter; the trace records the values the line search accepted.
+    Non-convergent starts are kept (flagged through `converged` and their stop
+    reason), never hidden.
     """
     ws = _Workspace(cfg.params, cfg.K)
     best = None
-    start_values = []
+    start_values, start_iters, start_stop_reasons = [], [], []
     for c0 in _starts(cfg, ws):
-        c, val, gnorm, iters, converged, trace = _descend(ws, c0, cfg.p, cfg)
+        c, val, gnorm, iters, reason, trace = _descend(ws, c0, cfg.p, cfg)
         start_values.append(val)
+        start_iters.append(iters)
+        start_stop_reasons.append(reason)
         if best is None or val < best[1]:
-            best = (c, val, gnorm, iters, converged, trace)
-    c, val, gnorm, iters, converged, trace = best
+            best = (c, val, gnorm, iters, reason, trace)
+    c, val, gnorm, iters, reason, trace = best
     if c[0] < 0:
         c = -c  # report the nonnegative-mean representative
     u = ZonalFunction(cfg.params, c)
@@ -252,7 +311,9 @@ def minimize(cfg: OptimizerConfig) -> MinimizationResult:
         grad_norm=gnorm,
         iters=iters,
         distance_to_constant=u.distance_to_constant(),
-        converged=converged,
+        converged=reason in STOP_REASONS[:2],
         trace=trace,
         start_values=start_values,
+        start_iters=start_iters,
+        start_stop_reasons=start_stop_reasons,
     )

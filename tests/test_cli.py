@@ -71,6 +71,22 @@ class TestSharpConstant:
         assert report["provenance"]["toolkit_version"]
         assert report["results"]["rows"][0]["sharp_constant"] > 0
 
+    def test_json_wall_time_covers_computation(self, capsys, monkeypatch):
+        import time
+
+        import gjmslab.cli as cli
+
+        real = cli.sharp_constant
+
+        def slow(*args):
+            time.sleep(0.05)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "sharp_constant", slow)
+        code, out, _ = run(capsys, "sharp-constant", "--m", "1", "--n", "3", "--p", "4", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["provenance"]["wall_time_s"] >= 0.05
+
 
 class TestExitCodes:
     def test_usage_error_unknown_flag(self, capsys):
@@ -178,6 +194,15 @@ class TestConfigFile:
         assert code == 2
         assert "frobnicate" in err
 
+    def test_step0_is_not_an_option(self, tmp_path, capsys):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("p = 4\nstep0 = 1.0\n")
+        code, _, err = run(capsys, "minimize", "--config", str(cfg))
+        assert code == 2
+        assert "step0" in err
+        code, _, _ = run(capsys, "minimize", "--p", "4", "--step0", "1.0")
+        assert code == 2
+
 
 class TestSweep:
     def test_grid(self, capsys):
@@ -238,3 +263,14 @@ class TestSolveCommand:
         lines = trace.read_text().strip().splitlines()
         assert lines[0] == "iter,value,grad_norm"
         assert len(lines) >= 2
+
+    def test_minimize_per_start_records(self, capsys):
+        code, out, _ = run(
+            capsys, "minimize", "--m", "2", "--n", "5", "--p", "2.5", "--K", "12", "--starts", "5",
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert "step0" not in report["inputs"]
+        result = report["results"]["minimization"]
+        assert len(result["start_iters"]) == len(result["start_stop_reasons"]) == 5
+        assert set(result["start_stop_reasons"]) <= {"tolerance", "rounding_floor"}

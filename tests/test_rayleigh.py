@@ -26,6 +26,20 @@ from gjmslab.spectral import (
 SHARP_134 = 3.3321622036187746
 SHARP_2552 = 13.042451788657035
 
+# (n, m, p) configurations of the sharp-constants benchmark workload
+MINIMIZE_CONFIGS = [(3, 1, 4.0), (3, 1, 2.5), (5, 2, 2.5), (7, 2, 3.0), (9, 3, 4.0)]
+
+
+@pytest.fixture(scope="module")
+def multistart_results():
+    return {
+        (n, m, p, seed): minimize(
+            OptimizerConfig(params=SphereParams(n=n, m=m), p=p, K=32, starts=20, seed=seed)
+        )
+        for n, m, p in MINIMIZE_CONFIGS
+        for seed in (0, 1)
+    }
+
 
 def random_positive_function(params, K, rng, scale=0.35):
     k = np.arange(K + 1, dtype=float)
@@ -236,3 +250,46 @@ class TestMinimize:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "iter,value,grad_norm"
         assert len(lines) == len(res.trace) + 1
+
+
+class TestNewtonMultistart:
+    def test_every_start_reaches_sharp_constant(self, multistart_results):
+        for (n, m, p, seed), res in multistart_results.items():
+            S = sharp_constant(m, n, p)
+            assert len(res.start_values) == 20
+            worst = max(abs(v / S - 1) for v in res.start_values)
+            assert worst <= 1e-9, (n, m, p, seed, worst)
+
+    def test_every_start_converges_quickly(self, multistart_results):
+        for key, res in multistart_results.items():
+            assert len(res.start_iters) == len(res.start_stop_reasons) == 20
+            assert set(res.start_stop_reasons) <= {"tolerance", "rounding_floor"}, key
+            assert max(res.start_iters) <= 50, key
+
+    def test_scale_aware_stop_on_high_order(self):
+        # on (9,3,4) the quotient is about 1e4 and Lambda_32 about 2e9, so an
+        # absolute 1e-9 gradient test fires only at the exact constant start;
+        # the relative test also stops the two bubble starts
+        cfg = OptimizerConfig(params=SphereParams(n=9, m=3), p=4.0, K=32, starts=20, seed=0)
+        res = minimize(cfg)
+        assert res.converged
+        assert res.start_stop_reasons[1:3] == ["tolerance", "tolerance"]
+
+    def test_max_iter_stop_reason(self):
+        cfg = OptimizerConfig(
+            params=SphereParams(n=5, m=2), p=2.5, K=16, starts=6, seed=3, max_iter=1
+        )
+        res = minimize(cfg)
+        assert set(res.start_stop_reasons) <= {
+            "tolerance", "rounding_floor", "line_search_exhausted", "max_iter"
+        }
+        assert res.start_stop_reasons[0] == "tolerance" and res.start_iters[0] == 0
+        assert "max_iter" in res.start_stop_reasons
+        for reason, iters in zip(res.start_stop_reasons, res.start_iters):
+            assert iters <= 1
+            if reason == "max_iter":
+                assert iters == 1
+
+    def test_step0_removed(self):
+        with pytest.raises(TypeError):
+            OptimizerConfig(params=SphereParams(n=3, m=1), p=4.0, step0=1.0)
