@@ -2,8 +2,9 @@
 
 Subcommands: eigenvalues | sharp-constant | minimize | solve | probe | verify
 | sweep.  Options can also come from a plain key=value config file
-(--config); explicit flags win.  Exit codes: 0 success, 2 usage/config error,
-3 numerical check failure, 4 internal inconsistency.
+(--config); explicit flags win.  Exit codes: 0 success, 2 usage/config error
+(including inputs outside the mathematical domain and K >= Q), 3 numerical
+check failure, 4 internal inconsistency.
 
 Reports are JSON with an inputs echo, results carrying their tolerances, and
 a provenance block; with a fixed seed two runs differ only in the wall-time
@@ -31,7 +32,7 @@ from .conformal import (
     pullback_to_plane,
     radius_from_angle,
 )
-from .errors import AccuracyError, DomainError, InconsistencyError, ToolkitError
+from .errors import AccuracyError, AliasingError, DomainError, InconsistencyError, ToolkitError
 from .kernels import IDENTITY_TOLERANCE, _kernel_moments
 from .kernels import funk_hecke_spectrum, green_constant, hls_functional
 from .lane_emden import (
@@ -85,6 +86,13 @@ def _parse_float_list(text: str) -> list[float]:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise UsageError(f"expected comma-separated numbers, got {text!r}") from exc
+
+
+def _parse_int_list(text: str) -> list[int]:
+    values = _parse_float_list(text)
+    if not all(math.isfinite(v) and v == int(v) for v in values):
+        raise UsageError(f"expected comma-separated integers, got {text!r}")
+    return [int(v) for v in values]
 
 
 def _parse_terms(text: str) -> list[tuple[float, float]]:
@@ -323,7 +331,10 @@ def _solve_initial(args, params: SphereParams, f: Nonlinearity, rule) -> ZonalFu
         c[0] = base * math.sqrt(params.area)
         return ZonalFunction(params, c)
     if choice.startswith("bubble:"):
-        lam = float(choice.split(":", 1)[1])
+        try:
+            lam = float(choice.split(":", 1)[1])
+        except ValueError as exc:
+            raise UsageError(f"--init bubble:LAM needs a number, got {choice!r}") from exc
         u = bubble_on_sphere(BubbleParams(lam=lam, params=params), rule, K)
         # scaled so the bubble family solves the unit-coefficient critical power
         p_max = f.max_exponent
@@ -404,8 +415,8 @@ def cmd_probe(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    ms = [int(v) for v in _parse_float_list(args.m)]
-    ns = [int(v) for v in _parse_float_list(args.n)]
+    ms = _parse_int_list(args.m)
+    ns = _parse_int_list(args.n)
     ps = _parse_float_list(args.p)
     rows = []
     for m in ms:
@@ -699,7 +710,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DomainError as exc:
+    except (DomainError, AliasingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InconsistencyError as exc:

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import DomainError, InconsistencyError
 from .spectral import (
@@ -28,6 +27,7 @@ from .spectral import (
     build_quadrature,
     default_rule_size,
     gamma_ratio,
+    gauss_jacobi,
     gjms_eigenvalues,
     sphere_area,
     zonal_basis,
@@ -78,7 +78,7 @@ def _kernel_moments(params: SphereParams, K: int, nodes: int) -> np.ndarray:
     # mu_k = |S^{n-1}| 2^((2m-n)/2) * int G_k(t) (1-t)^(m-1) (1+t)^((n-2)/2) dt
     # with G_k the degree-k ultraspherical polynomial normalized to 1 at t=1.
     n, m = params.n, params.m
-    x, w = roots_jacobi(nodes, m - 1.0, (n - 2.0) / 2.0)
+    x, w = gauss_jacobi(nodes, m - 1.0, (n - 2.0) / 2.0)
     B = basis_values(n, K, x)
     at_one = basis_values(n, K, np.array([1.0]))[0]
     scale = sphere_area(n - 1) * 2.0 ** ((2.0 * m - n) / 2.0)

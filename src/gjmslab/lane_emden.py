@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
-from scipy.optimize import brentq
 
 from .conformal import RadialProfile, angle_from_radius, pullback_to_plane, radius_from_angle
 from .errors import AccuracyError, DomainError
@@ -38,6 +37,11 @@ from .spectral import (
 )
 
 CONSTANT_CLASS_TOL = 1e-7
+
+
+def _check_tolerance(tol: float) -> None:
+    if not tol > 0.0:
+        raise DomainError(f"tolerance must be positive, got {tol}")
 
 
 def _term_power(u: np.ndarray, p: float) -> np.ndarray:
@@ -68,6 +72,8 @@ class Nonlinearity:
         clean = []
         for a, p in terms:
             a, p = float(a), float(p)
+            if not (math.isfinite(a) and math.isfinite(p)):
+                raise DomainError(f"coefficients and exponents must be finite, got {a}:{p}")
             if a < 0:
                 raise DomainError(f"coefficients must be nonnegative, got {a}")
             if p < 1:
@@ -144,7 +150,24 @@ def constant_solution(m: int, n: int, f: Nonlinearity) -> float | None:
         hi *= 2.0
     else:
         return None
-    return float(brentq(g, lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps, maxiter=200))
+    # g is concave with g(0) = 0, so Newton from hi, where g < 0, falls
+    # monotonically onto the root; bisection keeps every iterate in (lo, hi)
+    # against rounding
+    c = hi
+    for _ in range(200):
+        gc = g(c)
+        if gc == 0.0:
+            return c
+        if gc > 0.0:
+            lo = c
+        else:
+            hi = c
+        slope = lam0 - float(f.slope(np.asarray([c]))[0])
+        nxt = c - gc / slope if slope < 0.0 else 0.5 * (lo + hi)
+        if abs(nxt - c) <= 2.0 * np.finfo(float).eps * c:
+            return c
+        c = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+    return c
 
 
 @dataclass
@@ -193,6 +216,7 @@ def solve_newton(
     halving while they fail to reduce the residual; iterates with coefficient
     norm beyond 1e8 are declared diverged and returned flagged.
     """
+    _check_tolerance(tol)
     params = SphereParams(n=n, m=m)
     if init.params != params:
         raise ValueError("initial iterate carries different (n, m)")
@@ -272,6 +296,7 @@ def solve_green(
     not contractive in the constant mode for superlinear f, so this path is a
     cross-check of solve_newton rather than a robust solver.
     """
+    _check_tolerance(tol)
     params = SphereParams(n=n, m=m)
     if init.params != params:
         raise ValueError("initial iterate carries different (n, m)")
@@ -389,6 +414,7 @@ def uniqueness_probe(
     purely linear f the equation is diagonal and the report carries the kernel
     dimension instead of Newton runs.
     """
+    _check_tolerance(tol)
     params = SphereParams(n=n, m=m)
     p_crit = params.critical_equation_exponent
     if f.terms and f.max_exponent >= p_crit - 1e-12 and not f.is_linear:

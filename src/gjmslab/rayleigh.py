@@ -123,7 +123,7 @@ def rayleigh_gradient(u: ZonalFunction, p: float, workspace: _Workspace | None =
 
 def _check_exponent(params: SphereParams, p: float) -> None:
     p_crit = params.critical_norm_exponent
-    if p <= 2.0 + MIN_EXPONENT_GAP or p >= p_crit:
+    if not 2.0 + MIN_EXPONENT_GAP < p < p_crit:
         raise DomainError(
             f"need 2 + {MIN_EXPONENT_GAP} < p < {p_crit} for n={params.n}, m={params.m}, got p={p}"
         )
@@ -162,13 +162,17 @@ class OptimizerConfig:
 class MinimizationResult:
     """Best iterate over all starts, normalized to ||u||_p = 1.
 
-    `start_values`, `start_iters` and `start_stop_reasons` hold one entry per
-    start, in start order; a stop reason is one of STOP_REASONS.
+    `grad_norm` is the absolute quotient gradient norm ||g|| at the minimizer;
+    `rel_grad_norm` is ||g / (2 Lambda)|| / ||c||, the quantity the stop test
+    holds to tol_grad.  `start_values`, `start_iters` and `start_stop_reasons`
+    hold one entry per start, in start order; a stop reason is one of
+    STOP_REASONS.
     """
 
     minimizer: ZonalFunction
     value: float
     grad_norm: float
+    rel_grad_norm: float
     iters: int
     distance_to_constant: float
     converged: bool
@@ -182,6 +186,7 @@ class MinimizationResult:
             "minimizer": self.minimizer.to_dict(),
             "value": self.value,
             "grad_norm": self.grad_norm,
+            "rel_grad_norm": self.rel_grad_norm,
             "iters": self.iters,
             "distance_to_constant": self.distance_to_constant,
             "converged": self.converged,
@@ -229,7 +234,8 @@ def _descend(ws: _Workspace, c0: np.ndarray, p: float, cfg: OptimizerConfig):
     it = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            if np.linalg.norm(grad / (2.0 * ws.lam)) <= cfg.tol_grad * np.linalg.norm(c):
+            rel_gnorm = float(np.linalg.norm(grad / (2.0 * ws.lam)) / np.linalg.norm(c))
+            if rel_gnorm <= cfg.tol_grad:
                 reason = "tolerance"
                 break
             direction = _newton_step(ws, c, p, val, grad)
@@ -260,7 +266,7 @@ def _descend(ws: _Workspace, c0: np.ndarray, p: float, cfg: OptimizerConfig):
             grad = ws.quotient_and_gradient(c, p)[1]
             gnorm = float(np.linalg.norm(grad))
             trace.append((it, val, gnorm))
-    return c, val, gnorm, it, reason, trace
+    return c, val, gnorm, rel_gnorm, it, reason, trace
 
 
 def _starts(cfg: OptimizerConfig, ws: _Workspace) -> list[np.ndarray]:
@@ -288,6 +294,9 @@ def minimize(cfg: OptimizerConfig) -> MinimizationResult:
     p-sphere.  It stops at the relative gradient tolerance, at the rounding
     floor of its Newton decrement, when the line search finds no decrease, or
     at max_iter; the trace records the values the line search accepted.
+    The reported start has the lowest value, and a later start displaces an
+    earlier one only when lower by more than the rounding floor 16 eps |Q|,
+    so a tie with the constant start reports the constant.
     Non-convergent starts are kept (flagged through `converged` and their stop
     reason), never hidden.
     """
@@ -295,13 +304,15 @@ def minimize(cfg: OptimizerConfig) -> MinimizationResult:
     best = None
     start_values, start_iters, start_stop_reasons = [], [], []
     for c0 in _starts(cfg, ws):
-        c, val, gnorm, iters, reason, trace = _descend(ws, c0, cfg.p, cfg)
+        c, val, gnorm, rel_gnorm, iters, reason, trace = _descend(ws, c0, cfg.p, cfg)
         start_values.append(val)
         start_iters.append(iters)
         start_stop_reasons.append(reason)
-        if best is None or val < best[1]:
-            best = (c, val, gnorm, iters, reason, trace)
-    c, val, gnorm, iters, reason, trace = best
+        # a later start must beat the best by more than the rounding floor, so
+        # ties go to the earliest start, the constant
+        if best is None or val < best[1] - ROUNDING_FLOOR * abs(best[1]):
+            best = (c, val, gnorm, rel_gnorm, iters, reason, trace)
+    c, val, gnorm, rel_gnorm, iters, reason, trace = best
     if c[0] < 0:
         c = -c  # report the nonnegative-mean representative
     u = ZonalFunction(cfg.params, c)
@@ -309,6 +320,7 @@ def minimize(cfg: OptimizerConfig) -> MinimizationResult:
         minimizer=u,
         value=val,
         grad_norm=gnorm,
+        rel_grad_norm=rel_gnorm,
         iters=iters,
         distance_to_constant=u.distance_to_constant(),
         converged=reason in STOP_REASONS[:2],

@@ -6,6 +6,13 @@ t = cos(theta).  The surface measure restricted to zonal functions is
 |S^{n-1}| (1-t^2)^{(n-2)/2} dt on [-1, 1], so Gauss-Jacobi rules integrate
 the basis exactly and every norm, quadratic form, and transform below is
 diagonal or a single matrix product.
+
+The Gauss-Jacobi rules come from the same three-term recurrence as the
+basis, whose Jacobi matrix has the nodes as eigenvalues and the Christoffel
+numbers 1/sum_k p_k(t_i)^2 as weights (Golub & Welsch, Math. Comp. 23,
+1969).  The nodes are found without that matrix: Gatteschi-Pittaluga
+guesses polished by Newton steps on the recurrence (Hale & Townsend, SIAM
+J. Sci. Comput. 35, 2013) with the Aberth-Ehrlich correction.
 """
 
 from __future__ import annotations
@@ -15,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import AliasingError, DomainError, InconsistencyError
 
@@ -88,6 +94,111 @@ class QuadratureRule:
         return float(np.dot(self.weights, values))
 
 
+def _jacobi_recurrence(alpha: float, beta: float, K: int) -> tuple[np.ndarray, np.ndarray]:
+    # Recurrence t p_k = b_{k+1} p_{k+1} + a_k p_k + b_k p_{k-1} of the
+    # polynomials orthonormal for (1-t)^alpha (1+t)^beta: returns a_0..a_{K-1}
+    # and b_1..b_K.  Rescaling the measure leaves both unchanged.  For
+    # alpha = beta and half-integer alpha every factor is an exact integer and
+    # the second one is exactly 1, so b_k is bit for bit the ultraspherical
+    # sqrt(k(k+2a)/((2k+2a+1)(2k+2a-1))).
+    k = np.arange(1.0, K + 1.0)
+    s = 2.0 * k + alpha + beta
+    b2 = k * (k + alpha + beta) / ((s + 1.0) * (s - 1.0)) * (4.0 * (k + alpha) * (k + beta) / (s * s))
+    a = np.zeros(K)
+    if alpha != beta and K > 0:
+        a[0] = (beta - alpha) / (alpha + beta + 2.0)
+        a[1:] = (beta * beta - alpha * alpha) / (s[:-1] * (s[:-1] + 2.0))
+    return a, np.sqrt(b2)
+
+
+def gauss_jacobi(N: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """N-point Gauss rule for the weight (1-t)^alpha (1+t)^beta on [-1, 1].
+
+    Returns ascending nodes and their weights; the weights sum to the total
+    mass 2^(alpha+beta+1) Gamma(alpha+1) Gamma(beta+1) / Gamma(alpha+beta+2).
+    Nodes start from the Gatteschi-Pittaluga asymptotics and take Newton
+    steps on the orthonormal recurrence, with p_N' from the identity
+    (1-t^2) p_N' = (N(alpha-beta)/(2N+alpha+beta) - N t) p_N
+    + (2N+alpha+beta+1) b_N p_{N-1}; the Aberth-Ehrlich correction keeps
+    every iterate on its own zero when the guesses are poor (large alpha or
+    beta).  Only unconverged nodes are iterated, and for alpha = beta only
+    the nonnegative half.  The weights are the Christoffel numbers
+    1/sum_{k<N} p_k(t_i)^2, moved to the final node by the first-order
+    Christoffel-Darboux term.
+    """
+    if int(N) != N or N < 1:
+        raise DomainError(f"Gauss-Jacobi rule needs N >= 1 nodes, got N={N}")
+    if not (alpha >= 0.0 and beta >= 0.0):
+        raise DomainError(f"Gauss-Jacobi rule needs alpha, beta >= 0, got {alpha}, {beta}")
+    N = int(N)
+    ab = alpha + beta
+    a, b = _jacobi_recurrence(alpha, beta, N)
+    mass = 2.0 ** (ab + 1.0) * math.gamma(alpha + 1.0) / math.gamma(ab + 2.0) * math.gamma(beta + 1.0)
+    sym = alpha == beta
+    M = (N + 1) // 2 if sym else N
+    rho = 2.0 * N + ab + 1.0
+    theta = (2.0 * np.arange(1.0, M + 1.0) + alpha - 0.5) * (math.pi / rho)
+    half = np.tan(0.5 * theta)
+    x = np.cos(theta + ((0.25 - alpha * alpha) / half - (0.25 - beta * beta) * half) / rho**2)
+    if sym and N % 2:
+        x[-1] = 0.0
+    # p_k = scale_k q_k with q_{k+1} = 2(t - a_k) q_k - 4 b_k^2 q_{k-1}: three
+    # array operations per degree, and q stays O(1) because 2 b_k -> 1
+    scale = np.cumprod(np.concatenate(([1.0 / math.sqrt(mass)], 0.5 / b)))
+    steps = list(zip((2.0 * a).tolist(), [0.0] + (4.0 * b[:-1] ** 2).tolist()))
+    shift = N * (alpha - beta) / (2.0 * N + ab)
+    c_prev = (2.0 * N + ab + 1.0) * b[-1] * scale[-2] / scale[-1]
+    c_darboux = b[-1] * scale[-1] * scale[-2]
+    weights = np.empty(M)
+    active = np.arange(M)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(100):
+            xa = x[active]
+            two_x = 2.0 * xa
+            prev, cur = np.zeros_like(xa), np.ones_like(xa)
+            rows = [cur]
+            for two_a, c in steps:
+                nxt = (two_x - two_a) * cur if two_a else two_x * cur
+                nxt -= c * prev
+                prev, cur = cur, nxt
+                rows.append(cur)
+            rows = np.array(rows[:-1])
+            christoffel = scale[:-1] ** 2 @ (rows * rows)
+            # prev = p_{N-1} and cur = p_N in q units; p_N' from the identity,
+            # p_N'' from the Jacobi differential equation
+            d = 1.0 - xa * xa
+            dp = ((shift - N * xa) * cur + c_prev * prev) / d
+            ddp = ((alpha - beta + (ab + 2.0) * xa) * dp - N * (N + ab + 1.0) * cur) / d
+            diff = xa[:, None] - (np.concatenate((x, -x[: N // 2])) if sym else x)
+            diff[np.arange(active.size), active] = np.inf
+            delta = cur / dp
+            delta /= 1.0 - delta * np.sum(1.0 / diff, axis=1)
+            x[active] = xa - delta
+            weights[active] = 1.0 / (christoffel - delta * c_darboux * prev * ddp)
+            # a step below 1e-7 sqrt(1 - t^2) / N leaves second-order errors
+            # near 1e-14 in the node and in its corrected weight; 4 eps is the
+            # rounding floor of the step near the endpoints
+            tol = np.maximum(1e-7 / N * np.sqrt(d), 4.0 * np.finfo(float).eps)
+            active = active[~(np.abs(delta) <= tol)]
+            if active.size == 0:
+                break
+        else:
+            raise InconsistencyError(
+                f"Gauss-Jacobi nodes did not converge for N={N}, alpha={alpha}, beta={beta}"
+            )
+    if sym:
+        x = np.concatenate((-x[: N // 2], x))
+        weights = np.concatenate((weights[: N // 2], weights))
+    order = np.argsort(x)
+    x, weights = x[order], weights[order]
+    distinct = np.all(np.diff(x) > 0.0) and np.all(np.abs(x) < 1.0)
+    if not (distinct and np.all(weights > 0.0) and np.all(np.isfinite(weights))):
+        raise InconsistencyError(
+            f"degenerate Gauss-Jacobi rule for N={N}, alpha={alpha}, beta={beta}"
+        )
+    return x, weights
+
+
 def build_quadrature(n: int, Q: int) -> QuadratureRule:
     """Gauss-Jacobi rule for the zonal surface measure on S^n.
 
@@ -101,22 +212,15 @@ def build_quadrature(n: int, Q: int) -> QuadratureRule:
     if Q < 4:
         raise DomainError(f"quadrature needs Q >= 4, got Q={Q}")
     a = (n - 2) / 2.0
-    try:
-        nodes, weights = roots_jacobi(Q, a, a)
-    except Exception as exc:  # pragma: no cover - scipy failure surface
-        raise InconsistencyError(f"Gauss-Jacobi node solve failed for n={n}, Q={Q}") from exc
-    if not (np.all(np.isfinite(nodes)) and np.all(weights > 0)):
-        raise InconsistencyError(f"degenerate Gauss-Jacobi rule for n={n}, Q={Q}")
+    nodes, weights = gauss_jacobi(Q, a, a)
     return QuadratureRule(n=n, nodes=nodes, weights=weights * sphere_area(n - 1))
 
 
 def _recurrence_offdiag(n: int, K: int) -> np.ndarray:
     # Off-diagonal entries b_1..b_K of the symmetric Jacobi matrix for the
     # zonal measure: t q_k = b_{k+1} q_{k+1} + b_k q_{k-1} with q_k orthonormal.
-    # Rescaling the measure leaves the b_k unchanged.
-    lam = (n - 1) / 2.0
-    k = np.arange(1, K + 1, dtype=float)
-    return np.sqrt(k * (k + 2.0 * lam - 1.0) / (4.0 * (k + lam) * (k + lam - 1.0)))
+    a = (n - 2) / 2.0
+    return _jacobi_recurrence(a, a, K)[1]
 
 
 def basis_values(n: int, K: int, t) -> np.ndarray:

@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +126,15 @@ class TestExitCodes:
         quad = checks["kernel-funk-hecke-quadrature"]
         assert quad["passed"] and quad["margin"] <= 1e-12
 
+    @pytest.mark.parametrize("m,n,K", [(2, 5, 200), (1, 3, 64)])
+    def test_verify_quadrature_moments_at_high_degree(self, capsys, m, n, K):
+        code, out, _ = run(
+            capsys, "verify", "--m", str(m), "--n", str(n), "--K", str(K), "--format", "json"
+        )
+        assert code == 0
+        checks = {row["name"]: row for row in json.loads(out)["results"]["checks"]}
+        assert checks["quadrature-moments"]["margin"] <= 1e-12
+
     def test_verify_failure_exits_3_with_failure_rows(self, capsys, monkeypatch):
         import gjmslab.cli as cli
 
@@ -143,6 +156,52 @@ class TestExitCodes:
         code, _, err = run(capsys, "eigenvalues", "--m", "1", "--n", "3", "--K", "4")
         assert code == 4
         assert "inconsistency" in err.lower()
+
+
+class TestInputValidation:
+    def test_nan_exponent(self, capsys):
+        code, _, err = run(capsys, "solve", "--m", "1", "--n", "3", "--p", "nan")
+        assert code == 2
+        assert "finite" in err
+
+    def test_non_numeric_bubble_dilation(self, capsys):
+        code, _, err = run(capsys, "solve", "--m", "1", "--n", "3", "--init", "bubble:abc", "--p", "3")
+        assert code == 2
+        assert "bubble:LAM" in err
+
+    def test_fractional_sweep_order(self, capsys):
+        code, out, err = run(capsys, "sweep", "--m", "1.5", "--n", "5")
+        assert code == 2
+        assert out == ""
+        assert "integers" in err
+
+    def test_negative_tolerance(self, capsys):
+        code, _, err = run(capsys, "solve", "--m", "1", "--n", "3", "--p", "3", "--tol", "-1")
+        assert code == 2
+        assert "tolerance" in err
+
+    def test_truncation_not_below_rule_size(self, capsys):
+        code, _, err = run(
+            capsys, "solve", "--m", "2", "--n", "7", "--p", "3", "--K", "48", "--Q", "40"
+        )
+        assert code == 2
+        assert "K < Q" in err
+
+
+class TestRuntimeDependencies:
+    def test_import_loads_no_scipy(self):
+        import gjmslab
+
+        src = str(Path(gjmslab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        probe = (
+            "import sys, gjmslab, gjmslab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestDeterminism:
@@ -272,5 +331,6 @@ class TestSolveCommand:
         report = json.loads(out)
         assert "step0" not in report["inputs"]
         result = report["results"]["minimization"]
+        assert result["rel_grad_norm"] >= 0.0
         assert len(result["start_iters"]) == len(result["start_stop_reasons"]) == 5
         assert set(result["start_stop_reasons"]) <= {"tolerance", "rounding_floor"}

@@ -83,6 +83,20 @@ class TestConstantSolution:
         f = Nonlinearity.from_terms([(1, 1), (1, 2)], params)
         assert constant_solution(2, 5, f) == pytest.approx(105.0 / 16.0 - 1.0, rel=1e-13)
 
+    def test_mixed_powers_match_brentq(self):
+        from scipy.optimize import brentq
+
+        params = SphereParams(n=5, m=2)
+        f = Nonlinearity.from_terms([(0.5, 1.0), (2.0, 1.7), (0.1, 4.0)], params)
+        lam0 = gjms_lambda0(2, 5)
+
+        def g(c):
+            return lam0 * c - float(f(np.asarray([c]))[0])
+
+        eps = np.finfo(float).eps
+        ref = brentq(g, 1e-300, 4.0, xtol=1e-15, rtol=4 * eps, maxiter=200)
+        assert abs(constant_solution(2, 5, f) - ref) <= 4 * eps * ref
+
     def test_no_positive_root(self):
         params = SphereParams(n=3, m=1)
         # linear part already dominates the spectrum bottom

@@ -9,6 +9,8 @@ from gjmslab.errors import DomainError
 from gjmslab.rayleigh import (
     MinimizationResult,
     OptimizerConfig,
+    _descend,
+    _starts,
     _Workspace,
     minimize,
     rayleigh_gradient,
@@ -293,3 +295,26 @@ class TestNewtonMultistart:
     def test_step0_removed(self):
         with pytest.raises(TypeError):
             OptimizerConfig(params=SphereParams(n=3, m=1), p=4.0, step0=1.0)
+
+
+class TestReportedStationarity:
+    @pytest.mark.parametrize("n,m,p", MINIMIZE_CONFIGS + [(4, 1, 3.0)])
+    def test_tolerance_stops_meet_tol_grad(self, n, m, p):
+        cfg = OptimizerConfig(params=SphereParams(n=n, m=m), p=p, K=32, starts=20, seed=0)
+        ws = _Workspace(cfg.params, cfg.K)
+        for c0 in _starts(cfg, ws):
+            _, _, _, rel_grad_norm, _, reason, _ = _descend(ws, c0, cfg.p, cfg)
+            if reason == "tolerance":
+                assert rel_grad_norm <= cfg.tol_grad
+
+    def test_reported_field_is_the_relative_test(self):
+        cfg = OptimizerConfig(params=SphereParams(n=7, m=2), p=3.0, K=32, starts=20, seed=0)
+        res = minimize(cfg)
+        assert res.to_dict()["rel_grad_norm"] == res.rel_grad_norm <= cfg.tol_grad
+
+    def test_ties_go_to_the_constant_start(self):
+        # a Newton-polished nonconstant start lands within 2 ulp of S here
+        cfg = OptimizerConfig(params=SphereParams(n=4, m=1), p=3.0, K=32, starts=20, seed=0)
+        res = minimize(cfg)
+        assert res.distance_to_constant == 0.0
+        assert min(res.start_values) >= res.value * (1.0 - 16.0 * np.finfo(float).eps)

@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import eval_chebyu, roots_legendre
+from scipy.special import eval_chebyu, roots_jacobi, roots_legendre
 
 from gjmslab.errors import AliasingError, DomainError
 from gjmslab.spectral import (
@@ -16,6 +16,7 @@ from gjmslab.spectral import (
     basis_values,
     build_quadrature,
     gamma_ratio,
+    gauss_jacobi,
     gjms_eigenvalues,
     gjms_lambda0,
     laplace_beltrami_ode_residual,
@@ -90,6 +91,63 @@ class TestQuadrature:
             build_quadrature(1, 8)
         with pytest.raises(DomainError):
             build_quadrature(3, 3)
+
+
+def mp_christoffel_weight(n, Q, t):
+    # Oracle: surface Christoffel number 1/sum_{k<Q} Y_k(t)^2 in 30-digit
+    # arithmetic, from the ultraspherical recurrence written out afresh.
+    with mpmath.workdps(30):
+        a = mpmath.mpf(n - 2) / 2
+        t = mpmath.mpf(t)
+        area = 2 * mpmath.pi ** (mpmath.mpf(n + 1) / 2) / mpmath.gamma(mpmath.mpf(n + 1) / 2)
+        prev, cur = mpmath.mpf(0), 1 / mpmath.sqrt(area)
+        b_prev, total = mpmath.mpf(0), mpmath.mpf(0)
+        for k in range(1, Q + 1):
+            total += cur**2
+            b = mpmath.sqrt(k * (k + 2 * a) / ((2 * k + 2 * a + 1) * (2 * k + 2 * a - 1)))
+            prev, cur = cur, (t * cur - b_prev * prev) / b
+            b_prev = b
+        return float(1 / total)
+
+
+class TestGaussJacobi:
+    @pytest.mark.parametrize("Q", [4, 5, 24, 72, 73, 408, 1608])
+    @pytest.mark.parametrize("n", [2, 3, 5, 9, 13])
+    def test_nodes_match_scipy_and_weights_sum_to_area(self, n, Q):
+        rule = build_quadrature(n, Q)
+        a = (n - 2) / 2
+        assert np.max(np.abs(rule.nodes - roots_jacobi(Q, a, a)[0])) <= 1e-14
+        assert abs(np.sum(rule.weights) / sphere_area(n) - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("n,Q", [(3, 72), (5, 73), (9, 408), (2, 200)])
+    def test_interior_weights_match_christoffel_oracle(self, n, Q):
+        rule = build_quadrature(n, Q)
+        for i in np.flatnonzero(np.abs(rule.nodes) <= 0.9)[:: max(1, Q // 12)]:
+            ref = mp_christoffel_weight(n, Q, rule.nodes[i])
+            assert abs(rule.weights[i] / ref - 1.0) <= 1e-12
+
+    def test_unequal_exponents_match_scipy(self):
+        alpha, beta = 1.0, 1.5  # the Funk-Hecke weight of (n, m) = (5, 2)
+        x, w = gauss_jacobi(40, alpha, beta)
+        xs, ws = roots_jacobi(40, alpha, beta)
+        assert np.max(np.abs(x - xs)) <= 1e-14
+        assert np.max(np.abs(w / ws - 1.0)) <= 1e-11
+        mass = 2 ** (alpha + beta + 1) * math.gamma(alpha + 1) * math.gamma(beta + 1) / math.gamma(alpha + beta + 2)
+        assert abs(np.sum(w) / mass - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("alpha", [14.0, 49.0])
+    def test_large_exponents(self, alpha):
+        # Gatteschi-Pittaluga guesses are off by a third of a node spacing or
+        # more near the endpoints here, where plain Newton steps land on a
+        # neighbouring zero; the Aberth correction still finds every node once
+        x, _ = gauss_jacobi(72, alpha, alpha)
+        assert np.max(np.abs(x - roots_jacobi(72, alpha, alpha)[0])) <= 1e-14
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(DomainError):
+            gauss_jacobi(0, 0.5, 0.5)
+        with pytest.raises(DomainError):
+            gauss_jacobi(8, -0.5, 0.5)
 
 
 class TestBasis:
