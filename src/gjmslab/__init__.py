@@ -6,7 +6,7 @@ spectral    orthonormal zonal basis, quadrature, operator spectra, norms
 conformal   stereographic transport, bubbles, norm-invariance checks
 kernels     surface Riesz kernel spectrum, inverse operator, duality quotient
 rayleigh    sharp subcritical constants and quotient minimization
-lane_emden  Newton/fixed-point solves, uniqueness probes, planar verifiers
+lane_emden  Newton solves, uniqueness probes, planar verifiers
 cli         command-line front end and report emission
 """
 
@@ -17,6 +17,7 @@ from .spectral import (  # noqa: F401
     GjmsSpectrum,
     QuadratureRule,
     SphereParams,
+    Workspace,
     ZonalFunction,
     analyze,
     build_quadrature,
@@ -62,7 +63,6 @@ from .lane_emden import (  # noqa: F401
     SolveResult,
     SuperPolyReport,
     constant_solution,
-    solve_green,
     solve_newton,
     uniqueness_probe,
     verify_super_polyharmonic,

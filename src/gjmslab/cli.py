@@ -39,18 +39,13 @@ from .lane_emden import (
     Nonlinearity,
     constant_solution,
     probe_start,
-    solve_green,
     solve_newton,
     uniqueness_probe,
 )
-from .rayleigh import (
-    OptimizerConfig,
-    _Workspace,
-    minimize as minimize_quotient,
-    sharp_constant,
-)
+from .rayleigh import OptimizerConfig, minimize as minimize_quotient, sharp_constant
 from .spectral import (
     SphereParams,
+    Workspace,
     ZonalFunction,
     build_quadrature,
     default_rule_size,
@@ -61,7 +56,6 @@ from .spectral import (
     lp_norm,
     quadratic_form,
     sphere_area,
-    zonal_basis,
 )
 
 EXIT_OK = 0
@@ -321,9 +315,9 @@ def cmd_minimize(args) -> int:
     return EXIT_OK
 
 
-def _solve_initial(args, params: SphereParams, f: Nonlinearity, rule) -> ZonalFunction:
+def _solve_initial(args, f: Nonlinearity, ws: Workspace) -> ZonalFunction:
     choice = args.init
-    K = args.K
+    params, K = ws.params, ws.K
     c_star = constant_solution(args.m, args.n, f)
     base = c_star if (c_star is not None and c_star > 0) else 1.0
     if choice == "constant":
@@ -335,7 +329,7 @@ def _solve_initial(args, params: SphereParams, f: Nonlinearity, rule) -> ZonalFu
             lam = float(choice.split(":", 1)[1])
         except ValueError as exc:
             raise UsageError(f"--init bubble:LAM needs a number, got {choice!r}") from exc
-        u = bubble_on_sphere(BubbleParams(lam=lam, params=params), rule, K)
+        u = bubble_on_sphere(BubbleParams(lam=lam, params=params), ws.rule, K)
         # scaled so the bubble family solves the unit-coefficient critical power
         p_max = f.max_exponent
         scale = 1.0
@@ -345,7 +339,7 @@ def _solve_initial(args, params: SphereParams, f: Nonlinearity, rule) -> ZonalFu
     if choice.startswith("random"):
         amp_seed = args.seed
         rng = np.random.default_rng([amp_seed, 0])
-        return probe_start(params, K, base, rng, rule)
+        return probe_start(ws, base, rng)
     raise UsageError(f"unknown --init {choice!r}; use constant, bubble:LAM, or random")
 
 
@@ -353,10 +347,11 @@ def cmd_solve(args) -> int:
     started = time.time()
     params = SphereParams(n=args.n, m=args.m)
     f = _nonlinearity(args, params)
-    rule = build_quadrature(args.n, args.Q if args.Q else default_rule_size(args.K))
-    init = _solve_initial(args, params, f, rule)
-    solver = solve_green if args.solver == "green" else solve_newton
-    result = solver(args.m, args.n, f, init, tol=args.tol, max_iter=args.max_iter, rule=rule)
+    ws = Workspace(params, args.K, args.Q or None)
+    init = _solve_initial(args, f, ws)
+    result = solve_newton(
+        args.m, args.n, f, init, tol=args.tol, max_iter=args.max_iter, workspace=ws
+    )
     report = make_report(
         "solve",
         {
@@ -365,11 +360,10 @@ def cmd_solve(args) -> int:
             "f": f.describe(),
             "classification": f.classification,
             "K": args.K,
-            "Q": rule.order,
+            "Q": ws.rule.order,
             "tol": args.tol,
             "max_iter": args.max_iter,
             "init": args.init,
-            "solver": args.solver,
             "seed": args.seed,
         },
         {
@@ -380,7 +374,7 @@ def cmd_solve(args) -> int:
         started,
         seed=args.seed,
         K=args.K,
-        Q=rule.order,
+        Q=ws.rule.order,
     )
     _emit(_report_text(report), args.out)
     return EXIT_OK
@@ -457,8 +451,8 @@ def cmd_sweep(args) -> int:
 def _verify_checks(m: int, n: int, K: int, seed: int, trials: int):
     """Yield (name, margin, tolerance, passed) rows; margin <= tolerance passes."""
     params = SphereParams(n=n, m=m)
-    rule = build_quadrature(n, default_rule_size(K))
-    B = zonal_basis(rule, params, K)
+    ws = Workspace(params, K)
+    rule, spec = ws.rule, ws.spectrum
     area = sphere_area(n)
     rng = np.random.default_rng(seed)
 
@@ -480,12 +474,11 @@ def _verify_checks(m: int, n: int, K: int, seed: int, trials: int):
             worst = max(worst, abs(num - exact) / exact)
     add("quadrature-moments", worst, 1e-12)
 
-    gram = B.T @ (rule.weights[:, None] * B)
+    gram = ws.weighted_gram(np.ones(rule.order))
     add("basis-gram-identity", float(np.max(np.abs(gram - np.eye(K + 1)))), 1e-10)
 
-    add("laplace-beltrami-ode", laplace_beltrami_ode_residual(params, K), 1e-8)
+    add("laplace-beltrami-ode", laplace_beltrami_ode_residual(ws), 1e-8)
 
-    spec = gjms_eigenvalues(params, K)
     add("spectrum-cross-form", np.max(np.abs(spec.lam / gamma_ratio(params, K) - 1.0)), 1e-10)
     add("spectrum-monotone", 0.0 if np.all(np.diff(spec.lam) > 0) else 1.0, 0.5)
 
@@ -503,6 +496,18 @@ def _verify_checks(m: int, n: int, K: int, seed: int, trials: int):
         float(np.max(np.abs(gc.g_mn * kernel.mu * spec.lam - 1.0))),
         IDENTITY_TOLERANCE,
     )
+
+    # the constant solution of P u = u^q is a fixed point of u -> P^{-1} f(u)
+    f = Nonlinearity.single_power(1.0, (1.0 + params.critical_equation_exponent) / 2.0, params)
+    c_star = np.zeros(K + 1)
+    c_star[0] = constant_solution(m, n, f) * math.sqrt(area)
+    image = ws.basis.T @ (ws.weights * f(ws.basis @ c_star)) / ws.lam
+    add(
+        "constant-green-fixed-point",
+        np.linalg.norm(image - c_star) / np.linalg.norm(c_star),
+        1e-12,
+    )
+
     # one Jacobi rule of K//2 + 8 nodes integrates the degree-K integrand exactly
     quad_gap = np.max(np.abs(_kernel_moments(params, K, K // 2 + 8) - kernel.mu)) / kernel.mu[0]
     add("kernel-funk-hecke-quadrature", quad_gap, 1e-12)
@@ -547,7 +552,6 @@ def _verify_checks(m: int, n: int, K: int, seed: int, trials: int):
 
     p_mid = 0.5 * (2.0 + p_crit)
     S = sharp_constant(m, n, p_mid)
-    ws = _Workspace(params, K)
     const = np.zeros(K + 1)
     const[0] = 1.0
     add("quotient-at-constant", abs(ws.quotient(const, p_mid) / S - 1.0), 1e-12)
@@ -663,14 +667,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-out", help="CSV path for the convergence trace")
     p.set_defaults(func=cmd_minimize)
 
-    p = sub.add_parser("solve", help="one Newton or inverse-iteration solve")
+    p = sub.add_parser("solve", help="one damped Newton solve")
     common(p, K=32, seed=True, tol=1e-12, fmt=("json",))
     p.add_argument("--p", type=float, help="single-power right-hand side u^p")
     p.add_argument("--f", help="general right-hand side 'a1:p1,a2:p2'")
     p.add_argument("--Q", type=int, default=0, help="quadrature size (default 2K+8)")
     p.add_argument("--max-iter", type=int, default=60)
     p.add_argument("--init", default="constant", help="constant | bubble:LAM | random")
-    p.add_argument("--solver", choices=("newton", "green"), default="newton")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("probe", help="multistart uniqueness probe")

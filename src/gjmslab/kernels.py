@@ -22,15 +22,13 @@ from .errors import DomainError, InconsistencyError
 from .spectral import (
     GjmsSpectrum,
     SphereParams,
+    Workspace,
     ZonalFunction,
     basis_values,
-    build_quadrature,
-    default_rule_size,
     gamma_ratio,
     gauss_jacobi,
     gjms_eigenvalues,
     sphere_area,
-    zonal_basis,
 )
 
 IDENTITY_TOLERANCE = 1e-8  #: largest |g_mn mu_k Lambda_k - 1| green_constant accepts
@@ -182,11 +180,10 @@ def hls_dual_ratio(
     if trials < 1:
         raise DomainError("need at least one ascent start")
     pp = p / (p - 1.0)
-    rule = build_quadrature(params.n, default_rule_size(K))
-    B = zonal_basis(rule, params, K)
-    w = rule.weights
+    ws = Workspace(params, K)
+    B, w = ws.basis, ws.weights
     kernel = funk_hecke_spectrum(params, K)
-    g = green_constant(params, kernel=kernel).g_mn
+    g = green_constant(params, kernel=kernel, gjms=ws.spectrum).g_mn
     mu = kernel.mu
 
     def ratio_and_grad(vals):
@@ -229,7 +226,7 @@ def hls_dual_ratio(
                 break  # no representable improvement left
         return val, it
 
-    starts = [np.ones(rule.order)]
+    starts = [np.ones(ws.rule.order)]
     for i in range(trials - 1):
         rng = np.random.default_rng([seed, i])
         k = np.arange(K + 1, dtype=float)

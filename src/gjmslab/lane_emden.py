@@ -1,4 +1,4 @@
-"""Zonal solvers and verifiers for P u = f(u) on S^n with polynomial f.
+"""Zonal Newton solver and verifiers for P u = f(u) on S^n with polynomial f.
 
 Newton runs in coefficient space: the residual is Lambda * c - analyze(f(u))
 and the Jacobian is diag(Lambda) minus the quadrature-assembled multiplication
@@ -25,16 +25,7 @@ from numpy.polynomial import chebyshev as cheb
 
 from .conformal import RadialProfile, angle_from_radius, pullback_to_plane, radius_from_angle
 from .errors import AccuracyError, DomainError
-from .spectral import (
-    QuadratureRule,
-    SphereParams,
-    ZonalFunction,
-    build_quadrature,
-    default_rule_size,
-    gjms_eigenvalues,
-    gjms_lambda0,
-    zonal_basis,
-)
+from .spectral import SphereParams, Workspace, ZonalFunction, gjms_lambda0
 
 CONSTANT_CLASS_TOL = 1e-7
 
@@ -208,23 +199,23 @@ def solve_newton(
     init: ZonalFunction,
     tol: float = 1e-12,
     max_iter: int = 60,
-    rule: QuadratureRule | None = None,
+    workspace: Workspace | None = None,
 ) -> SolveResult:
     """Newton iteration on spectral coefficients for P u = f(u).
 
     Residual is measured in the coefficient 2-norm.  Steps are damped by
     halving while they fail to reduce the residual; iterates with coefficient
-    norm beyond 1e8 are declared diverged and returned flagged.
+    norm beyond 1e8 are declared diverged and returned flagged.  The
+    workspace (default: Workspace(params, init.K)) must match init's (n, m, K).
     """
     _check_tolerance(tol)
     params = SphereParams(n=n, m=m)
     if init.params != params:
         raise ValueError("initial iterate carries different (n, m)")
-    K = init.K
-    rule = rule or build_quadrature(n, default_rule_size(K))
-    B = zonal_basis(rule, params, K)
-    w = rule.weights
-    lam = gjms_eigenvalues(params, K).lam
+    ws = workspace or Workspace(params, init.K)
+    if ws.params != params or ws.K != init.K:
+        raise ValueError(f"workspace is for {ws.params}, K={ws.K}; init has K={init.K}")
+    B, w, lam = ws.basis, ws.weights, ws.lam
 
     def residual_vec(c):
         vals = B @ c
@@ -240,7 +231,7 @@ def solve_newton(
         if converged or diverged:
             iters -= 1
             break
-        J = np.diag(lam) - B.T @ (w[:, None] * f.slope(vals)[:, None] * B)
+        J = np.diag(lam) - ws.weighted_gram(f.slope(vals))
         # plain damped Newton first; near a singular linearization fall back to
         # progressively regularized systems (J + tau diag(Lambda))
         accepted = False
@@ -271,58 +262,6 @@ def solve_newton(
         converged = res <= tol
     u = ZonalFunction(params, c)
     negativity = float(min(np.min(B @ c), 0.0))
-    return SolveResult(
-        solution=u,
-        residual=res,
-        iters=iters,
-        classification=_classify(u, diverged),
-        negativity=negativity,
-        converged=converged and not diverged,
-    )
-
-
-def solve_green(
-    m: int,
-    n: int,
-    f: Nonlinearity,
-    init: ZonalFunction,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-    rule: QuadratureRule | None = None,
-) -> SolveResult:
-    """Inverse-operator fixed-point iteration u <- P^{-1} f(u).
-
-    Exact solutions are fixed points (the constant in particular); the map is
-    not contractive in the constant mode for superlinear f, so this path is a
-    cross-check of solve_newton rather than a robust solver.
-    """
-    _check_tolerance(tol)
-    params = SphereParams(n=n, m=m)
-    if init.params != params:
-        raise ValueError("initial iterate carries different (n, m)")
-    K = init.K
-    rule = rule or build_quadrature(n, default_rule_size(K))
-    B = zonal_basis(rule, params, K)
-    w = rule.weights
-    lam = gjms_eigenvalues(params, K).lam
-
-    c = init.coeffs.copy()
-    res = float(np.linalg.norm(lam * c - B.T @ (w * f(B @ c))))
-    iters = 0
-    converged = res <= tol
-    diverged = False
-    for iters in range(1, max_iter + 1):
-        if converged or diverged:
-            iters -= 1
-            break
-        c = (B.T @ (w * f(B @ c))) / lam
-        if not np.all(np.isfinite(c)) or np.linalg.norm(c) > 1e8:
-            diverged = True
-            break
-        res = float(np.linalg.norm(lam * c - B.T @ (w * f(B @ c))))
-        converged = res <= tol
-    u = ZonalFunction(params, c)
-    negativity = float(min(np.min(B @ c), 0.0)) if np.all(np.isfinite(c)) else float("nan")
     return SolveResult(
         solution=u,
         residual=res,
@@ -378,23 +317,17 @@ class ProbeReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def probe_start(
-    params: SphereParams,
-    K: int,
-    base: float,
-    rng: np.random.Generator,
-    rule: QuadratureRule,
-) -> ZonalFunction:
+def probe_start(workspace: Workspace, base: float, rng: np.random.Generator) -> ZonalFunction:
     """Positive random start: scaled constant plus damped modes, clipped positive."""
+    params, K, B = workspace.params, workspace.K, workspace.basis
     k = np.arange(K + 1, dtype=float)
     c = base * 0.3 * rng.standard_normal(K + 1) / (1.0 + k * k)
     c[0] = base * rng.uniform(0.7, 2.0) * math.sqrt(params.area)
-    B = zonal_basis(rule, params, K)
     vals = B @ c
     floor = 0.05 * base
     if np.min(vals) <= floor:
         vals = np.clip(vals, floor, None)
-        c = B.T @ (rule.weights * vals)
+        c = B.T @ (workspace.weights * vals)
     return ZonalFunction(params, c)
 
 
@@ -407,7 +340,7 @@ def uniqueness_probe(
     K: int = 24,
     tol: float = 1e-12,
 ) -> ProbeReport:
-    """Run `trials` seeded Newton solves from random positive starts.
+    """Run `trials` seeded Newton solves from random positive starts on one workspace.
 
     Every converged outcome with nonnegative values is classified against the
     constant; anything nonconstant is archived with full coefficients.  For
@@ -426,21 +359,21 @@ def uniqueness_probe(
     report = ProbeReport(
         m=m, n=n, nonlinearity=f.describe(), trials=trials, constant_value=c_star
     )
+    ws = Workspace(params, K)
     if f.is_linear:
         a = sum(coef for coef, _ in f.terms)
-        lam = gjms_eigenvalues(params, K).lam
+        lam = ws.lam
         report.kernel_dimension = int(np.sum(np.abs(lam - a) <= 1e-9 * np.abs(lam)))
         report.trials = 0
         return report
     if trials < 1:
         raise DomainError("need at least one trial")
 
-    rule = build_quadrature(n, default_rule_size(K))
     base = c_star if (c_star is not None and c_star > 0) else 1.0
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
-        init = probe_start(params, K, base, rng, rule)
-        result = solve_newton(m, n, f, init, tol=tol, rule=rule)
+        init = probe_start(ws, base, rng)
+        result = solve_newton(m, n, f, init, tol=tol, workspace=ws)
         if result.classification == "diverged":
             report.diverged += 1
             continue

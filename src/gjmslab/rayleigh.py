@@ -23,14 +23,11 @@ from .conformal import BubbleParams, bubble_values
 from .errors import DomainError
 from .spectral import (
     SphereParams,
+    Workspace,
     ZonalFunction,
     analyze,
-    build_quadrature,
-    default_rule_size,
-    gjms_eigenvalues,
     gjms_lambda0,
     sphere_area,
-    zonal_basis,
 )
 
 #: Quotient gradients degenerate as p -> 2 (|u|^(p-2) loses smoothness at zeros),
@@ -61,63 +58,23 @@ def sharp_constant(m: int, n: int, p: float) -> float:
     return gjms_lambda0(m, n) * sphere_area(n) ** (1.0 - 2.0 / p)
 
 
-class _Workspace:
-    """Rule, basis, and spectrum bundle reused across quotient evaluations."""
-
-    def __init__(self, params: SphereParams, K: int, Q: int | None = None):
-        self.params = params
-        self.K = K
-        self.rule = build_quadrature(params.n, default_rule_size(K) if Q is None else Q)
-        self.basis = zonal_basis(self.rule, params, K)
-        self.weights = self.rule.weights
-        self.lam = gjms_eigenvalues(params, K).lam
-
-    def p_norm(self, c: np.ndarray, p: float) -> float:
-        vals = self.basis @ c
-        return float(np.dot(self.weights, np.abs(vals) ** p)) ** (1.0 / p)
-
-    def normalize(self, c: np.ndarray, p: float) -> np.ndarray:
-        norm = self.p_norm(c, p)
-        if not (norm > 0.0 and math.isfinite(norm)):
-            raise DomainError("cannot normalize the zero (or overflowing) function")
-        return c / norm
-
-    def quotient(self, c: np.ndarray, p: float) -> float:
-        num = float(np.dot(self.lam, c * c))
-        return num / self.p_norm(c, p) ** 2
-
-    def quotient_and_gradient(self, c: np.ndarray, p: float):
-        vals = self.basis @ c
-        ip = float(np.dot(self.weights, np.abs(vals) ** p))
-        den = ip ** (2.0 / p)
-        num = float(np.dot(self.lam, c * c))
-        val = num / den
-        moment = self.basis.T @ (self.weights * np.abs(vals) ** (p - 2.0) * vals)
-        grad = 2.0 * self.lam * c / den - 2.0 * num * ip ** (-1.0 - 2.0 / p) * moment
-        return val, grad
-
-    def weighted_gram(self, s: np.ndarray) -> np.ndarray:
-        """B^T diag(w s) B for node values s."""
-        return self.basis.T @ ((self.weights * s)[:, None] * self.basis)
-
-
-def rayleigh_quotient(u: ZonalFunction, p: float, workspace: _Workspace | None = None) -> float:
+def rayleigh_quotient(u: ZonalFunction, p: float, workspace: Workspace | None = None) -> float:
     """Energy over squared L^p norm; scale invariant, and >= the sharp constant
     (up to quadrature slack) on the subcritical range."""
     if p < 1:
         raise DomainError(f"need p >= 1, got p={p}")
     if u.l2_norm() == 0.0:
         raise DomainError("quotient undefined for the zero function")
-    ws = workspace or _Workspace(u.params, u.K)
+    ws = workspace or Workspace(u.params, u.K)
     return ws.quotient(u.coeffs, p)
 
 
-def rayleigh_gradient(u: ZonalFunction, p: float, workspace: _Workspace | None = None) -> np.ndarray:
+def rayleigh_gradient(u: ZonalFunction, p: float, workspace: Workspace | None = None) -> np.ndarray:
     """Coefficient gradient of the quotient; vanishes exactly at constants."""
     _check_exponent(u.params, p)
     if u.l2_norm() == 0.0:
         raise DomainError("gradient undefined for the zero function")
-    ws = workspace or _Workspace(u.params, u.K)
+    ws = workspace or Workspace(u.params, u.K)
     return ws.quotient_and_gradient(u.coeffs, p)[1]
 
 
@@ -205,7 +162,7 @@ class MinimizationResult:
                 writer.writerow([it, repr(float(val)), repr(float(gn))])
 
 
-def _newton_step(ws: _Workspace, c: np.ndarray, p: float, val: float, grad: np.ndarray):
+def _newton_step(ws: Workspace, c: np.ndarray, p: float, val: float, grad: np.ndarray):
     """Saddle-free Newton step on the p-sphere at the p-normalized c.
 
     The tangent directions s satisfy M^T s = 0 with M = B^T(w |u|^(p-2) u), and
@@ -226,7 +183,7 @@ def _newton_step(ws: _Workspace, c: np.ndarray, p: float, val: float, grad: np.n
     return -scale * (Z @ (V @ (coords / (2.0 * np.maximum(np.abs(evals), SADDLE_FREE_FLOOR)))))
 
 
-def _descend(ws: _Workspace, c0: np.ndarray, p: float, cfg: OptimizerConfig):
+def _descend(ws: Workspace, c0: np.ndarray, p: float, cfg: OptimizerConfig):
     c = ws.normalize(c0, p)
     val, grad = ws.quotient_and_gradient(c, p)
     gnorm = float(np.linalg.norm(grad))
@@ -269,7 +226,7 @@ def _descend(ws: _Workspace, c0: np.ndarray, p: float, cfg: OptimizerConfig):
     return c, val, gnorm, rel_gnorm, it, reason, trace
 
 
-def _starts(cfg: OptimizerConfig, ws: _Workspace) -> list[np.ndarray]:
+def _starts(cfg: OptimizerConfig, ws: Workspace) -> list[np.ndarray]:
     K = cfg.K
     out = [np.eye(K + 1)[0]]  # the constant
     with warnings.catch_warnings():
@@ -300,7 +257,7 @@ def minimize(cfg: OptimizerConfig) -> MinimizationResult:
     Non-convergent starts are kept (flagged through `converged` and their stop
     reason), never hidden.
     """
-    ws = _Workspace(cfg.params, cfg.K)
+    ws = Workspace(cfg.params, cfg.K)
     best = None
     start_values, start_iters, start_stop_reasons = [], [], []
     for c0 in _starts(cfg, ws):

@@ -350,20 +350,25 @@ def laplace_beltrami_eigenvalues(n: int, K: int) -> np.ndarray:
     return k * (k + n - 1.0)
 
 
-def laplace_beltrami_ode_residual(params: SphereParams, K: int, Q: int | None = None) -> float:
-    """Max residual of (1-t^2) Y_k'' - n t Y_k' + k(k+n-1) Y_k over the rule's nodes.
+def laplace_beltrami_ode_residual(workspace: Workspace) -> float:
+    """Largest relative residual of (1-t^2) Y_k'' - n t Y_k' + k(k+n-1) Y_k, k >= 1.
 
     Numerical confirmation that the basis diagonalizes -Delta with the claimed
-    eigenvalues before they are composed into higher-order spectra.
+    eigenvalues before they are composed into higher-order spectra.  For each
+    degree the largest residual over the workspace's nodes is divided by the
+    largest |(1-t^2) Y_k''| + |n t Y_k'| + |k(k+n-1) Y_k|, the size of the
+    terms that cancel, which grows like k^2 max|Y_k|; a relative error e in
+    one eigenvalue reads about e/2.
     """
-    n = params.n
-    rule = build_quadrature(n, default_rule_size(K) if Q is None else Q)
-    t = rule.nodes
+    n, K = workspace.params.n, workspace.K
+    t = workspace.rule.nodes
     B, D1, D2 = basis_with_derivatives(n, K, t)
-    ev = laplace_beltrami_eigenvalues(n, K)
-    resid = (1.0 - t * t)[:, None] * D2 - n * t[:, None] * D1 + ev[None, :] * B
-    # normalize by the basis magnitude so the residual is scale-free
-    return float(np.max(np.abs(resid)) / max(1.0, np.max(np.abs(B))))
+    second = (1.0 - t * t)[:, None] * D2
+    first = n * t[:, None] * D1
+    zeroth = laplace_beltrami_eigenvalues(n, K)[None, :] * B
+    resid = np.max(np.abs(second - first + zeroth), axis=0)
+    size = np.max(np.abs(second) + np.abs(first) + np.abs(zeroth), axis=0)
+    return float(np.max(resid[1:] / size[1:], initial=0.0))
 
 
 @dataclass
@@ -441,6 +446,53 @@ def gjms_eigenvalues(params: SphereParams, K: int) -> GjmsSpectrum:
             f"product and Gamma-ratio spectra disagree (rel {rel:.3e}) for n={n}, m={m}"
         )
     return GjmsSpectrum(params=params, lam=lam)
+
+
+class Workspace:
+    """Rule, basis, and spectrum for one (n, m, K), built once and shared.
+
+    Holds the Gauss-Jacobi `rule` (Q = 2K + 8 nodes unless given), the basis
+    matrix `basis` at its nodes, the node `weights`, the operator `spectrum`
+    and its eigenvalues `lam`; every solve, probe, quotient evaluation and
+    verify row runs on one of these.
+    """
+
+    def __init__(self, params: SphereParams, K: int, Q: int | None = None):
+        self.params = params
+        self.K = K
+        self.rule = build_quadrature(params.n, default_rule_size(K) if Q is None else Q)
+        self.basis = zonal_basis(self.rule, params, K)
+        self.weights = self.rule.weights
+        self.spectrum = gjms_eigenvalues(params, K)
+        self.lam = self.spectrum.lam
+
+    def p_norm(self, c: np.ndarray, p: float) -> float:
+        vals = self.basis @ c
+        return float(np.dot(self.weights, np.abs(vals) ** p)) ** (1.0 / p)
+
+    def normalize(self, c: np.ndarray, p: float) -> np.ndarray:
+        norm = self.p_norm(c, p)
+        if not (norm > 0.0 and math.isfinite(norm)):
+            raise DomainError("cannot normalize the zero (or overflowing) function")
+        return c / norm
+
+    def quotient(self, c: np.ndarray, p: float) -> float:
+        num = float(np.dot(self.lam, c * c))
+        return num / self.p_norm(c, p) ** 2
+
+    def quotient_and_gradient(self, c: np.ndarray, p: float):
+        vals = self.basis @ c
+        ip = float(np.dot(self.weights, np.abs(vals) ** p))
+        den = ip ** (2.0 / p)
+        num = float(np.dot(self.lam, c * c))
+        val = num / den
+        moment = self.basis.T @ (self.weights * np.abs(vals) ** (p - 2.0) * vals)
+        grad = 2.0 * self.lam * c / den - 2.0 * num * ip ** (-1.0 - 2.0 / p) * moment
+        return val, grad
+
+    def weighted_gram(self, s: np.ndarray) -> np.ndarray:
+        """B^T diag(w s) B for node values s."""
+        return self.basis.T @ ((self.weights * s)[:, None] * self.basis)
 
 
 def quadratic_form(u: ZonalFunction, spectrum: GjmsSpectrum) -> float:

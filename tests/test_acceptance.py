@@ -28,13 +28,13 @@ from gjmslab.lane_emden import (
 from gjmslab.conformal import RadialProfile, pullback_to_plane
 from gjmslab.rayleigh import (
     OptimizerConfig,
-    _Workspace,
     minimize,
     rayleigh_quotient,
     sharp_constant,
 )
 from gjmslab.spectral import (
     SphereParams,
+    Workspace,
     ZonalFunction,
     build_quadrature,
     default_rule_size,
@@ -120,7 +120,7 @@ def test_criterion_4_gradient_correctness():
     for m, n, p in MINIMIZE_CONFIGS:
         params = SphereParams(n=n, m=m)
         K = 16
-        ws = _Workspace(params, K)
+        ws = Workspace(params, K)
         rng = np.random.default_rng(1000 + 10 * m + n)
         kk = np.arange(K + 1, dtype=float)
         for _ in range(100):
@@ -174,16 +174,19 @@ def test_criterion_6_critical_contrast():
 
     # nonconstant exact solution at the critical power from the lam = 2 bubble
     f = Nonlinearity.single_power(1.0, p_eq, params)
-    rule = build_quadrature(3, default_rule_size(64))
+    ws64 = Workspace(params, 64)
+    rule = ws64.rule
     vb = bubble_on_sphere(BubbleParams(lam=2.0, params=params), rule, 64)
     scale = (gjms_lambda0(1, 3) * 2.0 ** 2) ** (1.0 / (p_eq - 1.0))
-    res = solve_newton(1, 3, f, ZonalFunction(params, scale * vb.coeffs), tol=1e-8, rule=rule)
+    res = solve_newton(
+        1, 3, f, ZonalFunction(params, scale * vb.coeffs), tol=1e-8, workspace=ws64
+    )
     newton_ok = res.converged and res.residual <= 1e-8 and res.classification == "nonconstant"
 
     # conformal invariance of the critical quotient across dilations at K = 256
     K = 256
     big_rule = build_quadrature(3, default_rule_size(K))
-    ws = _Workspace(params, K)
+    ws = Workspace(params, K)
     quotients = []
     for lam in (0.5, 1.0, 2.0):
         u = bubble_on_sphere(BubbleParams(lam=lam, params=params), big_rule, K)
@@ -192,7 +195,7 @@ def test_criterion_6_critical_contrast():
     spread = float(np.max(np.abs(quotients / quotients[1] - 1.0)))
 
     # strictly subcritical: the dilated bubble must sit above the constant
-    ws32 = _Workspace(params, 64)
+    ws32 = Workspace(params, 64)
     u2 = bubble_on_sphere(BubbleParams(lam=2.0, params=params), rule, 64)
     margin = rayleigh_quotient(u2, 4.0, ws32) - sharp_constant(1, 3, 4.0)
 
@@ -213,13 +216,13 @@ def test_criterion_7_verifiers_on_probe_solutions():
     for m, n, terms in PROBE_CONFIGS:
         params = SphereParams(n=n, m=m)
         f = Nonlinearity.from_terms(terms, params)
-        rule = build_quadrature(n, default_rule_size(PROBE_K))
+        ws = Workspace(params, PROBE_K)
         base = constant_solution(m, n, f)
         cheb_grid = chebyshev_radial_grid(6.0, 257)
         for trial in range(PROBE_TRIALS):
             rng = np.random.default_rng([PROBE_SEED, trial])
-            init = probe_start(params, PROBE_K, base, rng, rule)
-            sol = solve_newton(m, n, f, init, rule=rule)
+            init = probe_start(ws, base, rng)
+            sol = solve_newton(m, n, f, init, workspace=ws)
             if not sol.converged:
                 continue
             checked += 1

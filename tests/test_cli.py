@@ -135,6 +135,16 @@ class TestExitCodes:
         checks = {row["name"]: row for row in json.loads(out)["results"]["checks"]}
         assert checks["quadrature-moments"]["margin"] <= 1e-12
 
+    @pytest.mark.parametrize("m,n,K", [(1, 3, 16), (2, 7, 16), (3, 9, 200)])
+    def test_verify_constant_green_fixed_point(self, capsys, m, n, K):
+        code, out, _ = run(
+            capsys, "verify", "--m", str(m), "--n", str(n), "--K", str(K), "--format", "json"
+        )
+        assert code == 0
+        checks = {row["name"]: row for row in json.loads(out)["results"]["checks"]}
+        row = checks["constant-green-fixed-point"]
+        assert row["passed"] and row["margin"] <= 1e-13 and row["tolerance"] == 1e-12
+
     def test_verify_failure_exits_3_with_failure_rows(self, capsys, monkeypatch):
         import gjmslab.cli as cli
 
@@ -293,14 +303,16 @@ class TestSolveCommand:
         assert report["results"]["solve"]["classification"] == "nonconstant"
         assert report["results"]["solve"]["residual"] <= 1e-8
 
-    def test_green_solver_fixed_point(self, capsys):
-        code, out, _ = run(
+    def test_solver_option_is_gone(self, capsys):
+        code, _, err = run(
             capsys, "solve", "--m", "2", "--n", "5", "--p", "2", "--K", "12",
             "--init", "constant", "--solver", "green",
         )
-        report = json.loads(out)
-        assert report["results"]["solve"]["classification"] == "constant"
-        assert report["results"]["solve"]["iters"] == 0
+        assert code == 2
+        assert "--solver" in err
+        code, out, _ = run(capsys, "solve", "--m", "2", "--n", "5", "--p", "2", "--K", "12")
+        assert code == 0
+        assert "solver" not in json.loads(out)["inputs"]
 
     def test_out_file(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"

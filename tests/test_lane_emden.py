@@ -15,7 +15,6 @@ from gjmslab.lane_emden import (
     constant_solution,
     probe_start,
     radial_laplacian,
-    solve_green,
     solve_newton,
     uniqueness_probe,
     verify_super_polyharmonic,
@@ -23,6 +22,7 @@ from gjmslab.lane_emden import (
 )
 from gjmslab.spectral import (
     SphereParams,
+    Workspace,
     ZonalFunction,
     build_quadrature,
     gjms_lambda0,
@@ -133,11 +133,11 @@ class TestSolveNewton:
         params = SphereParams(n=3, m=1)
         p_eq = params.critical_equation_exponent
         f = Nonlinearity.single_power(1.0, p_eq, params)
-        rule = build_quadrature(3, 136)
-        vb = bubble_on_sphere(BubbleParams(lam=2.0, params=params), rule, 64)
+        ws = Workspace(params, 64, 136)
+        vb = bubble_on_sphere(BubbleParams(lam=2.0, params=params), ws.rule, 64)
         scale = (gjms_lambda0(1, 3) * 4.0) ** (1.0 / (p_eq - 1.0))
         init = ZonalFunction(params, scale * vb.coeffs)
-        res = solve_newton(1, 3, f, init, tol=1e-8, rule=rule)
+        res = solve_newton(1, 3, f, init, tol=1e-8, workspace=ws)
         assert res.converged
         assert res.residual <= 1e-8
         assert res.classification == "nonconstant"
@@ -150,26 +150,14 @@ class TestSolveNewton:
         res = solve_newton(1, 3, f, init, max_iter=3)
         assert not res.converged
 
-
-class TestSolveGreen:
-    def test_constant_is_fixed_point(self):
-        params = SphereParams(n=5, m=2)
-        f = Nonlinearity.single_power(1.0, 2.0, params)
-        c_star = constant_solution(2, 5, f)
-        init = constant_coeffs(params, c_star, 12)
-        res = solve_green(2, 5, f, init)
-        assert res.iters == 0
-        assert res.residual <= 1e-10
-        assert res.classification == "constant"
-
-    def test_agrees_with_newton_on_constant(self):
+    def test_workspace_must_match_iterate(self):
         params = SphereParams(n=3, m=1)
         f = Nonlinearity.single_power(1.0, 3.0, params)
-        c_star = constant_solution(1, 3, f)
-        init = constant_coeffs(params, c_star, 12)
-        newton = solve_newton(1, 3, f, init)
-        green = solve_green(1, 3, f, init)
-        assert abs(newton.solution.mean() - green.solution.mean()) <= 1e-10
+        init = constant_coeffs(params, 1.0, 8)
+        with pytest.raises(ValueError):
+            solve_newton(1, 3, f, init, workspace=Workspace(params, 12))
+        with pytest.raises(ValueError):
+            solve_newton(1, 3, f, init, workspace=Workspace(SphereParams(n=5, m=1), 8))
 
 
 class TestUniquenessProbe:
@@ -182,6 +170,22 @@ class TestUniquenessProbe:
         assert rep.counterexamples == []
         assert rep.max_constant_rel_err <= 1e-8
         assert rep.fraction_constant == 1.0
+
+    def test_one_workspace_per_probe(self, monkeypatch):
+        import gjmslab.spectral as spectral
+
+        calls = {"basis_values": 0, "gjms_eigenvalues": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _original=getattr(spectral, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(spectral, name, counted)
+        f = Nonlinearity.single_power(1.0, 3.0, SphereParams(n=3, m=1))
+        rep = uniqueness_probe(1, 3, f, trials=10, seed=0, K=16)
+        assert rep.converged == 10
+        assert calls == {"basis_values": 1, "gjms_eigenvalues": 1}
 
     def test_single_trial_from_near_constant(self):
         params = SphereParams(n=5, m=2)
@@ -205,12 +209,11 @@ class TestUniquenessProbe:
             uniqueness_probe(1, 3, f, trials=2, seed=0)
 
     def test_probe_starts_positive(self):
-        params = SphereParams(n=3, m=1)
-        rule = build_quadrature(3, 40)
+        ws = Workspace(SphereParams(n=3, m=1), 16, 40)
         for trial in range(10):
             rng = np.random.default_rng([3, trial])
-            u = probe_start(params, 16, 0.866, rng, rule)
-            assert np.min(u.evaluate(rule.nodes)) > 0
+            u = probe_start(ws, 0.866, rng)
+            assert np.min(u.evaluate(ws.rule.nodes)) > 0
 
     def test_jensen_mean_power_under_rule(self):
         # discrete Jensen bound, a sanity property of the positive weights

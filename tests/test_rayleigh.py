@@ -11,7 +11,6 @@ from gjmslab.rayleigh import (
     OptimizerConfig,
     _descend,
     _starts,
-    _Workspace,
     minimize,
     rayleigh_gradient,
     rayleigh_quotient,
@@ -19,6 +18,7 @@ from gjmslab.rayleigh import (
 )
 from gjmslab.spectral import (
     SphereParams,
+    Workspace,
     ZonalFunction,
     gjms_lambda0,
     sphere_area,
@@ -131,7 +131,7 @@ class TestQuotient:
         for m, n, p in [(1, 3, 4.0), (2, 5, 2.5)]:
             params = SphereParams(n=n, m=m)
             S = sharp_constant(m, n, p)
-            ws = _Workspace(params, 16)
+            ws = Workspace(params, 16)
             for _ in range(50):
                 u = ZonalFunction(params, rng.standard_normal(17))
                 assert rayleigh_quotient(u, p, ws) >= S - 1e-8
@@ -140,7 +140,7 @@ class TestQuotient:
         # quotient excess grows with the distance to constants along a family
         params = SphereParams(n=3, m=1)
         S = sharp_constant(1, 3, 4.0)
-        ws = _Workspace(params, 8)
+        ws = Workspace(params, 8)
         margins = []
         for theta in (0.1, 0.2, 0.4, 0.8):
             c = np.zeros(9)
@@ -166,7 +166,7 @@ class TestGradient:
         rng = np.random.default_rng(100 * m + n)
         params = SphereParams(n=n, m=m)
         K = 10
-        ws = _Workspace(params, K)
+        ws = Workspace(params, K)
         h = 1e-5
         for _ in range(10):
             u = random_positive_function(params, K, rng)
@@ -215,7 +215,7 @@ class TestMinimize:
     def test_minimizer_is_p_normalized(self):
         cfg = OptimizerConfig(params=SphereParams(n=3, m=1), p=4.0, K=16, starts=4, seed=1)
         res = minimize(cfg)
-        ws = _Workspace(cfg.params, cfg.K)
+        ws = Workspace(cfg.params, cfg.K)
         assert ws.p_norm(res.minimizer.coeffs, 4.0) == pytest.approx(1.0, rel=1e-12)
         assert res.minimizer.mean() >= 0.0
 
@@ -301,7 +301,7 @@ class TestReportedStationarity:
     @pytest.mark.parametrize("n,m,p", MINIMIZE_CONFIGS + [(4, 1, 3.0)])
     def test_tolerance_stops_meet_tol_grad(self, n, m, p):
         cfg = OptimizerConfig(params=SphereParams(n=n, m=m), p=p, K=32, starts=20, seed=0)
-        ws = _Workspace(cfg.params, cfg.K)
+        ws = Workspace(cfg.params, cfg.K)
         for c0 in _starts(cfg, ws):
             _, _, _, rel_grad_norm, _, reason, _ = _descend(ws, c0, cfg.p, cfg)
             if reason == "tolerance":

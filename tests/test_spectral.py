@@ -11,6 +11,7 @@ from gjmslab.errors import AliasingError, DomainError
 from gjmslab.spectral import (
     GjmsSpectrum,
     SphereParams,
+    Workspace,
     ZonalFunction,
     analyze,
     basis_values,
@@ -275,7 +276,44 @@ class TestGjmsSpectrum:
 
     def test_laplace_beltrami_ode(self):
         for m, n in [(1, 3), (2, 5), (3, 7)]:
-            assert laplace_beltrami_ode_residual(SphereParams(n=n, m=m), 24) <= 1e-8
+            assert laplace_beltrami_ode_residual(Workspace(SphereParams(n=n, m=m), 24)) <= 1e-8
+
+    @pytest.mark.parametrize("m,n", [(1, 3), (2, 9), (5, 11)])
+    def test_laplace_beltrami_ode_at_high_degree(self, m, n):
+        # Y_k'' grows like k^4 max|Y_k|; measured against the terms that
+        # cancel, the residual stays at rounding level through K = 800
+        assert laplace_beltrami_ode_residual(Workspace(SphereParams(n=n, m=m), 800)) <= 1e-12
+
+    def test_laplace_beltrami_ode_detects_wrong_eigenvalue(self, monkeypatch):
+        import gjmslab.spectral as spectral
+
+        ws = Workspace(SphereParams(n=3, m=1), 800)
+        exact = spectral.laplace_beltrami_eigenvalues
+
+        def perturbed(n, K):
+            ev = exact(n, K)
+            ev[K // 2] *= 1.0 + 1e-6
+            return ev
+
+        monkeypatch.setattr(spectral, "laplace_beltrami_eigenvalues", perturbed)
+        assert laplace_beltrami_ode_residual(ws) >= 4e-7
+
+
+class TestWorkspace:
+    def test_bundles_rule_basis_and_spectrum(self):
+        params = SphereParams(n=5, m=2)
+        ws = Workspace(params, 12, 40)
+        assert ws.rule.order == 40 and ws.K == 12
+        np.testing.assert_array_equal(ws.basis, zonal_basis(ws.rule, params, 12))
+        np.testing.assert_array_equal(ws.lam, gjms_eigenvalues(params, 12).lam)
+        assert ws.lam is ws.spectrum.lam and ws.weights is ws.rule.weights
+        assert Workspace(params, 12).rule.order == 32
+
+    def test_quotient_unchanged(self):
+        # frozen from the quotient workspace before it became public
+        ws = Workspace(SphereParams(n=5, m=2), 12)
+        c = np.random.default_rng(7).standard_normal(13) / (1.0 + np.arange(13.0) ** 2)
+        assert ws.quotient(c, 2.5) == pytest.approx(828.069754565356, rel=1e-15, abs=0.0)
 
 
 class TestQuadraticForm:
