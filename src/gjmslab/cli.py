@@ -564,7 +564,9 @@ def _verify_checks(m: int, n: int, K: int, seed: int, trials: int):
 
     fd_worst = 0.0
     euler_worst = 0.0
-    h = 1e-5
+    # Q(c +- h e_k) carries Lambda_k h^2, whose rounding over 2h is eps Lambda_k h;
+    # h_k = 1e-5 sqrt(Lambda_0/Lambda_k) holds Lambda_k h_k^2 at 1e-10 Lambda_0
+    h = 1e-5 * np.sqrt(ws.lam[0] / ws.lam)
     for _ in range(max(trials // 4, 2)):
         kk = np.arange(K + 1, dtype=float)
         c = rng.standard_normal(K + 1) * 0.3 / (1.0 + kk * kk)
@@ -579,8 +581,8 @@ def _verify_checks(m: int, n: int, K: int, seed: int, trials: int):
         fd = np.zeros_like(grad)
         for k in range(K + 1):
             e = np.zeros(K + 1)
-            e[k] = h
-            fd[k] = (ws.quotient(c + e, p_mid) - ws.quotient(c - e, p_mid)) / (2 * h)
+            e[k] = h[k]
+            fd[k] = (ws.quotient(c + e, p_mid) - ws.quotient(c - e, p_mid)) / (2 * h[k])
         scale = max(np.max(np.abs(grad)), np.max(np.abs(fd)))
         fd_worst = max(fd_worst, np.max(np.abs(grad - fd)) / scale)
     add("gradient-finite-difference", fd_worst, 1e-6)
@@ -706,6 +708,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args._argv = argv
         args = _apply_config(args)
+        if getattr(args, "seed", 0) < 0:  # numpy seeds are nonnegative
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except SystemExit as exc:  # argparse usage errors already printed
         code = exc.code if isinstance(exc.code, int) else EXIT_USAGE

@@ -147,7 +147,8 @@ def bubble_on_sphere(bubble: BubbleParams, rule: QuadratureRule, K: int) -> Zona
         # geometric decay estimate from the last few coefficients suggests the
         # degree needed to push the tail below threshold
         c = np.abs(u.coeffs)
-        ratio = (c[-1] / c[-5]) ** 0.25 if c[-5] > 0 else 0.5
+        j = min(4, K)
+        ratio = (c[-1] / c[-1 - j]) ** (1.0 / j) if j > 0 and c[-1 - j] > 0 else 0.5
         ratio = min(max(ratio, 1e-3), 0.999)
         extra = int(math.ceil(math.log(1e-6 / tail) / math.log(ratio)))
         warnings.warn(

@@ -6,7 +6,10 @@ Beckner, Ann. Math. 138, 1993).  The Funk-Hecke integral stays as a cross-check;
 its weight (2 - 2t)^((2m-n)/2) (1 - t^2)^((n-2)/2) = 2^((2m-n)/2) (1-t)^(m-1) (1+t)^((n-2)/2)
 makes each eigenvalue a Jacobi-weight integral of a polynomial.  The kernel
 inverts the order-2m conformal operator up to one normalization g_mn, fixed
-here spectrally and then certified degree by degree.
+here spectrally and then certified degree by degree.  The dual check
+hls_dual_ratio is a projected ascent whose trial steps are Barzilai-Borwein
+steps (IMA J. Numer. Anal. 8, 1988), capped so one step moves the iterate by
+at most its own size.
 """
 
 from __future__ import annotations
@@ -171,6 +174,13 @@ def hls_dual_ratio(
     1/(Lambda_0 |S^n|^(1 - 2/p)), attained at constants; a multistart
     projected ascent over node values (clipped to the nonnegative cone,
     renormalized to the p' sphere) probes for anything larger.
+
+    Each iteration tries the step min(s.s / (-s.y), ||v||_w / ||d||_w), with
+    s the last accepted move, y its gradient change, d the cone-feasible
+    direction and w-weighted inner products; without a pair, or when
+    s.y >= 0, it tries the cap alone.  Armijo halving then accepts the first
+    strict increase.  The step needed grows like 1/value, so it is read off
+    the iterates rather than fixed.
     """
     if not (2.0 < p < params.critical_norm_exponent):
         raise DomainError(
@@ -205,20 +215,27 @@ def hls_dual_ratio(
     def ascend(v0):
         vals = normalize(v0)
         val, grad = ratio_and_grad(vals)
-        step, it = 1.0, 0
+        s = y = None  # last accepted move and its gradient change
+        it = 0
         for it in range(1, max_iter + 1):
             direction = grad.copy()
             direction[(vals <= 0.0) & (grad < 0.0)] = 0.0  # cone-feasible part
-            stat = math.sqrt(float(np.dot(w, direction * direction)))
-            if stat <= tol_grad * max(1.0, abs(val)):
-                break
             slope = float(np.dot(w, direction * direction))
-            step = min(step * 2.0, 1e3)
+            if math.sqrt(slope) <= tol_grad * max(1.0, abs(val)):
+                break
+            # Barzilai-Borwein trial step, capped so one step moves the
+            # iterate by at most its own w-norm
+            step = math.sqrt(float(np.dot(w, vals * vals)) / slope)
+            if s is not None:
+                sy = float(np.dot(w, s * y))
+                if sy < 0.0:
+                    step = min(float(np.dot(w, s * s)) / -sy, step)
             while step > 1e-18:
                 cand = normalize(vals + step * direction)
                 cand_val, cand_grad = ratio_and_grad(cand)
                 # strict increase guards against accepting a float plateau
                 if cand_val > val and cand_val >= val + 1e-4 * step * slope:
+                    s, y = cand - vals, cand_grad - grad
                     vals, val, grad = cand, cand_val, cand_grad
                     break
                 step *= 0.5

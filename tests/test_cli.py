@@ -8,9 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gjmslab.cli import main
+from gjmslab.errors import TruncationWarning
 
 
 def run(capsys, *argv):
@@ -145,6 +147,32 @@ class TestExitCodes:
         row = checks["constant-green-fixed-point"]
         assert row["passed"] and row["margin"] <= 1e-13 and row["tolerance"] == 1e-12
 
+    def test_verify_gradient_finite_difference_at_high_degree(self, capsys):
+        # one step h for every degree would leave rounding of order eps Lambda_K h
+        code, out, _ = run(capsys, "verify", "--m", "5", "--n", "11", "--K", "200", "--format", "json")
+        assert code == 0
+        checks = {row["name"]: row for row in json.loads(out)["results"]["checks"]}
+        row = checks["gradient-finite-difference"]
+        assert row["passed"] and row["tolerance"] == 1e-6
+
+    def test_verify_gradient_finite_difference_catches_a_wrong_gradient(self, capsys, monkeypatch):
+        from gjmslab.spectral import Workspace
+
+        exact = Workspace.quotient_and_gradient
+
+        def perturbed(self, c, p):
+            val, grad = exact(self, c, p)
+            grad = grad.copy()
+            grad[int(np.argmax(np.abs(grad)))] *= 1.0 + 1e-3
+            return val, grad
+
+        monkeypatch.setattr(Workspace, "quotient_and_gradient", perturbed)
+        code, out, _ = run(capsys, "verify", "--m", "2", "--n", "5", "--format", "json")
+        assert code == 3
+        checks = {row["name"]: row for row in json.loads(out)["results"]["checks"]}
+        row = checks["gradient-finite-difference"]
+        assert not row["passed"] and row["margin"] >= 1e-4
+
     def test_verify_failure_exits_3_with_failure_rows(self, capsys, monkeypatch):
         import gjmslab.cli as cli
 
@@ -189,6 +217,12 @@ class TestInputValidation:
         code, _, err = run(capsys, "solve", "--m", "1", "--n", "3", "--p", "3", "--tol", "-1")
         assert code == 2
         assert "tolerance" in err
+
+    @pytest.mark.parametrize("command", [["verify"], ["probe", "--p", "3", "--trials", "1"]])
+    def test_negative_seed(self, capsys, command):
+        code, _, err = run(capsys, *command, "--seed", "-1")
+        assert code == 2
+        assert "--seed" in err
 
     def test_truncation_not_below_rule_size(self, capsys):
         code, _, err = run(
@@ -302,6 +336,17 @@ class TestSolveCommand:
         report = json.loads(out)
         assert report["results"]["solve"]["classification"] == "nonconstant"
         assert report["results"]["solve"]["residual"] <= 1e-8
+
+    @pytest.mark.parametrize("K", [0, 1, 2, 3])
+    def test_bubble_start_below_four_degrees(self, capsys, K):
+        # the tail-decay estimate needs fewer than the usual five coefficients
+        with pytest.warns(TruncationWarning, match="suggest K"):
+            code, out, _ = run(
+                capsys, "solve", "--m", "1", "--n", "3", "--p", "4", "--K", str(K),
+                "--init", "bubble:2",
+            )
+        assert code == 0
+        assert json.loads(out)["inputs"]["K"] == K
 
     def test_solver_option_is_gone(self, capsys):
         code, _, err = run(

@@ -1,6 +1,7 @@
 """Kernel spectrum, inverse-operator identity, and duality tests."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -17,6 +18,7 @@ from gjmslab.kernels import (
     hls_dual_ratio,
     hls_functional,
 )
+from gjmslab.rayleigh import sharp_constant
 from gjmslab.spectral import (
     SphereParams,
     ZonalFunction,
@@ -233,3 +235,23 @@ class TestDualRatio:
             hls_dual_ratio(SphereParams(n=3, m=1), 7.0)
         with pytest.raises(DomainError):
             hls_dual_ratio(SphereParams(n=3, m=1), 2.0)
+
+    @pytest.mark.parametrize("n,m,p", [(3, 1, 4.0), (3, 1, 2.5), (5, 2, 2.5), (7, 2, 3.0), (9, 3, 4.0)])
+    def test_ascent_converges_fast_on_benchmark_configs(self, n, m, p):
+        # the step these quotients need grows like S (about 3e3 on (9,3,p=4)),
+        # so the trial step must take its scale from the iterates
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(10):
+                hls_dual_ratio(SphereParams(n=n, m=m), p, seed=seed, max_iter=40)
+
+    @pytest.mark.parametrize(
+        "n,m,p,K", [(11, 5, 2.3, 16), (3, 1, 5.995, 32), (9, 2, 3.595, 32), (4, 1, 3.995, 32)]
+    )
+    def test_ascent_converges_across_the_domain(self, n, m, p, K):
+        S = sharp_constant(m, n, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in (0, 1):
+                best = hls_dual_ratio(SphereParams(n=n, m=m), p, seed=seed, K=K)
+                assert abs(best * S - 1.0) <= 1e-12
