@@ -583,8 +583,14 @@ def _verify_checks(m: int, n: int, K: int, seed: int, trials: int):
             e = np.zeros(K + 1)
             e[k] = h[k]
             fd[k] = (ws.quotient(c + e, p_mid) - ws.quotient(c - e, p_mid)) / (2 * h[k])
-        scale = max(np.max(np.abs(grad)), np.max(np.abs(fd)))
-        fd_worst = max(fd_worst, np.max(np.abs(grad - fd)) / scale)
+        err = np.max(np.abs(grad - fd))
+        if K == 0:
+            # Q is constant on rays, so the exact gradient is 0 and both sides
+            # are rounding noise: hold the error to the gradient scale Q / |c|
+            fd_worst = max(fd_worst, err * np.linalg.norm(c) / val)
+        else:
+            scale = max(np.max(np.abs(grad)), np.max(np.abs(fd)))
+            fd_worst = max(fd_worst, err / scale)
     add("gradient-finite-difference", fd_worst, 1e-6)
     add("gradient-euler-orthogonality", euler_worst, 1e-10)
 

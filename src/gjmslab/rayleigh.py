@@ -8,7 +8,12 @@ Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008).  The tangent
 Hessian is scaled by Lambda^(-1/2), so its quadratic part is the identity at
 every order, and its eigenvalues are replaced by their absolute values
 (floored at 1e-2), so every step descends and moves away from the
-sign-changing saddles.
+sign-changing saddles.  The tangent basis is the closed-form Householder
+reflector of the scaled constraint normal.  A Cholesky factorization of the
+tangent Hessian minus the floor decides each step: when it succeeds, no
+eigenvalue is at or below the floor, the saddle-free step is the plain Newton
+step and one linear solve gives it; when it fails, the step falls back to a
+full eigendecomposition.  Each start records how many of its steps fell back.
 """
 
 from __future__ import annotations
@@ -121,9 +126,11 @@ class MinimizationResult:
 
     `grad_norm` is the absolute quotient gradient norm ||g|| at the minimizer;
     `rel_grad_norm` is ||g / (2 Lambda)|| / ||c||, the quantity the stop test
-    holds to tol_grad.  `start_values`, `start_iters` and `start_stop_reasons`
-    hold one entry per start, in start order; a stop reason is one of
-    STOP_REASONS.
+    holds to tol_grad.  `start_values`, `start_iters`, `start_fallback_steps`
+    and `start_stop_reasons` hold one entry per start, in start order; a
+    fallback step is an accepted Newton step whose tangent Hessian had an
+    eigenvalue at or below SADDLE_FREE_FLOOR, so it took the eigendecomposition
+    path of _newton_step; a stop reason is one of STOP_REASONS.
     """
 
     minimizer: ZonalFunction
@@ -136,6 +143,7 @@ class MinimizationResult:
     trace: list = field(default_factory=list)
     start_values: list = field(default_factory=list)
     start_iters: list = field(default_factory=list)
+    start_fallback_steps: list = field(default_factory=list)
     start_stop_reasons: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -149,6 +157,7 @@ class MinimizationResult:
             "converged": self.converged,
             "start_values": [float(v) for v in self.start_values],
             "start_iters": list(self.start_iters),
+            "start_fallback_steps": list(self.start_fallback_steps),
             "start_stop_reasons": list(self.start_stop_reasons),
         }
 
@@ -168,19 +177,32 @@ def _newton_step(ws: Workspace, c: np.ndarray, p: float, val: float, grad: np.nd
     The tangent directions s satisfy M^T s = 0 with M = B^T(w |u|^(p-2) u), and
     the Hessian there is 2H with H = Lambda - Q (p-1) B^T diag(w |u|^(p-2)) B.
     In the variables y = Lambda^(1/2) s, H restricted to the tangent space is
-    a K x K symmetric matrix; its eigenvalues enter by absolute value, floored
-    at SADDLE_FREE_FLOOR.
+    the K x K symmetric matrix T = Z^T H Z, where Z is the last K columns of
+    the Householder reflector that maps x = Lambda^(-1/2) M onto a multiple of
+    e_0 (the reflector a complete QR of x would form).  The eigenvalues of T
+    enter by absolute value, floored at SADDLE_FREE_FLOOR.  When a Cholesky
+    factorization of T - SADDLE_FREE_FLOOR I succeeds, every eigenvalue of T
+    is above the floor, so the saddle-free step is the Newton step, solved
+    from T directly; otherwise the step falls back to an eigendecomposition
+    of T.  Returns the step and whether it was certified by the Cholesky test.
     """
     vals = ws.basis @ c
     a = np.abs(vals) ** (p - 2.0)
     moment = ws.basis.T @ (ws.weights * a * vals)
     scale = 1.0 / np.sqrt(ws.lam)
     H = np.eye(ws.K + 1) - val * (p - 1.0) * (scale[:, None] * ws.weighted_gram(a) * scale)
-    # the last K columns of a complete QR of Lambda^(-1/2) M span the tangent space
-    Z = np.linalg.qr((scale * moment)[:, None], mode="complete")[0][:, 1:]
-    evals, V = np.linalg.eigh(Z.T @ H @ Z)
-    coords = V.T @ (Z.T @ (scale * grad))
-    return -scale * (Z @ (V @ (coords / (2.0 * np.maximum(np.abs(evals), SADDLE_FREE_FLOOR)))))
+    v = scale * moment
+    v[0] += math.copysign(np.linalg.norm(v), v[0])
+    Z = np.eye(ws.K + 1)[:, 1:] - (2.0 / np.dot(v, v)) * np.outer(v, v[1:])
+    T = Z.T @ H @ Z
+    r = Z.T @ (scale * grad)
+    try:
+        np.linalg.cholesky(T - SADDLE_FREE_FLOOR * np.eye(ws.K))
+    except np.linalg.LinAlgError:
+        evals, V = np.linalg.eigh(T)
+        y = V @ ((V.T @ r) / (2.0 * np.maximum(np.abs(evals), SADDLE_FREE_FLOOR)))
+        return -scale * (Z @ y), False
+    return -scale * (Z @ (np.linalg.solve(T, r) / 2.0)), True
 
 
 def _descend(ws: Workspace, c0: np.ndarray, p: float, cfg: OptimizerConfig):
@@ -188,14 +210,14 @@ def _descend(ws: Workspace, c0: np.ndarray, p: float, cfg: OptimizerConfig):
     val, grad = ws.quotient_and_gradient(c, p)
     gnorm = float(np.linalg.norm(grad))
     trace = [(0, val, gnorm)]
-    it = 0
+    it = fallbacks = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             rel_gnorm = float(np.linalg.norm(grad / (2.0 * ws.lam)) / np.linalg.norm(c))
             if rel_gnorm <= cfg.tol_grad:
                 reason = "tolerance"
                 break
-            direction = _newton_step(ws, c, p, val, grad)
+            direction, certified = _newton_step(ws, c, p, val, grad)
             slope = float(np.dot(grad, direction))
             # a decrease below the rounding of the quotient cannot be verified
             if -slope <= ROUNDING_FLOOR * abs(val):
@@ -220,10 +242,11 @@ def _descend(ws: Workspace, c0: np.ndarray, p: float, cfg: OptimizerConfig):
                 reason = "line_search_exhausted"
                 break
             it += 1
+            fallbacks += not certified
             grad = ws.quotient_and_gradient(c, p)[1]
             gnorm = float(np.linalg.norm(grad))
             trace.append((it, val, gnorm))
-    return c, val, gnorm, rel_gnorm, it, reason, trace
+    return c, val, gnorm, rel_gnorm, it, fallbacks, reason, trace
 
 
 def _starts(cfg: OptimizerConfig, ws: Workspace) -> list[np.ndarray]:
@@ -259,11 +282,12 @@ def minimize(cfg: OptimizerConfig) -> MinimizationResult:
     """
     ws = Workspace(cfg.params, cfg.K)
     best = None
-    start_values, start_iters, start_stop_reasons = [], [], []
+    start_values, start_iters, start_fallback_steps, start_stop_reasons = [], [], [], []
     for c0 in _starts(cfg, ws):
-        c, val, gnorm, rel_gnorm, iters, reason, trace = _descend(ws, c0, cfg.p, cfg)
+        c, val, gnorm, rel_gnorm, iters, fallbacks, reason, trace = _descend(ws, c0, cfg.p, cfg)
         start_values.append(val)
         start_iters.append(iters)
+        start_fallback_steps.append(fallbacks)
         start_stop_reasons.append(reason)
         # a later start must beat the best by more than the rounding floor, so
         # ties go to the earliest start, the constant
@@ -284,5 +308,6 @@ def minimize(cfg: OptimizerConfig) -> MinimizationResult:
         trace=trace,
         start_values=start_values,
         start_iters=start_iters,
+        start_fallback_steps=start_fallback_steps,
         start_stop_reasons=start_stop_reasons,
     )

@@ -173,6 +173,29 @@ class TestExitCodes:
         row = checks["gradient-finite-difference"]
         assert not row["passed"] and row["margin"] >= 1e-4
 
+    @pytest.mark.parametrize("m,n", [(1, 3), (2, 5)])
+    def test_verify_at_degree_zero(self, capsys, m, n):
+        # at K = 0 the exact gradient is 0, so the row holds |grad - fd| to Q / |c|
+        code, out, _ = run(capsys, "verify", "--m", str(m), "--n", str(n), "--K", "0", "--format", "json")
+        assert code == 0
+        checks = {row["name"]: row for row in json.loads(out)["results"]["checks"]}
+        row = checks["gradient-finite-difference"]
+        assert row["passed"] and row["margin"] <= 1e-9 and row["tolerance"] == 1e-6
+
+    def test_verify_at_degree_zero_catches_a_gradient_off_the_rays(self, capsys, monkeypatch):
+        from gjmslab.spectral import Workspace
+
+        def energy_term_only(self, c, p):
+            # drops the L^p term, so the gradient no longer vanishes along c
+            den = float(np.dot(self.weights, np.abs(self.basis @ c) ** p)) ** (2.0 / p)
+            return float(np.dot(self.lam, c * c)) / den, 2.0 * self.lam * c / den
+
+        monkeypatch.setattr(Workspace, "quotient_and_gradient", energy_term_only)
+        code, out, _ = run(capsys, "verify", "--m", "2", "--n", "5", "--K", "0", "--format", "json")
+        assert code == 3
+        checks = {row["name"]: row for row in json.loads(out)["results"]["checks"]}
+        assert not checks["gradient-finite-difference"]["passed"]
+
     def test_verify_failure_exits_3_with_failure_rows(self, capsys, monkeypatch):
         import gjmslab.cli as cli
 
@@ -390,4 +413,5 @@ class TestSolveCommand:
         result = report["results"]["minimization"]
         assert result["rel_grad_norm"] >= 0.0
         assert len(result["start_iters"]) == len(result["start_stop_reasons"]) == 5
+        assert len(result["start_fallback_steps"]) == 5
         assert set(result["start_stop_reasons"]) <= {"tolerance", "rounding_floor"}

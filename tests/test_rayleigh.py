@@ -7,9 +7,11 @@ import pytest
 
 from gjmslab.errors import DomainError
 from gjmslab.rayleigh import (
+    SADDLE_FREE_FLOOR,
     MinimizationResult,
     OptimizerConfig,
     _descend,
+    _newton_step,
     _starts,
     minimize,
     rayleigh_gradient,
@@ -53,6 +55,20 @@ def random_positive_function(params, K, rng, scale=0.35):
         c[1:] *= 0.3
         u = ZonalFunction(params, c)
     return u
+
+
+def reference_newton_step(ws, c, p, val, grad):
+    """The saddle-free step with a complete QR for the tangent basis and an
+    eigendecomposition of the tangent Hessian on every step."""
+    vals = ws.basis @ c
+    a = np.abs(vals) ** (p - 2.0)
+    moment = ws.basis.T @ (ws.weights * a * vals)
+    scale = 1.0 / np.sqrt(ws.lam)
+    H = np.eye(ws.K + 1) - val * (p - 1.0) * (scale[:, None] * ws.weighted_gram(a) * scale)
+    Z = np.linalg.qr((scale * moment)[:, None], mode="complete")[0][:, 1:]
+    evals, V = np.linalg.eigh(Z.T @ H @ Z)
+    coords = V.T @ (Z.T @ (scale * grad))
+    return -scale * (Z @ (V @ (coords / (2.0 * np.maximum(np.abs(evals), SADDLE_FREE_FLOOR)))))
 
 
 class TestSharpConstant:
@@ -232,6 +248,8 @@ class TestMinimize:
         assert a.iters == b.iters
         assert np.array_equal(a.minimizer.coeffs, b.minimizer.coeffs)
         assert a.start_values == b.start_values
+        assert a.start_iters == b.start_iters
+        assert a.start_fallback_steps == b.start_fallback_steps
 
     def test_config_validation(self):
         params = SphereParams(n=3, m=1)
@@ -268,6 +286,17 @@ class TestNewtonMultistart:
             assert set(res.start_stop_reasons) <= {"tolerance", "rounding_floor"}, key
             assert max(res.start_iters) <= 50, key
 
+    def test_fallback_steps_are_recorded_per_start(self, multistart_results):
+        for key, res in multistart_results.items():
+            assert len(res.start_fallback_steps) == 20
+            for fallbacks, iters in zip(res.start_fallback_steps, res.start_iters):
+                assert 0 <= fallbacks <= iters, key
+            # the constant start takes no step; the random draws start beside
+            # sign-changing saddles, where the tangent Hessian is indefinite
+            assert res.start_fallback_steps[0] == 0, key
+            assert sum(res.start_fallback_steps[3:]) > 0, key
+            assert res.to_dict()["start_fallback_steps"] == res.start_fallback_steps
+
     def test_scale_aware_stop_on_high_order(self):
         # on (9,3,4) the quotient is about 1e4 and Lambda_32 about 2e9, so an
         # absolute 1e-9 gradient test fires only at the exact constant start;
@@ -297,13 +326,34 @@ class TestNewtonMultistart:
             OptimizerConfig(params=SphereParams(n=3, m=1), p=4.0, step0=1.0)
 
 
+class TestNewtonStep:
+    @pytest.mark.parametrize("n,m,p", MINIMIZE_CONFIGS)
+    def test_matches_the_qr_eigh_reference_on_both_branches(self, n, m, p):
+        cfg = OptimizerConfig(params=SphereParams(n=n, m=m), p=p, K=32, starts=4, seed=0)
+        ws = Workspace(cfg.params, cfg.K)
+        k = np.arange(cfg.K + 1, dtype=float)
+        near_constant = 1e-3 / (1.0 + k * k)
+        near_constant[0] = 1.0
+        random_draw = _starts(cfg, ws)[3]
+        # near the constant every tangent eigenvalue is about 1 - (p-1) Lambda_0 / Lambda_1
+        # > 0, so the Cholesky test certifies the Newton step; a random draw
+        # has negative tangent eigenvalues and takes the eigendecomposition
+        for c0, certified in ((near_constant, True), (random_draw, False)):
+            c = ws.normalize(c0, p)
+            val, grad = ws.quotient_and_gradient(c, p)
+            step, took_cholesky = _newton_step(ws, c, p, val, grad)
+            assert took_cholesky is certified
+            ref = reference_newton_step(ws, c, p, val, grad)
+            assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 class TestReportedStationarity:
     @pytest.mark.parametrize("n,m,p", MINIMIZE_CONFIGS + [(4, 1, 3.0)])
     def test_tolerance_stops_meet_tol_grad(self, n, m, p):
         cfg = OptimizerConfig(params=SphereParams(n=n, m=m), p=p, K=32, starts=20, seed=0)
         ws = Workspace(cfg.params, cfg.K)
         for c0 in _starts(cfg, ws):
-            _, _, _, rel_grad_norm, _, reason, _ = _descend(ws, c0, cfg.p, cfg)
+            _, _, _, rel_grad_norm, _, _, reason, _ = _descend(ws, c0, cfg.p, cfg)
             if reason == "tolerance":
                 assert rel_grad_norm <= cfg.tol_grad
 
