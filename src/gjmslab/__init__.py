@@ -2,18 +2,18 @@
 
 Modules
 -------
-spectral    orthonormal zonal basis, quadrature, operator spectra, norms
+spectral    orthonormal zonal basis, quadrature, closed-form operator spectra, norms
 conformal   stereographic transport, bubbles, norm-invariance checks
 kernels     surface Riesz kernel spectrum, inverse operator, duality quotient
 rayleigh    sharp subcritical constants and quotient minimization
 lane_emden  Newton solves, uniqueness probes, planar verifiers
+checks      the verify suite: independent cross-checks of the closed forms
 cli         command-line front end and report emission
 """
 
 __version__ = "0.1.0"
 
 from .spectral import (  # noqa: F401
-    DEFAULT_TRUNCATION,
     GjmsSpectrum,
     QuadratureRule,
     SphereParams,
@@ -43,7 +43,6 @@ from .kernels import (  # noqa: F401
     GreenConstants,
     KernelSpectrum,
     funk_hecke_spectrum,
-    green_apply,
     green_constant,
     hls_dual_ratio,
     hls_functional,
@@ -52,8 +51,6 @@ from .rayleigh import (  # noqa: F401
     MinimizationResult,
     OptimizerConfig,
     minimize,
-    rayleigh_gradient,
-    rayleigh_quotient,
     sharp_constant,
 )
 from .lane_emden import (  # noqa: F401

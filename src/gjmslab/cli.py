@@ -1,4 +1,4 @@
-"""Command-line front end: computations, probes, and the verification suite.
+"""Command-line front end: computations, probes, and the verify suite (gjmslab.checks).
 
 Subcommands: eigenvalues | sharp-constant | minimize | solve | probe | verify
 | sweep.  Options can also come from a plain key=value config file
@@ -25,37 +25,19 @@ import time
 import numpy as np
 
 from . import __version__
-from .conformal import (
-    BubbleParams,
-    angle_from_radius,
-    bubble_on_sphere,
-    pullback_to_plane,
-    radius_from_angle,
-)
+from .checks import verify_checks
+from .conformal import BubbleParams, bubble_on_sphere
 from .errors import AccuracyError, AliasingError, DomainError, InconsistencyError, ToolkitError
-from .kernels import IDENTITY_TOLERANCE, _kernel_moments
-from .kernels import funk_hecke_spectrum, green_constant, hls_functional
-from .lane_emden import (
-    Nonlinearity,
-    constant_solution,
-    probe_start,
-    solve_newton,
-    uniqueness_probe,
-)
+from .kernels import IDENTITY_TOLERANCE, funk_hecke_spectrum, green_constant
+from .lane_emden import Nonlinearity, constant_solution, probe_start, solve_newton, uniqueness_probe
 from .rayleigh import OptimizerConfig, minimize as minimize_quotient, sharp_constant
 from .spectral import (
     SphereParams,
     Workspace,
     ZonalFunction,
-    build_quadrature,
     default_rule_size,
-    gamma_ratio,
     gjms_eigenvalues,
     gjms_lambda0,
-    laplace_beltrami_ode_residual,
-    lp_norm,
-    quadratic_form,
-    sphere_area,
 )
 
 EXIT_OK = 0
@@ -448,158 +430,9 @@ def cmd_sweep(args) -> int:
 # verification suite
 
 
-def _verify_checks(m: int, n: int, K: int, seed: int, trials: int):
-    """Yield (name, margin, tolerance, passed) rows; margin <= tolerance passes."""
-    params = SphereParams(n=n, m=m)
-    ws = Workspace(params, K)
-    rule, spec = ws.rule, ws.spectrum
-    area = sphere_area(n)
-    rng = np.random.default_rng(seed)
-
-    rows = []
-
-    def add(name, margin, tol):
-        rows.append((name, float(margin), float(tol), bool(margin <= tol)))
-
-    add("quadrature-total-mass", abs(float(np.sum(rule.weights)) / area - 1.0), 1e-12)
-
-    worst = 0.0
-    for j in range(0, 2 * rule.order, max(1, rule.order // 8)):
-        num = rule.integrate(rule.nodes**j)
-        if j % 2 == 1:
-            worst = max(worst, abs(num) / area)
-        else:
-            lb = math.lgamma((j + 1) / 2) + math.lgamma(n / 2) - math.lgamma((j + 1) / 2 + n / 2)
-            exact = sphere_area(n - 1) * math.exp(lb)
-            worst = max(worst, abs(num - exact) / exact)
-    add("quadrature-moments", worst, 1e-12)
-
-    gram = ws.weighted_gram(np.ones(rule.order))
-    add("basis-gram-identity", float(np.max(np.abs(gram - np.eye(K + 1)))), 1e-10)
-
-    add("laplace-beltrami-ode", laplace_beltrami_ode_residual(ws), 1e-8)
-
-    add("spectrum-cross-form", np.max(np.abs(spec.lam / gamma_ratio(params, K) - 1.0)), 1e-10)
-    add("spectrum-monotone", 0.0 if np.all(np.diff(spec.lam) > 0) else 1.0, 0.5)
-
-    gap_worst = 0.0
-    for _ in range(trials):
-        u = ZonalFunction(params, rng.standard_normal(K + 1))
-        gap = quadratic_form(u, spec) - spec.lam[0] * u.l2_norm() ** 2
-        gap_worst = max(gap_worst, -gap / quadratic_form(u, spec))
-    add("spectral-gap", gap_worst, 1e-12)
-
-    kernel = funk_hecke_spectrum(params, K)
-    gc = green_constant(params, kernel=kernel, gjms=spec)  # raises on gross violation
-    add(
-        "green-identity",
-        float(np.max(np.abs(gc.g_mn * kernel.mu * spec.lam - 1.0))),
-        IDENTITY_TOLERANCE,
-    )
-
-    # the constant solution of P u = u^q is a fixed point of u -> P^{-1} f(u)
-    f = Nonlinearity.single_power(1.0, (1.0 + params.critical_equation_exponent) / 2.0, params)
-    c_star = np.zeros(K + 1)
-    c_star[0] = constant_solution(m, n, f) * math.sqrt(area)
-    image = ws.basis.T @ (ws.weights * f(ws.basis @ c_star)) / ws.lam
-    add(
-        "constant-green-fixed-point",
-        np.linalg.norm(image - c_star) / np.linalg.norm(c_star),
-        1e-12,
-    )
-
-    # one Jacobi rule of K//2 + 8 nodes integrates the degree-K integrand exactly
-    quad_gap = np.max(np.abs(_kernel_moments(params, K, K // 2 + 8) - kernel.mu)) / kernel.mu[0]
-    add("kernel-funk-hecke-quadrature", quad_gap, 1e-12)
-    add("kernel-monotone", 0.0 if np.all(np.diff(kernel.mu) < 0) else 1.0, 0.5)
-
-    hls_worst = 0.0
-    for _ in range(trials):
-        v = ZonalFunction(params, rng.standard_normal(K + 1))
-        excess = hls_functional(v, kernel) - kernel.mu[0] * v.l2_norm() ** 2
-        hls_worst = max(hls_worst, excess / (kernel.mu[0] * v.l2_norm() ** 2))
-    add("kernel-energy-bound", hls_worst, 1e-12)
-
-    jensen_worst = 0.0
-    for _ in range(trials):
-        vals = np.abs(rng.standard_normal(rule.order)) + 0.01
-        for p_test in (1.5, 2.0, 3.0):
-            mean_u = float(np.dot(rule.weights, vals)) / area
-            mean_up = float(np.dot(rule.weights, vals**p_test)) / area
-            jensen_worst = max(jensen_worst, (mean_u**p_test - mean_up) / mean_up)
-    add("jensen-mean-power", jensen_worst, 1e-12)
-
-    r = np.linspace(0.0, 20.0, 200)
-    rt = np.max(np.abs(radius_from_angle(angle_from_radius(r)) - r) / np.maximum(1.0, r))
-    t = np.linspace(-1 + 1e-6, 1.0, 200)
-    rt = max(rt, float(np.max(np.abs(angle_from_radius(radius_from_angle(t)) - t))))
-    add("stereographic-roundtrip", rt, 1e-14)
-
-    v = ZonalFunction(params, rng.standard_normal(K + 1))
-    grid = np.linspace(0.0, 30.0, 300)
-    prof = pullback_to_plane(v, grid)
-    bound = v.sup_bound() * 2.0 ** (n / 2 - m) * (1.0 + 1e-9)
-    decay = float(np.max(np.abs(prof.values) * (1 + grid**2) ** (n / 2 - m))) - bound
-    add("pullback-decay-bound", max(decay, 0.0), 0.0)
-
-    p_crit = params.critical_norm_exponent
-    norms = []
-    big_rule = build_quadrature(n, default_rule_size(72))
-    for lam_b in (0.5, 2.0):
-        ub = bubble_on_sphere(BubbleParams(lam=lam_b, params=params), big_rule, 72)
-        norms.append(lp_norm(ub, p_crit, big_rule))
-    add("bubble-critical-norm", abs(norms[0] / norms[1] - 1.0), 1e-6)
-
-    p_mid = 0.5 * (2.0 + p_crit)
-    S = sharp_constant(m, n, p_mid)
-    const = np.zeros(K + 1)
-    const[0] = 1.0
-    add("quotient-at-constant", abs(ws.quotient(const, p_mid) / S - 1.0), 1e-12)
-
-    low_worst = 0.0
-    for _ in range(trials):
-        u = rng.standard_normal(K + 1)
-        low_worst = max(low_worst, (S - ws.quotient(u, p_mid)) / S)
-    add("quotient-lower-bound", low_worst, 1e-8)
-
-    fd_worst = 0.0
-    euler_worst = 0.0
-    # Q(c +- h e_k) carries Lambda_k h^2, whose rounding over 2h is eps Lambda_k h;
-    # h_k = 1e-5 sqrt(Lambda_0/Lambda_k) holds Lambda_k h_k^2 at 1e-10 Lambda_0
-    h = 1e-5 * np.sqrt(ws.lam[0] / ws.lam)
-    for _ in range(max(trials // 4, 2)):
-        kk = np.arange(K + 1, dtype=float)
-        c = rng.standard_normal(K + 1) * 0.3 / (1.0 + kk * kk)
-        c[0] = 1.0
-        c = ws.normalize(c, p_mid)
-        val, grad = ws.quotient_and_gradient(c, p_mid)
-        euler_worst = max(
-            euler_worst,
-            abs(float(np.dot(grad, c)))
-            / max(np.linalg.norm(grad) * np.linalg.norm(c), 1.0),
-        )
-        fd = np.zeros_like(grad)
-        for k in range(K + 1):
-            e = np.zeros(K + 1)
-            e[k] = h[k]
-            fd[k] = (ws.quotient(c + e, p_mid) - ws.quotient(c - e, p_mid)) / (2 * h[k])
-        err = np.max(np.abs(grad - fd))
-        if K == 0:
-            # Q is constant on rays, so the exact gradient is 0 and both sides
-            # are rounding noise: hold the error to the gradient scale Q / |c|
-            fd_worst = max(fd_worst, err * np.linalg.norm(c) / val)
-        else:
-            scale = max(np.max(np.abs(grad)), np.max(np.abs(fd)))
-            fd_worst = max(fd_worst, err / scale)
-    add("gradient-finite-difference", fd_worst, 1e-6)
-    add("gradient-euler-orthogonality", euler_worst, 1e-10)
-
-    return rows
-
-
 def cmd_verify(args) -> int:
     started = time.time()
-    rows = _verify_checks(args.m, args.n, args.K, args.seed, args.trials)
+    rows = verify_checks(args.m, args.n, args.K, args.seed, args.trials)
     all_pass = all(passed for *_, passed in rows)
     lines = [f"{'check':34s} {'margin':>12s} {'tolerance':>12s} {'status':>8s}"]
     for name, margin, tol, passed in rows:

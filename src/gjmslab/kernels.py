@@ -2,19 +2,16 @@
 
 A rotation-invariant kernel acts diagonally on spherical harmonics; Funk-Hecke
 gives the Riesz kernel's eigenvalues in closed form (Lieb, Ann. Math. 118, 1983;
-Beckner, Ann. Math. 138, 1993).  The Funk-Hecke integral stays as a cross-check;
-its weight (2 - 2t)^((2m-n)/2) (1 - t^2)^((n-2)/2) = 2^((2m-n)/2) (1-t)^(m-1) (1+t)^((n-2)/2)
-makes each eigenvalue a Jacobi-weight integral of a polynomial.  The kernel
-inverts the order-2m conformal operator up to one normalization g_mn, fixed
-here spectrally and then certified degree by degree.  The dual check
-hls_dual_ratio is a projected ascent whose trial steps are Barzilai-Borwein
-steps (IMA J. Numer. Anal. 8, 1988), capped so one step moves the iterate by
-at most its own size.
+Beckner, Ann. Math. 138, 1993), and the Funk-Hecke integral itself runs only
+as a verify row (gjmslab.checks).  The kernel inverts the order-2m conformal
+operator up to one normalization g_mn, fixed here spectrally and then
+certified degree by degree.  The dual check hls_dual_ratio is a projected
+ascent whose trial steps are Barzilai-Borwein steps (IMA J. Numer. Anal. 8,
+1988), capped so one step moves the iterate by at most its own size.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -22,17 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InconsistencyError
-from .spectral import (
-    GjmsSpectrum,
-    SphereParams,
-    Workspace,
-    ZonalFunction,
-    basis_values,
-    gamma_ratio,
-    gauss_jacobi,
-    gjms_eigenvalues,
-    sphere_area,
-)
+from .spectral import GjmsSpectrum, SphereParams, Workspace, ZonalFunction, gamma_ratio
 
 IDENTITY_TOLERANCE = 1e-8  #: largest |g_mn mu_k Lambda_k - 1| green_constant accepts
 
@@ -63,34 +50,12 @@ class KernelSpectrum:
     def K(self) -> int:
         return len(self.mu) - 1
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.params.n,
-            "m": self.params.m,
-            "K": self.K,
-            "mu": [float(v) for v in self.mu],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-
-def _kernel_moments(params: SphereParams, K: int, nodes: int) -> np.ndarray:
-    # mu_k = |S^{n-1}| 2^((2m-n)/2) * int G_k(t) (1-t)^(m-1) (1+t)^((n-2)/2) dt
-    # with G_k the degree-k ultraspherical polynomial normalized to 1 at t=1.
-    n, m = params.n, params.m
-    x, w = gauss_jacobi(nodes, m - 1.0, (n - 2.0) / 2.0)
-    B = basis_values(n, K, x)
-    at_one = basis_values(n, K, np.array([1.0]))[0]
-    scale = sphere_area(n - 1) * 2.0 ** ((2.0 * m - n) / 2.0)
-    return scale * ((w @ B) / at_one)
-
 
 def funk_hecke_spectrum(params: SphereParams, K: int) -> KernelSpectrum:
     """Kernel eigenvalues mu_0..mu_K from the Funk-Hecke closed form.
 
     mu_k = 2^(2m) pi^(n/2) Gamma(m) Gamma(k+n/2-m) / (Gamma(n/2-m) Gamma(k+n/2+m)),
-    sharing the Gamma ratio that cross-checks the operator spectrum.
+    a multiple of the reciprocal of the Gamma ratio that gives the operator spectrum.
     """
     h, m = params.n / 2.0, params.m
     scale = 4.0**m * math.pi**h * math.gamma(m) / math.gamma(h - m)
@@ -111,20 +76,14 @@ class GreenConstants:
 
 
 def green_constant(
-    params: SphereParams,
-    kernel: KernelSpectrum | None = None,
-    gjms: GjmsSpectrum | None = None,
-    K: int = 32,
+    params: SphereParams, kernel: KernelSpectrum, gjms: GjmsSpectrum
 ) -> GreenConstants:
     """Fix g_mn = 1/(mu_0 Lambda_0) and certify the inverse identity spectrally.
 
-    Raises an inconsistency error if max_k |g_mn mu_k Lambda_k - 1| exceeds
-    IDENTITY_TOLERANCE, which would indicate a spectrum bug.
+    Needs gjms.K >= kernel.K.  Raises an inconsistency error if
+    max_k |g_mn mu_k Lambda_k - 1| exceeds IDENTITY_TOLERANCE, which would
+    indicate a spectrum bug.
     """
-    if kernel is None:
-        kernel = funk_hecke_spectrum(params, K)
-    if gjms is None or gjms.K < kernel.K:
-        gjms = gjms_eigenvalues(params, kernel.K)
     lam = gjms.lam[: kernel.K + 1]
     g = 1.0 / (kernel.mu[0] * lam[0])
     deviation = float(np.max(np.abs(g * kernel.mu * lam - 1.0)))
@@ -136,15 +95,6 @@ def green_constant(
     n = params.n
     c_n = 1.0 / (n * (n - 2.0) * ball_volume(n))
     return GreenConstants(c_n=c_n, g_mn=g)
-
-
-def green_apply(v: ZonalFunction, gjms: GjmsSpectrum) -> ZonalFunction:
-    """Invert the operator spectrally: c_k -> c_k / Lambda_k."""
-    if v.params != gjms.params:
-        raise ValueError("function and spectrum built for different (n, m)")
-    if v.K > gjms.K:
-        raise ValueError(f"truncation mismatch: degree {v.K} exceeds spectrum {gjms.K}")
-    return ZonalFunction(v.params, v.coeffs / gjms.lam[: v.K + 1])
 
 
 def hls_functional(v: ZonalFunction, kernel: KernelSpectrum) -> float:

@@ -16,7 +16,6 @@ a form that is regular through the pole r = 0 (t = 1).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -182,9 +181,6 @@ class SolveResult:
             "converged": self.converged,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def _classify(u: ZonalFunction, diverged: bool) -> str:
     if diverged:
@@ -313,9 +309,6 @@ class ProbeReport:
             "kernel_dimension": self.kernel_dimension,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def probe_start(workspace: Workspace, base: float, rng: np.random.Generator) -> ZonalFunction:
     """Positive random start: scaled constant plus damped modes, clipped positive."""
@@ -417,13 +410,6 @@ class MonotonicityReport:
     worst_increase: float
     index: int | None
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "worst_increase": self.worst_increase,
-            "index": self.index,
-        }
-
 
 def check_profile_monotone(profile: RadialProfile, slack: float = 1e-9) -> MonotonicityReport:
     """Check u(r_{i+1}) <= u(r_i) + slack along the grid."""
@@ -461,14 +447,6 @@ class SuperPolyReport:
     order_minima: list
     order_scales: list
     tolerance: float
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "order_minima": self.order_minima,
-            "order_scales": self.order_scales,
-            "tolerance": self.tolerance,
-        }
 
 
 def _cheb_fit(x: np.ndarray, values: np.ndarray, deg: int) -> np.ndarray:

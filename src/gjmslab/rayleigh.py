@@ -63,26 +63,6 @@ def sharp_constant(m: int, n: int, p: float) -> float:
     return gjms_lambda0(m, n) * sphere_area(n) ** (1.0 - 2.0 / p)
 
 
-def rayleigh_quotient(u: ZonalFunction, p: float, workspace: Workspace | None = None) -> float:
-    """Energy over squared L^p norm; scale invariant, and >= the sharp constant
-    (up to quadrature slack) on the subcritical range."""
-    if p < 1:
-        raise DomainError(f"need p >= 1, got p={p}")
-    if u.l2_norm() == 0.0:
-        raise DomainError("quotient undefined for the zero function")
-    ws = workspace or Workspace(u.params, u.K)
-    return ws.quotient(u.coeffs, p)
-
-
-def rayleigh_gradient(u: ZonalFunction, p: float, workspace: Workspace | None = None) -> np.ndarray:
-    """Coefficient gradient of the quotient; vanishes exactly at constants."""
-    _check_exponent(u.params, p)
-    if u.l2_norm() == 0.0:
-        raise DomainError("gradient undefined for the zero function")
-    ws = workspace or Workspace(u.params, u.K)
-    return ws.quotient_and_gradient(u.coeffs, p)[1]
-
-
 def _check_exponent(params: SphereParams, p: float) -> None:
     p_crit = params.critical_norm_exponent
     if not 2.0 + MIN_EXPONENT_GAP < p < p_crit:

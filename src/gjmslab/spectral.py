@@ -17,18 +17,12 @@ J. Sci. Comput. 35, 2013) with the Aberth-Ehrlich correction.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AliasingError, DomainError, InconsistencyError
-
-#: Default truncation degree; rules default to 2K + 8 nodes, leaving exactness
-#: margin for the p-power nonlinearities applied downstream.
-DEFAULT_TRUNCATION = 64
-
 
 def default_rule_size(K: int) -> int:
     return 2 * K + 8
@@ -320,12 +314,6 @@ class ZonalFunction:
             "coeffs": [float(c) for c in self.coeffs],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ZonalFunction":
-        return cls(SphereParams(n=data["n"], m=data["m"]), np.asarray(data["coeffs"], float))
 
 
 def analyze(values, rule: QuadratureRule, params: SphereParams, K: int) -> ZonalFunction:
@@ -392,26 +380,10 @@ class GjmsSpectrum:
     def K(self) -> int:
         return len(self.lam) - 1
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.params.n,
-            "m": self.params.m,
-            "K": self.K,
-            "lambda": [float(v) for v in self.lam],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def gjms_lambda0(m: int, n: int) -> float:
-    """Bottom eigenvalue: product over j < m of (n(n-2)/4 - j(j+1))."""
-    params = SphereParams(n=n, m=m)  # validates n > 2m
-    mu0 = params.n * (params.n - 2.0) / 4.0
-    out = 1.0
-    for j in range(m):
-        out *= mu0 - j * (j + 1.0)
-    return out
+    """Bottom eigenvalue Gamma(n/2+m) / Gamma(n/2-m) of the order-2m operator."""
+    return float(gamma_ratio(SphereParams(n=n, m=m), 0)[0])
 
 
 def gamma_ratio(params: SphereParams, K: int) -> np.ndarray:
@@ -427,25 +399,14 @@ def gamma_ratio(params: SphereParams, K: int) -> np.ndarray:
 
 
 def gjms_eigenvalues(params: SphereParams, K: int) -> GjmsSpectrum:
-    """Spectrum of the order-2m conformal operator, factored through the order-2 one.
+    """Spectrum of the order-2m conformal operator on degrees 0..K.
 
-    Lambda_k = prod_{j=0}^{m-1} (mu_k - j(j+1)) with mu_k = k(k+n-1) + n(n-2)/4
-    the eigenvalue of the conformally shifted Laplacian.  The equivalent
-    Gamma-ratio closed form Gamma(k+n/2+m)/Gamma(k+n/2-m) must agree to 1e-10
-    relative, guarding the factorization.
+    Lambda_k = Gamma(k+n/2+m) / Gamma(k+n/2-m) (Beckner, Ann. Math. 138, 1993),
+    evaluated by gamma_ratio.  The equivalent product over the conformally
+    shifted Laplacian is the independent form of the verify row
+    spectrum-cross-form.
     """
-    n, m = params.n, params.m
-    lam_gamma = gamma_ratio(params, K)
-    mu = laplace_beltrami_eigenvalues(n, K) + n * (n - 2.0) / 4.0
-    lam = np.ones_like(mu)
-    for j in range(m):
-        lam *= mu - j * (j + 1.0)
-    rel = np.max(np.abs(lam / lam_gamma - 1.0))
-    if rel > 1e-10:
-        raise InconsistencyError(
-            f"product and Gamma-ratio spectra disagree (rel {rel:.3e}) for n={n}, m={m}"
-        )
-    return GjmsSpectrum(params=params, lam=lam)
+    return GjmsSpectrum(params=params, lam=gamma_ratio(params, K))
 
 
 class Workspace:

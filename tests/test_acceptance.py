@@ -26,12 +26,7 @@ from gjmslab.lane_emden import (
     verify_symmetry_monotonicity,
 )
 from gjmslab.conformal import RadialProfile, pullback_to_plane
-from gjmslab.rayleigh import (
-    OptimizerConfig,
-    minimize,
-    rayleigh_quotient,
-    sharp_constant,
-)
+from gjmslab.rayleigh import OptimizerConfig, minimize, sharp_constant
 from gjmslab.spectral import (
     SphereParams,
     Workspace,
@@ -190,14 +185,14 @@ def test_criterion_6_critical_contrast():
     quotients = []
     for lam in (0.5, 1.0, 2.0):
         u = bubble_on_sphere(BubbleParams(lam=lam, params=params), big_rule, K)
-        quotients.append(rayleigh_quotient(u, p_norm, ws))
+        quotients.append(ws.quotient(u.coeffs, p_norm))
     quotients = np.asarray(quotients)
     spread = float(np.max(np.abs(quotients / quotients[1] - 1.0)))
 
     # strictly subcritical: the dilated bubble must sit above the constant
     ws32 = Workspace(params, 64)
     u2 = bubble_on_sphere(BubbleParams(lam=2.0, params=params), rule, 64)
-    margin = rayleigh_quotient(u2, 4.0, ws32) - sharp_constant(1, 3, 4.0)
+    margin = ws32.quotient(u2.coeffs, 4.0) - sharp_constant(1, 3, 4.0)
 
     emit(
         6,

@@ -119,7 +119,7 @@ class TestExitCodes:
     )
     def test_verify_default_truncation(self, capsys, m, n, seed):
         # seed 434548015 draws a function whose sampled supremum undershot the
-        # true one, which made the pullback decay-bound guard fire
+        # true one, which made the pullback decay bound fail
         code, out, _ = run(
             capsys, "verify", "--m", str(m), "--n", str(n), "--seed", str(seed), "--format", "json"
         )
@@ -128,14 +128,40 @@ class TestExitCodes:
         quad = checks["kernel-funk-hecke-quadrature"]
         assert quad["passed"] and quad["margin"] <= 1e-12
 
-    @pytest.mark.parametrize("m,n,K", [(2, 5, 200), (1, 3, 64)])
-    def test_verify_quadrature_moments_at_high_degree(self, capsys, m, n, K):
+    @pytest.mark.parametrize("K", [0, 16, 200, 800])
+    @pytest.mark.parametrize("m,n", [(1, 3), (2, 5), (2, 7), (2, 9), (3, 9), (5, 11)])
+    def test_verify_passes_across_degrees(self, capsys, m, n, K):
+        # K = 0: the exact gradient is 0, so both gradient rows hold rounding
+        # noise to the gradient scale; K = 800: the orthonormality row needs
+        # no monomial moments, which sit at their own rounding floor there
         code, out, _ = run(
             capsys, "verify", "--m", str(m), "--n", str(n), "--K", str(K), "--format", "json"
         )
-        assert code == 0
+        failed = [row for row in json.loads(out)["results"]["checks"] if not row["passed"]]
+        assert code == 0 and failed == []
+
+    @pytest.mark.parametrize("m,n,K", [(2, 5, 16), (2, 9, 800)])
+    def test_verify_quadrature_moments_catches_a_perturbed_weight(
+        self, capsys, monkeypatch, m, n, K
+    ):
+        # one weight off by a relative 1e-8 reads about 1e-11 even at Q = 1608
+        import gjmslab.spectral as spectral
+
+        exact = spectral.build_quadrature
+
+        def perturbed(n, Q):
+            rule = exact(n, Q)
+            weights = rule.weights.copy()
+            weights[Q // 2] *= 1.0 + 1e-8
+            return spectral.QuadratureRule(n=n, nodes=rule.nodes, weights=weights)
+
+        monkeypatch.setattr(spectral, "build_quadrature", perturbed)
+        code, out, _ = run(
+            capsys, "verify", "--m", str(m), "--n", str(n), "--K", str(K), "--format", "json"
+        )
+        assert code == 3
         checks = {row["name"]: row for row in json.loads(out)["results"]["checks"]}
-        assert checks["quadrature-moments"]["margin"] <= 1e-12
+        assert not checks["quadrature-moments"]["passed"]
 
     @pytest.mark.parametrize("m,n,K", [(1, 3, 16), (2, 7, 16), (3, 9, 200)])
     def test_verify_constant_green_fixed_point(self, capsys, m, n, K):
@@ -173,15 +199,6 @@ class TestExitCodes:
         row = checks["gradient-finite-difference"]
         assert not row["passed"] and row["margin"] >= 1e-4
 
-    @pytest.mark.parametrize("m,n", [(1, 3), (2, 5)])
-    def test_verify_at_degree_zero(self, capsys, m, n):
-        # at K = 0 the exact gradient is 0, so the row holds |grad - fd| to Q / |c|
-        code, out, _ = run(capsys, "verify", "--m", str(m), "--n", str(n), "--K", "0", "--format", "json")
-        assert code == 0
-        checks = {row["name"]: row for row in json.loads(out)["results"]["checks"]}
-        row = checks["gradient-finite-difference"]
-        assert row["passed"] and row["margin"] <= 1e-9 and row["tolerance"] == 1e-6
-
     def test_verify_at_degree_zero_catches_a_gradient_off_the_rays(self, capsys, monkeypatch):
         from gjmslab.spectral import Workspace
 
@@ -195,12 +212,13 @@ class TestExitCodes:
         assert code == 3
         checks = {row["name"]: row for row in json.loads(out)["results"]["checks"]}
         assert not checks["gradient-finite-difference"]["passed"]
+        assert not checks["gradient-euler-orthogonality"]["passed"]
 
     def test_verify_failure_exits_3_with_failure_rows(self, capsys, monkeypatch):
         import gjmslab.cli as cli
 
         monkeypatch.setattr(
-            cli, "_verify_checks", lambda *a: [("synthetic-check", 1.0, 1e-8, False)]
+            cli, "verify_checks", lambda *a: [("synthetic-check", 1.0, 1e-8, False)]
         )
         code, out, _ = run(capsys, "verify", "--m", "1", "--n", "3")
         assert code == 3

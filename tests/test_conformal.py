@@ -7,7 +7,6 @@ import pytest
 
 from gjmslab.conformal import (
     BubbleParams,
-    RadialProfile,
     angle_from_radius,
     bubble_on_sphere,
     bubble_values,
@@ -182,13 +181,3 @@ class TestNormTransport:
         assert norm_transport_check(v, 2.5, rule) <= 1e-8
         assert norm_transport_check(v, params.critical_norm_exponent, rule) <= 1e-8
 
-
-class TestProfileCsv:
-    def test_round_trip(self, tmp_path):
-        params = SphereParams(n=3, m=1)
-        prof = RadialProfile(params, np.array([0.0, 0.5, 1.5]), np.array([1.0, 0.25, -0.125]))
-        path = tmp_path / "profile.csv"
-        prof.write_csv(path)
-        back = RadialProfile.read_csv(path, params)
-        assert np.array_equal(back.grid, prof.grid)
-        assert np.array_equal(back.values, prof.values)

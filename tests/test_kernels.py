@@ -13,7 +13,6 @@ from gjmslab.errors import DomainError
 from gjmslab.kernels import (
     ball_volume,
     funk_hecke_spectrum,
-    green_apply,
     green_constant,
     hls_dual_ratio,
     hls_functional,
@@ -28,6 +27,12 @@ from gjmslab.spectral import (
     gjms_lambda0,
     sphere_area,
 )
+
+
+def green_constant_at(params, K=8):
+    return green_constant(
+        params, kernel=funk_hecke_spectrum(params, K), gjms=gjms_eigenvalues(params, K)
+    )
 
 
 def kernel_eigenvalue_bruteforce(params, k):
@@ -95,7 +100,7 @@ class TestKernelSpectrum:
 
 class TestGreenConstants:
     def test_laplace_green_constant_n3(self):
-        gc = green_constant(SphereParams(n=3, m=1), K=8)
+        gc = green_constant_at(SphereParams(n=3, m=1))
         assert ball_volume(3) == pytest.approx(4 * math.pi / 3, rel=1e-15)
         assert gc.c_n == pytest.approx(1 / (4 * math.pi), rel=1e-14)
 
@@ -118,29 +123,14 @@ class TestGreenConstants:
         # at order two the sphere kernel normalization equals the Euclidean
         # Laplace Green constant (conformal invariance of the Green kernel)
         for n in (3, 5, 7):
-            gc = green_constant(SphereParams(n=n, m=1), K=8)
+            gc = green_constant_at(SphereParams(n=n, m=1))
             assert gc.g_mn == pytest.approx(gc.c_n, rel=1e-11)
 
 
 class TestGreenApply:
-    def test_constant_mode(self):
-        params = SphereParams(n=3, m=1)
-        gjms = gjms_eigenvalues(params, 4)
-        v = ZonalFunction(params, np.array([1.0]))
-        out = green_apply(v, gjms)
-        assert out.coeffs[0] == pytest.approx(1 / gjms.lam[0], rel=1e-15)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(4)
-        params = SphereParams(n=7, m=3)
-        gjms = gjms_eigenvalues(params, 12)
-        v = ZonalFunction(params, rng.standard_normal(13))
-        back = green_apply(v, gjms).coeffs * gjms.lam
-        assert np.max(np.abs(back - v.coeffs)) <= 1e-12 * np.max(np.abs(v.coeffs))
-
     def test_matches_kernel_integral(self):
         # oracle: apply the kernel by quadrature to each basis mode and compare
-        # g_mn * (kernel integral) with the spectral inverse
+        # g_mn * (kernel integral) with the spectral inverse 1 / Lambda_k
         params = SphereParams(n=5, m=2)
         K = 8
         kernel = funk_hecke_spectrum(params, K)
@@ -148,8 +138,7 @@ class TestGreenApply:
         gc = green_constant(params, kernel=kernel, gjms=gjms)
         for k in range(K + 1):
             mu_k = kernel_eigenvalue_bruteforce(params, k)
-            inv = green_apply(ZonalFunction(params, np.eye(K + 1)[k]), gjms)
-            assert gc.g_mn * mu_k == pytest.approx(inv.coeffs[k], rel=1e-8)
+            assert gc.g_mn * mu_k == pytest.approx(1.0 / gjms.lam[k], rel=1e-8)
 
 
 class TestHlsFunctional:

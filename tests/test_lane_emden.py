@@ -302,12 +302,3 @@ class TestSuperPolyharmonic:
         prof = RadialProfile(params, grid, np.cos(9 * grid) + 2)
         with pytest.raises(AccuracyError):
             verify_super_polyharmonic(prof, 3)
-
-    def test_serialization(self):
-        params = SphereParams(n=5, m=2)
-        grid = chebyshev_radial_grid(6.0, 129)
-        rep = verify_super_polyharmonic(
-            RadialProfile(params, grid, (1.0 + grid**2) ** -0.5), 2
-        )
-        d = rep.to_dict()
-        assert set(d) == {"passed", "order_minima", "order_scales", "tolerance"}

@@ -14,8 +14,6 @@ from gjmslab.rayleigh import (
     _newton_step,
     _starts,
     minimize,
-    rayleigh_gradient,
-    rayleigh_quotient,
     sharp_constant,
 )
 from gjmslab.spectral import (
@@ -115,31 +113,28 @@ class TestSharpConstant:
 
 class TestQuotient:
     def test_constant_is_exact(self):
-        params = SphereParams(n=3, m=1)
-        u = ZonalFunction(params, np.array([2.7]))
+        ws = Workspace(SphereParams(n=3, m=1), 0)
         for p in (2.5, 4.0, 5.5):
-            assert rayleigh_quotient(u, p) == pytest.approx(
+            assert ws.quotient(np.array([2.7]), p) == pytest.approx(
                 sharp_constant(1, 3, p), rel=1e-13
             )
 
     def test_first_mode_exceeds_sharp_constant(self):
-        params = SphereParams(n=3, m=1)
-        u = ZonalFunction(params, np.array([0.0, 1.0]))
-        assert rayleigh_quotient(u, 4.0) > sharp_constant(1, 3, 4.0) * 1.05
+        ws = Workspace(SphereParams(n=3, m=1), 1)
+        assert ws.quotient(np.array([0.0, 1.0]), 4.0) > sharp_constant(1, 3, 4.0) * 1.05
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(12)
-        params = SphereParams(n=5, m=2)
-        u = ZonalFunction(params, rng.standard_normal(9))
-        base = rayleigh_quotient(u, 2.5)
+        ws = Workspace(SphereParams(n=5, m=2), 8)
+        c = rng.standard_normal(9)
+        base = ws.quotient(c, 2.5)
         for alpha in (2.0, -3.5, 0.01):
-            scaled = ZonalFunction(params, alpha * u.coeffs)
-            assert rayleigh_quotient(scaled, 2.5) == pytest.approx(base, rel=1e-12)
+            assert ws.quotient(alpha * c, 2.5) == pytest.approx(base, rel=1e-12)
 
     def test_zero_rejected(self):
-        params = SphereParams(n=3, m=1)
+        ws = Workspace(SphereParams(n=3, m=1), 3)
         with pytest.raises(DomainError):
-            rayleigh_quotient(ZonalFunction(params, np.zeros(4)), 4.0)
+            ws.normalize(np.zeros(4), 4.0)
 
     def test_discrete_lower_bound(self):
         # quotient never dips below the sharp constant beyond quadrature slack
@@ -149,8 +144,7 @@ class TestQuotient:
             S = sharp_constant(m, n, p)
             ws = Workspace(params, 16)
             for _ in range(50):
-                u = ZonalFunction(params, rng.standard_normal(17))
-                assert rayleigh_quotient(u, p, ws) >= S - 1e-8
+                assert ws.quotient(rng.standard_normal(17), p) >= S - 1e-8
 
     def test_strictness_margin_monotone(self):
         # quotient excess grows with the distance to constants along a family
@@ -163,7 +157,7 @@ class TestQuotient:
             c[0], c[2] = 1.0, theta
             u = ZonalFunction(params, c)
             assert u.distance_to_constant() >= 0.0995
-            margins.append(rayleigh_quotient(u, 4.0, ws) - S)
+            margins.append(ws.quotient(c, 4.0) - S)
         assert all(m > 0 for m in margins)
         assert all(b > a for a, b in zip(margins, margins[1:]))
 
@@ -171,10 +165,10 @@ class TestQuotient:
 class TestGradient:
     def test_zero_at_constant(self):
         for m, n, p in [(1, 3, 4.0), (2, 5, 2.5), (3, 7, 2.25)]:
-            params = SphereParams(n=n, m=m)
+            ws = Workspace(SphereParams(n=n, m=m), 12)
             c = np.zeros(13)
             c[0] = 1.7
-            g = rayleigh_gradient(ZonalFunction(params, c), p)
+            g = ws.quotient_and_gradient(c, p)[1]
             assert np.max(np.abs(g)) <= 1e-10 * max(1.0, sharp_constant(m, n, p))
 
     @pytest.mark.parametrize("m,n,p", [(1, 3, 4.0), (2, 5, 2.5)])
@@ -199,18 +193,17 @@ class TestGradient:
     def test_euler_orthogonality(self):
         # degree-zero homogeneity forces the gradient orthogonal to the iterate
         rng = np.random.default_rng(77)
-        params = SphereParams(n=5, m=2)
+        ws = Workspace(SphereParams(n=5, m=2), 10)
         for _ in range(20):
-            u = ZonalFunction(params, rng.standard_normal(11))
-            g = rayleigh_gradient(u, 2.5)
-            scale = np.linalg.norm(g) * np.linalg.norm(u.coeffs)
-            assert abs(np.dot(g, u.coeffs)) <= 1e-10 * max(scale, 1.0)
+            c = rng.standard_normal(11)
+            g = ws.quotient_and_gradient(c, 2.5)[1]
+            scale = np.linalg.norm(g) * np.linalg.norm(c)
+            assert abs(np.dot(g, c)) <= 1e-10 * max(scale, 1.0)
 
     def test_exponent_guard(self):
-        params = SphereParams(n=3, m=1)
-        u = ZonalFunction(params, np.array([1.0, 0.2]))
+        # gradients degenerate as p -> 2, so the optimizer keeps a guard band
         with pytest.raises(DomainError):
-            rayleigh_gradient(u, 2.0005)
+            OptimizerConfig(params=SphereParams(n=3, m=1), p=2.0005, K=8)
 
 
 class TestMinimize:
