@@ -202,6 +202,33 @@ class TestUniquenessProbe:
         off = Nonlinearity.single_power(1.0, 1.0, params)
         assert uniqueness_probe(1, 3, off, trials=5, seed=0, K=12).kernel_dimension == 0
 
+    def test_sign_changing_limit_of_a_positive_start(self):
+        # Trial 28 of probe seed 1132453375 on u^3, (n, m) = (7, 2), K = 96
+        # (round 0 of perfbench's uniqueness-probes at seed 133) starts with
+        # mean 8.4 > c* and converges to a sign-changing solution with mean 0.
+        # The probe counts it as negative, not as a counterexample, and
+        # perfbench's probe oracle refuses any negative trial.  At the default
+        # stop of 1e-12 the trial ends at residual 8.9e-13, so any change of
+        # rounding can flip it to nonconverged; at 1e-10 it stops at 1.0e-11.
+        # The start is not positive at the nodes (min -1.8): probe_start
+        # clips its values at 0.05 c*, but their degree-K projection dips
+        # below zero near the poles.
+        params = SphereParams(n=7, m=2)
+        f = Nonlinearity.single_power(1.0, 3.0, params)
+        seed, tol = 1132453375, 1e-10
+        rep = uniqueness_probe(2, 7, f, trials=29, seed=seed, K=96, tol=tol)
+        assert (rep.negative, rep.nonconstant, rep.fraction_constant) == (1, 0, 1.0)
+        assert rep.constant == 28 and rep.counterexamples == []
+        ws = Workspace(params, 96)
+        c_star = constant_solution(2, 7, f)
+        init = probe_start(ws, c_star, np.random.default_rng([seed, 28]))
+        assert init.mean() > c_star
+        result = solve_newton(2, 7, f, init, tol=tol, workspace=ws)
+        assert result.converged and result.residual <= 0.2 * tol
+        assert result.negativity == pytest.approx(-52.8185, rel=1e-5)
+        assert abs(result.solution.mean()) <= 1e-12
+        assert result.solution.distance_to_constant() == pytest.approx(1.0, abs=1e-12)
+
     def test_rejects_supercritical(self):
         params = SphereParams(n=3, m=1)
         f = Nonlinearity.single_power(1.0, 5.0, params)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -14,8 +15,10 @@ from gjmslab.spectral import (
     SphereParams,
     Workspace,
     ZonalFunction,
+    _jacobi_recurrence,
     analyze,
     basis_values,
+    basis_with_derivatives,
     build_quadrature,
     gamma_ratio,
     gauss_jacobi,
@@ -150,6 +153,122 @@ class TestGaussJacobi:
             gauss_jacobi(0, 0.5, 0.5)
         with pytest.raises(DomainError):
             gauss_jacobi(8, -0.5, 0.5)
+
+
+def reference_gauss_jacobi(N, alpha, beta):
+    # Reference: the same Newton passes with a list of row arrays, its
+    # np.array copy, and the full A x N Aberth matrix; gauss_jacobi must
+    # reproduce it bit for bit.
+    N = int(N)
+    ab = alpha + beta
+    a, b = _jacobi_recurrence(alpha, beta, N)
+    mass = 2.0 ** (ab + 1.0) * math.gamma(alpha + 1.0) / math.gamma(ab + 2.0) * math.gamma(beta + 1.0)
+    sym = alpha == beta
+    M = (N + 1) // 2 if sym else N
+    rho = 2.0 * N + ab + 1.0
+    theta = (2.0 * np.arange(1.0, M + 1.0) + alpha - 0.5) * (math.pi / rho)
+    half = np.tan(0.5 * theta)
+    x = np.cos(theta + ((0.25 - alpha * alpha) / half - (0.25 - beta * beta) * half) / rho**2)
+    if sym and N % 2:
+        x[-1] = 0.0
+    scale = np.cumprod(np.concatenate(([1.0 / math.sqrt(mass)], 0.5 / b)))
+    steps = list(zip((2.0 * a).tolist(), [0.0] + (4.0 * b[:-1] ** 2).tolist()))
+    shift = N * (alpha - beta) / (2.0 * N + ab)
+    c_prev = (2.0 * N + ab + 1.0) * b[-1] * scale[-2] / scale[-1]
+    c_darboux = b[-1] * scale[-1] * scale[-2]
+    weights = np.empty(M)
+    active = np.arange(M)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(100):
+            xa = x[active]
+            two_x = 2.0 * xa
+            prev, cur = np.zeros_like(xa), np.ones_like(xa)
+            rows = [cur]
+            for two_a, c in steps:
+                nxt = (two_x - two_a) * cur if two_a else two_x * cur
+                nxt -= c * prev
+                prev, cur = cur, nxt
+                rows.append(cur)
+            rows = np.array(rows[:-1])
+            christoffel = scale[:-1] ** 2 @ (rows * rows)
+            d = 1.0 - xa * xa
+            dp = ((shift - N * xa) * cur + c_prev * prev) / d
+            ddp = ((alpha - beta + (ab + 2.0) * xa) * dp - N * (N + ab + 1.0) * cur) / d
+            diff = xa[:, None] - (np.concatenate((x, -x[: N // 2])) if sym else x)
+            diff[np.arange(active.size), active] = np.inf
+            delta = cur / dp
+            delta /= 1.0 - delta * np.sum(1.0 / diff, axis=1)
+            x[active] = xa - delta
+            weights[active] = 1.0 / (christoffel - delta * c_darboux * prev * ddp)
+            tol = np.maximum(1e-7 / N * np.sqrt(d), 4.0 * np.finfo(float).eps)
+            active = active[~(np.abs(delta) <= tol)]
+            if active.size == 0:
+                break
+    if sym:
+        x = np.concatenate((-x[: N // 2], x))
+        weights = np.concatenate((weights[: N // 2], weights))
+    order = np.argsort(x)
+    return x[order], weights[order]
+
+
+def reference_basis_with_derivatives(n, K, t):
+    # Reference: the recurrences written column by column into (len(t), K+1)
+    # arrays; the row-major basis must reproduce them bit for bit.
+    B = np.empty((t.size, K + 1))
+    B[:, 0] = 1.0 / math.sqrt(sphere_area(n))
+    D1 = np.zeros_like(B)
+    D2 = np.zeros_like(B)
+    if K >= 1:
+        b = _jacobi_recurrence((n - 2) / 2.0, (n - 2) / 2.0, K)[1]
+        B[:, 1] = t * B[:, 0] / b[0]
+        D1[:, 1] = B[:, 0] / b[0]
+        for k in range(1, K):
+            B[:, k + 1] = (t * B[:, k] - b[k - 1] * B[:, k - 1]) / b[k]
+            D1[:, k + 1] = (B[:, k] + t * D1[:, k] - b[k - 1] * D1[:, k - 1]) / b[k]
+            D2[:, k + 1] = (2.0 * D1[:, k] + t * D2[:, k] - b[k - 1] * D2[:, k - 1]) / b[k]
+    return B, D1, D2
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("Q", [4, 5, 72, 73, 408, 1608])
+    @pytest.mark.parametrize("n", [2, 3, 5, 9, 13])
+    def test_rule_and_basis_match_references(self, n, Q):
+        a = (n - 2) / 2
+        x, w = gauss_jacobi(Q, a, a)
+        x_ref, w_ref = reference_gauss_jacobi(Q, a, a)
+        assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+        B = basis_values(n, Q - 1, x)
+        assert np.array_equal(B, reference_basis_with_derivatives(n, Q - 1, x)[0])
+        K = max((Q - 8) // 2, 1)  # the truncation a Q-node workspace resolves
+        for got, ref in zip(basis_with_derivatives(n, K, x), reference_basis_with_derivatives(n, K, x)):
+            assert got.flags.c_contiguous and np.array_equal(got, ref)
+
+    @pytest.mark.parametrize(
+        "N,alpha,beta", [(72, 14.0, 14.0), (72, 49.0, 49.0), (40, 1.0, 1.5), (408, 0.0, 1.5)]
+    )
+    def test_jacobi_rules_match_reference(self, N, alpha, beta):
+        x, w = gauss_jacobi(N, alpha, beta)
+        x_ref, w_ref = reference_gauss_jacobi(N, alpha, beta)
+        assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+
+    @pytest.mark.parametrize("K", [0, 1, 200])
+    def test_basis_is_c_ordered(self, K):
+        # B @ c, B.T @ v and B.T diag(s) B round differently on an F-ordered B
+        B = basis_values(5, K, np.linspace(-0.9, 0.9, 37))
+        assert B.shape == (37, K + 1) and B.flags.c_contiguous
+
+    def test_rule_memory_is_one_row_buffer(self):
+        # the Q = 1608 rule of a K = 800 workspace: (N+1) x M rows of q_k for
+        # M = 804 active nodes are 10.3 MB; the Aberth sum adds one 64-row block
+        N = 1608
+        buffer_bytes = (N + 1) * ((N + 1) // 2) * 8
+        tracemalloc.start()
+        try:
+            gauss_jacobi(N, 1.5, 1.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * buffer_bytes
 
 
 class TestBasis:
