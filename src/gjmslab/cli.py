@@ -473,8 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"gjmslab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    newton_tol_help = (
+        "relative Newton stop ||res / Lambda|| <= tol ||c|| on P u = f(u+), "
+        "u+ = max(u, 0) (default %(default)g)"
+    )
 
-    def common(p, m=True, n=True, K=None, seed=False, tol=None, out=True, fmt=None):
+    def common(p, m=True, n=True, K=None, seed=False, tol=None, tol_help=None, out=True, fmt=None):
         p.add_argument("--config", help="key=value option file; explicit flags win")
         if m:
             p.add_argument("--m", type=int, required=False, default=1)
@@ -485,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if tol is not None:
-            p.add_argument("--tol", type=float, default=tol)
+            p.add_argument("--tol", type=float, default=tol, help=tol_help)
         if out:
             p.add_argument("--out", help="output path (default stdout)")
         if fmt:
@@ -509,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser("solve", help="one damped Newton solve")
-    common(p, K=32, seed=True, tol=1e-12, fmt=("json",))
+    common(p, K=32, seed=True, tol=1e-12, tol_help=newton_tol_help, fmt=("json",))
     p.add_argument("--p", type=float, help="single-power right-hand side u^p")
     p.add_argument("--f", help="general right-hand side 'a1:p1,a2:p2'")
     p.add_argument("--Q", type=int, default=0, help="quadrature size (default 2K+8)")
@@ -518,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("probe", help="multistart uniqueness probe")
-    common(p, K=24, seed=True, tol=1e-12, fmt=("json",))
+    common(p, K=24, seed=True, tol=1e-12, tol_help=newton_tol_help, fmt=("json",))
     p.add_argument("--p", type=float, help="single-power right-hand side u^p")
     p.add_argument("--f", help="general right-hand side 'a1:p1,a2:p2'")
     p.add_argument("--trials", type=int, default=50)

@@ -2,12 +2,21 @@
 
 Newton runs in coefficient space: the residual is Lambda * c - analyze(f(u))
 and the Jacobian is diag(Lambda) minus the quadrature-assembled multiplication
-operator f'(u).  For subcritical f the nonnegative solutions are constants;
-multistart probes collect numerical evidence and archive anything that
-converges elsewhere.  The verifiers check the planar conclusions on pulled
-back profiles: monotone decay, and nonnegativity of the intermediate iterated
-Laplacians, computed through a Chebyshev representation in the polar cosine
-where the radial Laplacian becomes
+operator f'(u).  A solve stops once the Lambda-scaled residual is small
+relative to the iterate, ||res / Lambda|| <= tol ||c||: Lambda magnifies the
+rounding in c, so an absolute stop is out of reach on high orders.
+
+f acts on the positive part u+ = max(u, 0).  The Green kernel of P is
+positive, so the nonnegative solutions of P u = f(u) are exactly the
+solutions of P u = f(u+); a solve of the latter cannot settle on a
+sign-changing solution of an extension of f to negative values.  For
+subcritical f the nonnegative solutions are constants; multistart probes
+collect numerical evidence and archive anything that converges elsewhere.
+
+The verifiers check the planar conclusions on pulled back profiles: monotone
+decay, and nonnegativity of the intermediate iterated Laplacians, computed
+through a Chebyshev representation in the polar cosine where the radial
+Laplacian becomes
 
     (1-t)(1+t)^3 d2/dt2 + (1+t)^2 (2(1-t) - n) d/dt,
 
@@ -35,24 +44,28 @@ def _check_tolerance(tol: float) -> None:
 
 
 def _term_power(u: np.ndarray, p: float) -> np.ndarray:
-    # integer exponents act literally; fractional ones extend oddly so Newton
-    # stays defined when an iterate dips negative
+    # f acts on u+ = max(u, 0); integer exponents keep the exact integer power
+    pos = np.maximum(u, 0.0)
     q = round(p)
     if abs(p - q) < 1e-12:
-        return u ** int(q)
-    return np.sign(u) * np.abs(u) ** p
+        return pos ** int(q)
+    return pos**p
 
 
 def _term_slope(u: np.ndarray, p: float) -> np.ndarray:
+    pos = np.maximum(u, 0.0)
     q = round(p)
     if abs(p - q) < 1e-12:
-        return float(q) * u ** (int(q) - 1)
-    return p * np.abs(u) ** (p - 1.0)
+        return np.where(u > 0.0, float(q) * pos ** (int(q) - 1), 0.0)
+    return np.where(u > 0.0, p * pos ** (p - 1.0), 0.0)
 
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Right-hand side f(t) = sum a_i t^(p_i) with a_i >= 0 and p_i >= 1 nondecreasing."""
+    """Right-hand side f(t) = sum a_i (t+)^(p_i) with a_i >= 0 and p_i >= 1 nondecreasing.
+
+    f and its slope vanish where t <= 0.
+    """
 
     terms: tuple
     classification: str
@@ -160,13 +173,24 @@ def constant_solution(m: int, n: int, f: Nonlinearity) -> float | None:
     return c
 
 
+STOP_REASONS = ("tolerance", "max_iter", "line_search_exhausted", "diverged")
+
+
 @dataclass
 class SolveResult:
-    """One solve outcome; `negativity` is the most negative node value (0 if none)."""
+    """One solve outcome.
+
+    `residual` is the absolute ||Lambda c - analyze(f(u))||; `rel_residual` is
+    ||res / Lambda|| / ||c||, the quantity the stop compares with tol.  `iters`
+    counts accepted steps, `stop_reason` is one of STOP_REASONS, and
+    `negativity` is the most negative node value (0 if none).
+    """
 
     solution: ZonalFunction
     residual: float
+    rel_residual: float
     iters: int
+    stop_reason: str
     classification: str
     negativity: float
     converged: bool
@@ -175,7 +199,9 @@ class SolveResult:
         return {
             "solution": self.solution.to_dict(),
             "residual": self.residual,
+            "rel_residual": self.rel_residual,
             "iters": self.iters,
+            "stop_reason": self.stop_reason,
             "classification": self.classification,
             "negativity": self.negativity,
             "converged": self.converged,
@@ -197,12 +223,15 @@ def solve_newton(
     max_iter: int = 60,
     workspace: Workspace | None = None,
 ) -> SolveResult:
-    """Newton iteration on spectral coefficients for P u = f(u).
+    """Newton iteration on spectral coefficients for P u = f(u), f acting on u+.
 
-    Residual is measured in the coefficient 2-norm.  Steps are damped by
-    halving while they fail to reduce the residual; iterates with coefficient
-    norm beyond 1e8 are declared diverged and returned flagged.  The
-    workspace (default: Workspace(params, init.K)) must match init's (n, m, K).
+    The solve stops with reason "tolerance" once ||res / Lambda|| <= tol ||c||,
+    a relative test, so one tol serves every (n, m, K) however large Lambda_K
+    is.  Steps are damped by halving while they fail to reduce the residual
+    norm; when no step does, the solve stops with "line_search_exhausted".
+    Iterates with coefficient norm beyond 1e8 stop as "diverged"; after
+    max_iter accepted steps the solve stops as "max_iter".  The workspace
+    (default: Workspace(params, init.K)) must match init's (n, m, K).
     """
     _check_tolerance(tol)
     params = SphereParams(n=n, m=m)
@@ -217,15 +246,22 @@ def solve_newton(
         vals = B @ c
         return lam * c - B.T @ (w * f(vals)), vals
 
+    def rel_residual(res_vec, c):
+        # f(0) = 0, so c = 0 is an exact solution with a zero residual
+        cnorm = float(np.linalg.norm(c))
+        return float(np.linalg.norm(res_vec / lam)) / cnorm if cnorm > 0.0 else 0.0
+
     c = init.coeffs.copy()
     res_vec, vals = residual_vec(c)
     res = float(np.linalg.norm(res_vec))
+    rel = rel_residual(res_vec, c)
     iters = 0
-    converged = res <= tol
-    diverged = False
-    for iters in range(1, max_iter + 1):
-        if converged or diverged:
-            iters -= 1
+    while True:
+        if rel <= tol:
+            reason = "tolerance"
+            break
+        if iters == max_iter:
+            reason = "max_iter"
             break
         J = np.diag(lam) - ws.weighted_gram(f.slope(vals))
         # plain damped Newton first; near a singular linearization fall back to
@@ -252,25 +288,33 @@ def solve_newton(
             if accepted:
                 break
         if not accepted:
+            reason = "line_search_exhausted"
             break
+        iters += 1
+        rel = rel_residual(res_vec, c)
         if not np.all(np.isfinite(c)) or np.linalg.norm(c) > 1e8:
-            diverged = True
-        converged = res <= tol
+            reason = "diverged"
+            break
     u = ZonalFunction(params, c)
     negativity = float(min(np.min(B @ c), 0.0))
     return SolveResult(
         solution=u,
         residual=res,
+        rel_residual=rel,
         iters=iters,
-        classification=_classify(u, diverged),
+        stop_reason=reason,
+        classification=_classify(u, reason == "diverged"),
         negativity=negativity,
-        converged=converged and not diverged,
+        converged=reason == "tolerance",
     )
 
 
 @dataclass
 class ProbeReport:
-    """Aggregate of multistart Newton solves for one subcritical right-hand side."""
+    """Aggregate of multistart Newton solves for one subcritical right-hand side.
+
+    `stop_reasons` counts the trials by SolveResult.stop_reason.
+    """
 
     m: int
     n: int
@@ -288,6 +332,7 @@ class ProbeReport:
     fraction_constant: float = 0.0
     counterexamples: list = field(default_factory=list)
     kernel_dimension: int | None = None
+    stop_reasons: dict = field(default_factory=lambda: dict.fromkeys(STOP_REASONS, 0))
 
     def to_dict(self) -> dict:
         return {
@@ -307,20 +352,24 @@ class ProbeReport:
             "fraction_constant": self.fraction_constant,
             "counterexamples": self.counterexamples,
             "kernel_dimension": self.kernel_dimension,
+            "stop_reasons": dict(self.stop_reasons),
         }
 
 
 def probe_start(workspace: Workspace, base: float, rng: np.random.Generator) -> ZonalFunction:
-    """Positive random start: scaled constant plus damped modes, clipped positive."""
+    """Positive random start: scaled constant plus damped modes.
+
+    When the draw dips below 0.05 base at a node, the nonconstant part c[1:]
+    is scaled down just enough that the minimum over the nodes is that floor.
+    """
     params, K, B = workspace.params, workspace.K, workspace.basis
     k = np.arange(K + 1, dtype=float)
     c = base * 0.3 * rng.standard_normal(K + 1) / (1.0 + k * k)
     c[0] = base * rng.uniform(0.7, 2.0) * math.sqrt(params.area)
-    vals = B @ c
+    mean, low = c[0] * B[0, 0], float(np.min(B @ c))  # Y_0 is constant
     floor = 0.05 * base
-    if np.min(vals) <= floor:
-        vals = np.clip(vals, floor, None)
-        c = B.T @ (workspace.weights * vals)
+    if low < floor:
+        c[1:] *= (mean - floor) / (mean - low)
     return ZonalFunction(params, c)
 
 
@@ -367,6 +416,7 @@ def uniqueness_probe(
         rng = np.random.default_rng([seed, trial])
         init = probe_start(ws, base, rng)
         result = solve_newton(m, n, f, init, tol=tol, workspace=ws)
+        report.stop_reasons[result.stop_reason] += 1
         if result.classification == "diverged":
             report.diverged += 1
             continue

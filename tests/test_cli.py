@@ -313,6 +313,19 @@ class TestDeterminism:
         assert r1 == r2
 
 
+class TestProbeCommand:
+    def test_order_three_probe_is_all_constant(self, capsys):
+        code, out, _ = run(
+            capsys, "probe", "--m", "3", "--n", "9", "--p", "3", "--K", "64", "--trials", "10"
+        )
+        assert code == 0
+        probe = json.loads(out)["results"]["probe"]
+        assert probe["fraction_constant"] == 1 and probe["constant"] == 10
+        assert probe["stop_reasons"] == {
+            "tolerance": 10, "max_iter": 0, "line_search_exhausted": 0, "diverged": 0
+        }
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -388,6 +401,15 @@ class TestSolveCommand:
             )
         assert code == 0
         assert json.loads(out)["inputs"]["K"] == K
+
+    @pytest.mark.parametrize("p", ["2.5", "3.5", "4.7"])
+    def test_constant_start_converges_at_order_three(self, capsys, p):
+        # Lambda_K magnifies rounding, so only a relative stop is in reach here
+        code, out, _ = run(capsys, "solve", "--m", "3", "--n", "9", "--p", p, "--init", "constant")
+        assert code == 0
+        solve = json.loads(out)["results"]["solve"]
+        assert solve["converged"] is True and solve["stop_reason"] == "tolerance"
+        assert solve["rel_residual"] <= 1e-12 and solve["classification"] == "constant"
 
     def test_solver_option_is_gone(self, capsys):
         code, _, err = run(

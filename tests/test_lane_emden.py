@@ -56,11 +56,26 @@ class TestNonlinearity:
         f = Nonlinearity.from_terms([(2, 3), (1, 1)], params)
         assert f.terms == ((1.0, 1.0), (2.0, 3.0))
 
-    def test_fractional_power_is_odd_extension(self):
-        params = SphereParams(n=5, m=2)
-        f = Nonlinearity.single_power(1.0, 1.5, params)
-        vals = f(np.array([-4.0, 0.0, 4.0]))
-        assert vals[0] == -vals[2] and vals[1] == 0.0
+    def test_power_acts_on_positive_part(self):
+        # f(u) = sum a (u+)^p: zero with zero slope where u <= 0, and on u > 0
+        # the same bits as the literal integer and odd fractional powers
+        params = SphereParams(n=9, m=3)
+        f = Nonlinearity.from_terms([(0.5, 1.0), (2.0, 1.5), (0.25, 3.0), (1.5, 3.7)], params)
+        u = np.random.default_rng(7).standard_normal(200) * 3.0
+        u[:3] = (-0.0, 0.0, -4.0)
+        low = u <= 0.0
+        assert np.all(f(u)[low] == 0.0) and np.all(f.slope(u)[low] == 0.0)
+        pos = u[~low]
+        old_value = (
+            0.5 * pos + 2.0 * np.sign(pos) * np.abs(pos) ** 1.5 + 0.25 * pos**3
+            + 1.5 * np.sign(pos) * np.abs(pos) ** 3.7
+        )
+        old_slope = (
+            0.5 * (1.0 * pos**0) + 2.0 * (1.5 * np.abs(pos) ** 0.5) + 0.25 * (3.0 * pos**2)
+            + 1.5 * (3.7 * np.abs(pos) ** 2.7)
+        )
+        np.testing.assert_array_equal(f(pos), old_value)
+        np.testing.assert_array_equal(f.slope(pos), old_slope)
 
 
 class TestConstantSolution:
@@ -150,6 +165,32 @@ class TestSolveNewton:
         res = solve_newton(1, 3, f, init, max_iter=3)
         assert not res.converged
 
+    def test_stop_reasons(self):
+        params = SphereParams(n=3, m=1)
+        f = Nonlinearity.single_power(1.0, 3.0, params)
+        init = constant_coeffs(params, constant_solution(1, 3, f), 16)
+        init.coeffs[2] = 0.3
+        res = solve_newton(1, 3, f, init)
+        assert (res.stop_reason, res.converged) == ("tolerance", True)
+        assert res.rel_residual <= 1e-12
+        res = solve_newton(1, 3, f, init, max_iter=2)
+        assert (res.stop_reason, res.iters, res.converged) == ("max_iter", 2, False)
+        # below the rounding of the residual no damped step can lower it
+        res = solve_newton(1, 3, f, init, tol=1e-300)
+        assert (res.stop_reason, res.converged) == ("line_search_exhausted", False)
+        res = solve_newton(1, 3, f, constant_coeffs(params, 1e9, 8))
+        assert (res.stop_reason, res.iters, res.classification) == ("diverged", 1, "diverged")
+        assert not res.converged
+
+    def test_relative_stop_at_order_three(self):
+        # from the exact constant the absolute residual is ~1e-9, all rounding
+        params = SphereParams(n=9, m=3)
+        f = Nonlinearity.single_power(1.0, 3.0, params)
+        c_star = constant_solution(3, 9, f)
+        res = solve_newton(3, 9, f, constant_coeffs(params, c_star, 32))
+        assert res.converged and res.iters == 0 and res.residual > 1e-12
+        assert res.rel_residual <= 1e-14
+
     def test_workspace_must_match_iterate(self):
         params = SphereParams(n=3, m=1)
         f = Nonlinearity.single_power(1.0, 3.0, params)
@@ -202,32 +243,19 @@ class TestUniquenessProbe:
         off = Nonlinearity.single_power(1.0, 1.0, params)
         assert uniqueness_probe(1, 3, off, trials=5, seed=0, K=12).kernel_dimension == 0
 
-    def test_sign_changing_limit_of_a_positive_start(self):
-        # Trial 28 of probe seed 1132453375 on u^3, (n, m) = (7, 2), K = 96
-        # (round 0 of perfbench's uniqueness-probes at seed 133) starts with
-        # mean 8.4 > c* and converges to a sign-changing solution with mean 0.
-        # The probe counts it as negative, not as a counterexample, and
-        # perfbench's probe oracle refuses any negative trial.  At the default
-        # stop of 1e-12 the trial ends at residual 8.9e-13, so any change of
-        # rounding can flip it to nonconverged; at 1e-10 it stops at 1.0e-11.
-        # The start is not positive at the nodes (min -1.8): probe_start
-        # clips its values at 0.05 c*, but their degree-K projection dips
-        # below zero near the poles.
+    def test_no_sign_changing_limit_from_a_positive_start(self):
+        # Probe seed 1132453375 on u^3, (n, m) = (7, 2), K = 96 is round 0 of
+        # perfbench's uniqueness-probes at seed 133.  Its trial 28 once
+        # converged to a sign-changing solution of the literal cubic, from a
+        # start that dipped below zero at the nodes.  With f acting on u+ and
+        # starts positive at the nodes, every trial reaches the constant.
         params = SphereParams(n=7, m=2)
         f = Nonlinearity.single_power(1.0, 3.0, params)
-        seed, tol = 1132453375, 1e-10
-        rep = uniqueness_probe(2, 7, f, trials=29, seed=seed, K=96, tol=tol)
-        assert (rep.negative, rep.nonconstant, rep.fraction_constant) == (1, 0, 1.0)
-        assert rep.constant == 28 and rep.counterexamples == []
-        ws = Workspace(params, 96)
-        c_star = constant_solution(2, 7, f)
-        init = probe_start(ws, c_star, np.random.default_rng([seed, 28]))
-        assert init.mean() > c_star
-        result = solve_newton(2, 7, f, init, tol=tol, workspace=ws)
-        assert result.converged and result.residual <= 0.2 * tol
-        assert result.negativity == pytest.approx(-52.8185, rel=1e-5)
-        assert abs(result.solution.mean()) <= 1e-12
-        assert result.solution.distance_to_constant() == pytest.approx(1.0, abs=1e-12)
+        rep = uniqueness_probe(2, 7, f, trials=29, seed=1132453375, K=96)
+        assert (rep.negative, rep.nonconstant, rep.fraction_constant) == (0, 0, 1.0)
+        assert rep.constant == 29 and rep.counterexamples == []
+        assert rep.stop_reasons["tolerance"] == 29
+        assert rep.max_constant_rel_err <= 1e-11
 
     def test_rejects_supercritical(self):
         params = SphereParams(n=3, m=1)
@@ -241,6 +269,19 @@ class TestUniquenessProbe:
             rng = np.random.default_rng([3, trial])
             u = probe_start(ws, 0.866, rng)
             assert np.min(u.evaluate(ws.rule.nodes)) > 0
+
+    def test_probe_starts_positive_at_high_order(self):
+        # the scaled draw keeps every start above 0.05 c* at the nodes
+        params = SphereParams(n=7, m=2)
+        c_star = constant_solution(2, 7, Nonlinearity.single_power(1.0, 3.0, params))
+        ws = Workspace(params, 96)
+        low = min(
+            float(np.min(ws.basis @ probe_start(ws, c_star, np.random.default_rng([s, t])).coeffs))
+            for s in range(40)
+            for t in range(50)
+        )
+        assert low > 0.0
+        assert low >= 0.05 * c_star * (1.0 - 1e-12)
 
     def test_jensen_mean_power_under_rule(self):
         # discrete Jensen bound, a sanity property of the positive weights
