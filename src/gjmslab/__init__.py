@@ -3,10 +3,10 @@
 Modules
 -------
 spectral    orthonormal zonal basis, quadrature, closed-form operator spectra, norms
-conformal   stereographic transport, bubbles, norm-invariance checks
+conformal   stereographic transport, bubbles, iterated Laplacians, norm-invariance checks
 kernels     surface Riesz kernel spectrum, inverse operator, duality quotient
 rayleigh    sharp subcritical constants and quotient minimization
-lane_emden  Newton solves, uniqueness probes, planar verifiers
+lane_emden  Newton solves, uniqueness probes, monotone-decay and super-polyharmonic verifiers
 checks      the verify suite: independent cross-checks of the closed forms
 cli         command-line front end and report emission
 """
@@ -35,6 +35,7 @@ from .conformal import (  # noqa: F401
     angle_from_radius,
     bubble_on_sphere,
     conformal_factor,
+    iterated_laplacians,
     norm_transport_check,
     pullback_to_plane,
     radius_from_angle,

@@ -6,6 +6,14 @@ cosine t = (1 - |x|^2)/(1 + |x|^2), pulling the round metric back to
 (2/(1+r^2))^(n/2-m); the dilation family of extremal profiles on R^n then
 corresponds to the one-parameter bubble family on the sphere, with the
 dilation-free member being the constant.
+
+Conformal covariance (Graham, Jenne, Mason & Sparling, J. LMS 46, 1992)
+carries the order-2m operator through the same weight: for u = phi^(n/2-m) v
+with phi = 2/(1+r^2) = 1+t, (-Delta)^m u = phi^(n/2+m) P_m v.  The
+order-2(m-i) Riesz potential inverts (-Delta)^(m-i) on R^n and P_(m-i) on the
+sphere alike (Beckner, Ann. Math. 138, 1993), so every intermediate iterated
+Laplacian of u is again a weighted zonal function, computed in coefficient
+space by iterated_laplacians.
 """
 
 from __future__ import annotations
@@ -15,10 +23,18 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import AccuracyError, DomainError, TruncationWarning
-from .spectral import QuadratureRule, SphereParams, ZonalFunction, analyze, sphere_area
+from .spectral import (
+    QuadratureRule,
+    SphereParams,
+    ZonalFunction,
+    _recurrence_offdiag,
+    analyze,
+    gamma_ratio,
+    gauss_jacobi,
+    sphere_area,
+)
 
 #: Gauss-Legendre nodes per radial panel in norm_transport_check; the error
 #: estimate compares against twice as many.
@@ -100,6 +116,36 @@ def pullback_to_plane(v: ZonalFunction, grid) -> RadialProfile:
     return RadialProfile(params=v.params, grid=grid, values=values)
 
 
+def iterated_laplacians(v: ZonalFunction) -> list[ZonalFunction]:
+    """Zonal w_1..w_(m-1) with (-Delta)^i u = phi^(n/2-m+i) w_i for u the pullback of v.
+
+    w_i = P_(m-i)^(-1) [(1+t)^i P_m v], and it carries the parameters (n, m-i),
+    so pullback_to_plane(w_i, grid) samples (-Delta)^i u itself.  Multiplying
+    by 1+t is I + J with J the Jacobi matrix of the orthonormal basis, so
+    w_i has degree K+i; no derivative, fit or radial cutoff is involved.
+
+    The map is exact on the truncated v, but P_m scales c_k by about k^(2m)
+    before P_(m-i)^(-1) divides by about k^(2(m-i)), so rounding in the top
+    coefficients reaches w_i magnified by about K^(2i).  The bubbles of (7,3),
+    (9,3), (11,4) and (13,5) read positive at K <= 64, but the constant of
+    (13,5) at K = 96 reads min w_i / max |w_i| = -1 for i >= 3, from rounding
+    alone.
+    """
+    n, m, K = v.params.n, v.params.m, v.K
+    a = np.zeros(K + m)
+    a[: K + 1] = gamma_ratio(v.params, K) * v.coeffs
+    b = _recurrence_offdiag(n, K + m - 1)
+    out = []
+    for i in range(1, m):
+        ta = np.zeros_like(a)  # t q_k = b_(k+1) q_(k+1) + b_k q_(k-1)
+        ta[1:] += b * a[:-1]
+        ta[:-1] += b * a[1:]
+        a = a + ta
+        params = SphereParams(n=n, m=m - i)
+        out.append(ZonalFunction(params, a[: K + i + 1] / gamma_ratio(params, K + i)))
+    return out
+
+
 def bubble_values(bubble: BubbleParams, t) -> np.ndarray:
     """Pointwise bubble v_lam(t) = (lam / ((1+lam^2) + (1-lam^2) t))^((n-2m)/2).
 
@@ -170,7 +216,7 @@ def norm_transport_check(v: ZonalFunction, q: float, rule: QuadratureRule) -> fl
         return sup_v**q * ring * 2.0**n / (n * R**n)
 
     # Gauss-Legendre on the panel r in [0, 1], and on r in [1, R] through s = 1/r
-    rules = [leggauss(RADIAL_NODES), leggauss(2 * RADIAL_NODES)]
+    rules = [gauss_jacobi(RADIAL_NODES, 0.0, 0.0), gauss_jacobi(2 * RADIAL_NODES, 0.0, 0.0)]
     inner = [0.5 * np.dot(w, integrand(0.5 * (x + 1.0))) for x, w in rules]
 
     def outer(x, w, r_max):

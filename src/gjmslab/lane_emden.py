@@ -14,13 +14,10 @@ subcritical f the nonnegative solutions are constants; multistart probes
 collect numerical evidence and archive anything that converges elsewhere.
 
 The verifiers check the planar conclusions on pulled back profiles: monotone
-decay, and nonnegativity of the intermediate iterated Laplacians, computed
-through a Chebyshev representation in the polar cosine where the radial
-Laplacian becomes
-
-    (1-t)(1+t)^3 d2/dt2 + (1+t)^2 (2(1-t) - n) d/dt,
-
-a form that is regular through the pole r = 0 (t = 1).
+decay, and nonnegativity of the intermediate iterated Laplacians, which
+conformal.iterated_laplacians gives in closed form on the sphere, so the
+check covers all of R^n through both poles t = 1 (r = 0) and t = -1
+(r = infinity).
 """
 
 from __future__ import annotations
@@ -29,10 +26,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
 
-from .conformal import RadialProfile, angle_from_radius, pullback_to_plane, radius_from_angle
-from .errors import AccuracyError, DomainError
+from .conformal import RadialProfile, iterated_laplacians, pullback_to_plane
+from .errors import DomainError
 from .spectral import SphereParams, Workspace, ZonalFunction, gjms_lambda0
 
 CONSTANT_CLASS_TOL = 1e-7
@@ -475,23 +471,9 @@ def verify_symmetry_monotonicity(sol: ZonalFunction, grid) -> MonotonicityReport
     return check_profile_monotone(pullback_to_plane(sol, grid))
 
 
-def chebyshev_radial_grid(r_max: float, size: int = 321) -> np.ndarray:
-    """Radii whose polar cosines are Chebyshev points on [t(r_max), 1].
-
-    Smooth radial functions become Chebyshev-resolvable functions of t on this
-    grid, which is what the iterated-Laplacian verifier expects.
-    """
-    if not (r_max > 0 and size >= 16):
-        raise DomainError("need r_max > 0 and size >= 16")
-    t_min = angle_from_radius(r_max)
-    x = np.cos(np.pi * np.arange(size) / (size - 1))  # 1 .. -1
-    t = np.clip(t_min + (x + 1.0) * (1.0 - t_min) / 2.0, t_min, 1.0)
-    return radius_from_angle(t)  # t decreasing, so radii increase from 0 to r_max
-
-
 @dataclass
 class SuperPolyReport:
-    """Signs of the iterated negative Laplacians of a radial profile."""
+    """Signs of the iterated negative Laplacians of a pulled back profile."""
 
     passed: bool
     order_minima: list
@@ -499,77 +481,21 @@ class SuperPolyReport:
     tolerance: float
 
 
-def _cheb_fit(x: np.ndarray, values: np.ndarray, deg: int) -> np.ndarray:
-    coef = cheb.chebfit(x, values, deg)
-    resid = values - cheb.chebval(x, coef)
-    scale = max(float(np.max(np.abs(values))), 1e-300)
-    tail = float(np.max(np.abs(coef[-max(deg // 20, 3) :])))
-    if float(np.max(np.abs(resid))) > 1e-7 * scale or tail > 1e-7 * max(
-        float(np.max(np.abs(coef))), 1e-300
-    ):
-        raise AccuracyError(
-            "radial grid does not resolve the profile: Chebyshev tail "
-            f"{tail:.2e} / fit residual {np.max(np.abs(resid)):.2e} "
-            f"against scale {scale:.2e}"
-        )
-    return coef
+def verify_super_polyharmonic(v: ZonalFunction, rtol: float = 1e-6) -> SuperPolyReport:
+    """Check (-Delta)^i u >= -rtol * scale_i for i = 1..m-1, u the pullback of v.
 
-
-def _polar_chart(profile: RadialProfile):
-    """Chebyshev points x and fit degree on the grid's range of t = cos(theta).
-
-    Also returns the radial Laplacian (1-t)(1+t)^3 d^2/dt^2 + (1+t)^2 (2(1-t) - n) d/dt
-    as a map from Chebyshev coefficients in x to values on the grid.
+    (-Delta)^i u has the sign of w_i from iterated_laplacians, so each order
+    passes when min w_i >= -rtol max |w_i| over 8(K+m)+1 Chebyshev-Lobatto
+    points on [-1, 1], both poles included: about eight per degree of w_i.
+    Vacuous for m = 1.  The rounding limit stated in iterated_laplacians
+    applies.
     """
-    n = profile.params.n
-    t = angle_from_radius(profile.grid)
-    t_min = float(np.min(t))
-    span = 1.0 - t_min
-    x = (2.0 * (t - t_min) / span) - 1.0
-    dx_dt = 2.0 / span
-
-    def laplacian(coef: np.ndarray) -> np.ndarray:
-        d1 = cheb.chebval(x, cheb.chebder(coef, 1)) * dx_dt
-        d2 = cheb.chebval(x, cheb.chebder(coef, 2)) * dx_dt**2
-        return (1.0 - t) * (1.0 + t) ** 3 * d2 + (1.0 + t) ** 2 * (2.0 * (1.0 - t) - n) * d1
-
-    return x, min(len(x) - 1, 400), laplacian
-
-
-def radial_laplacian(profile: RadialProfile) -> np.ndarray:
-    """One application of the radial Laplacian u'' + (n-1) u'/r on the grid.
-
-    Computed through the polar-cosine representation, so the r = 0 limit
-    n u''(0) comes out of the same formula instead of a special case.
-    """
-    x, deg, laplacian = _polar_chart(profile)
-    return laplacian(_cheb_fit(x, profile.values, deg))
-
-
-def verify_super_polyharmonic(
-    profile: RadialProfile, m: int, rtol: float = 1e-6
-) -> SuperPolyReport:
-    """Check (-Delta)^i u >= -rtol * scale_i for i = 1..m-1 on the profile's range.
-
-    Vacuous for m = 1.  Derivatives are taken spectrally in t = cos(theta),
-    where the radial Laplacian is a first/second-order operator with polynomial
-    coefficients, regular at the pole; each application is refit on the same
-    Chebyshev grid and under-resolution raises an accuracy error.
-    """
-    if m < 1:
-        raise DomainError(f"need m >= 1, got {m}")
-    if m == 1:
-        return SuperPolyReport(True, [], [], rtol)
-    x, deg, laplacian = _polar_chart(profile)
-    coef = _cheb_fit(x, profile.values, deg)
+    m, K = v.params.m, v.K
+    t = np.cos(np.pi * np.arange(8 * (K + m) + 1) / (8 * (K + m)))
     minima, scales = [], []
-    passed = True
-    for _ in range(1, m):
-        values = -laplacian(coef)
-        scale = max(float(np.max(np.abs(values))), 1e-300)
-        low = float(np.min(values))
-        minima.append(low)
-        scales.append(scale)
-        passed = passed and (low >= -rtol * scale)
-        coef = _cheb_fit(x, values, deg)
+    for w in iterated_laplacians(v):
+        values = w.evaluate(t)
+        minima.append(float(np.min(values)))
+        scales.append(max(float(np.max(np.abs(values))), 1e-300))
+    passed = all(low >= -rtol * scale for low, scale in zip(minima, scales))
     return SuperPolyReport(passed, minima, scales, rtol)

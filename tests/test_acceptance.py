@@ -16,7 +16,6 @@ from gjmslab.conformal import BubbleParams, bubble_on_sphere
 from gjmslab.kernels import funk_hecke_spectrum, green_constant, hls_dual_ratio
 from gjmslab.lane_emden import (
     Nonlinearity,
-    chebyshev_radial_grid,
     check_profile_monotone,
     constant_solution,
     probe_start,
@@ -25,12 +24,13 @@ from gjmslab.lane_emden import (
     verify_super_polyharmonic,
     verify_symmetry_monotonicity,
 )
-from gjmslab.conformal import RadialProfile, pullback_to_plane
+from gjmslab.conformal import RadialProfile, radius_from_angle
 from gjmslab.rayleigh import OptimizerConfig, minimize, sharp_constant
 from gjmslab.spectral import (
     SphereParams,
     Workspace,
     ZonalFunction,
+    analyze,
     build_quadrature,
     default_rule_size,
     gjms_eigenvalues,
@@ -213,7 +213,6 @@ def test_criterion_7_verifiers_on_probe_solutions():
         f = Nonlinearity.from_terms(terms, params)
         ws = Workspace(params, PROBE_K)
         base = constant_solution(m, n, f)
-        cheb_grid = chebyshev_radial_grid(6.0, 257)
         for trial in range(PROBE_TRIALS):
             rng = np.random.default_rng([PROBE_SEED, trial])
             init = probe_start(ws, base, rng)
@@ -223,8 +222,7 @@ def test_criterion_7_verifiers_on_probe_solutions():
             checked += 1
             mono = verify_symmetry_monotonicity(sol.solution, grid)
             all_pass = all_pass and mono.passed
-            prof = pullback_to_plane(sol.solution, cheb_grid)
-            sp = verify_super_polyharmonic(prof, m)
+            sp = verify_super_polyharmonic(sol.solution)
             all_pass = all_pass and sp.passed
 
     # negative controls must fail
@@ -233,10 +231,11 @@ def test_criterion_7_verifiers_on_probe_solutions():
     mono_control = check_profile_monotone(
         RadialProfile(params, bad_grid, np.sin(bad_grid) + 2.0)
     )
-    cheb_grid = chebyshev_radial_grid(6.0, 257)
-    sp_control = verify_super_polyharmonic(
-        RadialProfile(params, cheb_grid, np.exp(-(cheb_grid**2))), 2
-    )
+    # the pullback of v = (1+t)^(m-n/2) exp(-r^2) is the Gaussian, whose -Delta dips below 0
+    rule = build_quadrature(params.n, default_rule_size(64))
+    t = rule.nodes
+    gauss = (1.0 + t) ** (params.m - params.n / 2) * np.exp(-radius_from_angle(t) ** 2)
+    sp_control = verify_super_polyharmonic(analyze(gauss, rule, params, 64))
     controls_fail = (not mono_control.passed) and (not sp_control.passed)
 
     emit(

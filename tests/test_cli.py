@@ -274,14 +274,15 @@ class TestInputValidation:
 
 
 class TestRuntimeDependencies:
-    def test_import_loads_no_scipy(self):
+    def test_import_loads_no_scipy_sympy_or_numpy_polynomial(self):
         import gjmslab
 
         src = str(Path(gjmslab.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
         probe = (
-            "import sys, gjmslab, gjmslab.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            "import sys, gjmslab, gjmslab.cli, gjmslab.checks; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'sympy') or m.startswith('numpy.polynomial')))"
         )
         out = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True

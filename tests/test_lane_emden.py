@@ -6,15 +6,20 @@ import numpy as np
 import pytest
 import sympy
 
-from gjmslab.conformal import BubbleParams, RadialProfile, bubble_on_sphere
-from gjmslab.errors import AccuracyError, DomainError
+from gjmslab.conformal import (
+    BubbleParams,
+    RadialProfile,
+    bubble_on_sphere,
+    iterated_laplacians,
+    pullback_to_plane,
+    radius_from_angle,
+)
+from gjmslab.errors import DomainError
 from gjmslab.lane_emden import (
     Nonlinearity,
-    chebyshev_radial_grid,
     check_profile_monotone,
     constant_solution,
     probe_start,
-    radial_laplacian,
     solve_newton,
     uniqueness_probe,
     verify_super_polyharmonic,
@@ -24,7 +29,9 @@ from gjmslab.spectral import (
     SphereParams,
     Workspace,
     ZonalFunction,
+    analyze,
     build_quadrature,
+    default_rule_size,
     gjms_lambda0,
     sphere_area,
 )
@@ -319,54 +326,71 @@ class TestMonotonicityVerifier:
         assert np.sin(grid[rep.index + 1]) > np.sin(grid[rep.index])
 
 
+def pulled_back(params, K, fn):
+    """Zonal v = phi^(m-n/2) fn(r(t)) whose planar pullback is fn, phi = 1+t."""
+    rule = build_quadrature(params.n, default_rule_size(K))
+    t = rule.nodes
+    values = (1.0 + t) ** (params.m - params.n / 2) * fn(radius_from_angle(t))
+    return analyze(values, rule, params, K)
+
+
 class TestSuperPolyharmonic:
     def test_vacuous_for_order_two(self):
-        params = SphereParams(n=3, m=1)
-        grid = chebyshev_radial_grid(5.0, 65)
-        prof = RadialProfile(params, grid, np.exp(-(grid**2)))
-        assert verify_super_polyharmonic(prof, 1).passed
+        v = pulled_back(SphereParams(n=3, m=1), 32, lambda r: np.exp(-(r**2)))
+        assert iterated_laplacians(v) == []
+        assert verify_super_polyharmonic(v).passed
 
     def test_bubble_profile_passes(self):
         params = SphereParams(n=5, m=2)
-        grid = chebyshev_radial_grid(6.0, 321)
-        prof = RadialProfile(params, grid, (1.0 + grid**2) ** (params.m - params.n / 2))
-        rep = verify_super_polyharmonic(prof, 2)
+        v = pulled_back(params, 64, lambda r: (1.0 + r**2) ** (params.m - params.n / 2))
+        rep = verify_super_polyharmonic(v)
         assert rep.passed
         assert rep.order_minima[0] > 0
 
+    @pytest.mark.parametrize("n,m", [(7, 3), (9, 3), (11, 4), (13, 5)])
+    def test_bubbles_pass_at_every_order(self, n, m):
+        params = SphereParams(n=n, m=m)
+        rule = build_quadrature(n, default_rule_size(64))
+        for lam in (1.0, 2.0, 4.0):
+            v = bubble_on_sphere(BubbleParams(lam=lam, params=params), rule, 64)
+            rep = verify_super_polyharmonic(v)
+            assert rep.passed and len(rep.order_minima) == m - 1
+            assert min(rep.order_minima) > 0
+
+    def test_probe_solutions_pass_at_order_three(self):
+        params = SphereParams(n=7, m=3)
+        f = Nonlinearity.single_power(1.0, 2.5, params)
+        ws = Workspace(params, 48)
+        base = constant_solution(3, 7, f)
+        for trial in range(20):
+            init = probe_start(ws, base, np.random.default_rng([7, trial]))
+            sol = solve_newton(3, 7, f, init, workspace=ws)
+            assert sol.converged
+            assert verify_super_polyharmonic(sol.solution).passed
+
     def test_gaussian_fails(self):
-        params = SphereParams(n=5, m=2)
-        grid = chebyshev_radial_grid(6.0, 321)
-        rep = verify_super_polyharmonic(RadialProfile(params, grid, np.exp(-(grid**2))), 2)
+        v = pulled_back(SphereParams(n=5, m=2), 64, lambda r: np.exp(-(r**2)))
+        rep = verify_super_polyharmonic(v)
         assert not rep.passed
+        assert rep.order_minima[0] == pytest.approx(-0.435, abs=0.005)
 
     def test_laplacian_matches_symbolic_oracle(self):
-        # differentiate the closed forms with sympy and compare on the grid
+        # differentiate the closed forms with sympy and compare on r in [0, 5];
+        # each tolerance is three to four times the measured error at order i
         r = sympy.symbols("r", nonnegative=True)
         cases = [
-            (5, sympy.exp(-(r**2))),
-            (5, (1 + r**2) ** sympy.Rational(-1, 2)),
-            (3, sympy.exp(-(r**2)) * (1 + sympy.Rational(1, 4) * sympy.cos(3 * r))),
+            (5, 2, 96, sympy.exp(-(r**2)), [3e-8]),
+            (5, 2, 96, (1 + r**2) ** sympy.Rational(-1, 2), [1e-8]),
+            (7, 3, 128, sympy.exp(-(r**2)) * (1 + sympy.cos(3 * r) / 4), [2e-9, 5e-6]),
         ]
-        for n, expr in cases:
-            m = (n - 1) // 2
-            params = SphereParams(n=n, m=m)
-            lap_expr = sympy.diff(expr, r, 2) + (n - 1) * sympy.diff(expr, r) / r
-            lap_at_zero = sympy.limit(lap_expr, r, 0)
-            lap = sympy.lambdify(r, lap_expr, "numpy")
-            fn = sympy.lambdify(r, expr, "numpy")
-            grid = chebyshev_radial_grid(5.0, 257)
-            prof = RadialProfile(params, grid, fn(grid))
-            ours = radial_laplacian(prof)
-            expected = np.empty_like(grid)
-            expected[0] = float(lap_at_zero)
-            expected[1:] = lap(grid[1:])
-            scale = np.max(np.abs(expected))
-            assert np.max(np.abs(ours - expected)) <= 1e-8 * scale
-
-    def test_coarse_grid_raises(self):
-        params = SphereParams(n=5, m=2)
-        grid = np.linspace(0.0, 6.0, 12)[1:]  # too few points to resolve
-        prof = RadialProfile(params, grid, np.cos(9 * grid) + 2)
-        with pytest.raises(AccuracyError):
-            verify_super_polyharmonic(prof, 3)
+        grid = np.linspace(0.0, 5.0, 201)
+        for n, m, K, expr, tols in cases:
+            v = pulled_back(SphereParams(n=n, m=m), K, sympy.lambdify(r, expr, "numpy"))
+            lap = expr
+            for w, tol in zip(iterated_laplacians(v), tols, strict=True):
+                lap = -(sympy.diff(lap, r, 2) + (n - 1) * sympy.diff(lap, r) / r)
+                expected = np.empty_like(grid)
+                expected[0] = float(lap.series(r, 0, 1).removeO())
+                expected[1:] = sympy.lambdify(r, lap, "numpy")(grid[1:])
+                ours = pullback_to_plane(w, grid).values
+                assert np.max(np.abs(ours - expected)) <= tol * np.max(np.abs(expected))
