@@ -54,7 +54,7 @@ def _kernel_moments(params: SphereParams, K: int, nodes: int) -> np.ndarray:
 def verify_checks(m: int, n: int, K: int, seed: int, trials: int):
     """Return (name, margin, tolerance, passed) rows; margin <= tolerance passes."""
     params = SphereParams(n=n, m=m)
-    ws = Workspace(params, K)
+    ws = Workspace.shared(params, K)
     rule, spec = ws.rule, ws.spectrum
     area = sphere_area(n)
     rng = np.random.default_rng(seed)

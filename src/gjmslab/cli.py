@@ -329,7 +329,7 @@ def cmd_solve(args) -> int:
     started = time.time()
     params = SphereParams(n=args.n, m=args.m)
     f = _nonlinearity(args, params)
-    ws = Workspace(params, args.K, args.Q or None)
+    ws = Workspace.shared(params, args.K, args.Q or None)
     init = _solve_initial(args, f, ws)
     result = solve_newton(
         args.m, args.n, f, init, tol=args.tol, max_iter=args.max_iter, workspace=ws

@@ -140,7 +140,7 @@ def hls_dual_ratio(
     if trials < 1:
         raise DomainError("need at least one ascent start")
     pp = p / (p - 1.0)
-    ws = Workspace(params, K)
+    ws = Workspace.shared(params, K)
     B, w = ws.basis, ws.weights
     kernel = funk_hecke_spectrum(params, K)
     g = green_constant(params, kernel=kernel, gjms=ws.spectrum).g_mn

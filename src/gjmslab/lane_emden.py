@@ -227,13 +227,13 @@ def solve_newton(
     norm; when no step does, the solve stops with "line_search_exhausted".
     Iterates with coefficient norm beyond 1e8 stop as "diverged"; after
     max_iter accepted steps the solve stops as "max_iter".  The workspace
-    (default: Workspace(params, init.K)) must match init's (n, m, K).
+    (default: Workspace.shared(params, init.K)) must match init's (n, m, K).
     """
     _check_tolerance(tol)
     params = SphereParams(n=n, m=m)
     if init.params != params:
         raise ValueError("initial iterate carries different (n, m)")
-    ws = workspace or Workspace(params, init.K)
+    ws = workspace or Workspace.shared(params, init.K)
     if ws.params != params or ws.K != init.K:
         raise ValueError(f"workspace is for {ws.params}, K={ws.K}; init has K={init.K}")
     B, w, lam = ws.basis, ws.weights, ws.lam
@@ -397,7 +397,7 @@ def uniqueness_probe(
     report = ProbeReport(
         m=m, n=n, nonlinearity=f.describe(), trials=trials, constant_value=c_star
     )
-    ws = Workspace(params, K)
+    ws = Workspace.shared(params, K)
     if f.is_linear:
         a = sum(coef for coef, _ in f.terms)
         lam = ws.lam

@@ -30,7 +30,6 @@ from .spectral import (
     SphereParams,
     Workspace,
     ZonalFunction,
-    analyze,
     gjms_lambda0,
     sphere_area,
 )
@@ -236,7 +235,7 @@ def _starts(cfg: OptimizerConfig, ws: Workspace) -> list[np.ndarray]:
         warnings.simplefilter("ignore")  # bubble tails are harmless as starts
         for lam in (2.0, 4.0):
             vals = bubble_values(BubbleParams(lam=lam, params=cfg.params), ws.rule.nodes)
-            out.append(analyze(vals, ws.rule, cfg.params, K).coeffs)
+            out.append(ws.basis.T @ (ws.weights * vals))
     k = np.arange(K + 1, dtype=float)
     for i in range(max(cfg.starts - len(out), 0)):
         rng = np.random.default_rng([cfg.seed, i])
@@ -260,7 +259,7 @@ def minimize(cfg: OptimizerConfig) -> MinimizationResult:
     Non-convergent starts are kept (flagged through `converged` and their stop
     reason), never hidden.
     """
-    ws = Workspace(cfg.params, cfg.K)
+    ws = Workspace.shared(cfg.params, cfg.K)
     best = None
     start_values, start_iters, start_fallback_steps, start_stop_reasons = [], [], [], []
     for c0 in _starts(cfg, ws):

@@ -17,7 +17,9 @@ J. Sci. Comput. 35, 2013) with the Aberth-Ehrlich correction.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -457,7 +459,9 @@ class Workspace:
     Holds the Gauss-Jacobi `rule` (Q = 2K + 8 nodes unless given), the basis
     matrix `basis` at its nodes, the node `weights`, the operator `spectrum`
     and its eigenvalues `lam`; every solve, probe, quotient evaluation and
-    verify row runs on one of these.
+    verify row runs on one of these.  Production code takes its workspace
+    from `Workspace.shared`, which builds each (n, m, K, Q) once per process;
+    calling the constructor builds a fresh, writable one.
     """
 
     def __init__(self, params: SphereParams, K: int, Q: int | None = None):
@@ -468,6 +472,22 @@ class Workspace:
         self.weights = self.rule.weights
         self.spectrum = gjms_eigenvalues(params, K)
         self.lam = self.spectrum.lam
+
+    @staticmethod
+    def shared(params: SphereParams, K: int, Q: int | None = None) -> Workspace:
+        """The process-wide workspace for (params, K, Q), built on first use.
+
+        Q = None means default_rule_size(K), and integer-like K and Q (numpy
+        integers) are turned into int, so every spelling of one rule hits
+        one entry.  The cache is an LRU of at most 8 workspaces; a ninth key
+        evicts the least recently used.  The rule's nodes and weights, the
+        basis and lam are read-only, so no caller can change what the next
+        one reads.  An invalid K or Q raises what the constructor raises and
+        leaves no entry.  `Workspace.shared.cache_clear()` empties the cache.
+        """
+        K = operator.index(K)
+        Q = default_rule_size(K) if Q is None else operator.index(Q)
+        return _shared_workspace(params, K, Q)
 
     def p_norm(self, c: np.ndarray, p: float) -> float:
         vals = self.basis @ c
@@ -496,6 +516,18 @@ class Workspace:
     def weighted_gram(self, s: np.ndarray) -> np.ndarray:
         """B^T diag(w s) B for node values s."""
         return self.basis.T @ ((self.weights * s)[:, None] * self.basis)
+
+
+@functools.lru_cache(maxsize=8)
+def _shared_workspace(params: SphereParams, K: int, Q: int) -> Workspace:
+    ws = Workspace(params, K, Q)
+    for array in (ws.rule.nodes, ws.rule.weights, ws.basis, ws.lam):
+        array.flags.writeable = False
+    return ws
+
+
+Workspace.shared.cache_clear = _shared_workspace.cache_clear
+Workspace.shared.cache_info = _shared_workspace.cache_info
 
 
 def quadratic_form(u: ZonalFunction, spectrum: GjmsSpectrum) -> float:

@@ -13,12 +13,22 @@ import pytest
 
 from gjmslab.cli import main
 from gjmslab.errors import TruncationWarning
+from gjmslab.spectral import Workspace
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def cold_workspaces():
+    # a test that patches a spectral builder must neither read a workspace
+    # built before the patch nor leave one built with it for later tests
+    Workspace.shared.cache_clear()
+    yield
+    Workspace.shared.cache_clear()
 
 
 class TestEigenvalues:
@@ -142,7 +152,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("m,n,K", [(2, 5, 16), (2, 9, 800)])
     def test_verify_quadrature_moments_catches_a_perturbed_weight(
-        self, capsys, monkeypatch, m, n, K
+        self, capsys, monkeypatch, cold_workspaces, m, n, K
     ):
         # one weight off by a relative 1e-8 reads about 1e-11 even at Q = 1608
         import gjmslab.spectral as spectral
@@ -182,8 +192,6 @@ class TestExitCodes:
         assert row["passed"] and row["tolerance"] == 1e-6
 
     def test_verify_gradient_finite_difference_catches_a_wrong_gradient(self, capsys, monkeypatch):
-        from gjmslab.spectral import Workspace
-
         exact = Workspace.quotient_and_gradient
 
         def perturbed(self, c, p):
@@ -200,8 +208,6 @@ class TestExitCodes:
         assert not row["passed"] and row["margin"] >= 1e-4
 
     def test_verify_at_degree_zero_catches_a_gradient_off_the_rays(self, capsys, monkeypatch):
-        from gjmslab.spectral import Workspace
-
         def energy_term_only(self, c, p):
             # drops the L^p term, so the gradient no longer vanishes along c
             den = float(np.dot(self.weights, np.abs(self.basis @ c) ** p)) ** (2.0 / p)

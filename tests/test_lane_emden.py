@@ -230,9 +230,15 @@ class TestUniquenessProbe:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(spectral, name, counted)
+        # from a cold cache, the first probe builds its workspace once and a
+        # second probe on the same (n, m, K) reuses it
+        Workspace.shared.cache_clear()
         f = Nonlinearity.single_power(1.0, 3.0, SphereParams(n=3, m=1))
         rep = uniqueness_probe(1, 3, f, trials=10, seed=0, K=16)
         assert rep.converged == 10
+        assert calls == {"basis_values": 1, "gjms_eigenvalues": 1}
+        again = uniqueness_probe(1, 3, f, trials=10, seed=1, K=16)
+        assert again.converged == 10
         assert calls == {"basis_values": 1, "gjms_eigenvalues": 1}
 
     def test_single_trial_from_near_constant(self):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -434,6 +435,82 @@ class TestWorkspace:
         ws = Workspace(SphereParams(n=5, m=2), 12)
         c = np.random.default_rng(7).standard_normal(13) / (1.0 + np.arange(13.0) ** 2)
         assert ws.quotient(c, 2.5) == pytest.approx(828.069754565356, rel=1e-15, abs=0.0)
+
+
+class TestSharedWorkspace:
+    def test_spellings_of_one_key_share_one_workspace(self):
+        params = SphereParams(n=5, m=2)
+        ws = Workspace.shared(params, 32)
+        assert Workspace.shared(params, 32, 72) is ws
+        assert Workspace.shared(params, np.int64(32)) is ws
+        assert Workspace.shared(SphereParams(n=5, m=2), 32, np.int64(72)) is ws
+        assert ws.K == 32 and ws.rule.order == 72
+
+    def test_other_order_gets_its_own_workspace(self):
+        one = Workspace.shared(SphereParams(n=5, m=1), 12)
+        two = Workspace.shared(SphereParams(n=5, m=2), 12)
+        assert one is not two
+        np.testing.assert_array_equal(one.rule.nodes, two.rule.nodes)
+        assert not np.array_equal(one.lam, two.lam)
+
+    def test_matches_a_fresh_build(self):
+        params = SphereParams(n=7, m=2)
+        shared, fresh = Workspace.shared(params, 20, 48), Workspace(params, 20, 48)
+        for name in ("basis", "weights", "lam"):
+            assert getattr(shared, name).tobytes() == getattr(fresh, name).tobytes()
+        assert shared.rule.nodes.tobytes() == fresh.rule.nodes.tobytes()
+
+    def test_cached_arrays_are_read_only(self):
+        ws = Workspace.shared(SphereParams(n=3, m=1), 8)
+        arrays = (ws.rule.nodes, ws.rule.weights, ws.weights, ws.basis, ws.lam, ws.spectrum.lam)
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            ws.basis *= 2.0
+
+    @pytest.mark.parametrize("K,Q", [(-1, None), (12, 3), (12, 12), (2.5, None)])
+    def test_invalid_sizes_raise_as_the_constructor_and_cache_nothing(self, K, Q):
+        params = SphereParams(n=5, m=2)
+        with pytest.raises(Exception) as direct:
+            Workspace(params, K, Q)
+        before = Workspace.shared.cache_info().currsize
+        with pytest.raises(type(direct.value), match=re.escape(str(direct.value))):
+            Workspace.shared(params, K, Q)
+        assert Workspace.shared.cache_info().currsize == before
+
+    def test_ninth_key_evicts_the_least_recently_used(self):
+        params = SphereParams(n=3, m=1)
+        Workspace.shared.cache_clear()
+        built = [Workspace.shared(params, K) for K in range(1, 10)]
+        assert Workspace.shared.cache_info().currsize == 8
+        assert Workspace.shared(params, 9) is built[-1]
+        assert Workspace.shared(params, 2) is built[1]
+        assert Workspace.shared(params, 1) is not built[0]
+
+    def test_cold_and_warm_cache_give_bit_identical_results(self):
+        from gjmslab.kernels import hls_dual_ratio
+        from gjmslab.lane_emden import Nonlinearity, uniqueness_probe
+        from gjmslab.rayleigh import OptimizerConfig, minimize
+
+        params = SphereParams(n=5, m=2)
+
+        def results():
+            res = minimize(OptimizerConfig(params=params, p=2.5, K=16, starts=5, seed=3))
+            ratio = hls_dual_ratio(params, 2.5, trials=3, seed=3, K=16)
+            f = Nonlinearity.single_power(1.0, 2.0, params)
+            probe = uniqueness_probe(2, 5, f, trials=4, seed=3, K=16)
+            return (
+                res.value,
+                res.start_values,
+                res.minimizer.coeffs.tobytes(),
+                ratio,
+                json.dumps(probe.to_dict()),
+            )
+
+        Workspace.shared.cache_clear()
+        cold = results()
+        assert results() == cold
 
 
 class TestQuadraticForm:
