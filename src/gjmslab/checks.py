@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from .closed_forms import sharp_constant
 from .conformal import (
     BubbleParams,
     angle_from_radius,
@@ -20,7 +21,6 @@ from .conformal import (
 )
 from .kernels import IDENTITY_TOLERANCE, funk_hecke_spectrum, green_constant, hls_functional
 from .lane_emden import Nonlinearity, constant_solution
-from .rayleigh import sharp_constant
 from .spectral import (
     SphereParams,
     Workspace,

@@ -10,6 +10,13 @@ Reports are JSON with an inputs echo, results carrying their tolerances, and
 a provenance block; with a fixed seed two runs differ only in the wall-time
 field.  Tables are RFC-4180 CSV with repr-formatted floats, so they re-parse
 to identical values.
+
+Each subcommand imports the modules it uses when it runs.  At module level
+this file needs only gjmslab.closed_forms and gjmslab.errors, so
+sharp-constant, sweep with --starts 0 (the default), --help and --version
+load no numpy; eigenvalues loads spectral and kernels, solve and probe load
+spectral, conformal and lane_emden, minimize loads rayleigh, and verify
+loads checks.
 """
 
 from __future__ import annotations
@@ -21,24 +28,15 @@ import json
 import math
 import sys
 import time
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .checks import verify_checks
-from .conformal import BubbleParams, bubble_on_sphere
+from .closed_forms import SphereParams, gjms_lambda0, sharp_constant
 from .errors import AccuracyError, AliasingError, DomainError, InconsistencyError, ToolkitError
-from .kernels import IDENTITY_TOLERANCE, funk_hecke_spectrum, green_constant
-from .lane_emden import Nonlinearity, constant_solution, probe_start, solve_newton, uniqueness_probe
-from .rayleigh import OptimizerConfig, minimize as minimize_quotient, sharp_constant
-from .spectral import (
-    SphereParams,
-    Workspace,
-    ZonalFunction,
-    default_rule_size,
-    gjms_eigenvalues,
-    gjms_lambda0,
-)
+
+if TYPE_CHECKING:
+    from .lane_emden import Nonlinearity
+    from .spectral import Workspace, ZonalFunction
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -185,6 +183,8 @@ def _report_text(report: dict) -> str:
 
 
 def _nonlinearity(args, params: SphereParams) -> Nonlinearity:
+    from .lane_emden import Nonlinearity
+
     if getattr(args, "f", None):
         return Nonlinearity.from_terms(_parse_terms(args.f), params)
     if getattr(args, "p", None) is not None:
@@ -197,6 +197,9 @@ def _nonlinearity(args, params: SphereParams) -> Nonlinearity:
 
 
 def cmd_eigenvalues(args) -> int:
+    from .kernels import IDENTITY_TOLERANCE, funk_hecke_spectrum, green_constant
+    from .spectral import gjms_eigenvalues
+
     started = time.time()
     params = SphereParams(n=args.n, m=args.m)
     K = args.K
@@ -254,6 +257,9 @@ def cmd_sharp_constant(args) -> int:
 
 
 def cmd_minimize(args) -> int:
+    from .rayleigh import OptimizerConfig, minimize as minimize_quotient
+    from .spectral import default_rule_size
+
     started = time.time()
     if args.p is None:
         raise UsageError("minimize needs --p (flag or config)")
@@ -298,6 +304,12 @@ def cmd_minimize(args) -> int:
 
 
 def _solve_initial(args, f: Nonlinearity, ws: Workspace) -> ZonalFunction:
+    import numpy as np
+
+    from .conformal import BubbleParams, bubble_on_sphere
+    from .lane_emden import constant_solution, probe_start
+    from .spectral import ZonalFunction
+
     choice = args.init
     params, K = ws.params, ws.K
     c_star = constant_solution(args.m, args.n, f)
@@ -326,6 +338,9 @@ def _solve_initial(args, f: Nonlinearity, ws: Workspace) -> ZonalFunction:
 
 
 def cmd_solve(args) -> int:
+    from .lane_emden import constant_solution, solve_newton
+    from .spectral import Workspace
+
     started = time.time()
     params = SphereParams(n=args.n, m=args.m)
     f = _nonlinearity(args, params)
@@ -363,6 +378,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    from .lane_emden import uniqueness_probe
+    from .spectral import default_rule_size
+
     started = time.time()
     params = SphereParams(n=args.n, m=args.m)
     f = _nonlinearity(args, params)
@@ -391,6 +409,9 @@ def cmd_probe(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.starts > 0:
+        from .rayleigh import OptimizerConfig, minimize as minimize_quotient
+
     ms = _parse_int_list(args.m)
     ns = _parse_int_list(args.n)
     ps = _parse_float_list(args.p)
@@ -431,6 +452,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .checks import verify_checks
+    from .spectral import default_rule_size
+
     started = time.time()
     rows = verify_checks(args.m, args.n, args.K, args.seed, args.trials)
     all_pass = all(passed for *_, passed in rows)

@@ -2,7 +2,8 @@
 
 The quotient Q(u) = (energy of u) / ||u||_p^2 is scale invariant; over
 2 < p < 2n/(n-2m) its infimum is Lambda_0 |S^n|^(1-2/p), attained exactly at
-the constants.  minimize() reproduces this numerically by multistart
+the constants; sharp_constant, re-exported here from closed_forms, is that
+closed form.  minimize() reproduces this numerically by multistart
 saddle-free Riemannian Newton on the p-sphere ||u||_p = 1 (Absil, Mahony &
 Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008).  The tangent
 Hessian is scaled by Lambda^(-1/2), so its quadratic part is the identity at
@@ -24,15 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .closed_forms import SphereParams, gjms_lambda0, sharp_constant, sphere_area  # noqa: F401
 from .conformal import BubbleParams, bubble_values
 from .errors import DomainError
-from .spectral import (
-    SphereParams,
-    Workspace,
-    ZonalFunction,
-    gjms_lambda0,
-    sphere_area,
-)
+from .spectral import Workspace, ZonalFunction
 
 #: Quotient gradients degenerate as p -> 2 (|u|^(p-2) loses smoothness at zeros),
 #: and the admissible range is open anyway, so a small guard band is enforced.
@@ -47,19 +43,6 @@ SADDLE_FREE_FLOOR = 1e-2
 ROUNDING_FLOOR = 16.0 * np.finfo(float).eps
 #: Why a start stopped: the first two count as converged.
 STOP_REASONS = ("tolerance", "rounding_floor", "line_search_exhausted", "max_iter")
-
-
-def sharp_constant(m: int, n: int, p: float) -> float:
-    """Best constant Lambda_0 |S^n|^(1-2/p) of the subcritical quotient.
-
-    Admits the closed endpoints p = 2 and p = 2n/(n-2m) for reporting; the
-    sharp statement lives on the open interval.
-    """
-    params = SphereParams(n=n, m=m)
-    p_crit = params.critical_norm_exponent
-    if not (2.0 <= p <= p_crit):
-        raise DomainError(f"need 2 <= p <= {p_crit} for n={n}, m={m}, got p={p}")
-    return gjms_lambda0(m, n) * sphere_area(n) ** (1.0 - 2.0 / p)
 
 
 def _check_exponent(params: SphereParams, p: float) -> None:

@@ -24,50 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_forms import SphereParams, gjms_lambda0, sharp_constant, sphere_area  # noqa: F401
 from .errors import AliasingError, DomainError, InconsistencyError
 
 def default_rule_size(K: int) -> int:
     return 2 * K + 8
-
-
-def sphere_area(n: int) -> float:
-    """Surface measure |S^n| = 2 pi^((n+1)/2) / Gamma((n+1)/2) of the unit n-sphere."""
-    if n < 1:
-        raise DomainError(f"sphere dimension must be >= 1, got n={n}")
-    return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
-
-
-@dataclass(frozen=True)
-class SphereParams:
-    """Ambient dimension n and order parameter m of the conformal operator (order 2m).
-
-    Requires n > 2m, the range in which the operator is positive definite.
-    """
-
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if int(self.n) != self.n or int(self.m) != self.m:
-            raise DomainError(f"n and m must be integers, got n={self.n}, m={self.m}")
-        if self.m < 1:
-            raise DomainError(f"order parameter must satisfy m >= 1, got m={self.m}")
-        if self.n <= 2 * self.m:
-            raise DomainError(f"need n > 2m, got n={self.n}, m={self.m}")
-
-    @property
-    def area(self) -> float:
-        return sphere_area(self.n)
-
-    @property
-    def critical_norm_exponent(self) -> float:
-        """Upper endpoint 2n/(n-2m) of the admissible Lebesgue exponents."""
-        return 2.0 * self.n / (self.n - 2 * self.m)
-
-    @property
-    def critical_equation_exponent(self) -> float:
-        """Critical power (n+2m)/(n-2m) for polynomial right-hand sides."""
-        return (self.n + 2.0 * self.m) / (self.n - 2.0 * self.m)
 
 
 @dataclass(frozen=True)
@@ -425,16 +386,13 @@ class GjmsSpectrum:
         return len(self.lam) - 1
 
 
-def gjms_lambda0(m: int, n: int) -> float:
-    """Bottom eigenvalue Gamma(n/2+m) / Gamma(n/2-m) of the order-2m operator."""
-    return float(gamma_ratio(SphereParams(n=n, m=m), 0)[0])
-
-
 def gamma_ratio(params: SphereParams, K: int) -> np.ndarray:
     """Gamma(k+n/2+m) / Gamma(k+n/2-m) for k = 0..K.
 
     Evaluated as the rising factorial prod_{j=-m}^{m-1} (k+n/2+j), which costs
     2m roundings; a log-Gamma difference loses about 1e-12 relative by k = 800.
+    closed_forms.gjms_lambda0 multiplies the k = 0 factors in the same order,
+    so the two agree bit for bit.
     """
     if K < 0:
         raise DomainError("truncation degree must be >= 0")
@@ -543,7 +501,7 @@ def quadratic_form(u: ZonalFunction, spectrum: GjmsSpectrum) -> float:
 
 def lp_norm(u: ZonalFunction, p: float, rule: QuadratureRule) -> float:
     """L^p(S^n) norm by quadrature; for p = 2 it matches the coefficient norm."""
-    if p < 1:
-        raise DomainError(f"need p >= 1, got p={p}")
+    if not (math.isfinite(p) and p >= 1):
+        raise DomainError(f"need finite p >= 1, got p={p}")
     vals = synthesize(u, rule)
     return float(np.dot(rule.weights, np.abs(vals) ** p) ** (1.0 / p))

@@ -221,23 +221,23 @@ class TestExitCodes:
         assert not checks["gradient-euler-orthogonality"]["passed"]
 
     def test_verify_failure_exits_3_with_failure_rows(self, capsys, monkeypatch):
-        import gjmslab.cli as cli
+        import gjmslab.checks as checks
 
         monkeypatch.setattr(
-            cli, "verify_checks", lambda *a: [("synthetic-check", 1.0, 1e-8, False)]
+            checks, "verify_checks", lambda *a: [("synthetic-check", 1.0, 1e-8, False)]
         )
         code, out, _ = run(capsys, "verify", "--m", "1", "--n", "3")
         assert code == 3
         assert "synthetic-check" in out and "FAIL" in out
 
     def test_internal_inconsistency_exits_4(self, capsys, monkeypatch):
-        import gjmslab.cli as cli
+        import gjmslab.kernels as kernels
         from gjmslab.errors import InconsistencyError
 
         def boom(*args, **kwargs):
             raise InconsistencyError("synthetic inverse-identity violation")
 
-        monkeypatch.setattr(cli, "green_constant", boom)
+        monkeypatch.setattr(kernels, "green_constant", boom)
         code, _, err = run(capsys, "eigenvalues", "--m", "1", "--n", "3", "--K", "4")
         assert code == 4
         assert "inconsistency" in err.lower()
@@ -294,6 +294,33 @@ class TestRuntimeDependencies:
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         ).stdout
         assert out.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["-c", "import gjmslab"],
+            ["-m", "gjmslab.cli", "sharp-constant", "--m", "2", "--n", "7", "--p", "2.5,3", "--format", "json"],
+            ["-m", "gjmslab.cli", "sweep", "--m", "1,2", "--n", "3,5,7", "--p", "2.5,3", "--starts", "0"],
+            ["-m", "gjmslab.cli", "--version"],
+        ],
+    )
+    def test_closed_forms_and_import_load_no_numpy(self, argv):
+        # -X importtime lists every module the fresh interpreter imports on stderr
+        import gjmslab
+
+        src = str(Path(gjmslab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", *argv], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = [
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        ]
+        assert "gjmslab" in imported
+        assert [m for m in imported if m.split(".")[0] == "numpy"] == []
 
 
 class TestDeterminism:

@@ -590,6 +590,13 @@ class TestLpNorm:
         with pytest.raises(DomainError):
             lp_norm(ZonalFunction(params, np.array([1.0])), 0.5, rule)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_rejects_non_finite_p(self, p):
+        params = SphereParams(n=3, m=1)
+        rule = build_quadrature(3, 8)
+        with pytest.raises(DomainError):
+            lp_norm(ZonalFunction(params, np.array([1.0])), p, rule)
+
 
 class TestSerialization:
     def test_round_trip(self):

@@ -40,3 +40,18 @@ def test_install_wraps_and_undo_restores(tracing):
         after = vars(module)
         assert set(after) == set(snapshot)
         assert all(after[attr] is value for attr, value in snapshot.items())
+
+
+def test_package_names_follow_install_and_undo(tracing):
+    # the lazy package reads each name from its module on every access, so it
+    # hands out the wrapper while a tracer is installed and the original after
+    import gjmslab
+    from gjmslab import rayleigh
+
+    original = rayleigh.minimize
+    undo = tracing.Tracer().install()
+    try:
+        assert gjmslab.minimize.__wrapped__ is original
+    finally:
+        undo()
+    assert gjmslab.minimize is original
