@@ -2,9 +2,11 @@
 
 Subcommands: eigenvalues | sharp-constant | minimize | solve | probe | verify
 | sweep.  Options can also come from a plain key=value config file
-(--config); explicit flags win.  Exit codes: 0 success, 2 usage/config error
-(including inputs outside the mathematical domain and K >= Q), 3 numerical
-check failure, 4 internal inconsistency.
+(--config).  Each line is parsed as the flag --key=value, so config values
+are checked exactly like flags, a config run reports the same bytes as the
+same options given as flags, and explicit flags win.  Exit codes: 0
+success, 2 usage/config error (including inputs outside the mathematical
+domain and K >= Q), 3 numerical check failure, 4 internal inconsistency.
 
 Reports are JSON with an inputs echo, results carrying their tolerances, and
 a provenance block; with a fixed seed two runs differ only in the wall-time
@@ -103,49 +105,6 @@ def read_config(path: str) -> dict:
             raise UsageError(f"{path}:{lineno}: empty key")
         values[key] = value.strip()
     return values
-
-
-def _explicit_flags(argv: list[str]) -> set[str]:
-    out = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            out.add(tok.split("=", 1)[0][2:].replace("-", "_"))
-    return out
-
-
-def _convert_like(current, raw: str):
-    if isinstance(current, bool):
-        return raw.lower() in ("1", "true", "yes", "on")
-    if isinstance(current, int) and not isinstance(current, bool):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
-    if current is None:
-        for cast in (int, float):
-            try:
-                return cast(raw)
-            except ValueError:
-                pass
-    return raw
-
-
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill options from the key=value file; explicitly passed flags win."""
-    if not getattr(args, "config", None):
-        return args
-    values = read_config(args.config)
-    known = set(vars(args)) - {"func", "config", "_argv"}
-    explicit = _explicit_flags(args._argv)
-    for key, raw in values.items():
-        if key not in known:
-            raise UsageError(f"config field {key!r} is not an option of this command")
-        if key in explicit:
-            continue
-        try:
-            setattr(args, key, _convert_like(getattr(args, key), raw))
-        except ValueError as exc:
-            raise UsageError(f"config field {key!r}: cannot parse {raw!r}") from exc
-    return args
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -502,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
         "u+ = max(u, 0) (default %(default)g)"
     )
 
-    def common(p, m=True, n=True, K=None, seed=False, tol=None, tol_help=None, out=True, fmt=None):
+    def common(p, m=True, n=True, K=None, seed=False, tol=None, tol_help=None, fmt=None):
         p.add_argument("--config", help="key=value option file; explicit flags win")
         if m:
             p.add_argument("--m", type=int, required=False, default=1)
@@ -514,8 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0)
         if tol is not None:
             p.add_argument("--tol", type=float, default=tol, help=tol_help)
-        if out:
-            p.add_argument("--out", help="output path (default stdout)")
+        p.add_argument("--out", help="output path (default stdout)")
         if fmt:
             p.add_argument("--format", choices=fmt, default=fmt[0])
 
@@ -573,18 +531,25 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args._argv = argv
-        args = _apply_config(args)
+        if args.config:
+            # each key = value line becomes a --key=value flag right after the
+            # subcommand, so argparse checks it as it checks flags, and an
+            # explicit flag, coming later, wins
+            values = read_config(args.config)
+            options = set(vars(args)) - {"command", "config", "func"}
+            for key in values:
+                if key not in options:
+                    raise UsageError(f"config field {key!r} is not an option of this command")
+            at = argv.index(args.command) + 1
+            argv[at:at] = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
+            args = parser.parse_args(argv)
         if getattr(args, "seed", 0) < 0:  # numpy seeds are nonnegative
             raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except SystemExit as exc:  # argparse usage errors already printed
         code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
         return EXIT_USAGE if code not in (0,) else 0
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DomainError, AliasingError) as exc:
+    except (UsageError, DomainError, AliasingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InconsistencyError as exc:

@@ -44,6 +44,9 @@ class SphereParams:
             raise DomainError(f"order parameter must satisfy m >= 1, got m={self.m}")
         if self.n <= 2 * self.m:
             raise DomainError(f"need n > 2m, got n={self.n}, m={self.m}")
+        # integral floats become ints, which range() and the caches need
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "m", int(self.m))
 
     @property
     def area(self) -> float:

@@ -20,7 +20,6 @@ full eigendecomposition.  Each start records how many of its steps fell back.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,11 +213,9 @@ def _descend(ws: Workspace, c0: np.ndarray, p: float, cfg: OptimizerConfig):
 def _starts(cfg: OptimizerConfig, ws: Workspace) -> list[np.ndarray]:
     K = cfg.K
     out = [np.eye(K + 1)[0]]  # the constant
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # bubble tails are harmless as starts
-        for lam in (2.0, 4.0):
-            vals = bubble_values(BubbleParams(lam=lam, params=cfg.params), ws.rule.nodes)
-            out.append(ws.basis.T @ (ws.weights * vals))
+    for lam in (2.0, 4.0):
+        vals = bubble_values(BubbleParams(lam=lam, params=cfg.params), ws.rule.nodes)
+        out.append(ws.basis.T @ (ws.weights * vals))
     k = np.arange(K + 1, dtype=float)
     for i in range(max(cfg.starts - len(out), 0)):
         rng = np.random.default_rng([cfg.seed, i])

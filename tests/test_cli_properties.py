@@ -1,9 +1,13 @@
-"""Property tests: every CLI argument vector ends in a documented exit code."""
+"""Property tests: every CLI argument vector ends in a documented exit code,
+and a config file of the same options runs exactly like the flags."""
 
 import contextlib
 import io
+import os
+import tempfile
 import warnings
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -84,11 +88,58 @@ def argv_vectors(draw):
     return [command] + [f"{flag}={value}" for flag, value in options.items()]
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(argv_vectors())
-def test_every_argument_vector_ends_in_a_documented_exit_code(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+def _run(argv):
+    """Exit code and stdout of one call, without the wall-time line of a report."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             code = main(argv)
+    lines = out.getvalue().splitlines(keepends=True)
+    return code, "".join(line for line in lines if '"wall_time_s"' not in line)
+
+
+def _run_config(directory, command, text):
+    path = os.path.join(directory, "run.cfg")
+    with open(path, "w") as fh:
+        fh.write(text)
+    return _run([command, "--config", path])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv_vectors())
+def test_every_argument_vector_ends_in_a_documented_exit_code(argv):
+    code, _ = _run(argv)
     assert code in (0, 2, 3, 4), argv
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv_vectors(), st.booleans())
+def test_a_config_file_runs_exactly_like_its_flags(argv, underscores):
+    lines = []
+    for option in argv[1:]:
+        key, value = option[2:].split("=", 1)
+        lines.append(f"{key.replace('-', '_') if underscores else key} = {value}\n")
+    with tempfile.TemporaryDirectory() as directory:
+        assert _run_config(directory, argv[0], "".join(lines)) == _run(argv), lines
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("solve", "p = abc\n"),
+        ("minimize", "p = abc\n"),
+        ("probe", "p = abc\n"),
+        ("sharp-constant", "format = xml\n"),
+        ("minimize", "p = 3\nconfig = other.cfg\n"),
+    ],
+)
+def test_bad_config_values_are_usage_errors(tmp_path, command, text):
+    assert _run_config(tmp_path, command, text) == (2, "")
+
+
+def test_config_echoes_an_integral_exponent_as_the_flag_does(tmp_path):
+    code, out = _run_config(tmp_path, "minimize", "p = 3\nK = 8\nstarts = 1\n")
+    assert code == 0
+    assert '"p": 3.0,' in out
+    assert (code, out) == _run(["minimize", "--p", "3", "--K", "8", "--starts", "1"])

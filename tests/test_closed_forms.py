@@ -7,6 +7,7 @@ import pytest
 from gjmslab import closed_forms, rayleigh, spectral
 from gjmslab.closed_forms import SphereParams, gjms_lambda0, sharp_constant, sphere_area
 from gjmslab.errors import DomainError
+from gjmslab.spectral import Workspace
 
 
 class TestSphereParams:
@@ -36,6 +37,17 @@ class TestSphereParams:
 
     def test_integral_floats_are_accepted(self):
         assert SphereParams(n=5.0, m=2).critical_norm_exponent == 10.0
+
+    def test_integral_floats_give_the_bits_of_the_integer_spelling(self):
+        params = SphereParams(n=5.0, m=2.0)
+        assert params == SphereParams(n=5, m=2)
+        assert (type(params.n), type(params.m)) == (int, int)
+        assert gjms_lambda0(2.0, 5) == gjms_lambda0(2, 5)
+        assert sharp_constant(2.0, 5.0, 3) == sharp_constant(2, 5, 3)
+        assert Workspace.shared(params, 8) is Workspace.shared(SphereParams(n=5, m=2), 8)
+        fresh, expected = Workspace(params, 8), Workspace(SphereParams(n=5, m=2), 8)
+        for name in ("basis", "weights", "lam"):
+            assert getattr(fresh, name).tobytes() == getattr(expected, name).tobytes(), name
 
 
 @pytest.mark.parametrize("n", [0, 0.5, -1, math.nan, math.inf, -math.inf])
