@@ -4,7 +4,7 @@ Modules
 -------
 closed_forms  sphere areas, SphereParams, bottom eigenvalue, sharp constants (no numpy)
 spectral      orthonormal zonal basis, quadrature, closed-form operator spectra, norms
-conformal     stereographic transport, bubbles, iterated Laplacians, norm-invariance checks
+conformal     stereographic transport, bubbles, iterated Laplacians
 kernels       surface Riesz kernel spectrum, inverse operator, duality quotient
 rayleigh      sharp subcritical constants and quotient minimization
 lane_emden    Newton solves, uniqueness probes, monotone-decay and super-polyharmonic verifiers
@@ -39,12 +39,10 @@ _MODULE_EXPORTS = {
     ),
     "conformal": (
         "BubbleParams",
-        "RadialProfile",
         "angle_from_radius",
         "bubble_on_sphere",
         "conformal_factor",
         "iterated_laplacians",
-        "norm_transport_check",
         "pullback_to_plane",
         "radius_from_angle",
     ),
@@ -58,7 +56,6 @@ _MODULE_EXPORTS = {
     ),
     "rayleigh": ("MinimizationResult", "OptimizerConfig", "minimize"),
     "lane_emden": (
-        "MonotonicityReport",
         "Nonlinearity",
         "ProbeReport",
         "SolveResult",

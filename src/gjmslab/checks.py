@@ -19,6 +19,7 @@ from .conformal import (
     pullback_to_plane,
     radius_from_angle,
 )
+from .errors import DomainError
 from .kernels import IDENTITY_TOLERANCE, funk_hecke_spectrum, green_constant, hls_functional
 from .lane_emden import Nonlinearity, constant_solution
 from .spectral import (
@@ -53,6 +54,8 @@ def _kernel_moments(params: SphereParams, K: int, nodes: int) -> np.ndarray:
 
 def verify_checks(m: int, n: int, K: int, seed: int, trials: int):
     """Return (name, margin, tolerance, passed) rows; margin <= tolerance passes."""
+    if trials < 1:
+        raise DomainError("need at least one trial")
     params = SphereParams(n=n, m=m)
     ws = Workspace.shared(params, K)
     rule, spec = ws.rule, ws.spectrum
@@ -139,9 +142,9 @@ def verify_checks(m: int, n: int, K: int, seed: int, trials: int):
 
     v = ZonalFunction(params, rng.standard_normal(K + 1))
     grid = np.linspace(0.0, 30.0, 300)
-    prof = pullback_to_plane(v, grid)
+    u = pullback_to_plane(v, grid)
     bound = v.sup_bound() * 2.0 ** (n / 2 - m) * (1.0 + 1e-9)
-    decay = float(np.max(np.abs(prof.values) * (1 + grid**2) ** (n / 2 - m))) - bound
+    decay = float(np.max(np.abs(u) * (1 + grid**2) ** (n / 2 - m))) - bound
     add("pullback-decay-bound", max(decay, 0.0), 0.0)
 
     p_crit = params.critical_norm_exponent

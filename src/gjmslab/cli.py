@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -34,7 +35,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .closed_forms import SphereParams, gjms_lambda0, sharp_constant
-from .errors import AccuracyError, AliasingError, DomainError, InconsistencyError, ToolkitError
+from .errors import AliasingError, DomainError, InconsistencyError, ToolkitError
 
 if TYPE_CHECKING:
     from .lane_emden import Nonlinearity
@@ -289,10 +290,8 @@ def _solve_initial(args, f: Nonlinearity, ws: Workspace) -> ZonalFunction:
         if p_max > 1.0:
             scale = (gjms_lambda0(args.m, args.n) * 2.0 ** (2 * args.m)) ** (1.0 / (p_max - 1.0))
         return ZonalFunction(params, scale * u.coeffs)
-    if choice.startswith("random"):
-        amp_seed = args.seed
-        rng = np.random.default_rng([amp_seed, 0])
-        return probe_start(ws, base, rng)
+    if choice == "random":
+        return probe_start(ws, base, np.random.default_rng([args.seed, 0]))
     raise UsageError(f"unknown --init {choice!r}; use constant, bubble:LAM, or random")
 
 
@@ -369,7 +368,7 @@ def cmd_probe(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.starts > 0:
-        from .rayleigh import OptimizerConfig, minimize as minimize_quotient
+        from .rayleigh import MIN_EXPONENT_GAP, OptimizerConfig, minimize as minimize_quotient
 
     ms = _parse_int_list(args.m)
     ns = _parse_int_list(args.n)
@@ -389,15 +388,14 @@ def cmd_sweep(args) -> int:
                 if args.starts > 0:
                     # the optimizer needs the open exponent range; boundary
                     # points keep their closed-form column with blank cells
-                    try:
+                    if 2.0 + MIN_EXPONENT_GAP < p < params.critical_norm_exponent:
                         cfg = OptimizerConfig(
                             params=params, p=p, K=args.K, starts=args.starts, seed=args.seed
                         )
-                    except DomainError:
-                        row.extend(["", ""])
-                    else:
                         res = minimize_quotient(cfg)
                         row.extend([res.value, abs(res.value / S - 1.0)])
+                    else:
+                        row.extend(["", ""])
                 rows.append(row)
     header = ["m", "n", "p", "sharp_constant"]
     if args.starts > 0:
@@ -456,6 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"gjmslab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # an abbreviated flag would run from the command line but not from a config file
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
     newton_tol_help = (
         "relative Newton stop ||res / Lambda|| <= tol ||c|| on P u = f(u+), "
         "u+ = max(u, 0) (default %(default)g)"
@@ -477,16 +477,16 @@ def build_parser() -> argparse.ArgumentParser:
         if fmt:
             p.add_argument("--format", choices=fmt, default=fmt[0])
 
-    p = sub.add_parser("eigenvalues", help="operator and kernel spectra with the inverse identity")
+    p = add_parser("eigenvalues", help="operator and kernel spectra with the inverse identity")
     common(p, K=32, fmt=("csv", "json"))
     p.set_defaults(func=cmd_eigenvalues)
 
-    p = sub.add_parser("sharp-constant", help="closed-form sharp constants over a p grid")
+    p = add_parser("sharp-constant", help="closed-form sharp constants over a p grid")
     common(p, fmt=("csv", "json"))
     p.add_argument("--p", default="", help="comma-separated exponents (may be empty)")
     p.set_defaults(func=cmd_sharp_constant)
 
-    p = sub.add_parser("minimize", help="multistart quotient minimization")
+    p = add_parser("minimize", help="multistart quotient minimization")
     common(p, K=32, seed=True, tol=1e-9, fmt=("json",))
     p.add_argument("--p", type=float, default=None, help="norm exponent (required here or in config)")
     p.add_argument("--starts", type=int, default=20)
@@ -494,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-out", help="CSV path for the convergence trace")
     p.set_defaults(func=cmd_minimize)
 
-    p = sub.add_parser("solve", help="one damped Newton solve")
+    p = add_parser("solve", help="one damped Newton solve")
     common(p, K=32, seed=True, tol=1e-12, tol_help=newton_tol_help, fmt=("json",))
     p.add_argument("--p", type=float, help="single-power right-hand side u^p")
     p.add_argument("--f", help="general right-hand side 'a1:p1,a2:p2'")
@@ -503,19 +503,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", default="constant", help="constant | bubble:LAM | random")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("probe", help="multistart uniqueness probe")
+    p = add_parser("probe", help="multistart uniqueness probe")
     common(p, K=24, seed=True, tol=1e-12, tol_help=newton_tol_help, fmt=("json",))
     p.add_argument("--p", type=float, help="single-power right-hand side u^p")
     p.add_argument("--f", help="general right-hand side 'a1:p1,a2:p2'")
     p.add_argument("--trials", type=int, default=50)
     p.set_defaults(func=cmd_probe)
 
-    p = sub.add_parser("verify", help="invariant suite with per-check margins")
+    p = add_parser("verify", help="invariant suite with per-check margins")
     common(p, K=16, seed=True, fmt=("text", "json"))
     p.add_argument("--trials", type=int, default=8)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("sweep", help="sharp constants (and optional minimization) over a grid")
+    p = add_parser("sweep", help="sharp constants (and optional minimization) over a grid")
     common(p, m=False, n=False, K=16, seed=True)
     p.add_argument("--m", default="", help="comma-separated orders")
     p.add_argument("--n", default="", help="comma-separated dimensions")
@@ -555,7 +555,7 @@ def main(argv=None) -> int:
     except InconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except (AccuracyError, ToolkitError) as exc:
+    except ToolkitError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, TruncationWarning
+from .errors import DomainError, TruncationWarning
 from .spectral import (
     QuadratureRule,
     SphereParams,
@@ -32,20 +32,14 @@ from .spectral import (
     _recurrence_offdiag,
     analyze,
     gamma_ratio,
-    gauss_jacobi,
-    sphere_area,
 )
-
-#: Gauss-Legendre nodes per radial panel in norm_transport_check; the error
-#: estimate compares against twice as many.
-RADIAL_NODES = 64
 
 
 def angle_from_radius(r):
     """Polar cosine t = (1 - r^2)/(1 + r^2) of the image of a point at radius r."""
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise DomainError("radius must be nonnegative")
+    if not np.all((r >= 0) & np.isfinite(r)):  # r = inf would give t = nan
+        raise DomainError("radius must be finite and nonnegative")
     out = (1.0 - r * r) / (1.0 + r * r)
     return float(out) if out.ndim == 0 else out
 
@@ -68,28 +62,6 @@ def conformal_factor(r):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass
-class RadialProfile:
-    """Samples u(r_i) of a radial function on R^n over an increasing grid."""
-
-    params: SphereParams
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        g = np.atleast_1d(np.asarray(self.grid, dtype=float))
-        v = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if g.shape != v.shape:
-            raise ValueError(f"grid shape {g.shape} != values shape {v.shape}")
-        if np.any(g < 0):
-            raise DomainError("radial grid must be nonnegative")
-        if np.any(np.diff(g) <= 0):
-            raise DomainError("radial grid must be strictly increasing")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("profile values must be finite")
-        self.grid, self.values = g, v
-
-
 @dataclass(frozen=True)
 class BubbleParams:
     """Dilation parameter of the centered extremal family; lam = 1 is the constant."""
@@ -102,25 +74,22 @@ class BubbleParams:
             raise DomainError(f"dilation must be positive and finite, got {self.lam}")
 
 
-def pullback_to_plane(v: ZonalFunction, grid) -> RadialProfile:
-    """Transport a zonal function to R^n: u(r) = (2/(1+r^2))^(n/2-m) v(t(r)).
+def pullback_to_plane(v: ZonalFunction, grid) -> np.ndarray:
+    """Transport a zonal function to R^n: u(r) = (2/(1+r^2))^(n/2-m) v(t(r)) on the grid.
 
     The result obeys the decay bound u(r) (1+r^2)^(n/2-m) <= sup|v| 2^(n/2-m);
     the verify row pullback-decay-bound checks it.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    n, m = v.params.n, v.params.m
-    t = angle_from_radius(grid)
-    exponent = n / 2.0 - m
-    values = conformal_factor(grid) ** exponent * v.evaluate(t)
-    return RadialProfile(params=v.params, grid=grid, values=values)
+    exponent = v.params.n / 2.0 - v.params.m
+    return conformal_factor(grid) ** exponent * v.evaluate(angle_from_radius(grid))
 
 
 def iterated_laplacians(v: ZonalFunction) -> list[ZonalFunction]:
     """Zonal w_1..w_(m-1) with (-Delta)^i u = phi^(n/2-m+i) w_i for u the pullback of v.
 
     w_i = P_(m-i)^(-1) [(1+t)^i P_m v], and it carries the parameters (n, m-i),
-    so pullback_to_plane(w_i, grid) samples (-Delta)^i u itself.  Multiplying
+    so pullback_to_plane(w_i, r) samples (-Delta)^i u itself.  Multiplying
     by 1+t is I + J with J the Jacobi matrix of the orthonormal basis, so
     w_i has degree K+i; no derivative, fit or radial cutoff is involved.
 
@@ -179,69 +148,3 @@ def bubble_on_sphere(bubble: BubbleParams, rule: QuadratureRule, K: int) -> Zona
             stacklevel=2,
         )
     return u
-
-
-def norm_transport_check(v: ZonalFunction, q: float, rule: QuadratureRule) -> float:
-    """Relative gap between the sphere-side and plane-side integrals of |v|^q.
-
-    Sphere side is the quadrature sum of |v|^q; the plane side integrates the
-    pulled-back |u|^q against (2/(1+r^2))^(n - q(n/2-m)) on R^n by
-    Gauss-Legendre quadrature on the radial panels [0, 1] and [1, R] (the
-    second in s = 1/r), with the cutoff radius R chosen so the analytic tail
-    bound sits below 1e-12 of the total.  The error estimate is the change
-    from RADIAL_NODES to 2 RADIAL_NODES nodes per panel; AccuracyError is
-    raised when it exceeds 1e-6 of the larger side.  At
-    q = 2n/(n-2m) the weight exponent vanishes and both sides express one
-    conformally invariant quantity.
-    """
-    if q < 1:
-        raise DomainError(f"need q >= 1, got q={q}")
-    n, m = v.params.n, v.params.m
-    sphere_side = float(np.dot(rule.weights, np.abs(v.evaluate(rule.nodes)) ** q))
-
-    exponent = n / 2.0 - m
-    weight_exp = n - q * exponent
-    ring = sphere_area(n - 1)
-
-    def integrand(r):
-        u = conformal_factor(r) ** exponent * v.evaluate(angle_from_radius(r))
-        return np.abs(u) ** q * conformal_factor(r) ** weight_exp * r ** (n - 1)
-
-    sup_v = v.sup_bound()
-    if sup_v == 0.0 and sphere_side == 0.0:
-        return 0.0
-
-    # tail of the plane integral beyond R: integrand <= sup|v|^q 2^n r^(-n-1)
-    def tail_bound(R):
-        return sup_v**q * ring * 2.0**n / (n * R**n)
-
-    # Gauss-Legendre on the panel r in [0, 1], and on r in [1, R] through s = 1/r
-    rules = [gauss_jacobi(RADIAL_NODES, 0.0, 0.0), gauss_jacobi(2 * RADIAL_NODES, 0.0, 0.0)]
-    inner = [0.5 * np.dot(w, integrand(0.5 * (x + 1.0))) for x, w in rules]
-
-    def outer(x, w, r_max):
-        half = 0.5 * (1.0 - 1.0 / r_max)
-        s = half * x + 0.5 * (1.0 + 1.0 / r_max)
-        return half * np.dot(w, integrand(1.0 / s) / (s * s))
-
-    r_max, plane_side = 8.0, 0.0
-    for _ in range(8):
-        coarse, total = (part + outer(x, w, r_max) for part, (x, w) in zip(inner, rules))
-        abserr = abs(total - coarse)
-        plane_side = ring * total
-        if tail_bound(r_max) <= 1e-12 * max(plane_side, 1e-300):
-            err_scale = max(plane_side, sphere_side, 1e-300)
-            if ring * abserr > 1e-6 * err_scale:
-                raise AccuracyError(
-                    f"radial quadrature error {ring * abserr:.3e} too large for "
-                    f"plane integral {plane_side:.6e}"
-                )
-            break
-        r_max *= 4.0
-    else:  # pragma: no cover - bounded v always terminates the loop
-        raise AccuracyError(f"tail bound not met below r={r_max}")
-
-    scale = max(abs(sphere_side), abs(plane_side))
-    if scale == 0.0:
-        return 0.0
-    return abs(sphere_side - plane_side) / scale

@@ -13,10 +13,6 @@ class AliasingError(ToolkitError):
     """Truncation degree too high for the quadrature rule to resolve."""
 
 
-class AccuracyError(ToolkitError):
-    """A requested tolerance could not be certified; message carries the achieved estimate."""
-
-
 class InconsistencyError(ToolkitError):
     """An internal cross-check failed (quadrature, spectrum, or Green-identity bug)."""
 

@@ -14,10 +14,10 @@ subcritical f the nonnegative solutions are constants; multistart probes
 collect numerical evidence and archive anything that converges elsewhere.
 
 The verifiers check the planar conclusions on pulled back profiles: monotone
-decay, and nonnegativity of the intermediate iterated Laplacians, which
-conformal.iterated_laplacians gives in closed form on the sphere, so the
-check covers all of R^n through both poles t = 1 (r = 0) and t = -1
-(r = infinity).
+decay, and nonnegativity of the intermediate iterated Laplacians.  Both are
+signs of polynomials in t on the sphere, the derivative of the weighted
+profile and conformal.iterated_laplacians, so each check covers all of R^n
+through both poles t = 1 (r = 0) and t = -1 (r = infinity).
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conformal import RadialProfile, iterated_laplacians, pullback_to_plane
+from .conformal import iterated_laplacians
 from .errors import DomainError
-from .spectral import SphereParams, Workspace, ZonalFunction, gjms_lambda0
+from .spectral import SphereParams, Workspace, ZonalFunction, basis_with_derivatives, gjms_lambda0
 
 CONSTANT_CLASS_TOL = 1e-7
 
@@ -451,34 +451,50 @@ def uniqueness_probe(
 
 
 @dataclass
-class MonotonicityReport:
-    passed: bool
-    worst_increase: float
-    index: int | None
-
-
-def check_profile_monotone(profile: RadialProfile, slack: float = 1e-9) -> MonotonicityReport:
-    """Check u(r_{i+1}) <= u(r_i) + slack along the grid."""
-    increments = np.diff(profile.values)
-    worst = float(np.max(increments)) if len(increments) else 0.0
-    if worst > slack:
-        return MonotonicityReport(False, worst, int(np.argmax(increments)))
-    return MonotonicityReport(True, max(worst, 0.0), None)
-
-
-def verify_symmetry_monotonicity(sol: ZonalFunction, grid) -> MonotonicityReport:
-    """Pull the solution back to R^n and check it decays monotonically in r."""
-    return check_profile_monotone(pullback_to_plane(sol, grid))
-
-
-@dataclass
 class SuperPolyReport:
-    """Signs of the iterated negative Laplacians of a pulled back profile."""
+    """Signs on [-1, 1] of zonal functions whose nonnegativity certifies a planar claim.
+
+    One entry per function: the minimum and the largest magnitude over the
+    sample points; the report passes when every minimum >= -tolerance * scale.
+    """
 
     passed: bool
     order_minima: list
     order_scales: list
     tolerance: float
+
+
+def _sign_report(v: ZonalFunction, fns, rtol: float) -> SuperPolyReport:
+    # 8(K+m)+1 Chebyshev-Lobatto points on [-1, 1], both poles included: about
+    # eight per degree of the highest-degree function the verifiers sample
+    N = 8 * (v.K + v.params.m)
+    t = np.cos(np.pi * np.arange(N + 1) / N)
+    minima, scales = [], []
+    for fn in fns:
+        values = fn(t)
+        minima.append(float(np.min(values)))
+        scales.append(max(float(np.max(np.abs(values))), 1e-300))
+    passed = all(low >= -rtol * scale for low, scale in zip(minima, scales))
+    return SuperPolyReport(passed, minima, scales, rtol)
+
+
+def verify_symmetry_monotonicity(v: ZonalFunction, rtol: float = 1e-6) -> SuperPolyReport:
+    """Check that the pullback u of v to R^n is nonincreasing in r = |x|.
+
+    u(r) = (1+t)^e v(t) with e = n/2 - m, and t decreases in r, so
+    du/dt = (1+t)^(e-1) h with h = e v + (1+t) v' a polynomial of degree K.
+    u is nonincreasing on all of R^n, r = infinity included, exactly when
+    h >= 0 on [-1, 1]; the check is min h >= -rtol max |h| at the points
+    verify_super_polyharmonic samples.
+    """
+    n, m, K = v.params.n, v.params.m, v.K
+    e = n / 2.0 - m
+
+    def h(t):
+        B, D1, _ = basis_with_derivatives(n, K, t)
+        return e * (B @ v.coeffs) + (1.0 + t) * (D1 @ v.coeffs)
+
+    return _sign_report(v, [h], rtol)
 
 
 def verify_super_polyharmonic(v: ZonalFunction, rtol: float = 1e-6) -> SuperPolyReport:
@@ -490,12 +506,4 @@ def verify_super_polyharmonic(v: ZonalFunction, rtol: float = 1e-6) -> SuperPoly
     Vacuous for m = 1.  The rounding limit stated in iterated_laplacians
     applies.
     """
-    m, K = v.params.m, v.K
-    t = np.cos(np.pi * np.arange(8 * (K + m) + 1) / (8 * (K + m)))
-    minima, scales = [], []
-    for w in iterated_laplacians(v):
-        values = w.evaluate(t)
-        minima.append(float(np.min(values)))
-        scales.append(max(float(np.max(np.abs(values))), 1e-300))
-    passed = all(low >= -rtol * scale for low, scale in zip(minima, scales))
-    return SuperPolyReport(passed, minima, scales, rtol)
+    return _sign_report(v, [w.evaluate for w in iterated_laplacians(v)], rtol)

@@ -278,6 +278,48 @@ class TestInputValidation:
         assert code == 2
         assert "K < Q" in err
 
+    @pytest.mark.parametrize(
+        "argv", [["minimize", "--max", "5", "--p", "3"], ["verify", "--tri", "2"]]
+    )
+    def test_abbreviated_flag_is_a_usage_error(self, capsys, argv):
+        # a config file cannot abbreviate an option, so a flag cannot either
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("init", ["randomly", "random:7"])
+    def test_init_is_an_exact_word(self, capsys, init):
+        code, out, err = run(capsys, "solve", "--p", "3", "--init", init)
+        assert code == 2
+        assert out == ""
+        assert "unknown --init" in err
+
+    def test_sweep_with_an_invalid_degree_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--m", "1", "--n", "3", "--p", "2.5,3", "--starts", "1", "--K", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert "K >= 1" in err
+
+    def test_sweep_leaves_only_boundary_exponents_blank(self, capsys):
+        p_crit = 6.0  # 2n/(n-2m) for (n, m) = (3, 1)
+        code, out, _ = run(
+            capsys, "sweep", "--m", "1", "--n", "3", "--p", f"2,2.5,{p_crit}", "--starts", "1",
+            "--K", "4",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        assert [row["minimize_value"] == "" for row in rows] == [True, False, True]
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_verify_needs_a_trial(self, capsys, trials):
+        code, out, err = run(capsys, "verify", "--trials", trials)
+        assert code == 2
+        assert out == ""
+        assert "at least one trial" in err
+
 
 class TestRuntimeDependencies:
     def test_import_loads_no_scipy_sympy_or_numpy_polynomial(self):

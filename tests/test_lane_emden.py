@@ -8,7 +8,6 @@ import sympy
 
 from gjmslab.conformal import (
     BubbleParams,
-    RadialProfile,
     bubble_on_sphere,
     iterated_laplacians,
     pullback_to_plane,
@@ -17,7 +16,6 @@ from gjmslab.conformal import (
 from gjmslab.errors import DomainError
 from gjmslab.lane_emden import (
     Nonlinearity,
-    check_profile_monotone,
     constant_solution,
     probe_start,
     solve_newton,
@@ -309,27 +307,79 @@ class TestUniquenessProbe:
                 assert mean_u**p <= mean_up + 1e-12 * mean_up
 
 
+def sampled_decay(v, N=20000, slack=1e-12):
+    """Reference: u = pullback_to_plane(v) is nonincreasing over a dense radial sample.
+
+    The radii are the images of N+1 Chebyshev-Lobatto cosines, so the sample
+    crowds towards r = infinity, where u(infinity) = 0 closes the grid.
+    """
+    t = np.cos(np.pi * np.arange(N) / N)  # t = 1 (r = 0) down to just above t = -1
+    u = np.append(pullback_to_plane(v, radius_from_angle(t)), 0.0)
+    return bool(np.max(np.diff(u)) <= slack * np.max(np.abs(u)))
+
+
+def linear_zonal(params, a, b):
+    """The zonal v = a + b t."""
+    rule = build_quadrature(params.n, 8)
+    return analyze(a + b * rule.nodes, rule, params, 1)
+
+
 class TestMonotonicityVerifier:
     def test_constant_solution_profile(self):
         params = SphereParams(n=3, m=1)
         sol = constant_coeffs(params, math.sqrt(0.75), 8)
-        rep = verify_symmetry_monotonicity(sol, np.linspace(0.0, 20.0, 400))
+        rep = verify_symmetry_monotonicity(sol)
         assert rep.passed
 
     def test_bubble_pushforward(self):
         params = SphereParams(n=3, m=1)
         rule = build_quadrature(3, 64)
         v = bubble_on_sphere(BubbleParams(lam=1.0, params=params), rule, 16)
-        rep = verify_symmetry_monotonicity(v, np.linspace(0.0, 15.0, 300))
+        rep = verify_symmetry_monotonicity(v)
         assert rep.passed
 
-    def test_negative_control_locates_index(self):
-        params = SphereParams(n=3, m=1)
-        grid = np.linspace(0.0, 10.0, 200)
-        rep = check_profile_monotone(RadialProfile(params, grid, np.sin(grid) + 2.0))
+    @pytest.mark.parametrize("n,m", [(3, 1), (5, 2), (7, 3), (9, 3), (11, 4), (13, 5)])
+    def test_bubbles_decay(self, n, m):
+        params = SphereParams(n=n, m=m)
+        rule = build_quadrature(n, default_rule_size(64))
+        for lam in (1.0, 2.0, 4.0):
+            v = bubble_on_sphere(BubbleParams(lam=lam, params=params), rule, 64)
+            rep = verify_symmetry_monotonicity(v)
+            assert rep.passed and len(rep.order_minima) == 1
+            assert rep.order_minima[0] > 0
+
+    def test_rise_beyond_radius_77_fails(self):
+        # v = a + b t on (3, 1): h = e v + (1+t) v' = (a/2 + b) + 3b t/2 turns
+        # negative only for t < -1 + (b - a)/(3b), that is r > 77.4; a radial
+        # grid up to r = 25 sees u decrease throughout
+        b = 1.0
+        a = (1.0 - 1e-3) * b
+        v = linear_zonal(SphereParams(n=3, m=1), a, b)
+        rep = verify_symmetry_monotonicity(v)
         assert not rep.passed
-        assert rep.index is not None
-        assert np.sin(grid[rep.index + 1]) > np.sin(grid[rep.index])
+        # h(-1) = (a - b)/2 against h(1) = a/2 + 5b/2: about -1.7e-4
+        ratio = rep.order_minima[0] / rep.order_scales[0]
+        assert ratio == pytest.approx((a - b) / (a + 5.0 * b), rel=1e-9)
+        grid = np.linspace(0.0, 25.0, 400)
+        assert np.all(np.diff(pullback_to_plane(v, grid)) < 0.0)
+        assert not sampled_decay(v)
+
+    def test_agrees_with_dense_sampled_reference(self):
+        # random low-degree v around a constant, with perturbations from small
+        # (decay holds) to large (u rises somewhere); both verdicts must occur
+        rng = np.random.default_rng(17)
+        verdicts = []
+        for n, m in [(3, 1), (5, 2), (7, 3)]:
+            params = SphereParams(n=n, m=m)
+            for scale in (0.01, 0.1, 0.3, 1.0):
+                for _ in range(5):
+                    coeffs = scale * rng.standard_normal(7) / (1.0 + np.arange(7.0)) ** 2
+                    coeffs[0] = 1.0
+                    v = ZonalFunction(params, coeffs)
+                    closed = verify_symmetry_monotonicity(v).passed
+                    assert closed == sampled_decay(v)
+                    verdicts.append(closed)
+        assert any(verdicts) and not all(verdicts)
 
 
 def pulled_back(params, K, fn):
@@ -398,5 +448,5 @@ class TestSuperPolyharmonic:
                 expected = np.empty_like(grid)
                 expected[0] = float(lap.series(r, 0, 1).removeO())
                 expected[1:] = sympy.lambdify(r, lap, "numpy")(grid[1:])
-                ours = pullback_to_plane(w, grid).values
+                ours = pullback_to_plane(w, grid)
                 assert np.max(np.abs(ours - expected)) <= tol * np.max(np.abs(expected))

@@ -6,17 +6,17 @@ import pytest
 
 import gjmslab
 
-#: The names `gjmslab` exported when its `__init__` imported every module.
+#: Every public name of `gjmslab`.
 EXPORTS = (
     "GjmsSpectrum", "QuadratureRule", "SphereParams", "Workspace", "ZonalFunction", "analyze",
     "build_quadrature", "gjms_eigenvalues", "gjms_lambda0", "lp_norm", "quadratic_form",
     "sphere_area", "synthesize", "zonal_basis",
-    "BubbleParams", "RadialProfile", "angle_from_radius", "bubble_on_sphere", "conformal_factor",
-    "iterated_laplacians", "norm_transport_check", "pullback_to_plane", "radius_from_angle",
+    "BubbleParams", "angle_from_radius", "bubble_on_sphere", "conformal_factor",
+    "iterated_laplacians", "pullback_to_plane", "radius_from_angle",
     "GreenConstants", "KernelSpectrum", "funk_hecke_spectrum", "green_constant", "hls_dual_ratio",
     "hls_functional",
     "MinimizationResult", "OptimizerConfig", "minimize", "sharp_constant",
-    "MonotonicityReport", "Nonlinearity", "ProbeReport", "SolveResult", "SuperPolyReport",
+    "Nonlinearity", "ProbeReport", "SolveResult", "SuperPolyReport",
     "constant_solution", "solve_newton", "uniqueness_probe", "verify_super_polyharmonic",
     "verify_symmetry_monotonicity",
 )
