@@ -3,7 +3,7 @@
 Modules
 -------
 closed_forms  sphere areas, SphereParams, bottom eigenvalue, sharp constants (no numpy)
-spectral      orthonormal zonal basis, quadrature, closed-form operator spectra, norms
+spectral      orthonormal zonal basis, quadrature, closed-form operator spectra, Workspace
 conformal     stereographic transport, bubbles, iterated Laplacians
 kernels       surface Riesz kernel spectrum, inverse operator, duality quotient
 rayleigh      sharp subcritical constants and quotient minimization
@@ -29,12 +29,8 @@ _MODULE_EXPORTS = {
         "QuadratureRule",
         "Workspace",
         "ZonalFunction",
-        "analyze",
         "build_quadrature",
         "gjms_eigenvalues",
-        "lp_norm",
-        "quadratic_form",
-        "synthesize",
         "zonal_basis",
     ),
     "conformal": (

@@ -4,7 +4,8 @@ Subcommands: eigenvalues | sharp-constant | minimize | solve | probe | verify
 | sweep.  Options can also come from a plain key=value config file
 (--config).  Each line is parsed as the flag --key=value, so config values
 are checked exactly like flags, a config run reports the same bytes as the
-same options given as flags, and explicit flags win.  Exit codes: 0
+same options given as flags, and explicit flags win; the --p and --f of
+solve and probe exclude each other, also across the file.  Exit codes: 0
 success, 2 usage/config error (including inputs outside the mathematical
 domain and K >= Q), 3 numerical check failure, 4 internal inconsistency.
 
@@ -283,7 +284,7 @@ def _solve_initial(args, f: Nonlinearity, ws: Workspace) -> ZonalFunction:
             lam = float(choice.split(":", 1)[1])
         except ValueError as exc:
             raise UsageError(f"--init bubble:LAM needs a number, got {choice!r}") from exc
-        u = bubble_on_sphere(BubbleParams(lam=lam, params=params), ws.rule, K)
+        u = bubble_on_sphere(BubbleParams(lam=lam, params=params), ws)
         # scaled so the bubble family solves the unit-coefficient critical power
         p_max = f.max_exponent
         scale = 1.0
@@ -477,6 +478,12 @@ def build_parser() -> argparse.ArgumentParser:
         if fmt:
             p.add_argument("--format", choices=fmt, default=fmt[0])
 
+    def rhs(p):
+        # not required: main parses once before it adds the config file
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--p", type=float, help="single-power right-hand side u^p")
+        group.add_argument("--f", help="general right-hand side 'a1:p1,a2:p2'")
+
     p = add_parser("eigenvalues", help="operator and kernel spectra with the inverse identity")
     common(p, K=32, fmt=("csv", "json"))
     p.set_defaults(func=cmd_eigenvalues)
@@ -496,8 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("solve", help="one damped Newton solve")
     common(p, K=32, seed=True, tol=1e-12, tol_help=newton_tol_help, fmt=("json",))
-    p.add_argument("--p", type=float, help="single-power right-hand side u^p")
-    p.add_argument("--f", help="general right-hand side 'a1:p1,a2:p2'")
+    rhs(p)
     p.add_argument("--Q", type=int, default=0, help="quadrature size (default 2K+8)")
     p.add_argument("--max-iter", type=int, default=60)
     p.add_argument("--init", default="constant", help="constant | bubble:LAM | random")
@@ -505,8 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("probe", help="multistart uniqueness probe")
     common(p, K=24, seed=True, tol=1e-12, tol_help=newton_tol_help, fmt=("json",))
-    p.add_argument("--p", type=float, help="single-power right-hand side u^p")
-    p.add_argument("--f", help="general right-hand side 'a1:p1,a2:p2'")
+    rhs(p)
     p.add_argument("--trials", type=int, default=50)
     p.set_defaults(func=cmd_probe)
 

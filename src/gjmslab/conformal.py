@@ -25,14 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TruncationWarning
-from .spectral import (
-    QuadratureRule,
-    SphereParams,
-    ZonalFunction,
-    _recurrence_offdiag,
-    analyze,
-    gamma_ratio,
-)
+from .spectral import SphereParams, Workspace, ZonalFunction, _recurrence_offdiag, gamma_ratio
 
 
 def angle_from_radius(r):
@@ -128,9 +121,16 @@ def bubble_values(bubble: BubbleParams, t) -> np.ndarray:
     return (lam / ((1.0 + lam * lam) + (1.0 - lam * lam) * t)) ** e
 
 
-def bubble_on_sphere(bubble: BubbleParams, rule: QuadratureRule, K: int) -> ZonalFunction:
-    """Expand a bubble in the zonal basis; warns when the degree-K tail is not negligible."""
-    u = analyze(bubble_values(bubble, rule.nodes), rule, bubble.params, K)
+def bubble_on_sphere(bubble: BubbleParams, workspace: Workspace) -> ZonalFunction:
+    """Expand a bubble in the workspace's basis, c = B^T(w v) from its node values v.
+
+    The workspace must be for the bubble's (n, m).  Warns when the degree-K
+    tail is not negligible.
+    """
+    if bubble.params != workspace.params:
+        raise ValueError(f"bubble is for {bubble.params}, workspace for {workspace.params}")
+    K, values = workspace.K, bubble_values(bubble, workspace.rule.nodes)
+    u = ZonalFunction(bubble.params, workspace.basis.T @ (workspace.weights * values))
     norm = u.l2_norm()
     tail = abs(float(u.coeffs[-1])) / norm if norm > 0 else 0.0
     if tail > 1e-6:

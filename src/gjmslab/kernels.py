@@ -139,6 +139,10 @@ def hls_dual_ratio(
         )
     if trials < 1:
         raise DomainError("need at least one ascent start")
+    if max_iter < 1:
+        raise DomainError(f"need max_iter >= 1, got {max_iter}")
+    if not (math.isfinite(tol_grad) and tol_grad > 0.0):
+        raise DomainError(f"gradient tolerance must be positive and finite, got {tol_grad}")
     pp = p / (p - 1.0)
     ws = Workspace.shared(params, K)
     B, w = ws.basis, ws.weights
@@ -156,11 +160,10 @@ def hls_dual_ratio(
         return val, grad
 
     def normalize(vals):
+        # a trial step the cone clips to zero keeps value 0 and is rejected
         vals = np.clip(vals, 0.0, None)
         ip = float(np.dot(w, vals**pp))
-        if ip <= 0.0:
-            raise DomainError("ascent iterate collapsed to zero")
-        return vals / ip ** (1.0 / pp)
+        return vals / ip ** (1.0 / pp) if ip > 0.0 else vals
 
     def ascend(v0):
         vals = normalize(v0)

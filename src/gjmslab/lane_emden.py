@@ -1,10 +1,11 @@
 """Zonal Newton solver and verifiers for P u = f(u) on S^n with polynomial f.
 
-Newton runs in coefficient space: the residual is Lambda * c - analyze(f(u))
-and the Jacobian is diag(Lambda) minus the quadrature-assembled multiplication
-operator f'(u).  A solve stops once the Lambda-scaled residual is small
-relative to the iterate, ||res / Lambda|| <= tol ||c||: Lambda magnifies the
-rounding in c, so an absolute stop is out of reach on high orders.
+Newton runs in coefficient space on a Workspace (basis B, weights w): the
+residual is Lambda c - B^T(w f(B c)), the Jacobian diag(Lambda) minus the
+quadrature-assembled multiplication operator f'(u).  A solve stops once the
+Lambda-scaled residual is small relative to the iterate, ||res / Lambda|| <=
+tol ||c||: Lambda magnifies the rounding in c, so an absolute stop is out of
+reach on high orders.
 
 f acts on the positive part u+ = max(u, 0).  The Green kernel of P is
 positive, so the nonnegative solutions of P u = f(u) are exactly the
@@ -35,8 +36,8 @@ CONSTANT_CLASS_TOL = 1e-7
 
 
 def _check_tolerance(tol: float) -> None:
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
 
 
 def _term_power(u: np.ndarray, p: float) -> np.ndarray:
@@ -176,7 +177,7 @@ STOP_REASONS = ("tolerance", "max_iter", "line_search_exhausted", "diverged")
 class SolveResult:
     """One solve outcome.
 
-    `residual` is the absolute ||Lambda c - analyze(f(u))||; `rel_residual` is
+    `residual` is the absolute ||Lambda c - B^T(w f(B c))||; `rel_residual` is
     ||res / Lambda|| / ||c||, the quantity the stop compares with tol.  `iters`
     counts accepted steps, `stop_reason` is one of STOP_REASONS, and
     `negativity` is the most negative node value (0 if none).
@@ -230,6 +231,8 @@ def solve_newton(
     (default: Workspace.shared(params, init.K)) must match init's (n, m, K).
     """
     _check_tolerance(tol)
+    if max_iter < 0:
+        raise DomainError(f"need max_iter >= 0, got {max_iter}")
     params = SphereParams(n=n, m=m)
     if init.params != params:
         raise ValueError("initial iterate carries different (n, m)")

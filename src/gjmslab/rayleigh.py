@@ -73,8 +73,8 @@ class OptimizerConfig:
         _check_exponent(self.params, self.p)
         if self.starts < 1:
             raise DomainError("need at least one start")
-        if self.tol_grad <= 0:
-            raise DomainError("gradient tolerance must be positive")
+        if not (math.isfinite(self.tol_grad) and self.tol_grad > 0):
+            raise DomainError(f"tolerance must be positive and finite, got {self.tol_grad}")
         if self.K < 1:
             raise DomainError("need K >= 1")
         if self.max_iter < 1:

@@ -4,8 +4,8 @@ A zonal (rotationally symmetric) function is stored as a coefficient vector
 c_0..c_K in an L^2(S^n)-orthonormal basis of ultraspherical polynomials in
 t = cos(theta).  The surface measure restricted to zonal functions is
 |S^{n-1}| (1-t^2)^{(n-2)/2} dt on [-1, 1], so Gauss-Jacobi rules integrate
-the basis exactly and every norm, quadratic form, and transform below is
-diagonal or a single matrix product.
+the basis exactly.  On a Workspace (basis B, weights w) analysis is B^T(w v),
+synthesis B c, and every norm and quadratic form diagonal or one product.
 
 The Gauss-Jacobi rules come from the same three-term recurrence as the
 basis, whose Jacobi matrix has the nodes as eigenvalues and the Christoffel
@@ -320,23 +320,6 @@ class ZonalFunction:
         }
 
 
-
-def analyze(values, rule: QuadratureRule, params: SphereParams, K: int) -> ZonalFunction:
-    """Project node values onto the basis: c_k = sum_i w_i values_i Y_k(t_i)."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (rule.order,):
-        raise ValueError(f"expected {rule.order} node values, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise DomainError("node values must be finite")
-    B = zonal_basis(rule, params, K)
-    return ZonalFunction(params, B.T @ (rule.weights * values))
-
-
-def synthesize(u: ZonalFunction, rule: QuadratureRule) -> np.ndarray:
-    """Node values of a coefficient vector; inverse of analyze up to degree K."""
-    return zonal_basis(rule, u.params, u.K) @ u.coeffs
-
-
 def laplace_beltrami_eigenvalues(n: int, K: int) -> np.ndarray:
     """Eigenvalues k(k+n-1) of -Delta on degree-k zonal harmonics."""
     k = np.arange(K + 1, dtype=float)
@@ -416,10 +399,10 @@ class Workspace:
 
     Holds the Gauss-Jacobi `rule` (Q = 2K + 8 nodes unless given), the basis
     matrix `basis` at its nodes, the node `weights`, the operator `spectrum`
-    and its eigenvalues `lam`; every solve, probe, quotient evaluation and
-    verify row runs on one of these.  Production code takes its workspace
-    from `Workspace.shared`, which builds each (n, m, K, Q) once per process;
-    calling the constructor builds a fresh, writable one.
+    and its eigenvalues `lam`; every solve, probe, quotient evaluation, bubble
+    projection and verify row runs on one of these.  Production code takes its
+    workspace from `Workspace.shared`, which builds each (n, m, K, Q) once per
+    process; calling the constructor builds a fresh, writable one.
     """
 
     def __init__(self, params: SphereParams, K: int, Q: int | None = None):
@@ -448,6 +431,9 @@ class Workspace:
         return _shared_workspace(params, K, Q)
 
     def p_norm(self, c: np.ndarray, p: float) -> float:
+        """L^p(S^n) norm of coefficients c by quadrature, finite p >= 1; Parseval at p = 2."""
+        if not (math.isfinite(p) and p >= 1):
+            raise DomainError(f"need finite p >= 1, got p={p}")
         vals = self.basis @ c
         return float(np.dot(self.weights, np.abs(vals) ** p)) ** (1.0 / p)
 
@@ -486,22 +472,3 @@ def _shared_workspace(params: SphereParams, K: int, Q: int) -> Workspace:
 
 Workspace.shared.cache_clear = _shared_workspace.cache_clear
 Workspace.shared.cache_info = _shared_workspace.cache_info
-
-
-def quadratic_form(u: ZonalFunction, spectrum: GjmsSpectrum) -> float:
-    """Energy sum(Lambda_k c_k^2) = surface integral of (P u) u; >= 0, zero iff u = 0."""
-    if u.params != spectrum.params:
-        raise ValueError("function and spectrum built for different (n, m)")
-    if u.K > spectrum.K:
-        raise ValueError(
-            f"truncation mismatch: function degree {u.K} exceeds spectrum degree {spectrum.K}"
-        )
-    return float(np.dot(spectrum.lam[: u.K + 1], u.coeffs**2))
-
-
-def lp_norm(u: ZonalFunction, p: float, rule: QuadratureRule) -> float:
-    """L^p(S^n) norm by quadrature; for p = 2 it matches the coefficient norm."""
-    if not (math.isfinite(p) and p >= 1):
-        raise DomainError(f"need finite p >= 1, got p={p}")
-    vals = synthesize(u, rule)
-    return float(np.dot(rule.weights, np.abs(vals) ** p) ** (1.0 / p))

@@ -29,9 +29,6 @@ from gjmslab.spectral import (
     SphereParams,
     Workspace,
     ZonalFunction,
-    analyze,
-    build_quadrature,
-    default_rule_size,
     gjms_eigenvalues,
     gjms_lambda0,
     sphere_area,
@@ -169,8 +166,7 @@ def test_criterion_6_critical_contrast():
     # nonconstant exact solution at the critical power from the lam = 2 bubble
     f = Nonlinearity.single_power(1.0, p_eq, params)
     ws64 = Workspace(params, 64)
-    rule = ws64.rule
-    vb = bubble_on_sphere(BubbleParams(lam=2.0, params=params), rule, 64)
+    vb = bubble_on_sphere(BubbleParams(lam=2.0, params=params), ws64)
     scale = (gjms_lambda0(1, 3) * 2.0 ** 2) ** (1.0 / (p_eq - 1.0))
     res = solve_newton(
         1, 3, f, ZonalFunction(params, scale * vb.coeffs), tol=1e-8, workspace=ws64
@@ -179,19 +175,16 @@ def test_criterion_6_critical_contrast():
 
     # conformal invariance of the critical quotient across dilations at K = 256
     K = 256
-    big_rule = build_quadrature(3, default_rule_size(K))
     ws = Workspace(params, K)
     quotients = []
     for lam in (0.5, 1.0, 2.0):
-        u = bubble_on_sphere(BubbleParams(lam=lam, params=params), big_rule, K)
+        u = bubble_on_sphere(BubbleParams(lam=lam, params=params), ws)
         quotients.append(ws.quotient(u.coeffs, p_norm))
     quotients = np.asarray(quotients)
     spread = float(np.max(np.abs(quotients / quotients[1] - 1.0)))
 
     # strictly subcritical: the dilated bubble must sit above the constant
-    ws32 = Workspace(params, 64)
-    u2 = bubble_on_sphere(BubbleParams(lam=2.0, params=params), rule, 64)
-    margin = ws32.quotient(u2.coeffs, 4.0) - sharp_constant(1, 3, 4.0)
+    margin = ws64.quotient(vb.coeffs, 4.0) - sharp_constant(1, 3, 4.0)
 
     emit(
         6,
@@ -228,10 +221,11 @@ def test_criterion_7_verifiers_on_probe_solutions():
     # v = Y_0 - 3 Y_1 falls towards t = 1, so its pullback rises from r = 0
     mono_control = verify_symmetry_monotonicity(ZonalFunction(params, [1.0, -3.0]))
     # the pullback of v = (1+t)^(m-n/2) exp(-r^2) is the Gaussian, whose -Delta dips below 0
-    rule = build_quadrature(params.n, default_rule_size(64))
-    t = rule.nodes
+    ws = Workspace(params, 64)
+    t = ws.rule.nodes
     gauss = (1.0 + t) ** (params.m - params.n / 2) * np.exp(-radius_from_angle(t) ** 2)
-    sp_control = verify_super_polyharmonic(analyze(gauss, rule, params, 64))
+    gauss_v = ZonalFunction(params, ws.basis.T @ (ws.weights * gauss))
+    sp_control = verify_super_polyharmonic(gauss_v)
     controls_fail = (not mono_control.passed) and (not sp_control.passed)
 
     emit(

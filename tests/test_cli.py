@@ -320,6 +320,37 @@ class TestInputValidation:
         assert out == ""
         assert "at least one trial" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["probe", "--p", "3", "--tol", "inf", "--trials", "3"],
+            ["probe", "--p", "3", "--tol", "nan", "--trials", "1"],
+            ["solve", "--p", "3", "--tol", "inf", "--init", "random"],
+            ["minimize", "--p", "3", "--tol", "nan", "--starts", "1", "--K", "4"],
+            ["minimize", "--p", "3", "--tol", "inf", "--starts", "1", "--K", "4"],
+        ],
+    )
+    def test_tolerance_must_be_finite(self, capsys, argv):
+        # an infinite tolerance would pass every iterate as converged, so a
+        # probe would archive its random starts as counterexamples
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    def test_solve_needs_a_nonnegative_iteration_cap(self, capsys):
+        code, out, err = run(capsys, "solve", "--p", "3", "--max-iter", "-1")
+        assert code == 2
+        assert out == ""
+        assert "max_iter" in err
+
+    @pytest.mark.parametrize("command", [["solve"], ["probe", "--trials", "1"]])
+    def test_power_and_general_right_hand_side_exclude_each_other(self, capsys, command):
+        code, out, err = run(capsys, *command, "--p", "3", "--f", "1:2")
+        assert code == 2
+        assert out == ""
+        assert "not allowed with" in err
+
 
 class TestRuntimeDependencies:
     def test_import_loads_no_scipy_sympy_or_numpy_polynomial(self):
@@ -426,6 +457,22 @@ class TestConfigFile:
         code, _, err = run(capsys, "sharp-constant", "--config", str(cfg))
         assert code == 2
         assert "frobnicate" in err
+
+    @pytest.mark.parametrize("command", [["solve"], ["probe", "--trials", "1"]])
+    def test_config_right_hand_side_conflicting_with_a_flag(self, tmp_path, capsys, command):
+        cfg = tmp_path / "rhs.cfg"
+        cfg.write_text("f = 1:2\n")
+        code, out, err = run(capsys, *command, "--config", str(cfg), "--p", "3")
+        assert code == 2
+        assert out == ""
+        assert "not allowed with" in err
+
+    def test_config_exponent_repeated_as_a_flag_takes_the_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("p = 2\nK = 4\n")
+        code, out, _ = run(capsys, "solve", "--config", str(cfg), "--p", "3")
+        assert code == 0
+        assert json.loads(out)["inputs"]["f"] == "1 t^3"
 
     def test_step0_is_not_an_option(self, tmp_path, capsys):
         cfg = tmp_path / "old.cfg"

@@ -54,6 +54,8 @@ def argv_vectors(draw):
     p = _mostly(st.just(repr(2.0 + draw(inside) * (p_crit - 2.0))), ["nan", "inf", "1", "2", "30", "p"])
     sphere = {"--m": _mostly(st.just(str(m)), BAD_ORDER), "--n": _mostly(st.just(str(n)), BAD_DIM)}
     solver = {**sphere, "--K": DEGREE, "--seed": SEED, "--tol": TOL}
+    # solve and probe take one right-hand side, --p or --f
+    rhs = draw(st.sampled_from([{"--p": p}, {"--f": RHS}]))
     required, optional = {
         "eigenvalues": ({}, {**sphere, "--K": DEGREE, "--format": _fmt("csv", "json")}),
         "sharp-constant": (
@@ -65,10 +67,10 @@ def argv_vectors(draw):
             {**solver, "--max-iter": ITERS},
         ),
         "solve": (
-            {"--p": p},
-            {**solver, "--f": RHS, "--Q": QUADRATURE, "--max-iter": ITERS, "--init": INIT},
+            rhs,
+            {**solver, "--Q": QUADRATURE, "--max-iter": ITERS, "--init": INIT},
         ),
-        "probe": ({"--p": p, "--trials": st.integers(-1, 3).map(str)}, {**solver, "--f": RHS}),
+        "probe": ({**rhs, "--trials": st.integers(-1, 3).map(str)}, solver),
         "verify": (
             {"--trials": st.integers(0, 4).map(str)},
             {**sphere, "--K": DEGREE, "--seed": SEED, "--format": _fmt("text", "json")},

@@ -18,9 +18,9 @@ from gjmslab.conformal import (
 from gjmslab.errors import DomainError, TruncationWarning
 from gjmslab.spectral import (
     SphereParams,
+    Workspace,
     ZonalFunction,
     build_quadrature,
-    lp_norm,
     sphere_area,
 )
 
@@ -109,36 +109,40 @@ class TestPullback:
 class TestBubble:
     def test_lam_one_is_constant(self):
         params = SphereParams(n=3, m=1)
-        rule = build_quadrature(3, 40)
-        u = bubble_on_sphere(BubbleParams(lam=1.0, params=params), rule, 16)
+        u = bubble_on_sphere(BubbleParams(lam=1.0, params=params), Workspace(params, 16, 40))
         assert u.coeffs[0] == pytest.approx(2 ** (1 - 1.5) * math.sqrt(sphere_area(3)), rel=1e-13)
         assert np.max(np.abs(u.coeffs[1:])) < 1e-13
 
     def test_critical_norm_invariance(self):
         params = SphereParams(n=3, m=1)
-        rule = build_quadrature(3, 160)
+        ws = Workspace(params, 72, 160)
         p_crit = params.critical_norm_exponent
         norms = []
         for lam in (0.25, 0.5, 1.0, 2.0, 4.0):
-            u = bubble_on_sphere(BubbleParams(lam=lam, params=params), rule, 72)
-            norms.append(lp_norm(u, p_crit, rule))
+            u = bubble_on_sphere(BubbleParams(lam=lam, params=params), ws)
+            norms.append(ws.p_norm(u.coeffs, p_crit))
         norms = np.array(norms)
         assert np.max(np.abs(norms / norms[2] - 1.0)) <= 1e-6
 
     def test_concentration_trend(self):
         params = SphereParams(n=3, m=1)
-        rule = build_quadrature(3, 300)
+        ws = Workspace(params, 128, 300)
         c0 = [
-            bubble_on_sphere(BubbleParams(lam=lam, params=params), rule, 128).coeffs[0]
+            bubble_on_sphere(BubbleParams(lam=lam, params=params), ws).coeffs[0]
             for lam in (2.0, 4.0, 8.0)
         ]
         assert c0[0] > c0[1] > c0[2] > 0
 
     def test_tail_warning(self):
         params = SphereParams(n=3, m=1)
-        rule = build_quadrature(3, 64)
         with pytest.warns(TruncationWarning):
-            bubble_on_sphere(BubbleParams(lam=20.0, params=params), rule, 12)
+            bubble_on_sphere(BubbleParams(lam=20.0, params=params), Workspace(params, 12, 64))
+
+    def test_workspace_of_another_sphere_raises(self):
+        bubble = BubbleParams(lam=2.0, params=SphereParams(n=5, m=2))
+        for other in (SphereParams(n=5, m=1), SphereParams(n=7, m=2)):
+            with pytest.raises(ValueError):
+                bubble_on_sphere(bubble, Workspace(other, 8))
 
     def test_closed_form_matches_planar_definition(self):
         # push the dilated planar profile forward by hand and compare

@@ -225,6 +225,27 @@ class TestDualRatio:
         with pytest.raises(DomainError):
             hls_dual_ratio(SphereParams(n=3, m=1), 2.0)
 
+    @pytest.mark.parametrize("tol_grad", [math.nan, math.inf, -1.0, 0.0])
+    def test_gradient_tolerance_must_be_positive_and_finite(self, tol_grad):
+        # the constant start has slope 0, so a nan or negative tolerance used
+        # to reach the step formula and divide by it
+        with pytest.raises(DomainError, match="tolerance"):
+            hls_dual_ratio(SphereParams(n=3, m=1), 4.0, K=8, tol_grad=tol_grad)
+
+    def test_trial_step_clipped_to_zero_is_rejected(self):
+        # below the rounding of the constant's zero gradient the capped trial
+        # step can clip every node value; the line search halves it instead
+        # of reporting a collapsed iterate
+        params = SphereParams(n=3, m=1)
+        with pytest.warns(UserWarning, match="max_iter"):
+            best = hls_dual_ratio(params, 4.0, trials=1, K=1, max_iter=1, tol_grad=1e-300)
+        assert best == pytest.approx(1.0 / (0.75 * math.sqrt(2.0 * math.pi**2)), rel=1e-12)
+
+    @pytest.mark.parametrize("max_iter", [0, -2])
+    def test_needs_an_iteration(self, max_iter):
+        with pytest.raises(DomainError, match="max_iter"):
+            hls_dual_ratio(SphereParams(n=3, m=1), 4.0, K=8, max_iter=max_iter)
+
     @pytest.mark.parametrize("n,m,p", [(3, 1, 4.0), (3, 1, 2.5), (5, 2, 2.5), (7, 2, 3.0), (9, 3, 4.0)])
     def test_ascent_converges_fast_on_benchmark_configs(self, n, m, p):
         # the step these quotients need grows like S (about 3e3 on (9,3,p=4)),

@@ -27,9 +27,7 @@ from gjmslab.spectral import (
     SphereParams,
     Workspace,
     ZonalFunction,
-    analyze,
     build_quadrature,
-    default_rule_size,
     gjms_lambda0,
     sphere_area,
 )
@@ -154,7 +152,7 @@ class TestSolveNewton:
         p_eq = params.critical_equation_exponent
         f = Nonlinearity.single_power(1.0, p_eq, params)
         ws = Workspace(params, 64, 136)
-        vb = bubble_on_sphere(BubbleParams(lam=2.0, params=params), ws.rule, 64)
+        vb = bubble_on_sphere(BubbleParams(lam=2.0, params=params), ws)
         scale = (gjms_lambda0(1, 3) * 4.0) ** (1.0 / (p_eq - 1.0))
         init = ZonalFunction(params, scale * vb.coeffs)
         res = solve_newton(1, 3, f, init, tol=1e-8, workspace=ws)
@@ -204,6 +202,22 @@ class TestSolveNewton:
             solve_newton(1, 3, f, init, workspace=Workspace(params, 12))
         with pytest.raises(ValueError):
             solve_newton(1, 3, f, init, workspace=Workspace(SphereParams(n=5, m=1), 8))
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -math.inf, 0.0, -1.0])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        # tol = inf would report the random start itself as converged
+        params = SphereParams(n=3, m=1)
+        f = Nonlinearity.single_power(1.0, 3.0, params)
+        with pytest.raises(DomainError):
+            solve_newton(1, 3, f, constant_coeffs(params, 1.0, 8), tol=tol)
+
+    def test_iteration_cap_must_be_nonnegative(self):
+        params = SphereParams(n=3, m=1)
+        f = Nonlinearity.single_power(1.0, 3.0, params)
+        init = constant_coeffs(params, 1.0, 8)
+        with pytest.raises(DomainError, match="max_iter"):
+            solve_newton(1, 3, f, init, max_iter=-1)
+        assert solve_newton(1, 3, f, init, max_iter=0).iters == 0
 
 
 class TestUniquenessProbe:
@@ -274,6 +288,14 @@ class TestUniquenessProbe:
         with pytest.raises(DomainError):
             uniqueness_probe(1, 3, f, trials=2, seed=0)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_non_finite_tolerance_is_rejected(self, tol):
+        # an infinite tolerance would archive the random starts as counterexamples
+        params = SphereParams(n=3, m=1)
+        f = Nonlinearity.single_power(1.0, 3.0, params)
+        with pytest.raises(DomainError, match="finite"):
+            uniqueness_probe(1, 3, f, trials=3, seed=0, K=8, tol=tol)
+
     def test_probe_starts_positive(self):
         ws = Workspace(SphereParams(n=3, m=1), 16, 40)
         for trial in range(10):
@@ -318,10 +340,15 @@ def sampled_decay(v, N=20000, slack=1e-12):
     return bool(np.max(np.diff(u)) <= slack * np.max(np.abs(u)))
 
 
+def project(ws, values):
+    """The zonal function with coefficients B^T(w v) for node values v on ws."""
+    return ZonalFunction(ws.params, ws.basis.T @ (ws.weights * values))
+
+
 def linear_zonal(params, a, b):
     """The zonal v = a + b t."""
-    rule = build_quadrature(params.n, 8)
-    return analyze(a + b * rule.nodes, rule, params, 1)
+    ws = Workspace(params, 1, 8)
+    return project(ws, a + b * ws.rule.nodes)
 
 
 class TestMonotonicityVerifier:
@@ -333,17 +360,16 @@ class TestMonotonicityVerifier:
 
     def test_bubble_pushforward(self):
         params = SphereParams(n=3, m=1)
-        rule = build_quadrature(3, 64)
-        v = bubble_on_sphere(BubbleParams(lam=1.0, params=params), rule, 16)
+        v = bubble_on_sphere(BubbleParams(lam=1.0, params=params), Workspace(params, 16, 64))
         rep = verify_symmetry_monotonicity(v)
         assert rep.passed
 
     @pytest.mark.parametrize("n,m", [(3, 1), (5, 2), (7, 3), (9, 3), (11, 4), (13, 5)])
     def test_bubbles_decay(self, n, m):
         params = SphereParams(n=n, m=m)
-        rule = build_quadrature(n, default_rule_size(64))
+        ws = Workspace(params, 64)
         for lam in (1.0, 2.0, 4.0):
-            v = bubble_on_sphere(BubbleParams(lam=lam, params=params), rule, 64)
+            v = bubble_on_sphere(BubbleParams(lam=lam, params=params), ws)
             rep = verify_symmetry_monotonicity(v)
             assert rep.passed and len(rep.order_minima) == 1
             assert rep.order_minima[0] > 0
@@ -384,10 +410,9 @@ class TestMonotonicityVerifier:
 
 def pulled_back(params, K, fn):
     """Zonal v = phi^(m-n/2) fn(r(t)) whose planar pullback is fn, phi = 1+t."""
-    rule = build_quadrature(params.n, default_rule_size(K))
-    t = rule.nodes
-    values = (1.0 + t) ** (params.m - params.n / 2) * fn(radius_from_angle(t))
-    return analyze(values, rule, params, K)
+    ws = Workspace(params, K)
+    t = ws.rule.nodes
+    return project(ws, (1.0 + t) ** (params.m - params.n / 2) * fn(radius_from_angle(t)))
 
 
 class TestSuperPolyharmonic:
@@ -406,9 +431,9 @@ class TestSuperPolyharmonic:
     @pytest.mark.parametrize("n,m", [(7, 3), (9, 3), (11, 4), (13, 5)])
     def test_bubbles_pass_at_every_order(self, n, m):
         params = SphereParams(n=n, m=m)
-        rule = build_quadrature(n, default_rule_size(64))
+        ws = Workspace(params, 64)
         for lam in (1.0, 2.0, 4.0):
-            v = bubble_on_sphere(BubbleParams(lam=lam, params=params), rule, 64)
+            v = bubble_on_sphere(BubbleParams(lam=lam, params=params), ws)
             rep = verify_super_polyharmonic(v)
             assert rep.passed and len(rep.order_minima) == m - 1
             assert min(rep.order_minima) > 0

@@ -8,9 +8,8 @@ import gjmslab
 
 #: Every public name of `gjmslab`.
 EXPORTS = (
-    "GjmsSpectrum", "QuadratureRule", "SphereParams", "Workspace", "ZonalFunction", "analyze",
-    "build_quadrature", "gjms_eigenvalues", "gjms_lambda0", "lp_norm", "quadratic_form",
-    "sphere_area", "synthesize", "zonal_basis",
+    "GjmsSpectrum", "QuadratureRule", "SphereParams", "Workspace", "ZonalFunction",
+    "build_quadrature", "gjms_eigenvalues", "gjms_lambda0", "sphere_area", "zonal_basis",
     "BubbleParams", "angle_from_radius", "bubble_on_sphere", "conformal_factor",
     "iterated_laplacians", "pullback_to_plane", "radius_from_angle",
     "GreenConstants", "KernelSpectrum", "funk_hecke_spectrum", "green_constant", "hls_dual_ratio",
@@ -43,6 +42,14 @@ def test_submodule_resolves_as_attribute_and_from_import(name):
     namespace = {}
     exec(f"from gjmslab import {name}", namespace)
     assert namespace[name] is module
+
+
+def test_all_lists_exactly_the_exports():
+    # analysis, synthesis, norms and energies live on Workspace only
+    assert gjmslab.__all__ == sorted(EXPORTS)
+    for name in ("analyze", "synthesize", "lp_norm", "quadratic_form"):
+        assert not hasattr(gjmslab, name)
+        assert not hasattr(importlib.import_module("gjmslab.spectral"), name)
 
 
 def test_star_import_binds_every_export():

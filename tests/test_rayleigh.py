@@ -254,6 +254,9 @@ class TestMinimize:
             OptimizerConfig(params=params, p=4.0, K=8, starts=0)
         with pytest.raises(DomainError):
             OptimizerConfig(params=params, p=4.0, K=8, tol_grad=0.0)
+        for tol in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                OptimizerConfig(params=params, p=4.0, K=8, tol_grad=tol)
 
     def test_trace_csv(self, tmp_path):
         cfg = OptimizerConfig(params=SphereParams(n=3, m=1), p=4.0, K=8, starts=2, seed=4)

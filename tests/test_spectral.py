@@ -17,7 +17,6 @@ from gjmslab.spectral import (
     Workspace,
     ZonalFunction,
     _jacobi_recurrence,
-    analyze,
     basis_values,
     basis_with_derivatives,
     build_quadrature,
@@ -26,10 +25,7 @@ from gjmslab.spectral import (
     gjms_eigenvalues,
     gjms_lambda0,
     laplace_beltrami_ode_residual,
-    lp_norm,
-    quadratic_form,
     sphere_area,
-    synthesize,
     zonal_basis,
 )
 
@@ -308,37 +304,35 @@ class TestBasis:
 
 
 class TestAnalyzeSynthesize:
+    # on a workspace, synthesis is B c and analysis is B^T(w v)
     def test_constant_synthesis(self):
-        rule = build_quadrature(5, 16)
-        params = SphereParams(n=5, m=1)
-        u = ZonalFunction(params, np.array([1.0]))
-        vals = synthesize(u, rule)
+        ws = Workspace(SphereParams(n=5, m=1), 0, 16)
+        vals = ws.basis @ np.array([1.0])
         assert np.allclose(vals, sphere_area(5) ** -0.5, rtol=1e-14)
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(7)
-        rule = build_quadrature(4, 64)
-        params = SphereParams(n=4, m=1)
+        ws = Workspace(SphereParams(n=4, m=1), 16, 64)
         c = rng.standard_normal(17)
-        u = ZonalFunction(params, c)
-        back = analyze(synthesize(u, rule), rule, params, 16)
-        assert np.max(np.abs(back.coeffs - c)) < 1e-10
+        back = ws.basis.T @ (ws.weights * (ws.basis @ c))
+        assert np.max(np.abs(back - c)) < 1e-10
 
     def test_coordinate_function_is_degree_one(self):
-        rule = build_quadrature(3, 24)
         params = SphereParams(n=3, m=1)
-        u = analyze(rule.nodes, rule, params, 8)
-        assert abs(u.coeffs[1]) > 0.1
-        others = np.delete(u.coeffs, 1)
+        ws = Workspace(params, 8, 24)
+        rule = ws.rule
+        c = ws.basis.T @ (ws.weights * rule.nodes)
+        assert abs(c[1]) > 0.1
+        others = np.delete(c, 1)
         assert np.max(np.abs(others)) < 1e-12
         # quadrature oracle for the surviving coefficient: c_1 = int t Y_1 dsigma
         c1 = rule.integrate(rule.nodes * zonal_basis(rule, params, 1)[:, 1])
-        assert u.coeffs[1] == pytest.approx(c1, rel=1e-13)
+        assert c[1] == pytest.approx(c1, rel=1e-13)
 
     def test_dimension_mismatch(self):
         rule = build_quadrature(3, 8)
         with pytest.raises(ValueError):
-            analyze(np.ones(7), rule, SphereParams(n=3, m=1), 4)
+            zonal_basis(rule, SphereParams(n=5, m=1), 4)
 
 
 class TestGjmsSpectrum:
@@ -514,88 +508,78 @@ class TestSharedWorkspace:
 
 
 class TestQuadraticForm:
+    # the energy sum(Lambda_k c_k^2) is the numerator of Workspace.quotient,
+    # whose p = 2 denominator is ||c||^2 by Parseval
     def test_single_mode(self):
-        params = SphereParams(n=5, m=2)
-        spec = gjms_eigenvalues(params, 8)
-        u = ZonalFunction(params, np.array([0.0, 0.0, 3.0]))
-        assert quadratic_form(u, spec) == pytest.approx(9 * spec.lam[2], rel=1e-15)
+        ws = Workspace(SphereParams(n=5, m=2), 8)
+        c = np.zeros(9)
+        c[2] = 3.0
+        assert ws.quotient(c, 2.0) == pytest.approx(ws.lam[2], rel=1e-14)
 
     def test_constant_function_n3(self):
-        params = SphereParams(n=3, m=1)
-        spec = gjms_eigenvalues(params, 4)
-        u = ZonalFunction(params, np.array([math.sqrt(sphere_area(3))]))
-        assert quadratic_form(u, spec) == pytest.approx(0.75 * 2 * math.pi**2, rel=1e-14)
+        ws = Workspace(SphereParams(n=3, m=1), 4)
+        c = np.zeros(5)
+        c[0] = math.sqrt(sphere_area(3))
+        energy = ws.quotient(c, 2.0) * ws.p_norm(c, 2.0) ** 2
+        assert energy == pytest.approx(0.75 * 2 * math.pi**2, rel=1e-14)
 
     def test_matches_nodal_evaluation(self):
         # self-consistency oracle: synthesize P u from Lambda_k c_k and integrate
         rng = np.random.default_rng(11)
-        params = SphereParams(n=5, m=2)
         K = 12
-        rule = build_quadrature(5, 32)
-        spec = gjms_eigenvalues(params, K)
+        ws = Workspace(SphereParams(n=5, m=2), K, 32)
         c = rng.standard_normal(K + 1)
-        u = ZonalFunction(params, c)
-        pu = ZonalFunction(params, spec.lam * c)
-        nodal = rule.integrate(synthesize(pu, rule) * synthesize(u, rule))
-        assert quadratic_form(u, spec) == pytest.approx(nodal, rel=1e-12)
+        nodal = ws.rule.integrate((ws.basis @ (ws.lam * c)) * (ws.basis @ c))
+        assert ws.quotient(c, 2.0) * ws.p_norm(c, 2.0) ** 2 == pytest.approx(nodal, rel=1e-12)
 
     def test_spectral_gap(self):
         # energy >= Lambda_0 ||u||^2 with equality only for constants
         rng = np.random.default_rng(3)
-        params = SphereParams(n=7, m=3)
-        spec = gjms_eigenvalues(params, 10)
+        ws = Workspace(SphereParams(n=7, m=3), 10)
         for _ in range(25):
             c = rng.standard_normal(11)
-            u = ZonalFunction(params, c)
-            gap = quadratic_form(u, spec) - spec.lam[0] * u.l2_norm() ** 2
+            gap = ws.quotient(c, 2.0) / ws.lam[0] - 1.0
             assert gap >= -1e-12
-            if gap <= 1e-12 * quadratic_form(u, spec):
+            if gap <= 1e-12:
                 assert np.max(np.abs(c[1:])) < 1e-12
 
     def test_truncation_mismatch(self):
-        params = SphereParams(n=3, m=1)
-        spec = gjms_eigenvalues(params, 2)
+        ws = Workspace(SphereParams(n=3, m=1), 2)
         with pytest.raises(ValueError):
-            quadratic_form(ZonalFunction(params, np.ones(5)), spec)
+            ws.quotient(np.ones(5), 2.0)
 
 
 class TestLpNorm:
     def test_constant(self):
-        params = SphereParams(n=4, m=1)
-        rule = build_quadrature(4, 16)
-        one = ZonalFunction(params, np.array([math.sqrt(sphere_area(4))]))
+        ws = Workspace(SphereParams(n=4, m=1), 0, 16)
+        one = np.array([math.sqrt(sphere_area(4))])
         for p in (1.0, 2.5, 4.0):
-            assert lp_norm(one, p, rule) == pytest.approx(sphere_area(4) ** (1 / p), rel=1e-13)
+            assert ws.p_norm(one, p) == pytest.approx(sphere_area(4) ** (1 / p), rel=1e-13)
 
     def test_parseval(self):
         rng = np.random.default_rng(5)
-        params = SphereParams(n=5, m=1)
-        rule = build_quadrature(5, 40)
-        u = ZonalFunction(params, rng.standard_normal(13))
-        assert lp_norm(u, 2.0, rule) == pytest.approx(u.l2_norm(), rel=1e-10)
+        ws = Workspace(SphereParams(n=5, m=1), 12, 40)
+        c = rng.standard_normal(13)
+        assert ws.p_norm(c, 2.0) == pytest.approx(np.linalg.norm(c), rel=1e-10)
 
     def test_y1_fourth_power_against_dense_oracle(self):
-        params = SphereParams(n=3, m=1)
-        rule = build_quadrature(3, 24)
-        u = ZonalFunction(params, np.array([0.0, 1.0]))
+        ws = Workspace(SphereParams(n=3, m=1), 1, 24)
         # brute-force 10^4-node oracle on the explicit weight
         x, w = roots_legendre(10_000)
         y1 = basis_values(3, 1, x)[:, 1]
         oracle = (sphere_area(2) * float(np.dot(w, np.sqrt(1 - x * x) * y1**4))) ** 0.25
-        assert lp_norm(u, 4.0, rule) == pytest.approx(oracle, rel=1e-10)
+        assert ws.p_norm(np.array([0.0, 1.0]), 4.0) == pytest.approx(oracle, rel=1e-10)
 
     def test_rejects_p_below_one(self):
-        params = SphereParams(n=3, m=1)
-        rule = build_quadrature(3, 8)
+        ws = Workspace(SphereParams(n=3, m=1), 0, 8)
         with pytest.raises(DomainError):
-            lp_norm(ZonalFunction(params, np.array([1.0])), 0.5, rule)
+            ws.p_norm(np.array([1.0]), 0.5)
 
     @pytest.mark.parametrize("p", [math.nan, math.inf])
     def test_rejects_non_finite_p(self, p):
-        params = SphereParams(n=3, m=1)
-        rule = build_quadrature(3, 8)
+        ws = Workspace(SphereParams(n=3, m=1), 0, 8)
         with pytest.raises(DomainError):
-            lp_norm(ZonalFunction(params, np.array([1.0])), p, rule)
+            ws.p_norm(np.array([1.0]), p)
 
 
 class TestSerialization:
