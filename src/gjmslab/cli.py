@@ -7,12 +7,17 @@ are checked exactly like flags, a config run reports the same bytes as the
 same options given as flags, and explicit flags win; the --p and --f of
 solve and probe exclude each other, also across the file.  Exit codes: 0
 success, 2 usage/config error (including inputs outside the mathematical
-domain and K >= Q), 3 numerical check failure, 4 internal inconsistency.
+domain or past the double range, and K >= Q), 3 numerical check failure, 4
+internal inconsistency.
 
-Reports are JSON with an inputs echo, results carrying their tolerances, and
-a provenance block; with a fixed seed two runs differ only in the wall-time
-field.  Tables are RFC-4180 CSV with repr-formatted floats, so they re-parse
-to identical values.
+Argparse types parse every option value, comma lists and a:p terms included.
+One function builds every JSON report: it echoes the parsed options as
+inputs (the plumbing, such as --out and --config, aside), then the results
+with their tolerances and a provenance block; with a fixed seed two runs
+differ only in the wall-time field.  Tables, the --trace-out trace included,
+are RFC-4180 CSV with LF line ends and repr-formatted floats, so they
+re-parse to identical values.  An output path that cannot be written is a
+usage error.
 
 Each subcommand imports the modules it uses when it runs.  At module level
 this file needs only gjmslab.closed_forms and gjmslab.errors, so
@@ -35,7 +40,7 @@ import time
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .closed_forms import SphereParams, gjms_lambda0, sharp_constant
+from .closed_forms import SphereParams, gjms_lambda0, in_double_range, sharp_constant
 from .errors import AliasingError, DomainError, InconsistencyError, ToolkitError
 
 if TYPE_CHECKING:
@@ -53,38 +58,53 @@ class UsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# option plumbing
+# option plumbing: argparse types, config files, output
 
 
-def _parse_float_list(text: str) -> list[float]:
-    text = text.strip()
-    if not text:
-        return []
+def _floats(text: str) -> list[float]:
+    """Comma-separated numbers; blank entries are skipped."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"expected comma-separated numbers, got {text!r}") from exc
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text.strip()!r}"
+        ) from None
 
 
-def _parse_int_list(text: str) -> list[int]:
-    values = _parse_float_list(text)
+def _ints(text: str) -> list[int]:
+    values = _floats(text)
     if not all(math.isfinite(v) and v == int(v) for v in values):
-        raise UsageError(f"expected comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     return [int(v) for v in values]
 
 
-def _parse_terms(text: str) -> list[tuple[float, float]]:
-    """Parse a right-hand side given as 'a1:p1,a2:p2'."""
+def _terms(text: str) -> list[tuple[float, float]] | None:
+    """A right-hand side given as 'a1:p1,a2:p2'; an empty string gives none."""
+    if not text:
+        return None
     terms = []
     for i, tok in enumerate(t for t in text.split(",") if t.strip()):
         parts = tok.split(":")
         if len(parts) != 2:
-            raise UsageError(f"term {i + 1}: expected a:p, got {tok!r}")
+            raise argparse.ArgumentTypeError(f"term {i + 1}: expected a:p, got {tok!r}")
         try:
             terms.append((float(parts[0]), float(parts[1])))
-        except ValueError as exc:
-            raise UsageError(f"term {i + 1}: non-numeric entry in {tok!r}") from exc
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"term {i + 1}: non-numeric entry in {tok!r}"
+            ) from None
     return terms
+
+
+def _seed(text: str) -> int:
+    """A numpy seed, which is a nonnegative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"--seed must be >= 0, got {seed}")
+    return seed
 
 
 def read_config(path: str) -> dict:
@@ -110,14 +130,17 @@ def read_config(path: str) -> dict:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
-def _csv_table(header: list[str], rows: list[list]) -> str:
+def _csv_table(header: list[str], rows: list) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -126,29 +149,49 @@ def _csv_table(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def make_report(command: str, inputs: dict, results: dict, started: float, **provenance) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
+#: parsed options that route the run and shape no number, so no report echoes them
+_PLUMBING = frozenset({"command", "config", "func", "out", "format", "trace_out", "started"})
+
+
+def _report(args, results: dict, Q: int | None = None, /, **inputs) -> str:
+    """JSON report text: the options as `inputs`, then `results` and provenance.
+
+    `inputs` echoes every parsed option but the plumbing; keyword entries
+    replace echoed values, and an entry that is None is dropped.  Provenance
+    takes seed and K from the options, and Q, the node count of the rule the
+    results came from, from the caller.
+    """
+    inputs = {**{k: v for k, v in vars(args).items() if k not in _PLUMBING}, **inputs}
+    report = {
+        "command": args.command,
+        "inputs": {k: v for k, v in inputs.items() if v is not None},
         "results": results,
         "provenance": {
             "toolkit_version": __version__,
-            "wall_time_s": time.time() - started,
-            **provenance,
+            "wall_time_s": time.time() - args.started,
+            "seed": getattr(args, "seed", None),
+            "K": getattr(args, "K", None),
+            "Q": Q,
         },
     }
-
-
-def _report_text(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def _table(args, header: list[str], rows: list, **results) -> None:
+    """Emit rows as CSV, or as the `rows` of a JSON report beside `results`."""
+    if args.format == "csv":
+        _emit(_csv_table(header, rows), args.out)
+    else:
+        rows = [dict(zip(header, row)) for row in rows]
+        _emit(_report(args, {"rows": rows, **results}), args.out)
 
 
 def _nonlinearity(args, params: SphereParams) -> Nonlinearity:
     from .lane_emden import Nonlinearity
 
-    if getattr(args, "f", None):
-        return Nonlinearity.from_terms(_parse_terms(args.f), params)
-    if getattr(args, "p", None) is not None:
+    if args.f is not None:
+        return Nonlinearity.from_terms(args.f, params)
+    if args.p is not None:
         return Nonlinearity.single_power(1.0, args.p, params)
     raise UsageError("provide a right-hand side via --f or --p")
 
@@ -161,59 +204,22 @@ def cmd_eigenvalues(args) -> int:
     from .kernels import IDENTITY_TOLERANCE, funk_hecke_spectrum, green_constant
     from .spectral import gjms_eigenvalues
 
-    started = time.time()
     params = SphereParams(n=args.n, m=args.m)
-    K = args.K
-    spec = gjms_eigenvalues(params, K)
-    kernel = funk_hecke_spectrum(params, K)
+    spec = gjms_eigenvalues(params, args.K)
+    kernel = funk_hecke_spectrum(params, args.K)
     gc = green_constant(params, kernel=kernel, gjms=spec)
     rows = [
         [k, float(spec.lam[k]), float(kernel.mu[k]), float(gc.g_mn * kernel.mu[k] * spec.lam[k])]
-        for k in range(K + 1)
+        for k in range(args.K + 1)
     ]
-    if args.format == "csv":
-        _emit(_csv_table(["k", "lambda", "mu", "g_mu_lambda"], rows), args.out)
-    else:
-        report = make_report(
-            "eigenvalues",
-            {"m": args.m, "n": args.n, "K": K},
-            {
-                "g_mn": gc.g_mn,
-                "c_n": gc.c_n,
-                "rows": [
-                    {"k": k, "lambda": lam, "mu": mu, "g_mu_lambda": glm}
-                    for k, lam, mu, glm in rows
-                ],
-                "identity_tolerance": IDENTITY_TOLERANCE,
-            },
-            started,
-            seed=None,
-            K=K,
-            Q=None,
-        )
-        _emit(_report_text(report), args.out)
+    header = ["k", "lambda", "mu", "g_mu_lambda"]
+    _table(args, header, rows, g_mn=gc.g_mn, c_n=gc.c_n, identity_tolerance=IDENTITY_TOLERANCE)
     return EXIT_OK
 
 
 def cmd_sharp_constant(args) -> int:
-    started = time.time()
-    ps = _parse_float_list(args.p)
-    rows = []
-    for p in ps:
-        rows.append([args.m, args.n, float(p), sharp_constant(args.m, args.n, p)])
-    if args.format == "csv":
-        _emit(_csv_table(["m", "n", "p", "sharp_constant"], rows), args.out)
-    else:
-        report = make_report(
-            "sharp-constant",
-            {"m": args.m, "n": args.n, "p": ps},
-            {"rows": [{"m": m, "n": n, "p": p, "sharp_constant": s} for m, n, p, s in rows]},
-            started,
-            seed=None,
-            K=None,
-            Q=None,
-        )
-        _emit(_report_text(report), args.out)
+    rows = [[args.m, args.n, p, sharp_constant(args.m, args.n, p)] for p in args.p]
+    _table(args, ["m", "n", "p", "sharp_constant"], rows)
     return EXIT_OK
 
 
@@ -221,12 +227,10 @@ def cmd_minimize(args) -> int:
     from .rayleigh import OptimizerConfig, minimize as minimize_quotient
     from .spectral import default_rule_size
 
-    started = time.time()
     if args.p is None:
         raise UsageError("minimize needs --p (flag or config)")
-    params = SphereParams(n=args.n, m=args.m)
     cfg = OptimizerConfig(
-        params=params,
+        params=SphereParams(n=args.n, m=args.m),
         p=args.p,
         K=args.K,
         starts=args.starts,
@@ -236,31 +240,15 @@ def cmd_minimize(args) -> int:
     )
     result = minimize_quotient(cfg)
     if args.trace_out:
-        result.write_trace_csv(args.trace_out)
+        _emit(_csv_table(["iter", "value", "grad_norm"], result.trace), args.trace_out)
     S = sharp_constant(args.m, args.n, args.p)
-    report = make_report(
-        "minimize",
-        {
-            "m": args.m,
-            "n": args.n,
-            "p": args.p,
-            "K": args.K,
-            "starts": args.starts,
-            "seed": args.seed,
-            "tol_grad": args.tol,
-            "max_iter": args.max_iter,
-        },
-        {
-            "minimization": result.to_dict(),
-            "sharp_constant": S,
-            "relative_error": abs(result.value / S - 1.0),
-        },
-        started,
-        seed=args.seed,
-        K=args.K,
-        Q=default_rule_size(args.K),
-    )
-    _emit(_report_text(report), args.out)
+    results = {
+        "minimization": result.to_dict(),
+        "sharp_constant": S,
+        "relative_error": abs(result.value / S - 1.0),
+    }
+    Q = default_rule_size(args.K)
+    _emit(_report(args, results, Q, tol=None, tol_grad=args.tol), args.out)
     return EXIT_OK
 
 
@@ -289,7 +277,8 @@ def _solve_initial(args, f: Nonlinearity, ws: Workspace) -> ZonalFunction:
         p_max = f.max_exponent
         scale = 1.0
         if p_max > 1.0:
-            scale = (gjms_lambda0(args.m, args.n) * 2.0 ** (2 * args.m)) ** (1.0 / (p_max - 1.0))
+            lam0_scaled = gjms_lambda0(args.m, args.n) * 2.0 ** (2 * args.m)
+            scale = in_double_range(pow)(lam0_scaled, 1.0 / (p_max - 1.0))
         return ZonalFunction(params, scale * u.coeffs)
     if choice == "random":
         return probe_start(ws, base, np.random.default_rng([args.seed, 0]))
@@ -300,7 +289,6 @@ def cmd_solve(args) -> int:
     from .lane_emden import constant_solution, solve_newton
     from .spectral import Workspace
 
-    started = time.time()
     params = SphereParams(n=args.n, m=args.m)
     f = _nonlinearity(args, params)
     ws = Workspace.shared(params, args.K, args.Q or None)
@@ -308,31 +296,14 @@ def cmd_solve(args) -> int:
     result = solve_newton(
         args.m, args.n, f, init, tol=args.tol, max_iter=args.max_iter, workspace=ws
     )
-    report = make_report(
-        "solve",
-        {
-            "m": args.m,
-            "n": args.n,
-            "f": f.describe(),
-            "classification": f.classification,
-            "K": args.K,
-            "Q": ws.rule.order,
-            "tol": args.tol,
-            "max_iter": args.max_iter,
-            "init": args.init,
-            "seed": args.seed,
-        },
-        {
-            "solve": result.to_dict(),
-            "constant_solution": constant_solution(args.m, args.n, f),
-            "tolerance": args.tol,
-        },
-        started,
-        seed=args.seed,
-        K=args.K,
-        Q=ws.rule.order,
-    )
-    _emit(_report_text(report), args.out)
+    results = {
+        "solve": result.to_dict(),
+        "constant_solution": constant_solution(args.m, args.n, f),
+        "tolerance": args.tol,
+    }
+    Q = ws.rule.order
+    inputs = {"p": None, "f": f.describe(), "classification": f.classification, "Q": Q}
+    _emit(_report(args, results, Q, **inputs), args.out)
     return EXIT_OK
 
 
@@ -340,30 +311,12 @@ def cmd_probe(args) -> int:
     from .lane_emden import uniqueness_probe
     from .spectral import default_rule_size
 
-    started = time.time()
-    params = SphereParams(n=args.n, m=args.m)
-    f = _nonlinearity(args, params)
-    report_obj = uniqueness_probe(
+    f = _nonlinearity(args, SphereParams(n=args.n, m=args.m))
+    report = uniqueness_probe(
         args.m, args.n, f, trials=args.trials, seed=args.seed, K=args.K, tol=args.tol
     )
-    report = make_report(
-        "probe",
-        {
-            "m": args.m,
-            "n": args.n,
-            "f": f.describe(),
-            "trials": args.trials,
-            "seed": args.seed,
-            "K": args.K,
-            "tol": args.tol,
-        },
-        {"probe": report_obj.to_dict(), "tolerance": args.tol},
-        started,
-        seed=args.seed,
-        K=args.K,
-        Q=default_rule_size(args.K),
-    )
-    _emit(_report_text(report), args.out)
+    results = {"probe": report.to_dict(), "tolerance": args.tol}
+    _emit(_report(args, results, default_rule_size(args.K), p=None, f=f.describe()), args.out)
     return EXIT_OK
 
 
@@ -371,13 +324,10 @@ def cmd_sweep(args) -> int:
     if args.starts > 0:
         from .rayleigh import MIN_EXPONENT_GAP, OptimizerConfig, minimize as minimize_quotient
 
-    ms = _parse_int_list(args.m)
-    ns = _parse_int_list(args.n)
-    ps = _parse_float_list(args.p)
     rows = []
-    for m in ms:
-        for n in ns:
-            for p in ps:
+    for m in args.m:
+        for n in args.n:
+            for p in args.p:
                 try:
                     params = SphereParams(n=n, m=m)
                     if not (2.0 <= p <= params.critical_norm_exponent):
@@ -385,7 +335,7 @@ def cmd_sweep(args) -> int:
                     S = sharp_constant(m, n, p)
                 except DomainError:
                     continue
-                row = [m, n, float(p), S]
+                row = [m, n, p, S]
                 if args.starts > 0:
                     # the optimizer needs the open exponent range; boundary
                     # points keep their closed-form column with blank cells
@@ -413,33 +363,20 @@ def cmd_verify(args) -> int:
     from .checks import verify_checks
     from .spectral import default_rule_size
 
-    started = time.time()
     rows = verify_checks(args.m, args.n, args.K, args.seed, args.trials)
     all_pass = all(passed for *_, passed in rows)
-    lines = [f"{'check':34s} {'margin':>12s} {'tolerance':>12s} {'status':>8s}"]
-    for name, margin, tol, passed in rows:
-        lines.append(f"{name:34s} {margin:12.3e} {tol:12.3e} {'pass' if passed else 'FAIL':>8s}")
-    lines.append(f"{'overall':34s} {'':12s} {'':12s} {'pass' if all_pass else 'FAIL':>8s}")
-    text = "\n".join(lines) + "\n"
     if args.format == "json":
-        report = make_report(
-            "verify",
-            {"m": args.m, "n": args.n, "K": args.K, "seed": args.seed, "trials": args.trials},
-            {
-                "checks": [
-                    {"name": nm, "margin": mg, "tolerance": tl, "passed": ps}
-                    for nm, mg, tl, ps in rows
-                ],
-                "passed": all_pass,
-            },
-            started,
-            seed=args.seed,
-            K=args.K,
-            Q=default_rule_size(args.K),
-        )
-        _emit(_report_text(report), args.out)
+        checks = [dict(zip(("name", "margin", "tolerance", "passed"), row)) for row in rows]
+        text = _report(args, {"checks": checks, "passed": all_pass}, default_rule_size(args.K))
     else:
-        _emit(text, args.out)
+        lines = [f"{'check':34s} {'margin':>12s} {'tolerance':>12s} {'status':>8s}"]
+        for name, margin, tol, passed in rows:
+            lines.append(
+                f"{name:34s} {margin:12.3e} {tol:12.3e} {'pass' if passed else 'FAIL':>8s}"
+            )
+        lines.append(f"{'overall':34s} {'':12s} {'':12s} {'pass' if all_pass else 'FAIL':>8s}")
+        text = "\n".join(lines) + "\n"
+    _emit(text, args.out)
     return EXIT_OK if all_pass else EXIT_NUMERICAL
 
 
@@ -471,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         if K is not None:
             p.add_argument("--K", type=int, default=K)
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_seed, default=0)
         if tol is not None:
             p.add_argument("--tol", type=float, default=tol, help=tol_help)
         p.add_argument("--out", help="output path (default stdout)")
@@ -482,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
         # not required: main parses once before it adds the config file
         group = p.add_mutually_exclusive_group()
         group.add_argument("--p", type=float, help="single-power right-hand side u^p")
-        group.add_argument("--f", help="general right-hand side 'a1:p1,a2:p2'")
+        group.add_argument("--f", type=_terms, help="general right-hand side 'a1:p1,a2:p2'")
 
     p = add_parser("eigenvalues", help="operator and kernel spectra with the inverse identity")
     common(p, K=32, fmt=("csv", "json"))
@@ -490,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("sharp-constant", help="closed-form sharp constants over a p grid")
     common(p, fmt=("csv", "json"))
-    p.add_argument("--p", default="", help="comma-separated exponents (may be empty)")
+    p.add_argument("--p", type=_floats, default="", help="comma-separated exponents (may be empty)")
     p.set_defaults(func=cmd_sharp_constant)
 
     p = add_parser("minimize", help="multistart quotient minimization")
@@ -522,9 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("sweep", help="sharp constants (and optional minimization) over a grid")
     common(p, m=False, n=False, K=16, seed=True)
-    p.add_argument("--m", default="", help="comma-separated orders")
-    p.add_argument("--n", default="", help="comma-separated dimensions")
-    p.add_argument("--p", default="", help="comma-separated exponents")
+    p.add_argument("--m", type=_ints, default="", help="comma-separated orders")
+    p.add_argument("--n", type=_ints, default="", help="comma-separated dimensions")
+    p.add_argument("--p", type=_floats, default="", help="comma-separated exponents")
     p.add_argument("--starts", type=int, default=0, help="if > 0, also run minimize per point")
     p.set_defaults(func=cmd_sweep)
 
@@ -548,12 +485,10 @@ def main(argv=None) -> int:
             at = argv.index(args.command) + 1
             argv[at:at] = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
             args = parser.parse_args(argv)
-        if getattr(args, "seed", 0) < 0:  # numpy seeds are nonnegative
-            raise UsageError(f"--seed must be >= 0, got {args.seed}")
+        args.started = time.time()
         return args.func(args)
     except SystemExit as exc:  # argparse usage errors already printed
-        code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
-        return EXIT_USAGE if code not in (0,) else 0
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     except (UsageError, DomainError, AliasingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

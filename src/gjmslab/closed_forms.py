@@ -7,12 +7,36 @@ This module imports only the standard library, so the `sharp-constant` and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .errors import DomainError
 
 
+def in_double_range(closed_form):
+    """Raise DomainError where `closed_form` leaves the double range.
+
+    An OverflowError (math.gamma, float powers) or a float result that is not
+    finite both mean the arguments lie past what a double holds; values in
+    range pass through with their bits.
+    """
+
+    @functools.wraps(closed_form)
+    def checked(*args, **kwargs):
+        try:
+            value = closed_form(*args, **kwargs)
+        except OverflowError:
+            value = math.inf
+        if isinstance(value, float) and not math.isfinite(value):
+            at = ", ".join(map(repr, [*args, *kwargs.values()]))
+            raise DomainError(f"{closed_form.__name__}({at}) overflows a double")
+        return value
+
+    return checked
+
+
+@in_double_range
 def sphere_area(n: int) -> float:
     """Surface measure |S^n| = 2 pi^((n+1)/2) / Gamma((n+1)/2) of the unit n-sphere."""
     if not (math.isfinite(n) and n >= 1):
@@ -63,6 +87,7 @@ class SphereParams:
         return (self.n + 2.0 * self.m) / (self.n - 2.0 * self.m)
 
 
+@in_double_range
 def gjms_lambda0(m: int, n: int) -> float:
     """Bottom eigenvalue Gamma(n/2+m) / Gamma(n/2-m) of the order-2m operator.
 
@@ -73,6 +98,7 @@ def gjms_lambda0(m: int, n: int) -> float:
     return float(math.prod(params.n / 2.0 + j for j in range(-params.m, params.m)))
 
 
+@in_double_range
 def sharp_constant(m: int, n: int, p: float) -> float:
     """Best constant Lambda_0 |S^n|^(1-2/p) of the subcritical quotient.
 

@@ -18,12 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_forms import in_double_range
 from .errors import DomainError, InconsistencyError
 from .spectral import GjmsSpectrum, SphereParams, Workspace, ZonalFunction, gamma_ratio
 
 IDENTITY_TOLERANCE = 1e-8  #: largest |g_mn mu_k Lambda_k - 1| green_constant accepts
 
 
+@in_double_range
 def ball_volume(n: int) -> float:
     """Volume of the unit ball in R^n."""
     if n < 1:
@@ -51,6 +53,7 @@ class KernelSpectrum:
         return len(self.mu) - 1
 
 
+@in_double_range
 def funk_hecke_spectrum(params: SphereParams, K: int) -> KernelSpectrum:
     """Kernel eigenvalues mu_0..mu_K from the Funk-Hecke closed form.
 

@@ -24,7 +24,7 @@ through both poles t = 1 (r = 0) and t = -1 (r = infinity).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -124,11 +124,14 @@ class Nonlinearity:
         return " + ".join(f"{a:g} t^{p:g}" for a, p in self.terms)
 
 
+# f(c) overflows to inf, where g < 0, when c nears the top of the double range
+@np.errstate(over="ignore")
 def constant_solution(m: int, n: int, f: Nonlinearity) -> float | None:
     """Positive root of Lambda_0 c = f(c), the constant the solver should find.
 
     Returns 0.0 when f vanishes identically, None when no positive root exists
-    (including the resonant all-linear cases).
+    (including the resonant all-linear cases); raises DomainError when the
+    root lies past the double range.
     """
     lam0 = gjms_lambda0(m, n)
     if not f.terms:
@@ -144,12 +147,10 @@ def constant_solution(m: int, n: int, f: Nonlinearity) -> float | None:
         return None  # g < 0 for all c > 0, superlinear terms only push further down
     lo = 1e-300  # the linear part dominates as c -> 0+, so g(lo) > 0
     hi = 1.0
-    for _ in range(200):
-        if g(hi) < 0:
-            break
+    while not g(hi) < 0.0:  # not >= 0, so a nan g (inf - inf) keeps doubling
         hi *= 2.0
-    else:
-        return None
+        if math.isinf(hi):
+            raise DomainError("the positive root of Lambda_0 c = f(c) overflows a double")
     # g is concave with g(0) = 0, so Newton from hi, where g < 0, falls
     # monotonically onto the root; bisection keeps every iterate in (lo, hi)
     # against rounding
@@ -193,16 +194,7 @@ class SolveResult:
     converged: bool
 
     def to_dict(self) -> dict:
-        return {
-            "solution": self.solution.to_dict(),
-            "residual": self.residual,
-            "rel_residual": self.rel_residual,
-            "iters": self.iters,
-            "stop_reason": self.stop_reason,
-            "classification": self.classification,
-            "negativity": self.negativity,
-            "converged": self.converged,
-        }
+        return {**vars(self), "solution": self.solution.to_dict()}
 
 
 def _classify(u: ZonalFunction, diverged: bool) -> str:
@@ -334,25 +326,7 @@ class ProbeReport:
     stop_reasons: dict = field(default_factory=lambda: dict.fromkeys(STOP_REASONS, 0))
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "nonlinearity": self.nonlinearity,
-            "trials": self.trials,
-            "constant_value": self.constant_value,
-            "converged": self.converged,
-            "nonconverged": self.nonconverged,
-            "diverged": self.diverged,
-            "negative": self.negative,
-            "zero": self.zero,
-            "constant": self.constant,
-            "nonconstant": self.nonconstant,
-            "max_constant_rel_err": self.max_constant_rel_err,
-            "fraction_constant": self.fraction_constant,
-            "counterexamples": self.counterexamples,
-            "kernel_dimension": self.kernel_dimension,
-            "stop_reasons": dict(self.stop_reasons),
-        }
+        return asdict(self)
 
 
 def probe_start(workspace: Workspace, base: float, rng: np.random.Generator) -> ZonalFunction:
@@ -389,6 +363,8 @@ def uniqueness_probe(
     dimension instead of Newton runs.
     """
     _check_tolerance(tol)
+    if trials < 1:
+        raise DomainError("need at least one trial")
     params = SphereParams(n=n, m=m)
     p_crit = params.critical_equation_exponent
     if f.terms and f.max_exponent >= p_crit - 1e-12 and not f.is_linear:
@@ -407,8 +383,6 @@ def uniqueness_probe(
         report.kernel_dimension = int(np.sum(np.abs(lam - a) <= 1e-9 * np.abs(lam)))
         report.trials = 0
         return report
-    if trials < 1:
-        raise DomainError("need at least one trial")
 
     base = c_star if (c_star is not None and c_star > 0) else 1.0
     for trial in range(trials):

@@ -108,28 +108,8 @@ class MinimizationResult:
     start_stop_reasons: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "minimizer": self.minimizer.to_dict(),
-            "value": self.value,
-            "grad_norm": self.grad_norm,
-            "rel_grad_norm": self.rel_grad_norm,
-            "iters": self.iters,
-            "distance_to_constant": self.distance_to_constant,
-            "converged": self.converged,
-            "start_values": [float(v) for v in self.start_values],
-            "start_iters": list(self.start_iters),
-            "start_fallback_steps": list(self.start_fallback_steps),
-            "start_stop_reasons": list(self.start_stop_reasons),
-        }
-
-    def write_trace_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "value", "grad_norm"])
-            for it, val, gn in self.trace:
-                writer.writerow([it, repr(float(val)), repr(float(gn))])
+        fields = {k: v for k, v in vars(self).items() if k != "trace"}
+        return {**fields, "minimizer": self.minimizer.to_dict()}
 
 
 def _newton_step(ws: Workspace, c: np.ndarray, p: float, val: float, grad: np.ndarray):

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_forms import SphereParams, gjms_lambda0, sharp_constant, sphere_area  # noqa: F401
+from .closed_forms import in_double_range
 from .errors import AliasingError, DomainError, InconsistencyError
 
 def default_rule_size(K: int) -> int:
@@ -89,6 +90,7 @@ def _aberth_sums(xa: np.ndarray, active: np.ndarray, zeros: np.ndarray) -> np.nd
     return sums
 
 
+@in_double_range
 def gauss_jacobi(N: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """N-point Gauss rule for the weight (1-t)^alpha (1+t)^beta on [-1, 1].
 
@@ -380,7 +382,11 @@ def gamma_ratio(params: SphereParams, K: int) -> np.ndarray:
     if K < 0:
         raise DomainError("truncation degree must be >= 0")
     x = np.arange(K + 1, dtype=float) + params.n / 2.0
-    return np.prod([x + j for j in range(-params.m, params.m)], axis=0)
+    with np.errstate(over="ignore"):
+        lam = np.prod([x + j for j in range(-params.m, params.m)], axis=0)
+    if not math.isfinite(lam[-1]):  # the largest entry
+        raise DomainError(f"Lambda_{K} overflows a double for n={params.n}, m={params.m}")
+    return lam
 
 
 def gjms_eigenvalues(params: SphereParams, K: int) -> GjmsSpectrum:

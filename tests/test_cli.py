@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, determinism, config files."""
 
+import argparse
 import csv
 import json
 import math
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gjmslab.cli import main
+from gjmslab.cli import build_parser, main
 from gjmslab.errors import TruncationWarning
 from gjmslab.spectral import Workspace
 
@@ -20,6 +21,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+#: options that route a run and shape no number, which no report echoes
+PLUMBING = {"command", "config", "out", "format", "trace_out"}
+
+
+def option_dests(command):
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {a.dest for a in subparsers.choices[command]._actions if a.dest != "help"}
 
 
 @pytest.fixture
@@ -62,6 +74,30 @@ class TestEigenvalues:
         rows2 = list(csv.DictReader(out2.splitlines()))
         rebuilt2 = [[int(r["k"]), float(r["lambda"]), float(r["mu"]), float(r["g_mu_lambda"])] for r in rows2]
         assert rebuilt == rebuilt2
+
+
+class TestReportInputs:
+    @pytest.mark.parametrize(
+        "argv,dropped,replaced",
+        [
+            (["eigenvalues", "--format", "json", "--K", "4"], set(), {}),
+            (["sharp-constant", "--format", "json", "--p", "3"], set(), {}),
+            (["minimize", "--p", "3", "--K", "4", "--starts", "1"], {"tol"}, {"tol_grad": 1e-9}),
+            (
+                ["solve", "--p", "3", "--K", "4"],
+                {"p"},
+                {"f": "1 t^3", "classification": "subcritical", "Q": 16},
+            ),
+            (["probe", "--p", "3", "--K", "4", "--trials", "1"], {"p"}, {"f": "1 t^3"}),
+            (["verify", "--format", "json", "--K", "2", "--trials", "1"], set(), {}),
+        ],
+    )
+    def test_inputs_echo_every_option_but_the_plumbing(self, capsys, argv, dropped, replaced):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        inputs = json.loads(out)["inputs"]
+        assert set(inputs) == (option_dests(argv[0]) - PLUMBING - dropped) | set(replaced)
+        assert {key: inputs[key] for key in replaced} == replaced
 
 
 class TestSharpConstant:
@@ -352,6 +388,51 @@ class TestInputValidation:
         assert "not allowed with" in err
 
 
+class TestDoubleRangeAndOutputPaths:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sharp-constant", "--p", "3", "--out", "{missing}"],
+            ["minimize", "--p", "3", "--K", "4", "--starts", "1", "--trace-out", "{missing}"],
+            ["sharp-constant", "--n", "343", "--m", "1", "--p", "2.005"],
+            ["eigenvalues", "--n", "342", "--m", "1"],
+            ["eigenvalues", "--n", "400", "--m", "1"],
+            ["solve", "--n", "172", "--m", "1", "--p", "1.5", "--K", "4"],
+            ["verify", "--n", "172", "--m", "1", "--K", "4"],
+            ["minimize", "--n", "172", "--m", "1", "--p", "2.01", "--K", "4", "--starts", "1"],
+            ["sharp-constant", "--n", "200", "--m", "99", "--p", "2.5"],
+            ["sharp-constant", "--n", "200", "--m", "99", "--p", "2.5", "--format", "json"],
+            ["eigenvalues", "--n", "101", "--m", "50", "--K", "3000"],
+            ["verify", "--n", "170", "--m", "1"],  # the constant root is about 1e324
+            ["solve", "--p", "1.001", "--init", "bubble:2"],  # the bubble scale is 3^1000
+            ["probe", "--f", "1:1", "--trials", "-5", "--K", "4"],
+        ],
+    )
+    def test_is_a_usage_error(self, tmp_path, capsys, argv):
+        missing = str(tmp_path / "no-such-dir" / "out.csv")
+        code, out, err = run(capsys, *(missing if a == "{missing}" else a for a in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("n", [47, 60, 100])
+    def test_verify_with_a_constant_root_above_two_to_the_two_hundred(self, capsys, n):
+        code, out, _ = run(capsys, "verify", "--n", str(n), "--m", "1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["results"]["passed"] is True
+
+    def test_solve_reports_a_constant_root_above_two_to_the_two_hundred(self, capsys):
+        code, out, _ = run(capsys, "solve", "--n", "48", "--m", "1", "--p", "1.03", "--K", "4")
+        assert code == 0
+        root = json.loads(out)["results"]["constant_solution"]
+        assert root == pytest.approx((23.0 * 24.0) ** (1.0 / 0.03), rel=1e-12)  # 2.5e91
+
+    def test_sweep_skips_points_past_the_double_range(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--n", "343", "--m", "1", "--p", "2.005")
+        assert code == 0
+        assert out == "m,n,p,sharp_constant\n"
+
+
 class TestRuntimeDependencies:
     def test_import_loads_no_scipy_sympy_or_numpy_polynomial(self):
         import gjmslab
@@ -565,6 +646,26 @@ class TestSolveCommand:
         lines = trace.read_text().strip().splitlines()
         assert lines[0] == "iter,value,grad_norm"
         assert len(lines) >= 2
+
+    def test_trace_csv(self, tmp_path, capsys):
+        from gjmslab.rayleigh import OptimizerConfig, SphereParams, minimize
+
+        trace = tmp_path / "trace.csv"
+        code, _, _ = run(
+            capsys, "minimize", "--m", "1", "--n", "3", "--p", "4", "--K", "8",
+            "--starts", "2", "--seed", "4", "--trace-out", str(trace),
+        )
+        assert code == 0
+        text = trace.read_bytes().decode()
+        assert "\r" not in text and text.endswith("\n")
+        lines = text.splitlines()
+        assert lines[0] == "iter,value,grad_norm"
+        rows = [line.split(",") for line in lines[1:]]
+        # floats are written by repr, so each cell parses back to its exact value
+        assert all(repr(float(cell)) == cell for row in rows for cell in row[1:])
+        cfg = OptimizerConfig(params=SphereParams(n=3, m=1), p=4.0, K=8, starts=2, seed=4)
+        res = minimize(cfg)
+        assert [(int(it), float(val), float(gn)) for it, val, gn in rows] == res.trace
 
     def test_minimize_per_start_records(self, capsys):
         code, out, _ = run(

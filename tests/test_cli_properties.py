@@ -22,7 +22,7 @@ def _mostly(good, bad):
 
 
 BAD_ORDER = ["-1", "0", "1.5", "x", ""]
-BAD_DIM = ["-1", "2", "4", "3.0", "n"]
+BAD_DIM = ["-1", "2", "4", "3.0", "n", "400"]
 DEGREE = _mostly(st.integers(0, 16).map(str), ["-2", "-1", "4.5"])
 SEED = _mostly(st.integers(0, 2**32).map(str), ["-1", "0.5"])
 TOL = _mostly(st.sampled_from(["1e-12", "1e-8", "1e-3"]), ["0", "-1", "nan", "tol"])

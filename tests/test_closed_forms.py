@@ -79,6 +79,28 @@ class TestSharpConstant:
             sharp_constant(1, 3, p)
 
 
+class TestDoubleRange:
+    @pytest.mark.parametrize(
+        "closed_form,args",
+        [
+            (sphere_area, (343,)),  # Gamma(172) overflows
+            (sphere_area, (1301,)),  # so does pi^651, which is evaluated first
+            (gjms_lambda0, (99, 200)),  # 198! overflows as a product of floats
+            (sharp_constant, (99, 200, 2.5)),
+            (sharp_constant, (1, 343, 2.005)),
+        ],
+    )
+    def test_overflow_is_a_domain_error(self, closed_form, args):
+        with pytest.raises(DomainError, match="overflows a double"):
+            closed_form(*args)
+
+    def test_values_in_range_keep_their_bits(self):
+        for n in range(1, 343):
+            assert sphere_area(n) == sphere_area.__wrapped__(n), n
+        for m in (1, 30, 60):
+            assert sharp_constant(m, 200, 2.01) == sharp_constant.__wrapped__(m, 200, 2.01), m
+
+
 def test_spectral_and_rayleigh_re_export_the_same_objects():
     for name in ("SphereParams", "sphere_area", "gjms_lambda0", "sharp_constant"):
         assert getattr(spectral, name) is getattr(closed_forms, name)

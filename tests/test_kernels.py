@@ -104,6 +104,13 @@ class TestGreenConstants:
         assert ball_volume(3) == pytest.approx(4 * math.pi / 3, rel=1e-15)
         assert gc.c_n == pytest.approx(1 / (4 * math.pi), rel=1e-14)
 
+    def test_overflow_is_a_domain_error(self):
+        # Gamma(172) in the ball volume; Gamma(199) in the kernel's scale
+        with pytest.raises(DomainError, match="overflows a double"):
+            ball_volume(342)
+        with pytest.raises(DomainError, match="overflows a double"):
+            funk_hecke_spectrum(SphereParams(n=400, m=1), 4)
+
     def test_identity_at_zero_by_construction(self):
         params = SphereParams(n=5, m=2)
         kernel = funk_hecke_spectrum(params, 8)

@@ -115,6 +115,19 @@ class TestConstantSolution:
         ref = brentq(g, 1e-300, 4.0, xtol=1e-15, rtol=4 * eps, maxiter=200)
         assert abs(constant_solution(2, 5, f) - ref) <= 4 * eps * ref
 
+    @pytest.mark.parametrize("n,m,p", [(48, 1, 1.03), (13, 5, 1.05), (9, 3, 1.5)])
+    def test_root_above_two_to_the_two_hundred(self, n, m, p):
+        # Lambda_0 c = c^p has the root Lambda_0^(1/(p-1)); at (48, 1, 1.03) it is 2.5e91
+        f = Nonlinearity.single_power(1.0, p, SphereParams(n=n, m=m))
+        expected = gjms_lambda0(m, n) ** (1.0 / (p - 1.0))
+        assert constant_solution(m, n, f) == pytest.approx(expected, rel=1e-13)
+
+    def test_root_past_the_double_range_is_a_domain_error(self):
+        # 3.75^1000 overflows a double
+        f = Nonlinearity.single_power(1.0, 1.001, SphereParams(n=5, m=1))
+        with pytest.raises(DomainError, match="overflows a double"):
+            constant_solution(1, 5, f)
+
     def test_no_positive_root(self):
         params = SphereParams(n=3, m=1)
         # linear part already dominates the spectrum bottom
@@ -230,6 +243,14 @@ class TestUniquenessProbe:
         assert rep.counterexamples == []
         assert rep.max_constant_rel_err <= 1e-8
         assert rep.fraction_constant == 1.0
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_linear_right_hand_side_needs_a_trial(self, trials):
+        # a linear f takes no Newton trials, but a trial count below 1 is
+        # rejected as for every other right-hand side
+        f = Nonlinearity.from_terms([(1.0, 1.0)], SphereParams(n=3, m=1))
+        with pytest.raises(DomainError, match="at least one trial"):
+            uniqueness_probe(1, 3, f, trials=trials, seed=0, K=4)
 
     def test_one_workspace_per_probe(self, monkeypatch):
         import gjmslab.spectral as spectral

@@ -258,15 +258,6 @@ class TestMinimize:
             with pytest.raises(DomainError, match="finite"):
                 OptimizerConfig(params=params, p=4.0, K=8, tol_grad=tol)
 
-    def test_trace_csv(self, tmp_path):
-        cfg = OptimizerConfig(params=SphereParams(n=3, m=1), p=4.0, K=8, starts=2, seed=4)
-        res = minimize(cfg)
-        path = tmp_path / "trace.csv"
-        res.write_trace_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iter,value,grad_norm"
-        assert len(lines) == len(res.trace) + 1
-
 
 class TestNewtonMultistart:
     def test_every_start_reaches_sharp_constant(self, multistart_results):

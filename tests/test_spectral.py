@@ -151,6 +151,11 @@ class TestGaussJacobi:
         with pytest.raises(DomainError):
             gauss_jacobi(8, -0.5, 0.5)
 
+    def test_mass_past_the_double_range_is_a_domain_error(self):
+        # the mass needs Gamma(alpha + beta + 2) = Gamma(172) at n = 172
+        with pytest.raises(DomainError, match="overflows a double"):
+            gauss_jacobi(16, 85.0, 85.0)
+
 
 def reference_gauss_jacobi(N, alpha, beta):
     # Reference: the same Newton passes with a list of row arrays, its
@@ -372,6 +377,12 @@ class TestGjmsSpectrum:
             assert np.max(np.abs(ratio[::50] / ref - 1)) <= 1e-14
         with pytest.raises(DomainError):
             gamma_ratio(SphereParams(n=3, m=1), -1)
+
+    def test_spectrum_past_the_double_range_is_a_domain_error(self):
+        params = SphereParams(n=101, m=50)
+        assert np.isfinite(gamma_ratio(params, 1000)[-1])  # about 1e302
+        with pytest.raises(DomainError, match="Lambda_3000 overflows a double"):
+            gamma_ratio(params, 3000)
 
     def test_positive_and_increasing(self):
         for m, n in [(1, 3), (2, 5), (3, 7), (4, 9), (4, 12)]:
