@@ -159,7 +159,8 @@ def _report(args, results: dict, Q: int | None = None, /, **inputs) -> str:
     `inputs` echoes every parsed option but the plumbing; keyword entries
     replace echoed values, and an entry that is None is dropped.  Provenance
     takes seed and K from the options, and Q, the node count of the rule the
-    results came from, from the caller.
+    results came from, from the caller.  A NaN or infinite number, which
+    JSON cannot hold, raises ToolkitError (exit 3).
     """
     inputs = {**{k: v for k, v in vars(args).items() if k not in _PLUMBING}, **inputs}
     report = {
@@ -174,7 +175,10 @@ def _report(args, results: dict, Q: int | None = None, /, **inputs) -> str:
             "Q": Q,
         },
     }
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    try:
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ToolkitError(f"the {args.command} report holds a non-finite number") from exc
 
 
 def _table(args, header: list[str], rows: list, **results) -> None:

@@ -5,7 +5,10 @@ residual is Lambda c - B^T(w f(B c)), the Jacobian diag(Lambda) minus the
 quadrature-assembled multiplication operator f'(u).  A solve stops once the
 Lambda-scaled residual is small relative to the iterate, ||res / Lambda|| <=
 tol ||c||: Lambda magnifies the rounding in c, so an absolute stop is out of
-reach on high orders.
+reach on high orders.  Steps are damped on the dual energy norm
+||Lambda^(-1/2) res|| (Deuflhard, Newton Methods for Nonlinear Problems,
+2004), not on ||res||, which Lambda_K dominates.  One loop runs a stack of
+iterates in lockstep: a probe's trials are one batch, a solve a batch of one.
 
 f acts on the positive part u+ = max(u, 0).  The Green kernel of P is
 positive, so the nonnegative solutions of P u = f(u) are exactly the
@@ -30,7 +33,9 @@ import numpy as np
 
 from .conformal import iterated_laplacians
 from .errors import DomainError
-from .spectral import SphereParams, Workspace, ZonalFunction, basis_with_derivatives, gjms_lambda0
+from .spectral import (
+    SphereParams, Workspace, ZonalFunction, basis_with_derivatives, gjms_lambda0, norm2
+)
 
 CONSTANT_CLASS_TOL = 1e-7
 
@@ -180,8 +185,9 @@ class SolveResult:
 
     `residual` is the absolute ||Lambda c - B^T(w f(B c))||; `rel_residual` is
     ||res / Lambda|| / ||c||, the quantity the stop compares with tol.  `iters`
-    counts accepted steps, `stop_reason` is one of STOP_REASONS, and
-    `negativity` is the most negative node value (0 if none).
+    counts accepted steps, `stop_reason` is one of STOP_REASONS,
+    `negativity` is the most negative node value (0 if none), and `max_tau`
+    the largest regularization tau an accepted step used (0 for plain Newton).
     """
 
     solution: ZonalFunction
@@ -192,6 +198,7 @@ class SolveResult:
     classification: str
     negativity: float
     converged: bool
+    max_tau: float
 
     def to_dict(self) -> dict:
         return {**vars(self), "solution": self.solution.to_dict()}
@@ -216,11 +223,15 @@ def solve_newton(
 
     The solve stops with reason "tolerance" once ||res / Lambda|| <= tol ||c||,
     a relative test, so one tol serves every (n, m, K) however large Lambda_K
-    is.  Steps are damped by halving while they fail to reduce the residual
-    norm; when no step does, the solve stops with "line_search_exhausted".
-    Iterates with coefficient norm beyond 1e8 stop as "diverged"; after
-    max_iter accepted steps the solve stops as "max_iter".  The workspace
-    (default: Workspace.shared(params, init.K)) must match init's (n, m, K).
+    is.  Each step solves J + tau diag(Lambda) with tau = 0 first and halves
+    the step from 1 down to 1/1024 until the merit ||Lambda^(-1/2) res||, the
+    dual energy norm of the Euler-Lagrange equation of <Pu, u>/2 - int F(u+),
+    drops; when no scale does, it retries at tau = 1e-8, 1e-4, 1e-2, 1 and
+    100, and then stops with "line_search_exhausted".  Iterates with
+    coefficient norm beyond 1e8 stop as "diverged"; after max_iter accepted
+    steps the solve stops as "max_iter".  This is a batch of one on the loop
+    that runs a probe's trials in lockstep.  The workspace (default:
+    Workspace.shared(params, init.K)) must match init's (n, m, K).
     """
     _check_tolerance(tol)
     if max_iter < 0:
@@ -231,80 +242,97 @@ def solve_newton(
     ws = workspace or Workspace.shared(params, init.K)
     if ws.params != params or ws.K != init.K:
         raise ValueError(f"workspace is for {ws.params}, K={ws.K}; init has K={init.K}")
+    return _newton_batch(ws, f, init.coeffs[None, :], tol, max_iter)[0]
+
+
+# a candidate that overflows has a non-finite merit, and no row accepts it
+@np.errstate(over="ignore", invalid="ignore")
+def _newton_batch(ws: Workspace, f: Nonlinearity, C: np.ndarray, tol: float, max_iter: int):
+    """solve_newton in lockstep on the rows of C: one SolveResult per row.
+
+    Each row keeps its own iterate, merit, iteration count, largest tau and
+    stop reason.  Jacobians are assembled and solved one row at a time, so
+    no (rows, K+1, K+1) stack is formed; each halving scale is one batched
+    synthesis X B^T and analysis (w f(V)) B over the rows still searching.
+    """
     B, w, lam = ws.basis, ws.weights, ws.lam
+    root = np.sqrt(lam)
 
-    def residual_vec(c):
-        vals = B @ c
-        return lam * c - B.T @ (w * f(vals)), vals
+    def residuals(X):
+        V = X @ B.T
+        return X * lam - (w * f(V)) @ B, V
 
-    def rel_residual(res_vec, c):
-        # f(0) = 0, so c = 0 is an exact solution with a zero residual
-        cnorm = float(np.linalg.norm(c))
-        return float(np.linalg.norm(res_vec / lam)) / cnorm if cnorm > 0.0 else 0.0
-
-    c = init.coeffs.copy()
-    res_vec, vals = residual_vec(c)
-    res = float(np.linalg.norm(res_vec))
-    rel = rel_residual(res_vec, c)
-    iters = 0
-    while True:
-        if rel <= tol:
-            reason = "tolerance"
-            break
-        if iters == max_iter:
-            reason = "max_iter"
-            break
-        J = np.diag(lam) - ws.weighted_gram(f.slope(vals))
-        # plain damped Newton first; near a singular linearization fall back to
-        # progressively regularized systems (J + tau diag(Lambda))
-        accepted = False
-        for tau in (0.0, 1e-8, 1e-4, 1e-2, 1.0, 1e2):
-            Jreg = J + tau * np.diag(lam) if tau else J
+    def search(rows, tau):
+        # the Newton steps of rows at tau, then one batched backtracking pass;
+        # returns the rows no scale moved
+        shifted, S = (1.0 + tau) * lam, np.empty((rows.size, lam.size))
+        for j, (i, slope) in enumerate(zip(rows, f.slope(V[rows]))):
+            J = np.negative(ws.weighted_gram(slope))
+            J.ravel()[:: lam.size + 1] += shifted  # J + tau diag(Lambda)
             try:
-                step = np.linalg.solve(Jreg, -res_vec)
+                S[j] = np.linalg.solve(J, -R[i])
             except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(Jreg, -res_vec, rcond=None)[0]
-            if not np.all(np.isfinite(step)):
-                continue
-            scale = 1.0
-            while scale >= 1.0 / 1024.0:
-                cand = c + scale * step
-                cand_res_vec, cand_vals = residual_vec(cand)
-                cand_res = float(np.linalg.norm(cand_res_vec))
-                if math.isfinite(cand_res) and cand_res < res:
-                    c, res_vec, vals, res = cand, cand_res_vec, cand_vals, cand_res
-                    accepted = True
-                    break
-                scale *= 0.5
-            if accepted:
-                break
-        if not accepted:
-            reason = "line_search_exhausted"
+                S[j] = np.linalg.lstsq(J, -R[i], rcond=None)[0]
+        finite = np.isfinite(S).all(axis=1)
+        left, rows, S, scale = rows[~finite], rows[finite], S[finite], 1.0
+        while rows.size and scale >= 1.0 / 1024.0:
+            cand = C[rows] + scale * S
+            cand_R, cand_V = residuals(cand)
+            cand_merit = norm2(cand_R / root, axis=1)
+            ok = cand_merit < merit[rows]  # never true for a nan or inf merit
+            took = rows[ok]
+            C[took], R[took], V[took], merit[took] = cand[ok], cand_R[ok], cand_V[ok], cand_merit[ok]
+            max_tau[took] = np.maximum(max_tau[took], tau)
+            rows, S, scale = rows[~ok], S[~ok], 0.5 * scale
+        return np.concatenate((left, rows))
+
+    C = C.copy()
+    R, V = residuals(C)
+    merit, cnorm = norm2(R / root, axis=1), norm2(C, axis=1)
+    iters, max_tau = np.zeros(len(C), dtype=int), np.zeros(len(C))
+    stop = np.full(len(C), -1)  # index into STOP_REASONS once a row stops
+    while True:
+        # f(0) = 0, so c = 0 is an exact solution with a zero residual
+        rel = np.divide(norm2(R / lam, axis=1), cnorm, out=np.zeros(len(C)), where=cnorm > 0.0)
+        stop[(stop < 0) & (rel <= tol)] = 0
+        stop[(stop < 0) & (iters == max_iter)] = 1
+        pending = np.flatnonzero(stop < 0)
+        if not pending.size:
             break
-        iters += 1
-        rel = rel_residual(res_vec, c)
-        if not np.all(np.isfinite(c)) or np.linalg.norm(c) > 1e8:
-            reason = "diverged"
-            break
-    u = ZonalFunction(params, c)
-    negativity = float(min(np.min(B @ c), 0.0))
-    return SolveResult(
-        solution=u,
-        residual=res,
-        rel_residual=rel,
-        iters=iters,
-        stop_reason=reason,
-        classification=_classify(u, reason == "diverged"),
-        negativity=negativity,
-        converged=reason == "tolerance",
-    )
+        moved = stop < 0  # the active rows, less those that exhaust the ladder
+        for tau in (0.0, 1e-8, 1e-4, 1e-2, 1.0, 1e2):
+            if pending.size:
+                pending = search(pending, tau)
+        stop[pending] = 2
+        moved &= stop < 0
+        iters[moved] += 1
+        cnorm[moved] = norm2(C[moved], axis=1)
+        stop[moved & ~(cnorm <= 1e8)] = 3
+    results = []
+    for c, v, res, rel_i, it, code, tau in zip(C, V, norm2(R, axis=1), rel, iters, stop, max_tau):
+        u, reason = ZonalFunction(ws.params, c), STOP_REASONS[code]
+        results.append(
+            SolveResult(
+                solution=u,
+                residual=float(res),
+                rel_residual=float(rel_i),
+                iters=int(it),
+                stop_reason=reason,
+                classification=_classify(u, reason == "diverged"),
+                negativity=float(min(np.min(v), 0.0)),
+                converged=reason == "tolerance",
+                max_tau=float(tau),
+            )
+        )
+    return results
 
 
 @dataclass
 class ProbeReport:
     """Aggregate of multistart Newton solves for one subcritical right-hand side.
 
-    `stop_reasons` counts the trials by SolveResult.stop_reason.
+    `stop_reasons` counts the trials by SolveResult.stop_reason, and
+    `regularized` the trials that took a step with max_tau > 0.
     """
 
     m: int
@@ -324,6 +352,7 @@ class ProbeReport:
     counterexamples: list = field(default_factory=list)
     kernel_dimension: int | None = None
     stop_reasons: dict = field(default_factory=lambda: dict.fromkeys(STOP_REASONS, 0))
+    regularized: int = 0
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -385,11 +414,12 @@ def uniqueness_probe(
         return report
 
     base = c_star if (c_star is not None and c_star > 0) else 1.0
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        init = probe_start(ws, base, rng)
-        result = solve_newton(m, n, f, init, tol=tol, workspace=ws)
+    starts = np.array(
+        [probe_start(ws, base, np.random.default_rng([seed, t])).coeffs for t in range(trials)]
+    )
+    for trial, result in enumerate(_newton_batch(ws, f, starts, tol, max_iter=60)):
         report.stop_reasons[result.stop_reason] += 1
+        report.regularized += result.max_tau > 0.0
         if result.classification == "diverged":
             report.diverged += 1
             continue

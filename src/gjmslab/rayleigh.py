@@ -27,7 +27,7 @@ import numpy as np
 from .closed_forms import SphereParams, gjms_lambda0, sharp_constant, sphere_area  # noqa: F401
 from .conformal import BubbleParams, bubble_values
 from .errors import DomainError
-from .spectral import Workspace, ZonalFunction
+from .spectral import Workspace, ZonalFunction, norm2
 
 #: Quotient gradients degenerate as p -> 2 (|u|^(p-2) loses smoothness at zeros),
 #: and the admissible range is open anyway, so a small guard band is enforced.
@@ -148,13 +148,13 @@ def _newton_step(ws: Workspace, c: np.ndarray, p: float, val: float, grad: np.nd
 
 def _descend(ws: Workspace, c0: np.ndarray, p: float, cfg: OptimizerConfig):
     c = ws.normalize(c0, p)
-    val, grad = ws.quotient_and_gradient(c, p)
-    gnorm = float(np.linalg.norm(grad))
-    trace = [(0, val, gnorm)]
     it = fallbacks = 0
     with np.errstate(over="ignore", invalid="ignore"):
+        val, grad = ws.quotient_and_gradient(c, p)
+        gnorm = float(norm2(grad))
+        trace = [(0, val, gnorm)]
         while True:
-            rel_gnorm = float(np.linalg.norm(grad / (2.0 * ws.lam)) / np.linalg.norm(c))
+            rel_gnorm = float(norm2(grad / (2.0 * ws.lam)) / norm2(c))
             if rel_gnorm <= cfg.tol_grad:
                 reason = "tolerance"
                 break
@@ -185,7 +185,7 @@ def _descend(ws: Workspace, c0: np.ndarray, p: float, cfg: OptimizerConfig):
             it += 1
             fallbacks += not certified
             grad = ws.quotient_and_gradient(c, p)[1]
-            gnorm = float(np.linalg.norm(grad))
+            gnorm = float(norm2(grad))
             trace.append((it, val, gnorm))
     return c, val, gnorm, rel_gnorm, it, fallbacks, reason, trace
 

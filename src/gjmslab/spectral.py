@@ -271,6 +271,23 @@ def zonal_basis(rule: QuadratureRule, params: SphereParams, K: int) -> np.ndarra
     return basis_values(params.n, K, rule.nodes)
 
 
+def norm2(x: np.ndarray, axis: int | None = None):
+    """2-norm of x, or of each slice along axis, without overflow on finite entries.
+
+    np.linalg.norm squares the entries, so finite ones past about 1e154 give
+    inf (and numpy's overflow warning, unless the caller ignores overflow);
+    only such slices are divided by their largest magnitude and taken again,
+    so every other norm keeps np.linalg.norm's bits.
+    """
+    r = np.linalg.norm(x, axis=axis)
+    if (math.isinf(r) if axis is None else np.isinf(r).any()):
+        with np.errstate(over="ignore", invalid="ignore"):
+            over = np.isinf(r) & np.isfinite(x).all(axis=axis)
+            s = np.max(np.abs(x), axis=axis, keepdims=True)
+            return np.where(over, np.squeeze(s, axis) * np.linalg.norm(x / s, axis=axis), r)
+    return r
+
+
 @dataclass
 class ZonalFunction:
     """Coefficients of a zonal function in the orthonormal basis.
@@ -292,7 +309,7 @@ class ZonalFunction:
         return len(self.coeffs) - 1
 
     def l2_norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        return float(norm2(self.coeffs))
 
     def mean(self) -> float:
         """Average value over the sphere."""
@@ -311,7 +328,7 @@ class ZonalFunction:
         total = self.l2_norm()
         if total == 0.0:
             return 0.0
-        return float(np.linalg.norm(self.coeffs[1:]) / total)
+        return float(norm2(self.coeffs[1:]) / total)
 
     def to_dict(self) -> dict:
         return {

@@ -433,6 +433,54 @@ class TestDoubleRangeAndOutputPaths:
         assert out == "m,n,p,sharp_constant\n"
 
 
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+
+    def refuse(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestFiniteReports:
+    def test_solve_from_an_overflowing_bubble_start(self, capsys):
+        # entries near 1e172-1e179 overflow once squared; the residual norms
+        # are finite, and the iterate that passes 1e8 stops as diverged
+        with pytest.warns(TruncationWarning, match="suggest K"):
+            code, out, _ = run(
+                capsys, "solve", "--n", "100", "--m", "1", "--p", "1.0204081632653061",
+                "--K", "4", "--init", "bubble:2",
+            )
+        assert code == 0
+        solve = strict_json(out)["results"]["solve"]
+        assert math.isfinite(solve["residual"]) and math.isfinite(solve["rel_residual"])
+        assert solve["stop_reason"] == "diverged"
+
+    def test_minimize_gradient_norm_past_the_square_root_of_the_double_range(self, capsys):
+        code, out, _ = run(
+            capsys, "minimize", "--n", "169", "--m", "50", "--p", "3.449275362318841",
+            "--K", "4", "--starts", "1",
+        )
+        assert code == 0
+        grad_norm = strict_json(out)["results"]["minimization"]["grad_norm"]
+        assert 1e154 < grad_norm < math.inf
+
+    def test_a_non_finite_result_is_a_numerical_failure(self, capsys, monkeypatch):
+        import gjmslab.lane_emden as lane_emden
+
+        solve_newton = lane_emden.solve_newton
+
+        def nan_residual(*args, **kwargs):
+            result = solve_newton(*args, **kwargs)
+            result.residual = math.nan
+            return result
+
+        monkeypatch.setattr(lane_emden, "solve_newton", nan_residual)
+        code, out, err = run(capsys, "solve", "--p", "3", "--K", "4")
+        assert (code, out) == (3, "")
+        assert "non-finite" in err
+
+
 class TestRuntimeDependencies:
     def test_import_loads_no_scipy_sympy_or_numpy_polynomial(self):
         import gjmslab

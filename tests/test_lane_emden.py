@@ -13,6 +13,7 @@ from gjmslab.conformal import (
     pullback_to_plane,
     radius_from_angle,
 )
+from gjmslab import lane_emden
 from gjmslab.errors import DomainError
 from gjmslab.lane_emden import (
     Nonlinearity,
@@ -146,6 +147,7 @@ class TestSolveNewton:
         assert res.residual <= 1e-12
         assert res.classification == "constant"
         assert res.converged
+        assert res.max_tau == 0.0 and res.to_dict()["max_tau"] == 0.0
 
     def test_perturbed_start_returns_to_constant(self):
         params = SphereParams(n=3, m=1)
@@ -302,6 +304,50 @@ class TestUniquenessProbe:
         assert rep.constant == 29 and rep.counterexamples == []
         assert rep.stop_reasons["tolerance"] == 29
         assert rep.max_constant_rel_err <= 1e-11
+
+    @pytest.mark.parametrize("n,m,K", [(3, 1, 16), (7, 2, 32)])
+    def test_lockstep_trials_match_single_solves(self, monkeypatch, n, m, K):
+        # the probe solves its trials as one batch; each trial ends as a
+        # solve_newton from the same start does
+        batches = []
+
+        def recorded(*args, **kwargs):
+            batches.append(newton_batch(*args, **kwargs))
+            return batches[-1]
+
+        newton_batch = lane_emden._newton_batch
+        monkeypatch.setattr(lane_emden, "_newton_batch", recorded)
+        params = SphereParams(n=n, m=m)
+        f = Nonlinearity.single_power(1.0, 3.0, params)
+        rep = uniqueness_probe(m, n, f, trials=30, seed=11, K=K)
+        (batch,) = batches
+        assert len(batch) == rep.trials == 30
+        ws = Workspace.shared(params, K)
+        c_star = constant_solution(m, n, f)
+        for trial, got in enumerate(batch):
+            init = probe_start(ws, c_star, np.random.default_rng([11, trial]))
+            alone = solve_newton(m, n, f, init, workspace=ws)
+            assert (got.stop_reason, got.iters) == (alone.stop_reason, alone.iters)
+            gap = np.linalg.norm(got.solution.coeffs - alone.solution.coeffs)
+            assert gap <= 1e-12 * np.linalg.norm(alone.solution.coeffs)
+            assert got.max_tau == alone.max_tau
+        assert rep.regularized == sum(r.max_tau > 0.0 for r in batch)
+
+    @pytest.mark.parametrize("n,m,p,K", [(5, 2, 5.0, 48), (7, 2, 3.0, 96)])
+    def test_energy_merit_leaves_no_stalled_trial(self, n, m, p, K):
+        # a line search on the plain ||res||, which Lambda_K dominates, left
+        # 16 and 5 of these 500 trials unconverged
+        f = Nonlinearity.single_power(1.0, p, SphereParams(n=n, m=m))
+        reps = [uniqueness_probe(m, n, f, trials=50, seed=s, K=K) for s in range(1000, 1010)]
+        assert sum(r.nonconverged for r in reps) == 0
+        assert sum(r.negative + r.nonconstant for r in reps) == 0
+
+    def test_regularized_trials_are_counted(self):
+        # (3, 1, t^4, K=24) needs the tau ladder in a few trials
+        f = Nonlinearity.single_power(1.0, 4.0, SphereParams(n=3, m=1))
+        rep = uniqueness_probe(1, 3, f, trials=50, seed=1000, K=24)
+        assert 0 < rep.regularized <= rep.trials
+        assert rep.to_dict()["regularized"] == rep.regularized
 
     def test_rejects_supercritical(self):
         params = SphereParams(n=3, m=1)

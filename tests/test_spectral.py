@@ -25,6 +25,7 @@ from gjmslab.spectral import (
     gjms_eigenvalues,
     gjms_lambda0,
     laplace_beltrami_ode_residual,
+    norm2,
     sphere_area,
     zonal_basis,
 )
@@ -591,6 +592,37 @@ class TestLpNorm:
         ws = Workspace(SphereParams(n=3, m=1), 0, 8)
         with pytest.raises(DomainError):
             ws.p_norm(np.array([1.0]), p)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestNorm2:
+    def test_in_range_bits_are_numpys(self):
+        rng = np.random.default_rng(8)
+        for scale in (1e-300, 1e-5, 1.0, 1e150):
+            x = scale * rng.standard_normal((7, 13))
+            assert norm2(x) == np.linalg.norm(x)
+            assert np.array_equal(norm2(x, axis=1), np.linalg.norm(x, axis=1))
+
+    def test_finite_entries_past_the_square_root_of_the_double_range(self):
+        # squaring 3e200 overflows; the rescaled norm is 5e200
+        x = np.array([3e200, -4e200])
+        assert np.isinf(np.linalg.norm(x))
+        assert norm2(x) == pytest.approx(5e200, rel=1e-15)
+        rows = np.array([[3.0, 4.0], [3e200, -4e200], [0.0, 0.0]])
+        got = norm2(rows, axis=1)
+        assert got[0] == 5.0 and got[2] == 0.0
+        assert got[1] == pytest.approx(5e200, rel=1e-15)
+
+    def test_non_finite_entries_and_true_overflow_stay_non_finite(self):
+        assert np.isinf(norm2(np.array([np.inf, 1.0])))
+        assert np.isnan(norm2(np.array([np.nan, 1e200])))
+        assert np.isinf(norm2(np.array([1.5e308, 1.5e308])))
+        assert np.isinf(norm2(np.array([[np.inf, 1.0], [1e200, 1e200]]), axis=1)[0])
+
+    def test_zonal_norms_do_not_overflow(self):
+        u = ZonalFunction(SphereParams(n=3, m=1), np.array([3e200, 0.0, 4e200]))
+        assert u.l2_norm() == pytest.approx(5e200, rel=1e-15)
+        assert u.distance_to_constant() == pytest.approx(0.8, rel=1e-15)
 
 
 class TestSerialization:
