@@ -48,7 +48,6 @@ _MODULE_EXPORTS = {
         "funk_hecke_spectrum",
         "green_constant",
         "hls_dual_ratio",
-        "hls_functional",
     ),
     "rayleigh": ("MinimizationResult", "OptimizerConfig", "minimize"),
     "lane_emden": (

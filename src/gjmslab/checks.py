@@ -1,8 +1,9 @@
 """The verify suite: independent numerical cross-checks of the closed forms.
 
-Production code evaluates every spectrum in closed form; each row here
-recomputes one fact another way (a second formula, a quadrature, a finite
-difference) and reports its margin against a tolerance.
+Production code evaluates every spectrum in closed form and does not
+re-check it; each row here recomputes one fact another way (a second
+formula, a quadrature, a finite difference) and reports its margin against
+a tolerance.  The Laplace-Beltrami helpers serve only these rows.
 """
 
 from __future__ import annotations
@@ -20,19 +21,44 @@ from .conformal import (
     radius_from_angle,
 )
 from .errors import DomainError
-from .kernels import IDENTITY_TOLERANCE, funk_hecke_spectrum, green_constant, hls_functional
+from .kernels import IDENTITY_TOLERANCE, funk_hecke_spectrum, green_constant
 from .lane_emden import Nonlinearity, constant_solution
 from .spectral import (
+    GjmsSpectrum,
     SphereParams,
     Workspace,
     ZonalFunction,
     basis_values,
+    basis_with_derivatives,
     gauss_jacobi,
-    laplace_beltrami_eigenvalues,
-    laplace_beltrami_ode_residual,
     sphere_area,
-    zonal_basis,
 )
+
+
+def laplace_beltrami_eigenvalues(n: int, K: int) -> np.ndarray:
+    """Eigenvalues k(k+n-1) of -Delta on degree-k zonal harmonics."""
+    k = np.arange(K + 1, dtype=float)
+    return k * (k + n - 1.0)
+
+
+def laplace_beltrami_ode_residual(workspace: Workspace) -> float:
+    """Largest relative residual of (1-t^2) Y_k'' - n t Y_k' + k(k+n-1) Y_k, k >= 1.
+
+    Numerical confirmation that the basis diagonalizes -Delta with the claimed
+    eigenvalues before they are composed into higher-order spectra.  For each
+    degree the largest residual over the workspace's nodes is divided by the
+    largest |(1-t^2) Y_k''| + |n t Y_k'| + |k(k+n-1) Y_k|, the size of the
+    terms that cancel, which grows like k^2 max|Y_k|; a relative error e in
+    one eigenvalue reads about e/2.
+    """
+    n, K, t = workspace.params.n, workspace.K, workspace.nodes
+    B, D1, D2 = basis_with_derivatives(n, K, t)
+    second = (1.0 - t * t)[:, None] * D2
+    first = n * t[:, None] * D1
+    zeroth = laplace_beltrami_eigenvalues(n, K)[None, :] * B
+    resid = np.max(np.abs(second - first + zeroth), axis=0)
+    size = np.max(np.abs(second) + np.abs(first) + np.abs(zeroth), axis=0)
+    return float(np.max(resid[1:] / size[1:], initial=0.0))
 
 
 def _kernel_moments(params: SphereParams, K: int, nodes: int) -> np.ndarray:
@@ -54,7 +80,7 @@ def verify_checks(m: int, n: int, K: int, seed: int, trials: int):
         raise DomainError("need at least one trial")
     params = SphereParams(n=n, m=m)
     ws = Workspace.shared(params, K)
-    rule, spec = ws.rule, ws.spectrum
+    Q = len(ws.nodes)
     area = sphere_area(n)
     rng = np.random.default_rng(seed)
 
@@ -63,14 +89,14 @@ def verify_checks(m: int, n: int, K: int, seed: int, trials: int):
     def add(name, margin, tol):
         rows.append((name, float(margin), float(tol), bool(margin <= tol)))
 
-    add("quadrature-total-mass", abs(float(np.sum(rule.weights)) / area - 1.0), 1e-12)
+    add("quadrature-total-mass", abs(float(np.sum(ws.weights)) / area - 1.0), 1e-12)
 
     # a Q-node rule integrates Y_j Y_k exactly for j, k < Q
-    full = zonal_basis(rule, params, rule.order - 1)
-    gram = full.T @ (rule.weights[:, None] * full)
-    add("quadrature-moments", float(np.max(np.abs(gram - np.eye(rule.order)))), 1e-12)
+    full = basis_values(n, Q - 1, ws.nodes)
+    gram = full.T @ (ws.weights[:, None] * full)
+    add("quadrature-moments", float(np.max(np.abs(gram - np.eye(Q)))), 1e-12)
 
-    gram = ws.weighted_gram(np.ones(rule.order))
+    gram = ws.weighted_gram(np.ones(Q))
     add("basis-gram-identity", float(np.max(np.abs(gram - np.eye(K + 1)))), 1e-10)
 
     add("laplace-beltrami-ode", laplace_beltrami_ode_residual(ws), 1e-8)
@@ -80,21 +106,22 @@ def verify_checks(m: int, n: int, K: int, seed: int, trials: int):
     factored = np.ones_like(mu)
     for j in range(m):
         factored *= mu - j * (j + 1.0)
-    add("spectrum-cross-form", np.max(np.abs(factored / spec.lam - 1.0)), 1e-10)
-    add("spectrum-monotone", 0.0 if np.all(np.diff(spec.lam) > 0) else 1.0, 0.5)
+    add("spectrum-cross-form", np.max(np.abs(factored / ws.lam - 1.0)), 1e-10)
+    add("spectrum-monotone", 0.0 if np.all(np.diff(ws.lam) > 0) else 1.0, 0.5)
 
     gap_worst = 0.0
     for _ in range(trials):
         u = ZonalFunction(params, rng.standard_normal(K + 1))
-        energy = float(np.dot(spec.lam, u.coeffs**2))
-        gap_worst = max(gap_worst, (spec.lam[0] * u.l2_norm() ** 2 - energy) / energy)
+        energy = float(np.dot(ws.lam, u.coeffs**2))
+        gap_worst = max(gap_worst, (ws.lam[0] * u.l2_norm() ** 2 - energy) / energy)
     add("spectral-gap", gap_worst, 1e-12)
 
     kernel = funk_hecke_spectrum(params, K)
-    gc = green_constant(params, kernel=kernel, gjms=spec)  # raises on gross violation
+    gjms = GjmsSpectrum(params, ws.lam)
+    gc = green_constant(params, kernel=kernel, gjms=gjms)  # raises on gross violation
     add(
         "green-identity",
-        float(np.max(np.abs(gc.g_mn * kernel.mu * spec.lam - 1.0))),
+        float(np.max(np.abs(gc.g_mn * kernel.mu * ws.lam - 1.0))),
         IDENTITY_TOLERANCE,
     )
 
@@ -117,16 +144,16 @@ def verify_checks(m: int, n: int, K: int, seed: int, trials: int):
     hls_worst = 0.0
     for _ in range(trials):
         v = ZonalFunction(params, rng.standard_normal(K + 1))
-        excess = hls_functional(v, kernel) - kernel.mu[0] * v.l2_norm() ** 2
+        excess = float(np.dot(kernel.mu, v.coeffs**2)) - kernel.mu[0] * v.l2_norm() ** 2
         hls_worst = max(hls_worst, excess / (kernel.mu[0] * v.l2_norm() ** 2))
     add("kernel-energy-bound", hls_worst, 1e-12)
 
     jensen_worst = 0.0
     for _ in range(trials):
-        vals = np.abs(rng.standard_normal(rule.order)) + 0.01
+        vals = np.abs(rng.standard_normal(Q)) + 0.01
         for p_test in (1.5, 2.0, 3.0):
-            mean_u = float(np.dot(rule.weights, vals)) / area
-            mean_up = float(np.dot(rule.weights, vals**p_test)) / area
+            mean_u = float(np.dot(ws.weights, vals)) / area
+            mean_up = float(np.dot(ws.weights, vals**p_test)) / area
             jensen_worst = max(jensen_worst, (mean_u**p_test - mean_up) / mean_up)
     add("jensen-mean-power", jensen_worst, 1e-12)
 

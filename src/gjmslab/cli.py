@@ -23,8 +23,8 @@ Each subcommand imports the modules it uses when it runs.  At module level
 this file needs only gjmslab.closed_forms and gjmslab.errors, so
 sharp-constant, sweep with --starts 0 (the default), --help and --version
 load no numpy; eigenvalues loads spectral and kernels, solve and probe load
-spectral, conformal and lane_emden, minimize loads rayleigh, and verify
-loads checks.
+spectral, conformal and lane_emden, minimize loads spectral, conformal and
+rayleigh, and only verify loads checks, which loads all but rayleigh.
 """
 
 from __future__ import annotations
@@ -305,7 +305,7 @@ def cmd_solve(args) -> int:
         "constant_solution": constant_solution(args.m, args.n, f),
         "tolerance": args.tol,
     }
-    Q = ws.rule.order
+    Q = len(ws.nodes)
     inputs = {"p": None, "f": f.describe(), "classification": f.classification, "Q": Q}
     _emit(_report(args, results, Q, **inputs), args.out)
     return EXIT_OK

@@ -129,7 +129,7 @@ def bubble_on_sphere(bubble: BubbleParams, workspace: Workspace) -> ZonalFunctio
     """
     if bubble.params != workspace.params:
         raise ValueError(f"bubble is for {bubble.params}, workspace for {workspace.params}")
-    K, values = workspace.K, bubble_values(bubble, workspace.rule.nodes)
+    K, values = workspace.K, bubble_values(bubble, workspace.nodes)
     u = ZonalFunction(bubble.params, workspace.basis.T @ (workspace.weights * values))
     norm = u.l2_norm()
     tail = abs(float(u.coeffs[-1])) / norm if norm > 0 else 0.0

@@ -2,12 +2,13 @@
 
 A rotation-invariant kernel acts diagonally on spherical harmonics; Funk-Hecke
 gives the Riesz kernel's eigenvalues in closed form (Lieb, Ann. Math. 118, 1983;
-Beckner, Ann. Math. 138, 1993), and the Funk-Hecke integral itself runs only
-as a verify row (gjmslab.checks).  The kernel inverts the order-2m conformal
-operator up to one normalization g_mn, fixed here spectrally and then
-certified degree by degree.  The dual check hls_dual_ratio is a projected
-ascent whose trial steps are Barzilai-Borwein steps (IMA J. Numer. Anal. 8,
-1988), capped so one step moves the iterate by at most its own size.
+Beckner, Ann. Math. 138, 1993); the Funk-Hecke integral and the monotonicity of
+the plain-data spectra run only as verify rows (gjmslab.checks).  The kernel
+inverts the order-2m conformal operator up to one normalization g_mn, fixed
+here spectrally and then certified degree by degree.  The dual check
+hls_dual_ratio is a projected ascent whose trial steps are Barzilai-Borwein
+steps (IMA J. Numer. Anal. 8, 1988), capped so one step moves the iterate by
+at most its own size.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .closed_forms import in_double_range
 from .errors import DomainError, InconsistencyError
-from .spectral import GjmsSpectrum, SphereParams, Workspace, ZonalFunction, gamma_ratio
+from .spectral import GjmsSpectrum, SphereParams, Workspace, gamma_ratio
 
 IDENTITY_TOLERANCE = 1e-8  #: largest |g_mn mu_k Lambda_k - 1| green_constant accepts
 
@@ -40,18 +41,6 @@ class KernelSpectrum:
     params: SphereParams
     mu: np.ndarray
 
-    def __post_init__(self):
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        if np.any(~np.isfinite(mu)) or np.any(mu <= 0):
-            raise InconsistencyError("kernel spectrum must be positive and finite")
-        if np.any(np.diff(mu) >= 0):
-            raise InconsistencyError("kernel spectrum must be strictly decreasing")
-        self.mu = mu
-
-    @property
-    def K(self) -> int:
-        return len(self.mu) - 1
-
 
 @in_double_range
 def funk_hecke_spectrum(params: SphereParams, K: int) -> KernelSpectrum:
@@ -59,10 +48,14 @@ def funk_hecke_spectrum(params: SphereParams, K: int) -> KernelSpectrum:
 
     mu_k = 2^(2m) pi^(n/2) Gamma(m) Gamma(k+n/2-m) / (Gamma(n/2-m) Gamma(k+n/2+m)),
     a multiple of the reciprocal of the Gamma ratio that gives the operator spectrum.
+    A mu_K below the normal double range raises DomainError, as Lambda_K past it does.
     """
     h, m = params.n / 2.0, params.m
     scale = 4.0**m * math.pi**h * math.gamma(m) / math.gamma(h - m)
-    return KernelSpectrum(params=params, mu=scale / gamma_ratio(params, K))
+    mu = scale / gamma_ratio(params, K)
+    if mu[-1] < np.finfo(float).tiny:  # the smallest normal double
+        raise DomainError(f"mu_{K} underflows a double for n={params.n}, m={params.m}")
+    return KernelSpectrum(params=params, mu=mu)
 
 
 @dataclass(frozen=True)
@@ -83,11 +76,16 @@ def green_constant(
 ) -> GreenConstants:
     """Fix g_mn = 1/(mu_0 Lambda_0) and certify the inverse identity spectrally.
 
-    Needs gjms.K >= kernel.K.  Raises an inconsistency error if
+    Both spectra must be for params, and gjms must reach the kernel's top
+    degree; otherwise ValueError.  Raises an inconsistency error if
     max_k |g_mn mu_k Lambda_k - 1| exceeds IDENTITY_TOLERANCE, which would
     indicate a spectrum bug.
     """
-    lam = gjms.lam[: kernel.K + 1]
+    if not kernel.params == gjms.params == params:
+        raise ValueError(f"kernel for {kernel.params}, gjms for {gjms.params}, params {params}")
+    if len(gjms.lam) < len(kernel.mu):
+        raise ValueError(f"gjms ends at degree {len(gjms.lam) - 1}, kernel at {len(kernel.mu) - 1}")
+    lam = gjms.lam[: len(kernel.mu)]
     g = 1.0 / (kernel.mu[0] * lam[0])
     deviation = float(np.max(np.abs(g * kernel.mu * lam - 1.0)))
     if deviation > IDENTITY_TOLERANCE:
@@ -98,18 +96,6 @@ def green_constant(
     n = params.n
     c_n = 1.0 / (n * (n - 2.0) * ball_volume(n))
     return GreenConstants(c_n=c_n, g_mn=g)
-
-
-def hls_functional(v: ZonalFunction, kernel: KernelSpectrum) -> float:
-    """Bilinear kernel energy: double surface integral of v(xi) v(eta) |xi-eta|^(2m-n).
-
-    Diagonal in the basis: sum(mu_k c_k^2).  Nonnegative, zero only for v = 0.
-    """
-    if v.params != kernel.params:
-        raise ValueError("function and kernel spectrum built for different (n, m)")
-    if v.K > kernel.K:
-        raise ValueError(f"truncation mismatch: degree {v.K} exceeds spectrum {kernel.K}")
-    return float(np.dot(kernel.mu[: v.K + 1], v.coeffs**2))
 
 
 def hls_dual_ratio(
@@ -150,7 +136,7 @@ def hls_dual_ratio(
     ws = Workspace.shared(params, K)
     B, w = ws.basis, ws.weights
     kernel = funk_hecke_spectrum(params, K)
-    g = green_constant(params, kernel=kernel, gjms=ws.spectrum).g_mn
+    g = green_constant(params, kernel=kernel, gjms=GjmsSpectrum(params, ws.lam)).g_mn
     mu = kernel.mu
 
     def ratio_and_grad(vals):
@@ -199,7 +185,7 @@ def hls_dual_ratio(
                 break  # no representable improvement left
         return val, it
 
-    starts = [np.ones(ws.rule.order)]
+    starts = [np.ones(len(ws.nodes))]
     for i in range(trials - 1):
         rng = np.random.default_rng([seed, i])
         k = np.arange(K + 1, dtype=float)

@@ -194,7 +194,7 @@ def _starts(cfg: OptimizerConfig, ws: Workspace) -> list[np.ndarray]:
     K = cfg.K
     out = [np.eye(K + 1)[0]]  # the constant
     for lam in (2.0, 4.0):
-        vals = bubble_values(BubbleParams(lam=lam, params=cfg.params), ws.rule.nodes)
+        vals = bubble_values(BubbleParams(lam=lam, params=cfg.params), ws.nodes)
         out.append(ws.basis.T @ (ws.weights * vals))
     k = np.arange(K + 1, dtype=float)
     for i in range(max(cfg.starts - len(out), 0)):

@@ -4,8 +4,9 @@ A zonal (rotationally symmetric) function is stored as a coefficient vector
 c_0..c_K in an L^2(S^n)-orthonormal basis of ultraspherical polynomials in
 t = cos(theta).  The surface measure restricted to zonal functions is
 |S^{n-1}| (1-t^2)^{(n-2)/2} dt on [-1, 1], so Gauss-Jacobi rules integrate
-the basis exactly.  On a Workspace (basis B, weights w) analysis is B^T(w v),
-synthesis B c, and every norm and quadratic form diagonal or one product.
+the basis exactly.  A Workspace holds plain arrays (nodes t, weights w, basis
+B, spectrum lam); on it analysis is B^T(w v), synthesis B c, and every norm
+and quadratic form diagonal or one product.
 
 The Gauss-Jacobi rules come from the same three-term recurrence as the
 basis, whose Jacobi matrix has the nodes as eigenvalues and the Christoffel
@@ -47,9 +48,6 @@ class QuadratureRule:
     @property
     def order(self) -> int:
         return len(self.nodes)
-
-    def integrate(self, values) -> float:
-        return float(np.dot(self.weights, values))
 
 
 def _jacobi_recurrence(alpha: float, beta: float, K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -339,53 +337,12 @@ class ZonalFunction:
         }
 
 
-def laplace_beltrami_eigenvalues(n: int, K: int) -> np.ndarray:
-    """Eigenvalues k(k+n-1) of -Delta on degree-k zonal harmonics."""
-    k = np.arange(K + 1, dtype=float)
-    return k * (k + n - 1.0)
-
-
-def laplace_beltrami_ode_residual(workspace: Workspace) -> float:
-    """Largest relative residual of (1-t^2) Y_k'' - n t Y_k' + k(k+n-1) Y_k, k >= 1.
-
-    Numerical confirmation that the basis diagonalizes -Delta with the claimed
-    eigenvalues before they are composed into higher-order spectra.  For each
-    degree the largest residual over the workspace's nodes is divided by the
-    largest |(1-t^2) Y_k''| + |n t Y_k'| + |k(k+n-1) Y_k|, the size of the
-    terms that cancel, which grows like k^2 max|Y_k|; a relative error e in
-    one eigenvalue reads about e/2.
-    """
-    n, K = workspace.params.n, workspace.K
-    t = workspace.rule.nodes
-    B, D1, D2 = basis_with_derivatives(n, K, t)
-    second = (1.0 - t * t)[:, None] * D2
-    first = n * t[:, None] * D1
-    zeroth = laplace_beltrami_eigenvalues(n, K)[None, :] * B
-    resid = np.max(np.abs(second - first + zeroth), axis=0)
-    size = np.max(np.abs(second) + np.abs(first) + np.abs(zeroth), axis=0)
-    return float(np.max(resid[1:] / size[1:], initial=0.0))
-
-
 @dataclass
 class GjmsSpectrum:
     """Eigenvalues of the order-2m conformal operator on degree-k zonal harmonics."""
 
     params: SphereParams
     lam: np.ndarray
-
-    def __post_init__(self):
-        lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
-        if not np.all(np.isfinite(lam)):
-            raise InconsistencyError("spectrum entries must be finite")
-        if np.any(lam <= 0.0):
-            raise InconsistencyError("spectrum must be positive for n > 2m")
-        if np.any(np.diff(lam) <= 0.0):
-            raise InconsistencyError("spectrum must be strictly increasing in the degree")
-        self.lam = lam
-
-    @property
-    def K(self) -> int:
-        return len(self.lam) - 1
 
 
 def gamma_ratio(params: SphereParams, K: int) -> np.ndarray:
@@ -394,7 +351,8 @@ def gamma_ratio(params: SphereParams, K: int) -> np.ndarray:
     Evaluated as the rising factorial prod_{j=-m}^{m-1} (k+n/2+j), which costs
     2m roundings; a log-Gamma difference loses about 1e-12 relative by k = 800.
     closed_forms.gjms_lambda0 multiplies the k = 0 factors in the same order,
-    so the two agree bit for bit.
+    so the two agree bit for bit.  For n > 2m every factor is at least 1/2, so
+    the entries are positive and increase with k.
     """
     if K < 0:
         raise DomainError("truncation degree must be >= 0")
@@ -418,24 +376,23 @@ def gjms_eigenvalues(params: SphereParams, K: int) -> GjmsSpectrum:
 
 
 class Workspace:
-    """Rule, basis, and spectrum for one (n, m, K), built once and shared.
+    """Nodes, weights, basis and spectrum for one (n, m, K), built once and shared.
 
-    Holds the Gauss-Jacobi `rule` (Q = 2K + 8 nodes unless given), the basis
-    matrix `basis` at its nodes, the node `weights`, the operator `spectrum`
-    and its eigenvalues `lam`; every solve, probe, quotient evaluation, bubble
-    projection and verify row runs on one of these.  Production code takes its
-    workspace from `Workspace.shared`, which builds each (n, m, K, Q) once per
-    process; calling the constructor builds a fresh, writable one.
+    Plain arrays: the Gauss-Jacobi `nodes` and `weights` (Q = 2K + 8 nodes
+    unless given), the `basis` B[i, k] = Y_k(t_i) and the eigenvalues `lam`.
+    Every solve, probe, quotient evaluation, bubble projection and verify row
+    runs on one of these.  Production code takes its workspace from
+    `Workspace.shared`, which builds each (n, m, K, Q) once per process;
+    calling the constructor builds a fresh, writable one.
     """
 
     def __init__(self, params: SphereParams, K: int, Q: int | None = None):
         self.params = params
         self.K = K
-        self.rule = build_quadrature(params.n, default_rule_size(K) if Q is None else Q)
-        self.basis = zonal_basis(self.rule, params, K)
-        self.weights = self.rule.weights
-        self.spectrum = gjms_eigenvalues(params, K)
-        self.lam = self.spectrum.lam
+        rule = build_quadrature(params.n, default_rule_size(K) if Q is None else Q)
+        self.nodes, self.weights = rule.nodes, rule.weights
+        self.basis = zonal_basis(rule, params, K)
+        self.lam = gamma_ratio(params, K)
 
     @staticmethod
     def shared(params: SphereParams, K: int, Q: int | None = None) -> Workspace:
@@ -444,10 +401,10 @@ class Workspace:
         Q = None means default_rule_size(K), and integer-like K and Q (numpy
         integers) are turned into int, so every spelling of one rule hits
         one entry.  The cache is an LRU of at most 8 workspaces; a ninth key
-        evicts the least recently used.  The rule's nodes and weights, the
-        basis and lam are read-only, so no caller can change what the next
-        one reads.  An invalid K or Q raises what the constructor raises and
-        leaves no entry.  `Workspace.shared.cache_clear()` empties the cache.
+        evicts the least recently used.  Its nodes, weights, basis and lam
+        are read-only, so no caller can change what the next one reads.  An
+        invalid K or Q raises what the constructor raises and leaves no
+        entry.  `Workspace.shared.cache_clear()` empties the cache.
         """
         K = operator.index(K)
         Q = default_rule_size(K) if Q is None else operator.index(Q)
@@ -488,7 +445,7 @@ class Workspace:
 @functools.lru_cache(maxsize=8)
 def _shared_workspace(params: SphereParams, K: int, Q: int) -> Workspace:
     ws = Workspace(params, K, Q)
-    for array in (ws.rule.nodes, ws.rule.weights, ws.basis, ws.lam):
+    for array in (ws.nodes, ws.weights, ws.basis, ws.lam):
         array.flags.writeable = False
     return ws
 

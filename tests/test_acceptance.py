@@ -222,7 +222,7 @@ def test_criterion_7_verifiers_on_probe_solutions():
     mono_control = verify_symmetry_monotonicity(ZonalFunction(params, [1.0, -3.0]))
     # the pullback of v = (1+t)^(m-n/2) exp(-r^2) is the Gaussian, whose -Delta dips below 0
     ws = Workspace(params, 64)
-    t = ws.rule.nodes
+    t = ws.nodes
     gauss = (1.0 + t) ** (params.m - params.n / 2) * np.exp(-radius_from_angle(t) ** 2)
     gauss_v = ZonalFunction(params, ws.basis.T @ (ws.weights * gauss))
     sp_control = verify_super_polyharmonic(gauss_v)

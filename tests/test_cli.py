@@ -427,6 +427,17 @@ class TestDoubleRangeAndOutputPaths:
         root = json.loads(out)["results"]["constant_solution"]
         assert root == pytest.approx((23.0 * 24.0) ** (1.0 / 0.03), rel=1e-12)  # 2.5e91
 
+    def test_kernel_spectrum_below_the_double_range(self, capsys):
+        # for (341, 52) mu_K drops below the smallest normal double at K = 537,
+        # while Lambda_K is still finite
+        code, out, err = run(capsys, "eigenvalues", "--n", "341", "--m", "52", "--K", "536")
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1] == "536,1.717070565060893e+296,2.470387998567734e-308,1.0"
+        for K in ("537", "700"):
+            code, out, err = run(capsys, "eigenvalues", "--n", "341", "--m", "52", "--K", K)
+            assert code == 2 and out == ""
+            assert err == f"error: mu_{K} underflows a double for n=341, m=52\n"
+
     def test_sweep_skips_points_past_the_double_range(self, capsys):
         code, out, _ = run(capsys, "sweep", "--n", "343", "--m", "1", "--p", "2.005")
         assert code == 0
@@ -523,6 +534,36 @@ class TestRuntimeDependencies:
         ]
         assert "gjmslab" in imported
         assert [m for m in imported if m.split(".")[0] == "numpy"] == []
+
+
+    @pytest.mark.parametrize(
+        "argv,modules",
+        [
+            (["eigenvalues", "--K", "4"], {"spectral", "kernels"}),
+            (["solve", "--p", "2.5", "--K", "4"], {"spectral", "conformal", "lane_emden"}),
+            (["probe", "--p", "3", "--trials", "2"], {"spectral", "conformal", "lane_emden"}),
+            (["minimize", "--p", "3", "--starts", "1"], {"spectral", "conformal", "rayleigh"}),
+            (["verify", "--K", "4"], {"spectral", "conformal", "kernels", "lane_emden", "checks"}),
+        ],
+    )
+    def test_each_subcommand_loads_the_modules_the_cli_docstring_lists(self, argv, modules):
+        # besides the package, closed_forms and errors, which every command loads
+        import gjmslab
+
+        src = str(Path(gjmslab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "gjmslab.cli", *argv],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        loaded = {m.split(".", 1)[1] for m in imported if m.startswith("gjmslab.")}
+        assert loaded == {"closed_forms", "errors", *modules}
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 """Kernel spectrum, inverse-operator identity, and duality tests."""
 
 import math
+import sys
 import warnings
 
 import mpmath
@@ -15,7 +16,6 @@ from gjmslab.kernels import (
     funk_hecke_spectrum,
     green_constant,
     hls_dual_ratio,
-    hls_functional,
 )
 from gjmslab.rayleigh import sharp_constant
 from gjmslab.spectral import (
@@ -33,6 +33,11 @@ def green_constant_at(params, K=8):
     return green_constant(
         params, kernel=funk_hecke_spectrum(params, K), gjms=gjms_eigenvalues(params, K)
     )
+
+
+def kernel_energy(v, kernel):
+    # the bilinear kernel energy is diagonal in the basis: sum(mu_k c_k^2)
+    return float(np.dot(kernel.mu[: v.K + 1], v.coeffs**2))
 
 
 def kernel_eigenvalue_bruteforce(params, k):
@@ -89,6 +94,17 @@ class TestKernelSpectrum:
             )
         assert np.max(np.abs(spec.mu / ref - 1)) <= 1e-12
 
+    def test_underflow_is_a_domain_error(self):
+        # mu_K = scale / Lambda_K leaves the normal range while Lambda_K is
+        # finite (about 1e296 here); a subnormal or zero mu is refused
+        params = SphereParams(n=341, m=52)
+        assert funk_hecke_spectrum(params, 536).mu[-1] >= sys.float_info.min
+        for K in (537, 700):
+            with pytest.raises(DomainError, match=f"mu_{K} underflows a double"):
+                funk_hecke_spectrum(params, K)
+        with pytest.raises(DomainError, match="mu_3000 underflows a double"):
+            funk_hecke_spectrum(SphereParams(n=362, m=41), 3000)
+
     def test_low_degrees_against_bruteforce(self):
         params = SphereParams(n=5, m=2)
         spec = funk_hecke_spectrum(params, 6)
@@ -134,6 +150,36 @@ class TestGreenConstants:
             assert gc.g_mn == pytest.approx(gc.c_n, rel=1e-11)
 
 
+class TestGreenInputs:
+    # spectra of another (n, m), or a gjms spectrum shorter than the kernel's,
+    # are the caller's error
+    P, Q = SphereParams(n=5, m=2), SphereParams(n=7, m=2)
+
+    def test_kernel_for_other_params(self):
+        with pytest.raises(ValueError, match=r"kernel for SphereParams\(n=7"):
+            green_constant(
+                self.P, kernel=funk_hecke_spectrum(self.Q, 8), gjms=gjms_eigenvalues(self.Q, 8)
+            )
+
+    def test_gjms_for_other_params(self):
+        with pytest.raises(ValueError, match=r"gjms for SphereParams\(n=7"):
+            green_constant(
+                self.P, kernel=funk_hecke_spectrum(self.P, 8), gjms=gjms_eigenvalues(self.Q, 8)
+            )
+
+    def test_gjms_shorter_than_kernel(self):
+        with pytest.raises(ValueError, match="gjms ends at degree 4, kernel at 8"):
+            green_constant(
+                self.P, kernel=funk_hecke_spectrum(self.P, 8), gjms=gjms_eigenvalues(self.P, 4)
+            )
+
+    def test_longer_gjms_is_cut_to_the_kernel(self):
+        gc = green_constant(
+            self.P, kernel=funk_hecke_spectrum(self.P, 8), gjms=gjms_eigenvalues(self.P, 12)
+        )
+        assert gc.g_mn == green_constant_at(self.P).g_mn
+
+
 class TestGreenApply:
     def test_matches_kernel_integral(self):
         # oracle: apply the kernel by quadrature to each basis mode and compare
@@ -153,13 +199,13 @@ class TestHlsFunctional:
         params = SphereParams(n=3, m=1)
         kernel = funk_hecke_spectrum(params, 4)
         v = ZonalFunction(params, np.array([1.0]))
-        assert hls_functional(v, kernel) == pytest.approx(kernel.mu[0], rel=1e-15)
+        assert kernel_energy(v, kernel) == pytest.approx(kernel.mu[0], rel=1e-15)
 
     def test_constant_function(self):
         params = SphereParams(n=3, m=1)
         kernel = funk_hecke_spectrum(params, 4)
         one = ZonalFunction(params, np.array([math.sqrt(sphere_area(3))]))
-        assert hls_functional(one, kernel) == pytest.approx(
+        assert kernel_energy(one, kernel) == pytest.approx(
             kernel.mu[0] * sphere_area(3), rel=1e-13
         )
 
@@ -176,7 +222,7 @@ class TestHlsFunctional:
         rng = np.random.default_rng(9)
         v = ZonalFunction(params, rng.standard_normal(K + 1))
         kernel = funk_hecke_spectrum(params, K)
-        spectral = hls_functional(v, kernel)
+        spectral = kernel_energy(v, kernel)
 
         tg, tw = roots_jacobi(24, 0.5, 0.5)  # outer polar cosine, weight (1-t^2)^{1/2}
         cg, cw = roots_jacobi(24, 0.0, 0.5)  # separation cosine after cancelling (1-c)^{1/2}
@@ -201,10 +247,10 @@ class TestHlsFunctional:
         for _ in range(20):
             v = ZonalFunction(params, rng.standard_normal(11))
             bound = kernel.mu[0] * v.l2_norm() ** 2
-            val = hls_functional(v, kernel)
+            val = kernel_energy(v, kernel)
             assert val <= bound + 1e-12 * bound
         one = ZonalFunction(params, np.array([2.5]))
-        assert hls_functional(one, kernel) == pytest.approx(
+        assert kernel_energy(one, kernel) == pytest.approx(
             kernel.mu[0] * one.l2_norm() ** 2, rel=1e-14
         )
 

@@ -1,16 +1,18 @@
-"""Property test: the iterative entry points of the library end every tolerance,
+"""Property tests: the iterative entry points of the library end every tolerance,
 iteration cap and start count in a result or a ToolkitError, and none reports
-convergence under a tolerance that is not finite."""
+convergence under a tolerance that is not finite; the closed-form spectra are
+valid or a DomainError on the whole (n, m, K) domain."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gjmslab.errors import ToolkitError
-from gjmslab.kernels import hls_dual_ratio
+from gjmslab.errors import DomainError, ToolkitError
+from gjmslab.kernels import IDENTITY_TOLERANCE, funk_hecke_spectrum, green_constant, hls_dual_ratio
 from gjmslab.lane_emden import (
     Nonlinearity,
     constant_solution,
@@ -19,7 +21,7 @@ from gjmslab.lane_emden import (
     uniqueness_probe,
 )
 from gjmslab.rayleigh import OptimizerConfig, minimize
-from gjmslab.spectral import SphereParams, Workspace
+from gjmslab.spectral import SphereParams, Workspace, gjms_eigenvalues
 
 TOLERANCES = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 1e-300, 1e-8])
 ITERATION_CAPS = st.sampled_from([-3, 0, 1])
@@ -70,3 +72,47 @@ def test_solvers_return_or_raise_a_toolkit_error(sphere, K, tol, max_iter, count
     # so nothing reports convergence under it
     if not valid_tol:
         assert solve is probe is best is ratio is None
+
+
+def _or_domain_error(call):
+    """What call() returns, or None when it raises a DomainError."""
+    try:
+        return call()
+    except DomainError:
+        return None
+
+
+@st.composite
+def spectrum_sizes(draw):
+    n = draw(st.integers(3, 420))
+    return n, draw(st.integers(1, (n - 1) // 2)), draw(st.integers(0, 3000))
+
+
+@settings(max_examples=400, deadline=None)
+@given(spectrum_sizes())
+@example((3, 1, 0))
+@example((420, 209, 3000))
+@example((362, 41, 3000))  # mu reaches 0 while Lambda is finite
+@example((341, 52, 700))  # mu is subnormal while Lambda is finite
+def test_spectra_are_valid_or_a_domain_error(size):
+    # the spectrum records no longer re-check their closed forms, so every
+    # draw either raises DomainError or gives spectra with the properties
+    # those checks asserted; any other exception fails the test
+    n, m, K = size
+    params = SphereParams(n=n, m=m)
+    gjms = _or_domain_error(lambda: gjms_eigenvalues(params, K))
+    if gjms is None:
+        return
+    lam = gjms.lam
+    assert lam.shape == (K + 1,) and np.all(np.isfinite(lam))
+    assert lam[0] > 0.0 and np.all(np.diff(lam) > 0.0)
+    kernel = _or_domain_error(lambda: funk_hecke_spectrum(params, K))
+    if kernel is None:
+        return
+    mu = kernel.mu
+    assert mu.shape == (K + 1,) and np.all(np.isfinite(mu))
+    assert np.all(mu >= sys.float_info.min) and np.all(np.diff(mu) < 0.0)
+    green = _or_domain_error(lambda: green_constant(params, kernel=kernel, gjms=gjms))
+    if green is None:
+        return
+    assert np.max(np.abs(green.g_mn * mu * lam - 1.0)) <= IDENTITY_TOLERANCE

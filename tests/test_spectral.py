@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from scipy.special import eval_chebyu, roots_jacobi, roots_legendre
 
+from gjmslab.checks import laplace_beltrami_ode_residual
 from gjmslab.errors import AliasingError, DomainError
 from gjmslab.spectral import (
-    GjmsSpectrum,
     SphereParams,
     Workspace,
     ZonalFunction,
@@ -24,7 +24,6 @@ from gjmslab.spectral import (
     gauss_jacobi,
     gjms_eigenvalues,
     gjms_lambda0,
-    laplace_beltrami_ode_residual,
     norm2,
     sphere_area,
     zonal_basis,
@@ -56,7 +55,8 @@ class TestSphereArea:
     def test_three_sphere_gamma_and_quadrature(self):
         assert sphere_area(3) == pytest.approx(2 * math.pi**2, rel=1e-14)
         rule = build_quadrature(3, 16)
-        assert rule.integrate(np.ones(rule.order)) == pytest.approx(2 * math.pi**2, rel=1e-13)
+        total = np.dot(rule.weights, np.ones(rule.order))
+        assert total == pytest.approx(2 * math.pi**2, rel=1e-13)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -70,11 +70,11 @@ class TestQuadrature:
 
     def test_odd_symmetry(self):
         rule = build_quadrature(3, 8)
-        assert abs(rule.integrate(rule.nodes)) < 1e-12 * sphere_area(3)
+        assert abs(np.dot(rule.weights, rule.nodes)) < 1e-12 * sphere_area(3)
 
     def test_second_moment_n5(self):
         rule = build_quadrature(5, 16)
-        val = rule.integrate(rule.nodes**2) / sphere_area(5)
+        val = np.dot(rule.weights, rule.nodes**2) / sphere_area(5)
         assert val == pytest.approx(1.0 / 6.0, rel=1e-13)
         assert brute_force_moment(5, 2) / sphere_area(5) == pytest.approx(1 / 6, rel=1e-12)
 
@@ -82,7 +82,7 @@ class TestQuadrature:
     def test_moment_exactness_through_degree(self, n, Q):
         rule = build_quadrature(n, Q)
         for j in range(2 * Q):
-            num = rule.integrate(rule.nodes**j)
+            num = np.dot(rule.weights, rule.nodes**j)
             exact = jacobi_moment(n, j)
             if j % 2 == 1:
                 assert abs(num) <= 1e-12 * sphere_area(n)
@@ -283,7 +283,7 @@ class TestBasis:
     def test_orthogonality_y1_y2(self):
         rule = build_quadrature(4, 24)
         B = zonal_basis(rule, SphereParams(n=4, m=1), 8)
-        assert abs(rule.integrate(B[:, 1] * B[:, 2])) < 1e-12
+        assert abs(np.dot(rule.weights, B[:, 1] * B[:, 2])) < 1e-12
 
     @pytest.mark.parametrize("n,m,K,Q", [(3, 1, 16, 36), (5, 2, 24, 56), (7, 3, 32, 72)])
     def test_gram_identity(self, n, m, K, Q):
@@ -326,13 +326,12 @@ class TestAnalyzeSynthesize:
     def test_coordinate_function_is_degree_one(self):
         params = SphereParams(n=3, m=1)
         ws = Workspace(params, 8, 24)
-        rule = ws.rule
-        c = ws.basis.T @ (ws.weights * rule.nodes)
+        c = ws.basis.T @ (ws.weights * ws.nodes)
         assert abs(c[1]) > 0.1
         others = np.delete(c, 1)
         assert np.max(np.abs(others)) < 1e-12
         # quadrature oracle for the surviving coefficient: c_1 = int t Y_1 dsigma
-        c1 = rule.integrate(rule.nodes * zonal_basis(rule, params, 1)[:, 1])
+        c1 = np.dot(ws.weights, ws.nodes * basis_values(params.n, 1, ws.nodes)[:, 1])
         assert c[1] == pytest.approx(c1, rel=1e-13)
 
     def test_dimension_mismatch(self):
@@ -412,17 +411,17 @@ class TestGjmsSpectrum:
         assert laplace_beltrami_ode_residual(Workspace(SphereParams(n=n, m=m), 800)) <= 1e-12
 
     def test_laplace_beltrami_ode_detects_wrong_eigenvalue(self, monkeypatch):
-        import gjmslab.spectral as spectral
+        import gjmslab.checks as checks
 
         ws = Workspace(SphereParams(n=3, m=1), 800)
-        exact = spectral.laplace_beltrami_eigenvalues
+        exact = checks.laplace_beltrami_eigenvalues
 
         def perturbed(n, K):
             ev = exact(n, K)
             ev[K // 2] *= 1.0 + 1e-6
             return ev
 
-        monkeypatch.setattr(spectral, "laplace_beltrami_eigenvalues", perturbed)
+        monkeypatch.setattr(checks, "laplace_beltrami_eigenvalues", perturbed)
         assert laplace_beltrami_ode_residual(ws) >= 4e-7
 
 
@@ -430,11 +429,14 @@ class TestWorkspace:
     def test_bundles_rule_basis_and_spectrum(self):
         params = SphereParams(n=5, m=2)
         ws = Workspace(params, 12, 40)
-        assert ws.rule.order == 40 and ws.K == 12
-        np.testing.assert_array_equal(ws.basis, zonal_basis(ws.rule, params, 12))
+        rule = build_quadrature(5, 40)
+        assert len(ws.nodes) == 40 and ws.K == 12
+        np.testing.assert_array_equal(ws.nodes, rule.nodes)
+        np.testing.assert_array_equal(ws.weights, rule.weights)
+        np.testing.assert_array_equal(ws.basis, zonal_basis(rule, params, 12))
         np.testing.assert_array_equal(ws.lam, gjms_eigenvalues(params, 12).lam)
-        assert ws.lam is ws.spectrum.lam and ws.weights is ws.rule.weights
-        assert Workspace(params, 12).rule.order == 32
+        assert not hasattr(ws, "rule") and not hasattr(ws, "spectrum")
+        assert len(Workspace(params, 12).nodes) == 32
 
     def test_quotient_unchanged(self):
         # frozen from the quotient workspace before it became public
@@ -450,26 +452,24 @@ class TestSharedWorkspace:
         assert Workspace.shared(params, 32, 72) is ws
         assert Workspace.shared(params, np.int64(32)) is ws
         assert Workspace.shared(SphereParams(n=5, m=2), 32, np.int64(72)) is ws
-        assert ws.K == 32 and ws.rule.order == 72
+        assert ws.K == 32 and len(ws.nodes) == 72
 
     def test_other_order_gets_its_own_workspace(self):
         one = Workspace.shared(SphereParams(n=5, m=1), 12)
         two = Workspace.shared(SphereParams(n=5, m=2), 12)
         assert one is not two
-        np.testing.assert_array_equal(one.rule.nodes, two.rule.nodes)
+        np.testing.assert_array_equal(one.nodes, two.nodes)
         assert not np.array_equal(one.lam, two.lam)
 
     def test_matches_a_fresh_build(self):
         params = SphereParams(n=7, m=2)
         shared, fresh = Workspace.shared(params, 20, 48), Workspace(params, 20, 48)
-        for name in ("basis", "weights", "lam"):
+        for name in ("nodes", "weights", "basis", "lam"):
             assert getattr(shared, name).tobytes() == getattr(fresh, name).tobytes()
-        assert shared.rule.nodes.tobytes() == fresh.rule.nodes.tobytes()
 
     def test_cached_arrays_are_read_only(self):
         ws = Workspace.shared(SphereParams(n=3, m=1), 8)
-        arrays = (ws.rule.nodes, ws.rule.weights, ws.weights, ws.basis, ws.lam, ws.spectrum.lam)
-        for array in arrays:
+        for array in (ws.nodes, ws.weights, ws.basis, ws.lam):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
@@ -541,7 +541,7 @@ class TestQuadraticForm:
         K = 12
         ws = Workspace(SphereParams(n=5, m=2), K, 32)
         c = rng.standard_normal(K + 1)
-        nodal = ws.rule.integrate((ws.basis @ (ws.lam * c)) * (ws.basis @ c))
+        nodal = np.dot(ws.weights, (ws.basis @ (ws.lam * c)) * (ws.basis @ c))
         assert ws.quotient(c, 2.0) * ws.p_norm(c, 2.0) ** 2 == pytest.approx(nodal, rel=1e-12)
 
     def test_spectral_gap(self):
