@@ -8,7 +8,8 @@ inverts the order-2m conformal operator up to one normalization g_mn, fixed
 here spectrally and then certified degree by degree.  The dual check
 hls_dual_ratio is a projected ascent whose trial steps are Barzilai-Borwein
 steps (IMA J. Numer. Anal. 8, 1988), capped so one step moves the iterate by
-at most its own size.
+at most its own size; its trials ascend in lockstep as one stack, and each
+records its own stop reason.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .closed_forms import in_double_range
 from .errors import DomainError, InconsistencyError
-from .spectral import GjmsSpectrum, SphereParams, Workspace, gamma_ratio
+from .spectral import GjmsSpectrum, SphereParams, Workspace, backtrack, gamma_ratio
 
 IDENTITY_TOLERANCE = 1e-8  #: largest |g_mn mu_k Lambda_k - 1| green_constant accepts
 
@@ -119,7 +120,10 @@ def hls_dual_ratio(
     direction and w-weighted inner products; without a pair, or when
     s.y >= 0, it tries the cap alone.  Armijo halving then accepts the first
     strict increase.  The step needed grows like 1/value, so it is read off
-    the iterates rather than fixed.
+    the iterates rather than fixed.  The trials run in lockstep, one batched
+    line search per iteration; a trial stops at the gradient tolerance, when
+    its line search runs out, or after max_iter accepted steps, and only
+    max_iter stops warn.
     """
     if not (2.0 < p < params.critical_norm_exponent):
         raise DomainError(
@@ -132,75 +136,89 @@ def hls_dual_ratio(
         raise DomainError(f"need max_iter >= 1, got {max_iter}")
     if not (math.isfinite(tol_grad) and tol_grad > 0.0):
         raise DomainError(f"gradient tolerance must be positive and finite, got {tol_grad}")
-    pp = p / (p - 1.0)
     ws = Workspace.shared(params, K)
-    B, w = ws.basis, ws.weights
     kernel = funk_hecke_spectrum(params, K)
     g = green_constant(params, kernel=kernel, gjms=GjmsSpectrum(params, ws.lam)).g_mn
-    mu = kernel.mu
-
-    def ratio_and_grad(vals):
-        # evaluated on the p'-sphere only, so the denominator is 1; the
-        # functional (weight-preconditioned) gradient is 2 (g K v - R v^(p'-1))
-        c = B.T @ (w * vals)
-        val = g * float(np.dot(mu, c * c))
-        smooth = B @ (mu * c)
-        grad = 2.0 * (g * smooth - val * vals ** (pp - 1.0))
-        return val, grad
-
-    def normalize(vals):
-        # a trial step the cone clips to zero keeps value 0 and is rejected
-        vals = np.clip(vals, 0.0, None)
-        ip = float(np.dot(w, vals**pp))
-        return vals / ip ** (1.0 / pp) if ip > 0.0 else vals
-
-    def ascend(v0):
-        vals = normalize(v0)
-        val, grad = ratio_and_grad(vals)
-        s = y = None  # last accepted move and its gradient change
-        it = 0
-        for it in range(1, max_iter + 1):
-            direction = grad.copy()
-            direction[(vals <= 0.0) & (grad < 0.0)] = 0.0  # cone-feasible part
-            slope = float(np.dot(w, direction * direction))
-            if math.sqrt(slope) <= tol_grad * max(1.0, abs(val)):
-                break
-            # Barzilai-Borwein trial step, capped so one step moves the
-            # iterate by at most its own w-norm
-            step = math.sqrt(float(np.dot(w, vals * vals)) / slope)
-            if s is not None:
-                sy = float(np.dot(w, s * y))
-                if sy < 0.0:
-                    step = min(float(np.dot(w, s * s)) / -sy, step)
-            while step > 1e-18:
-                cand = normalize(vals + step * direction)
-                cand_val, cand_grad = ratio_and_grad(cand)
-                # strict increase guards against accepting a float plateau
-                if cand_val > val and cand_val >= val + 1e-4 * step * slope:
-                    s, y = cand - vals, cand_grad - grad
-                    vals, val, grad = cand, cand_val, cand_grad
-                    break
-                step *= 0.5
-            else:
-                break  # no representable improvement left
-        return val, it
-
     starts = [np.ones(len(ws.nodes))]
     for i in range(trials - 1):
         rng = np.random.default_rng([seed, i])
         k = np.arange(K + 1, dtype=float)
         c = rng.standard_normal(K + 1) / (1.0 + k * k)
         c[0] = abs(c[0]) + 0.5
-        starts.append(np.clip(B @ c, 0.0, None) + 1e-3)
-
-    best, converged = -np.inf, True
-    for v0 in starts:
-        val, it = ascend(v0)
-        best = max(best, val)
-        converged = converged and it < max_iter
-    if not converged:
+        starts.append(np.clip(ws.basis @ c, 0.0, None) + 1e-3)
+    vals, _, reasons = _ascend(ws, g, kernel.mu, p / (p - 1), np.array(starts), max_iter, tol_grad)
+    best = float(np.max(vals))
+    if "max_iter" in reasons:
         warnings.warn(
             f"kernel-quotient ascent hit max_iter={max_iter}; best value {best:.12e}",
             stacklevel=2,
         )
-    return float(best)
+    return best
+
+
+# stopped rows have nan steps, and a candidate the cone clips to zero is nan
+@np.errstate(divide="ignore", invalid="ignore")
+def _ascend(
+    ws: Workspace, g: float, mu: np.ndarray, pp: float, V0: np.ndarray, max_iter: int, tol: float
+):
+    """hls_dual_ratio's ascent from every row of node values V0, in lockstep.
+
+    Each row is a 1 x Q matrix, so it rounds as it would alone (see
+    spectral.rowwise).  Returns per row the value, the accepted steps and
+    the stop reason: tolerance, line_search_exhausted or max_iter.
+    """
+    B, w, w_col, mu_col = ws.basis, ws.weights, ws.weights[:, None], mu[:, None]
+
+    def normalize(V):
+        V = np.maximum(V, 0.0)
+        return np.divide(V, np.float_power(V**pp @ w_col, 1.0 / pp), out=V)
+
+    def ratio(V):
+        # evaluated on the p'-sphere only, so the denominator is 1
+        C = (w * V) @ B
+        return g * ((C * C) @ mu_col), C
+
+    def gradient(V, val, C):
+        # the functional (weight-preconditioned) gradient 2 (g K v - R v^(p'-1))
+        return 2.0 * (g * ((mu * C) @ B.T) - val * V ** (pp - 1.0))
+
+    def attempt(steps, rows, base, base_val, direction, slope):
+        step = steps[:, None, None]
+        cand = normalize(base + step * direction)
+        cand_val, C = ratio(cand)
+        # strict increase guards against accepting a float plateau
+        ok = ((cand_val > base_val) & (cand_val >= base_val + 1e-4 * step * slope)).ravel()
+        if np.count_nonzero(ok):
+            rows, cand, cand_val = rows[ok], cand[ok], cand_val[ok]
+            cand_grad = gradient(cand, cand_val, C[ok])
+            S[rows], Y[rows] = cand - V[rows], cand_grad - grad[rows]
+            V[rows], val[rows], grad[rows] = cand, cand_val, cand_grad
+        return ok
+
+    V = normalize(V0[:, None, :])
+    val, C = ratio(V)
+    grad = gradient(V, val, C)
+    S, Y = np.zeros_like(V), np.zeros_like(V)  # last accepted move and its gradient change
+    iters, rows = np.zeros(len(V), dtype=int), np.arange(len(V))
+    out_val, out_iters, out_stop = np.empty(len(V)), np.empty(len(V), int), np.empty(len(V), int)
+    while rows.size:
+        direction = np.where((V <= 0.0) & (grad < 0.0), 0.0, grad)  # cone-feasible part
+        slope = direction * direction @ w_col
+        stop = np.where(np.sqrt(slope) <= tol * np.maximum(1.0, np.abs(val)), 0, -1).ravel()
+        stop[(stop < 0) & (iters == max_iter)] = 2
+        # Barzilai-Borwein trial step (none while s = y = 0), capped so one
+        # step moves the iterate by at most its own w-norm
+        step = np.sqrt(V * V @ w_col / slope)
+        sy = S * Y @ w_col
+        step = np.where(sy < 0.0, np.minimum(S * S @ w_col / -sy, step), step).ravel()
+        args = np.arange(len(V)), V, val, direction, slope
+        ran_out = backtrack(attempt, np.where(stop < 0, step, np.nan), 1e-18, *args)
+        stop[ran_out & (stop < 0)] = 1
+        done = stop >= 0
+        if done.any():
+            out = rows[done]
+            out_val[out], out_iters[out], out_stop[out] = val[done, 0, 0], iters[done], stop[done]
+            V, val, grad, S, Y, iters, rows = (a[~done] for a in (V, val, grad, S, Y, iters, rows))
+        iters += 1
+    reasons = ("tolerance", "line_search_exhausted", "max_iter")
+    return out_val, out_iters, [reasons[code] for code in out_stop]

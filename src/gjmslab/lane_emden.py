@@ -34,7 +34,7 @@ import numpy as np
 from .conformal import iterated_laplacians
 from .errors import DomainError
 from .spectral import (
-    SphereParams, Workspace, ZonalFunction, basis_with_derivatives, gjms_lambda0, norm2
+    SphereParams, Workspace, ZonalFunction, backtrack, basis_with_derivatives, gjms_lambda0, norm2
 )
 
 CONSTANT_CLASS_TOL = 1e-7
@@ -274,17 +274,20 @@ def _newton_batch(ws: Workspace, f: Nonlinearity, C: np.ndarray, tol: float, max
             except np.linalg.LinAlgError:
                 S[j] = np.linalg.lstsq(J, -R[i], rcond=None)[0]
         finite = np.isfinite(S).all(axis=1)
-        left, rows, S, scale = rows[~finite], rows[finite], S[finite], 1.0
-        while rows.size and scale >= 1.0 / 1024.0:
-            cand = C[rows] + scale * S
+        left, rows, S = rows[~finite], rows[finite], S[finite]
+
+        def attempt(steps, rows, S):
+            cand = C[rows] + steps[:, None] * S
             cand_R, cand_V = residuals(cand)
             cand_merit = norm2(cand_R / root, axis=1)
             ok = cand_merit < merit[rows]  # never true for a nan or inf merit
             took = rows[ok]
             C[took], R[took], V[took], merit[took] = cand[ok], cand_R[ok], cand_V[ok], cand_merit[ok]
             max_tau[took] = np.maximum(max_tau[took], tau)
-            rows, S, scale = rows[~ok], S[~ok], 0.5 * scale
-        return np.concatenate((left, rows))
+            return ok
+
+        ran_out = backtrack(attempt, np.ones(rows.size), 1.0 / 1024.0, rows, S)
+        return np.concatenate((left, rows[ran_out]))
 
     C = C.copy()
     R, V = residuals(C)

@@ -14,7 +14,9 @@ reflector of the scaled constraint normal.  A Cholesky factorization of the
 tangent Hessian minus the floor decides each step: when it succeeds, no
 eigenvalue is at or below the floor, the saddle-free step is the plain Newton
 step and one linear solve gives it; when it fails, the step falls back to a
-full eigendecomposition.  Each start records how many of its steps fell back.
+full eigendecomposition.  All starts run in lockstep as one stack, each with
+its own Cholesky test, and round as they would alone; each records its
+steps, how many of them fell back, and its stop reason.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .closed_forms import SphereParams, gjms_lambda0, sharp_constant, sphere_area  # noqa: F401
 from .conformal import BubbleParams, bubble_values
 from .errors import DomainError
-from .spectral import Workspace, ZonalFunction, norm2
+from .spectral import Workspace, ZonalFunction, backtrack, norm2, rowdot, rowwise
 
 #: Quotient gradients degenerate as p -> 2 (|u|^(p-2) loses smoothness at zeros),
 #: and the admissible range is open anyway, so a small guard band is enforced.
@@ -112,8 +114,8 @@ class MinimizationResult:
         return {**fields, "minimizer": self.minimizer.to_dict()}
 
 
-def _newton_step(ws: Workspace, c: np.ndarray, p: float, val: float, grad: np.ndarray):
-    """Saddle-free Newton step on the p-sphere at the p-normalized c.
+def _newton_step(ws: Workspace, X: np.ndarray, p: float, val: np.ndarray, grad: np.ndarray):
+    """Saddle-free Newton steps on the p-sphere at the p-normalized rows of X.
 
     The tangent directions s satisfy M^T s = 0 with M = B^T(w |u|^(p-2) u), and
     the Hessian there is 2H with H = Lambda - Q (p-1) B^T diag(w |u|^(p-2)) B.
@@ -125,72 +127,95 @@ def _newton_step(ws: Workspace, c: np.ndarray, p: float, val: float, grad: np.nd
     factorization of T - SADDLE_FREE_FLOOR I succeeds, every eigenvalue of T
     is above the floor, so the saddle-free step is the Newton step, solved
     from T directly; otherwise the step falls back to an eigendecomposition
-    of T.  Returns the step and whether it was certified by the Cholesky test.
+    of T.  Each row of X is one iterate with its own Cholesky test; returns
+    the steps and whether that test certified each.
     """
-    vals = ws.basis @ c
-    a = np.abs(vals) ** (p - 2.0)
-    moment = ws.basis.T @ (ws.weights * a * vals)
+    V = rowwise(X, ws.basis.T)
+    a = np.abs(V) ** (p - 2.0)
+    moment = rowwise(ws.weights * a * V, ws.basis)
     scale = 1.0 / np.sqrt(ws.lam)
-    H = np.eye(ws.K + 1) - val * (p - 1.0) * (scale[:, None] * ws.weighted_gram(a) * scale)
+    # H = I - Q (p-1) Lambda^(-1/2) G Lambda^(-1/2) and Z = (I - b v v^T)[:, 1:] are
+    # built in place, with the roundings of those expressions and fewer stacks alive
+    H = ws.weighted_gram(a)
+    H *= scale[:, None]
+    H *= scale
+    H *= -(val * (p - 1.0))[:, None, None]
+    H += np.eye(ws.K + 1)
     v = scale * moment
-    v[0] += math.copysign(np.linalg.norm(v), v[0])
-    Z = np.eye(ws.K + 1)[:, 1:] - (2.0 / np.dot(v, v)) * np.outer(v, v[1:])
-    T = Z.T @ H @ Z
-    r = Z.T @ (scale * grad)
-    try:
-        np.linalg.cholesky(T - SADDLE_FREE_FLOOR * np.eye(ws.K))
-    except np.linalg.LinAlgError:
-        evals, V = np.linalg.eigh(T)
-        y = V @ ((V.T @ r) / (2.0 * np.maximum(np.abs(evals), SADDLE_FREE_FLOOR)))
-        return -scale * (Z @ y), False
-    return -scale * (Z @ (np.linalg.solve(T, r) / 2.0)), True
+    v[:, 0] += np.copysign(np.sqrt(rowdot(v, v)), v[:, 0])
+    Z = v[:, :, None] * v[:, None, 1:]
+    Z *= -(2.0 / rowdot(v, v))[:, None, None]
+    Z += np.eye(ws.K + 1)[:, 1:]
+    H = Z.transpose(0, 2, 1) @ H
+    T = H @ Z  # Z^T H Z
+    del H
+    r = rowwise(scale * grad, Z)
+    # np.linalg.cholesky raises for a whole stack; its gufunc gives a failed matrix nan
+    L = T - SADDLE_FREE_FLOOR * np.eye(ws.K)
+    with np.errstate(invalid="ignore"):
+        certified = ~np.isnan(np.linalg._umath_linalg.cholesky_lo(L, out=L)[:, -1, -1])
+    del L
+    y = np.empty_like(r)
+    y[certified] = np.linalg.solve(T[certified], r[certified][..., None])[..., 0] / 2.0
+    evals, E = np.linalg.eigh(T[~certified])
+    coords = rowwise(r[~certified], E) / (2.0 * np.maximum(np.abs(evals), SADDLE_FREE_FLOOR))
+    y[~certified] = rowwise(coords, E.transpose(0, 2, 1))
+    return -scale * rowwise(y, Z.transpose(0, 2, 1)), certified
 
 
-def _descend(ws: Workspace, c0: np.ndarray, p: float, cfg: OptimizerConfig):
-    c = ws.normalize(c0, p)
-    it = fallbacks = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        val, grad = ws.quotient_and_gradient(c, p)
-        gnorm = float(norm2(grad))
-        trace = [(0, val, gnorm)]
+def _descend(ws: Workspace, C0: np.ndarray, cfg: OptimizerConfig):
+    """Saddle-free Newton from every row of C0 in lockstep, each rounded as alone.
+
+    Returns per row: iterate, value, gradient norm, relative gradient norm,
+    steps, fallback steps, stop reason and trace.
+    """
+    p = cfg.p
+
+    def attempt(steps, rows, base, base_val, direction, slope, certified):
+        # Armijo on the candidate renormalized to the p-sphere
+        cand = base + steps[:, None] * direction
+        norm = ws.p_norm(cand, p)
+        cand = cand / norm[:, None]
+        cand_val = ws.quotient(cand, p)
+        ok = np.isfinite(norm) & (norm > 0.0) & (cand_val <= base_val + 1e-4 * steps * slope)
+        X[rows[ok]], val[rows[ok]] = cand[ok], cand_val[ok]
+        iters[rows[ok]] += 1
+        fallbacks[rows[ok]] += ~certified[ok]
+        return ok
+
+    X = ws.normalize(C0, p)
+    iters, fallbacks, rel = np.zeros(len(X), int), np.zeros(len(X), int), np.zeros(len(X))
+    stop = np.full(len(X), -1)  # index into STOP_REASONS once a row stops
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        val, grad = ws.quotient_and_gradient(X, p)
+        gnorm = norm2(grad, axis=1)
+        traces = [[(0, float(v), float(g))] for v, g in zip(val, gnorm)]
         while True:
-            rel_gnorm = float(norm2(grad / (2.0 * ws.lam)) / norm2(c))
-            if rel_gnorm <= cfg.tol_grad:
-                reason = "tolerance"
+            act = np.flatnonzero(stop < 0)
+            rel[act] = norm2(grad[act] / (2.0 * ws.lam), axis=1) / norm2(X[act], axis=1)
+            stop[act[rel[act] <= cfg.tol_grad]] = 0
+            act = act[stop[act] < 0]
+            if not act.size:
                 break
-            direction, certified = _newton_step(ws, c, p, val, grad)
-            slope = float(np.dot(grad, direction))
+            direction, certified = _newton_step(ws, X[act], p, val[act], grad[act])
+            slope = rowdot(grad[act], direction)
             # a decrease below the rounding of the quotient cannot be verified
-            if -slope <= ROUNDING_FLOOR * abs(val):
-                reason = "rounding_floor"
-                break
-            if it == cfg.max_iter:
-                reason = "max_iter"
-                break
-            step, accepted = 1.0, False
-            while step > 1e-18:
-                cand = c + step * direction
-                cand_norm = ws.p_norm(cand, p)
-                if math.isfinite(cand_norm) and cand_norm > 0.0:
-                    cand = cand / cand_norm
-                    cand_val = ws.quotient(cand, p)
-                    if cand_val <= val + 1e-4 * step * slope:
-                        c, val = cand, cand_val
-                        accepted = True
-                        break
-                step *= 0.5
-            if not accepted:
-                reason = "line_search_exhausted"
-                break
-            it += 1
-            fallbacks += not certified
-            grad = ws.quotient_and_gradient(c, p)[1]
-            gnorm = float(norm2(grad))
-            trace.append((it, val, gnorm))
-    return c, val, gnorm, rel_gnorm, it, fallbacks, reason, trace
+            stop[act[-slope <= ROUNDING_FLOOR * np.abs(val[act])]] = 1
+            stop[act[(stop[act] < 0) & (iters[act] == cfg.max_iter)]] = 3
+            keep = stop[act] < 0
+            act = act[keep]
+            args = act, X[act], val[act], direction[keep], slope[keep], certified[keep]
+            stop[act[backtrack(attempt, np.ones(act.size), 1e-18, *args)]] = 2
+            act = act[stop[act] < 0]
+            grad[act] = ws.quotient_and_gradient(X[act], p)[1]
+            gnorm[act] = norm2(grad[act], axis=1)
+            for i in act:
+                traces[i].append((int(iters[i]), float(val[i]), float(gnorm[i])))
+    reasons = [STOP_REASONS[code] for code in stop]
+    return X, val, gnorm, rel, iters, fallbacks, reasons, traces
 
 
-def _starts(cfg: OptimizerConfig, ws: Workspace) -> list[np.ndarray]:
+def _starts(cfg: OptimizerConfig, ws: Workspace) -> np.ndarray:
     K = cfg.K
     out = [np.eye(K + 1)[0]]  # the constant
     for lam in (2.0, 4.0):
@@ -200,7 +225,7 @@ def _starts(cfg: OptimizerConfig, ws: Workspace) -> list[np.ndarray]:
     for i in range(max(cfg.starts - len(out), 0)):
         rng = np.random.default_rng([cfg.seed, i])
         out.append(rng.standard_normal(K + 1) / (1.0 + k * k))
-    return out[: cfg.starts]
+    return np.array(out[: cfg.starts])
 
 
 def minimize(cfg: OptimizerConfig) -> MinimizationResult:
@@ -211,8 +236,10 @@ def minimize(cfg: OptimizerConfig) -> MinimizationResult:
     steps (see _newton_step), backtracks from the unit step with Armijo
     parameter 1e-4, shrink 0.5, and renormalizes every candidate to the
     p-sphere.  It stops at the relative gradient tolerance, at the rounding
-    floor of its Newton decrement, when the line search finds no decrease, or
-    at max_iter; the trace records the values the line search accepted.
+    floor of its Newton decrement, at max_iter, or when the line search finds
+    no decrease, tested in that order; the trace records the values the line
+    search accepted.  The starts run in lockstep: every pass is one batched
+    Newton step and one batched line search over the starts still running.
     The reported start has the lowest value, and a later start displaces an
     earlier one only when lower by more than the rounding floor 16 eps |Q|,
     so a tie with the constant start reports the constant.
@@ -220,33 +247,28 @@ def minimize(cfg: OptimizerConfig) -> MinimizationResult:
     reason), never hidden.
     """
     ws = Workspace.shared(cfg.params, cfg.K)
-    best = None
-    start_values, start_iters, start_fallback_steps, start_stop_reasons = [], [], [], []
-    for c0 in _starts(cfg, ws):
-        c, val, gnorm, rel_gnorm, iters, fallbacks, reason, trace = _descend(ws, c0, cfg.p, cfg)
-        start_values.append(val)
-        start_iters.append(iters)
-        start_fallback_steps.append(fallbacks)
-        start_stop_reasons.append(reason)
+    X, vals, gnorms, rels, iters, fallbacks, reasons, traces = _descend(ws, _starts(cfg, ws), cfg)
+    best = 0
+    for i, val in enumerate(vals):
         # a later start must beat the best by more than the rounding floor, so
         # ties go to the earliest start, the constant
-        if best is None or val < best[1] - ROUNDING_FLOOR * abs(best[1]):
-            best = (c, val, gnorm, rel_gnorm, iters, reason, trace)
-    c, val, gnorm, rel_gnorm, iters, reason, trace = best
+        if val < vals[best] - ROUNDING_FLOOR * abs(vals[best]):
+            best = i
+    c, val, reason = X[best], float(vals[best]), reasons[best]
     if c[0] < 0:
         c = -c  # report the nonnegative-mean representative
     u = ZonalFunction(cfg.params, c)
     return MinimizationResult(
         minimizer=u,
         value=val,
-        grad_norm=gnorm,
-        rel_grad_norm=rel_gnorm,
-        iters=iters,
+        grad_norm=float(gnorms[best]),
+        rel_grad_norm=float(rels[best]),
+        iters=int(iters[best]),
         distance_to_constant=u.distance_to_constant(),
         converged=reason in STOP_REASONS[:2],
-        trace=trace,
-        start_values=start_values,
-        start_iters=start_iters,
-        start_fallback_steps=start_fallback_steps,
-        start_stop_reasons=start_stop_reasons,
+        trace=traces[best],
+        start_values=vals.tolist(),
+        start_iters=iters.tolist(),
+        start_fallback_steps=fallbacks.tolist(),
+        start_stop_reasons=reasons,
     )

@@ -410,36 +410,71 @@ class Workspace:
         Q = default_rule_size(K) if Q is None else operator.index(Q)
         return _shared_workspace(params, K, Q)
 
-    def p_norm(self, c: np.ndarray, p: float) -> float:
+    # c may be a stack of rows (see rowwise); np.float_power rounds as float ** does
+
+    def p_norm(self, c: np.ndarray, p: float):
         """L^p(S^n) norm of coefficients c by quadrature, finite p >= 1; Parseval at p = 2."""
         if not (math.isfinite(p) and p >= 1):
             raise DomainError(f"need finite p >= 1, got p={p}")
-        vals = self.basis @ c
-        return float(np.dot(self.weights, np.abs(vals) ** p)) ** (1.0 / p)
+        ip = rowdot(np.abs(rowwise(c, self.basis.T)) ** p, self.weights)
+        return np.float_power(ip, 1.0 / p)
 
     def normalize(self, c: np.ndarray, p: float) -> np.ndarray:
         norm = self.p_norm(c, p)
-        if not (norm > 0.0 and math.isfinite(norm)):
+        if not np.all((norm > 0.0) & np.isfinite(norm)):
             raise DomainError("cannot normalize the zero (or overflowing) function")
-        return c / norm
+        return c / norm[..., None]
 
-    def quotient(self, c: np.ndarray, p: float) -> float:
-        num = float(np.dot(self.lam, c * c))
-        return num / self.p_norm(c, p) ** 2
+    def quotient(self, c: np.ndarray, p: float):
+        return rowdot(c * c, self.lam) / np.float_power(self.p_norm(c, p), 2)
 
     def quotient_and_gradient(self, c: np.ndarray, p: float):
-        vals = self.basis @ c
-        ip = float(np.dot(self.weights, np.abs(vals) ** p))
-        den = ip ** (2.0 / p)
-        num = float(np.dot(self.lam, c * c))
-        val = num / den
-        moment = self.basis.T @ (self.weights * np.abs(vals) ** (p - 2.0) * vals)
-        grad = 2.0 * self.lam * c / den - 2.0 * num * ip ** (-1.0 - 2.0 / p) * moment
-        return val, grad
+        vals = rowwise(c, self.basis.T)
+        ip = rowdot(np.abs(vals) ** p, self.weights)
+        den = np.float_power(ip, 2.0 / p)
+        num = rowdot(c * c, self.lam)
+        moment = rowwise(self.weights * np.abs(vals) ** (p - 2.0) * vals, self.basis)
+        coef = 2.0 * num * np.float_power(ip, -1.0 - 2.0 / p)
+        grad = 2.0 * self.lam * c / den[..., None] - coef[..., None] * moment
+        return num / den, grad
 
     def weighted_gram(self, s: np.ndarray) -> np.ndarray:
-        """B^T diag(w s) B for node values s."""
-        return self.basis.T @ ((self.weights * s)[:, None] * self.basis)
+        """B^T diag(w s) B for node values s, or one such matrix per row of a stack s."""
+        return self.basis.T @ ((self.weights * s)[..., None] * self.basis)
+
+
+def rowwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a vector a, or for each row of a stack a (b a matrix or a matching stack),
+    each row in its own BLAS call: one gemm over the stack would round the rows otherwise."""
+    return (a[..., None, :] @ b)[..., 0, :]
+
+
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of a with b (a vector or a matching stack), as np.dot."""
+    return rowwise(a, b[..., None])[..., 0]
+
+
+def backtrack(attempt, steps: np.ndarray, floor: float, *arrays: np.ndarray) -> np.ndarray:
+    """One batched backtracking pass: the mask of rows that ran out of steps.
+
+    Row i tries steps[i], steps[i]/2, ... while >= floor.  attempt(steps,
+    *arrays) gets the rows still searching, as their steps and rows of each
+    array, keeps the candidates it accepts and returns their mask.
+    """
+    rows, ran_out = np.arange(steps.size), np.zeros(steps.size, dtype=bool)
+    smallest = np.min(steps, initial=np.inf)  # halves with steps; stale only on the low side
+    while rows.size:
+        if not smallest >= floor:  # a nan step is never tried
+            leave = ~(steps >= floor)
+            ran_out[rows[leave]] = True
+            smallest = np.min(steps[~leave], initial=np.inf)
+        else:
+            leave = attempt(steps, *arrays)
+            steps, smallest = 0.5 * steps, 0.5 * smallest
+        if np.count_nonzero(leave):  # the cheapest any() on these short masks
+            keep = ~leave
+            rows, steps, arrays = rows[keep], steps[keep], [a[keep] for a in arrays]
+    return ran_out
 
 
 @functools.lru_cache(maxsize=8)

@@ -10,6 +10,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import roots_jacobi, roots_legendre
 
+from gjmslab import kernels
 from gjmslab.errors import DomainError
 from gjmslab.kernels import (
     ball_volume,
@@ -288,11 +289,57 @@ class TestDualRatio:
     def test_trial_step_clipped_to_zero_is_rejected(self):
         # below the rounding of the constant's zero gradient the capped trial
         # step can clip every node value; the line search halves it instead
-        # of reporting a collapsed iterate
+        # of reporting a collapsed iterate, and runs out of steps: that is
+        # no max_iter stop, so nothing warns
         params = SphereParams(n=3, m=1)
-        with pytest.warns(UserWarning, match="max_iter"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             best = hls_dual_ratio(params, 4.0, trials=1, K=1, max_iter=1, tol_grad=1e-300)
         assert best == pytest.approx(1.0 / (0.75 * math.sqrt(2.0 * math.pi**2)), rel=1e-12)
+
+    def test_only_max_iter_stops_warn(self, monkeypatch):
+        # the constant start passes its first gradient test without moving;
+        # an ascent that stops on gradient test number max_iter is no
+        # max_iter stop
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hls_dual_ratio(SphereParams(n=3, m=1), 4.0, trials=1, max_iter=1)
+        stops = []
+
+        def recorded(*args):
+            stops.append(ascend(*args))
+            return stops[-1]
+
+        ascend = kernels._ascend
+        monkeypatch.setattr(kernels, "_ascend", recorded)
+        hls_dual_ratio(SphereParams(n=3, m=1), 4.0, trials=1, max_iter=1)
+        assert stops[-1][1:] == ([0], ["tolerance"])
+        with pytest.warns(UserWarning, match="max_iter=1"):
+            hls_dual_ratio(SphereParams(n=3, m=1), 4.0, trials=3, max_iter=1)
+        assert stops[-1][1].tolist() == [0, 1, 1]
+        assert stops[-1][2] == ["tolerance", "max_iter", "max_iter"]
+
+    @pytest.mark.parametrize("n,m,p", [(3, 1, 4.0), (3, 1, 2.5), (5, 2, 2.5), (7, 2, 3.0), (9, 3, 4.0)])
+    def test_lockstep_trials_match_single_trials(self, monkeypatch, n, m, p):
+        # the ascent runs its trials as one batch; each trial ends as it
+        # does in a batch of one
+        calls = []
+
+        def recorded(*args):
+            calls.append(args)
+            return ascend(*args)
+
+        ascend = kernels._ascend
+        monkeypatch.setattr(kernels, "_ascend", recorded)
+        for seed in (0, 1, 2):
+            hls_dual_ratio(SphereParams(n=n, m=m), p, seed=seed)
+            ws, g, mu, pp, V0, max_iter, tol_grad = calls[-1]
+            vals, iters, reasons = ascend(*calls[-1])
+            assert len(vals) == len(V0) == 8
+            for i in range(len(V0)):
+                (val,), (it,), (reason,) = ascend(ws, g, mu, pp, V0[i : i + 1], max_iter, tol_grad)
+                assert (it, reason) == (iters[i], reasons[i]), (seed, i)
+                assert abs(val - vals[i]) <= 1e-14 * abs(val)
 
     @pytest.mark.parametrize("max_iter", [0, -2])
     def test_needs_an_iteration(self, max_iter):

@@ -74,6 +74,22 @@ def test_solvers_return_or_raise_a_toolkit_error(sphere, K, tol, max_iter, count
         assert solve is probe is best is ratio is None
 
 
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(SPHERES, st.integers(1, 25), st.integers(1, 3), st.integers(1, 12), st.integers(0, 3))
+def test_minimize_records_every_start(sphere, starts, max_iter, K, seed):
+    # the starts run in lockstep and retire on different passes; each keeps
+    # its own record
+    n, m = sphere
+    params = SphereParams(n=n, m=m)
+    p = 0.5 * (2.0 + params.critical_norm_exponent)
+    res = minimize(OptimizerConfig(params=params, p=p, K=K, starts=starts, seed=seed, max_iter=max_iter))
+    records = (res.start_values, res.start_iters, res.start_fallback_steps, res.start_stop_reasons)
+    assert [len(r) for r in records] == [starts] * 4
+    for iters, fallbacks, reason in zip(res.start_iters, res.start_fallback_steps, res.start_stop_reasons):
+        assert 0 <= fallbacks <= iters <= max_iter
+        assert reason != "max_iter" or iters == max_iter
+
+
 def _or_domain_error(call):
     """What call() returns, or None when it raises a DomainError."""
     try:

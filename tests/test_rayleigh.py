@@ -308,6 +308,21 @@ class TestNewtonMultistart:
             if reason == "max_iter":
                 assert iters == 1
 
+    @pytest.mark.parametrize("n,m,p", MINIMIZE_CONFIGS)
+    def test_lockstep_starts_match_single_starts(self, n, m, p):
+        # minimize runs its starts as one batch; each start ends as it does
+        # in a batch of one
+        for seed in (0, 1, 2):
+            cfg = OptimizerConfig(params=SphereParams(n=n, m=m), p=p, K=32, starts=20, seed=seed)
+            res = minimize(cfg)
+            ws = Workspace.shared(cfg.params, cfg.K)
+            for i, c0 in enumerate(_starts(cfg, ws)):
+                _, (val,), _, _, (iters,), (fallbacks,), (reason,), _ = _descend(ws, c0[None, :], cfg)
+                assert (iters, reason, fallbacks) == (
+                    res.start_iters[i], res.start_stop_reasons[i], res.start_fallback_steps[i]
+                ), (seed, i)
+                assert abs(val - res.start_values[i]) <= 1e-15 * abs(val)
+
     def test_step0_removed(self):
         with pytest.raises(TypeError):
             OptimizerConfig(params=SphereParams(n=3, m=1), p=4.0, step0=1.0)
@@ -325,12 +340,17 @@ class TestNewtonStep:
         # near the constant every tangent eigenvalue is about 1 - (p-1) Lambda_0 / Lambda_1
         # > 0, so the Cholesky test certifies the Newton step; a random draw
         # has negative tangent eigenvalues and takes the eigendecomposition
-        for c0, certified in ((near_constant, True), (random_draw, False)):
-            c = ws.normalize(c0, p)
-            val, grad = ws.quotient_and_gradient(c, p)
-            step, took_cholesky = _newton_step(ws, c, p, val, grad)
-            assert took_cholesky is certified
-            ref = reference_newton_step(ws, c, p, val, grad)
+        C = ws.normalize(np.array([near_constant, random_draw]), p)
+        vals, grads = ws.quotient_and_gradient(C, p)
+        refs = [reference_newton_step(ws, c, p, val, grad) for c, val, grad in zip(C, vals, grads)]
+        for i, certified in enumerate((True, False)):
+            (step,), (took_cholesky,) = _newton_step(ws, C[i : i + 1], p, vals[i : i + 1], grads[i : i + 1])
+            assert took_cholesky == certified
+            assert np.linalg.norm(step - refs[i]) <= 1e-12 * np.linalg.norm(refs[i])
+        # one stack holding both rows: each keeps its own Cholesky test
+        steps, took_cholesky = _newton_step(ws, C, p, vals, grads)
+        assert took_cholesky.tolist() == [True, False]
+        for step, ref in zip(steps, refs):
             assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -339,8 +359,8 @@ class TestReportedStationarity:
     def test_tolerance_stops_meet_tol_grad(self, n, m, p):
         cfg = OptimizerConfig(params=SphereParams(n=n, m=m), p=p, K=32, starts=20, seed=0)
         ws = Workspace(cfg.params, cfg.K)
-        for c0 in _starts(cfg, ws):
-            _, _, _, rel_grad_norm, _, _, reason, _ = _descend(ws, c0, cfg.p, cfg)
+        _, _, _, rel_grad_norms, _, _, reasons, _ = _descend(ws, _starts(cfg, ws), cfg)
+        for rel_grad_norm, reason in zip(rel_grad_norms, reasons):
             if reason == "tolerance":
                 assert rel_grad_norm <= cfg.tol_grad
 
