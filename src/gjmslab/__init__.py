@@ -34,7 +34,6 @@ _MODULE_EXPORTS = {
         "zonal_basis",
     ),
     "conformal": (
-        "BubbleParams",
         "angle_from_radius",
         "bubble_on_sphere",
         "conformal_factor",

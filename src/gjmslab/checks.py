@@ -13,13 +13,7 @@ import math
 import numpy as np
 
 from .closed_forms import sharp_constant
-from .conformal import (
-    BubbleParams,
-    angle_from_radius,
-    bubble_on_sphere,
-    pullback_to_plane,
-    radius_from_angle,
-)
+from .conformal import angle_from_radius, bubble_on_sphere, pullback_to_plane, radius_from_angle
 from .errors import DomainError
 from .kernels import IDENTITY_TOLERANCE, funk_hecke_spectrum, green_constant
 from .lane_emden import Nonlinearity, constant_solution
@@ -172,8 +166,7 @@ def verify_checks(m: int, n: int, K: int, seed: int, trials: int):
 
     p_crit = params.critical_norm_exponent
     big = Workspace.shared(params, 72)
-    bubbles = [BubbleParams(lam=lam_b, params=params) for lam_b in (0.5, 2.0)]
-    norms = [big.p_norm(bubble_on_sphere(b, big).coeffs, p_crit) for b in bubbles]
+    norms = [big.p_norm(bubble_on_sphere(lam_b, big).coeffs, p_crit) for lam_b in (0.5, 2.0)]
     add("bubble-critical-norm", abs(norms[0] / norms[1] - 1.0), 1e-6)
 
     p_mid = 0.5 * (2.0 + p_crit)

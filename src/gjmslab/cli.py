@@ -259,7 +259,7 @@ def cmd_minimize(args) -> int:
 def _solve_initial(args, f: Nonlinearity, ws: Workspace) -> ZonalFunction:
     import numpy as np
 
-    from .conformal import BubbleParams, bubble_on_sphere
+    from .conformal import bubble_on_sphere
     from .lane_emden import constant_solution, probe_start
     from .spectral import ZonalFunction
 
@@ -276,7 +276,7 @@ def _solve_initial(args, f: Nonlinearity, ws: Workspace) -> ZonalFunction:
             lam = float(choice.split(":", 1)[1])
         except ValueError as exc:
             raise UsageError(f"--init bubble:LAM needs a number, got {choice!r}") from exc
-        u = bubble_on_sphere(BubbleParams(lam=lam, params=params), ws)
+        u = bubble_on_sphere(lam, ws)
         # scaled so the bubble family solves the unit-coefficient critical power
         p_max = f.max_exponent
         scale = 1.0
@@ -334,8 +334,6 @@ def cmd_sweep(args) -> int:
             for p in args.p:
                 try:
                     params = SphereParams(n=n, m=m)
-                    if not (2.0 <= p <= params.critical_norm_exponent):
-                        continue
                     S = sharp_constant(m, n, p)
                 except DomainError:
                     continue

@@ -4,8 +4,8 @@ The conformal diffeomorphism sends x in R^n to the sphere point with polar
 cosine t = (1 - |x|^2)/(1 + |x|^2), pulling the round metric back to
 (2/(1+|x|^2))^2 dx^2.  Functions move with the covariant weight
 (2/(1+r^2))^(n/2-m); the dilation family of extremal profiles on R^n then
-corresponds to the one-parameter bubble family on the sphere, with the
-dilation-free member being the constant.
+corresponds to the one-parameter bubble family on the sphere, named by the
+dilation lam alone (the sphere is the workspace's); lam = 1 is the constant.
 
 Conformal covariance (Graham, Jenne, Mason & Sparling, J. LMS 46, 1992)
 carries the order-2m operator through the same weight: for u = phi^(n/2-m) v
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,18 +52,6 @@ def conformal_factor(r):
         raise DomainError("radius must be nonnegative")
     out = 2.0 / (1.0 + r * r)
     return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class BubbleParams:
-    """Dilation parameter of the centered extremal family; lam = 1 is the constant."""
-
-    lam: float
-    params: SphereParams
-
-    def __post_init__(self):
-        if not (self.lam > 0 and math.isfinite(self.lam)):
-            raise DomainError(f"dilation must be positive and finite, got {self.lam}")
 
 
 def pullback_to_plane(v: ZonalFunction, grid) -> np.ndarray:
@@ -108,29 +95,27 @@ def iterated_laplacians(v: ZonalFunction) -> list[ZonalFunction]:
     return out
 
 
-def bubble_values(bubble: BubbleParams, t) -> np.ndarray:
+def bubble_values(params: SphereParams, lam: float, t) -> np.ndarray:
     """Pointwise bubble v_lam(t) = (lam / ((1+lam^2) + (1-lam^2) t))^((n-2m)/2).
 
     Pushforward of the dilated planar profile lam^((n-2m)/2) (1+lam^2 r^2)^(m-n/2);
-    at lam = 1 this is the constant 2^(m-n/2).
+    lam = 1 is the constant 2^(m-n/2).  The dilation lam must be positive and finite.
     """
+    if not (lam > 0 and math.isfinite(lam)):
+        raise DomainError(f"dilation must be positive and finite, got {lam}")
     t = np.asarray(t, dtype=float)
-    lam = bubble.lam
-    n, m = bubble.params.n, bubble.params.m
-    e = (n - 2.0 * m) / 2.0
+    e = (params.n - 2.0 * params.m) / 2.0
     return (lam / ((1.0 + lam * lam) + (1.0 - lam * lam) * t)) ** e
 
 
-def bubble_on_sphere(bubble: BubbleParams, workspace: Workspace) -> ZonalFunction:
-    """Expand a bubble in the workspace's basis, c = B^T(w v) from its node values v.
+def bubble_on_sphere(lam: float, workspace: Workspace) -> ZonalFunction:
+    """Expand the dilation-lam bubble in the workspace's basis, c = B^T(w v) from its node values.
 
-    The workspace must be for the bubble's (n, m).  Warns when the degree-K
-    tail is not negligible.
+    The bubble is for the workspace's (n, m).  Warns when the degree-K tail is
+    not negligible.
     """
-    if bubble.params != workspace.params:
-        raise ValueError(f"bubble is for {bubble.params}, workspace for {workspace.params}")
-    K, values = workspace.K, bubble_values(bubble, workspace.nodes)
-    u = ZonalFunction(bubble.params, workspace.basis.T @ (workspace.weights * values))
+    K, values = workspace.K, bubble_values(workspace.params, lam, workspace.nodes)
+    u = ZonalFunction(workspace.params, workspace.basis.T @ (workspace.weights * values))
     norm = u.l2_norm()
     tail = abs(float(u.coeffs[-1])) / norm if norm > 0 else 0.0
     if tail > 1e-6:
@@ -142,7 +127,7 @@ def bubble_on_sphere(bubble: BubbleParams, workspace: Workspace) -> ZonalFunctio
         ratio = min(max(ratio, 1e-3), 0.999)
         extra = int(math.ceil(math.log(1e-6 / tail) / math.log(ratio)))
         warnings.warn(
-            f"bubble lam={bubble.lam} tail {tail:.2e} above 1e-6 at K={K}; "
+            f"bubble lam={lam} tail {tail:.2e} above 1e-6 at K={K}; "
             f"suggest K >= {K + max(extra, 1)}",
             TruncationWarning,
             stacklevel=2,

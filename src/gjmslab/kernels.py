@@ -22,7 +22,8 @@ import numpy as np
 
 from .closed_forms import in_double_range
 from .errors import DomainError, InconsistencyError
-from .spectral import GjmsSpectrum, SphereParams, Workspace, backtrack, gamma_ratio
+from .spectral import STOP_REASONS, GjmsSpectrum, SphereParams, Workspace, backtrack, gamma_ratio
+from .spectral import rowdot, rowwise
 
 IDENTITY_TOLERANCE = 1e-8  #: largest |g_mn mu_k Lambda_k - 1| green_constant accepts
 
@@ -141,9 +142,7 @@ def hls_dual_ratio(
     g = green_constant(params, kernel=kernel, gjms=GjmsSpectrum(params, ws.lam)).g_mn
     starts = [np.ones(len(ws.nodes))]
     for i in range(trials - 1):
-        rng = np.random.default_rng([seed, i])
-        k = np.arange(K + 1, dtype=float)
-        c = rng.standard_normal(K + 1) / (1.0 + k * k)
+        c = ws.damped_draw(np.random.default_rng([seed, i]))
         c[0] = abs(c[0]) + 0.5
         starts.append(np.clip(ws.basis @ c, 0.0, None) + 1e-3)
     vals, _, reasons = _ascend(ws, g, kernel.mu, p / (p - 1), np.array(starts), max_iter, tol_grad)
@@ -156,38 +155,37 @@ def hls_dual_ratio(
     return best
 
 
-# stopped rows have nan steps, and a candidate the cone clips to zero is nan
+# a candidate the cone clips to zero is nan, as is a first BB step (s = y = 0)
 @np.errstate(divide="ignore", invalid="ignore")
 def _ascend(
     ws: Workspace, g: float, mu: np.ndarray, pp: float, V0: np.ndarray, max_iter: int, tol: float
 ):
     """hls_dual_ratio's ascent from every row of node values V0, in lockstep.
 
-    Each row is a 1 x Q matrix, so it rounds as it would alone (see
-    spectral.rowwise).  Returns per row the value, the accepted steps and
-    the stop reason: tolerance, line_search_exhausted or max_iter.
+    Rows multiply through spectral.rowwise and rowdot, so each rounds as it
+    would alone.  Returns per row the value, the accepted steps and the stop
+    reason, one of STOP_REASONS.
     """
-    B, w, w_col, mu_col = ws.basis, ws.weights, ws.weights[:, None], mu[:, None]
+    B, w = ws.basis, ws.weights
 
     def normalize(V):
         V = np.maximum(V, 0.0)
-        return np.divide(V, np.float_power(V**pp @ w_col, 1.0 / pp), out=V)
+        return np.divide(V, np.float_power(rowdot(V**pp, w), 1.0 / pp)[:, None], out=V)
 
     def ratio(V):
         # evaluated on the p'-sphere only, so the denominator is 1
-        C = (w * V) @ B
-        return g * ((C * C) @ mu_col), C
+        C = rowwise(w * V, B)
+        return g * rowdot(C * C, mu), C
 
     def gradient(V, val, C):
         # the functional (weight-preconditioned) gradient 2 (g K v - R v^(p'-1))
-        return 2.0 * (g * ((mu * C) @ B.T) - val * V ** (pp - 1.0))
+        return 2.0 * (g * rowwise(mu * C, B.T) - val[:, None] * V ** (pp - 1.0))
 
     def attempt(steps, rows, base, base_val, direction, slope):
-        step = steps[:, None, None]
-        cand = normalize(base + step * direction)
+        cand = normalize(base + steps[:, None] * direction)
         cand_val, C = ratio(cand)
         # strict increase guards against accepting a float plateau
-        ok = ((cand_val > base_val) & (cand_val >= base_val + 1e-4 * step * slope)).ravel()
+        ok = (cand_val > base_val) & (cand_val >= base_val + 1e-4 * steps * slope)
         if np.count_nonzero(ok):
             rows, cand, cand_val = rows[ok], cand[ok], cand_val[ok]
             cand_grad = gradient(cand, cand_val, C[ok])
@@ -195,30 +193,28 @@ def _ascend(
             V[rows], val[rows], grad[rows] = cand, cand_val, cand_grad
         return ok
 
-    V = normalize(V0[:, None, :])
+    V = normalize(V0)
     val, C = ratio(V)
     grad = gradient(V, val, C)
     S, Y = np.zeros_like(V), np.zeros_like(V)  # last accepted move and its gradient change
-    iters, rows = np.zeros(len(V), dtype=int), np.arange(len(V))
-    out_val, out_iters, out_stop = np.empty(len(V)), np.empty(len(V), int), np.empty(len(V), int)
-    while rows.size:
-        direction = np.where((V <= 0.0) & (grad < 0.0), 0.0, grad)  # cone-feasible part
-        slope = direction * direction @ w_col
-        stop = np.where(np.sqrt(slope) <= tol * np.maximum(1.0, np.abs(val)), 0, -1).ravel()
-        stop[(stop < 0) & (iters == max_iter)] = 2
+    iters, stop = np.zeros(len(V), dtype=int), np.full(len(V), -1)  # stop indexes STOP_REASONS
+    while True:
+        act = np.flatnonzero(stop < 0)
+        direction = np.where((V[act] <= 0.0) & (grad[act] < 0.0), 0.0, grad[act])  # cone-feasible
+        slope = rowdot(direction * direction, w)
+        stop[act[np.sqrt(slope) <= tol * np.maximum(1.0, np.abs(val[act]))]] = 0
+        stop[act[(stop[act] < 0) & (iters[act] == max_iter)]] = 3
+        keep = stop[act] < 0
+        act, direction, slope = act[keep], direction[keep], slope[keep]
+        if not act.size:
+            break
         # Barzilai-Borwein trial step (none while s = y = 0), capped so one
         # step moves the iterate by at most its own w-norm
-        step = np.sqrt(V * V @ w_col / slope)
-        sy = S * Y @ w_col
-        step = np.where(sy < 0.0, np.minimum(S * S @ w_col / -sy, step), step).ravel()
-        args = np.arange(len(V)), V, val, direction, slope
-        ran_out = backtrack(attempt, np.where(stop < 0, step, np.nan), 1e-18, *args)
-        stop[ran_out & (stop < 0)] = 1
-        done = stop >= 0
-        if done.any():
-            out = rows[done]
-            out_val[out], out_iters[out], out_stop[out] = val[done, 0, 0], iters[done], stop[done]
-            V, val, grad, S, Y, iters, rows = (a[~done] for a in (V, val, grad, S, Y, iters, rows))
-        iters += 1
-    reasons = ("tolerance", "line_search_exhausted", "max_iter")
-    return out_val, out_iters, [reasons[code] for code in out_stop]
+        base, s = V[act], S[act]
+        sy = rowdot(s * Y[act], w)
+        step = np.sqrt(rowdot(base * base, w) / slope)
+        step = np.where(sy < 0.0, np.minimum(rowdot(s * s, w) / -sy, step), step)
+        ran_out = backtrack(attempt, step, 1e-18, act, base, val[act], direction, slope)
+        stop[act[ran_out]] = 2
+        iters[act[~ran_out]] += 1
+    return val, iters, [STOP_REASONS[code] for code in stop]

@@ -367,9 +367,8 @@ def probe_start(workspace: Workspace, base: float, rng: np.random.Generator) -> 
     When the draw dips below 0.05 base at a node, the nonconstant part c[1:]
     is scaled down just enough that the minimum over the nodes is that floor.
     """
-    params, K, B = workspace.params, workspace.K, workspace.basis
-    k = np.arange(K + 1, dtype=float)
-    c = base * 0.3 * rng.standard_normal(K + 1) / (1.0 + k * k)
+    params, B = workspace.params, workspace.basis
+    c = workspace.damped_draw(rng, base * 0.3)
     c[0] = base * rng.uniform(0.7, 2.0) * math.sqrt(params.area)
     mean, low = c[0] * B[0, 0], float(np.min(B @ c))  # Y_0 is constant
     floor = 0.05 * base
@@ -423,13 +422,8 @@ def uniqueness_probe(
     for trial, result in enumerate(_newton_batch(ws, f, starts, tol, max_iter=60)):
         report.stop_reasons[result.stop_reason] += 1
         report.regularized += result.max_tau > 0.0
-        if result.classification == "diverged":
-            report.diverged += 1
-            continue
         if not result.converged:
-            report.nonconverged += 1
             continue
-        report.converged += 1
         sol = result.solution
         scale = max(abs(float(np.max(np.abs(sol.coeffs)))), 1e-30)
         if result.negativity < -1e-8 * scale:
@@ -453,6 +447,9 @@ def uniqueness_probe(
                     "coeffs": [float(v) for v in sol.coeffs],
                 }
             )
+    reasons = report.stop_reasons
+    report.converged, report.diverged = reasons["tolerance"], reasons["diverged"]
+    report.nonconverged = reasons["max_iter"] + reasons["line_search_exhausted"]
     pool = report.zero + report.constant + report.nonconstant
     report.fraction_constant = (
         (report.zero + report.constant) / pool if pool else 0.0

@@ -27,9 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closed_forms import SphereParams, gjms_lambda0, sharp_constant, sphere_area  # noqa: F401
-from .conformal import BubbleParams, bubble_values
+from .conformal import bubble_values
 from .errors import DomainError
-from .spectral import Workspace, ZonalFunction, backtrack, norm2, rowdot, rowwise
+from .spectral import ROUNDING_FLOOR, STOP_REASONS, Workspace, ZonalFunction
+from .spectral import backtrack, norm2, rowdot, rowwise
 
 #: Quotient gradients degenerate as p -> 2 (|u|^(p-2) loses smoothness at zeros),
 #: and the admissible range is open anyway, so a small guard band is enforced.
@@ -39,11 +40,6 @@ MIN_EXPONENT_GAP = 1e-3
 #: saddle-free Newton step; the high modes sit at 1, so this caps the step
 #: at 100 times the Newton step of a perfectly conditioned mode.
 SADDLE_FREE_FLOOR = 1e-2
-#: A start stops when its Newton decrement -g.s falls to this many units of
-#: roundoff in the quotient value.
-ROUNDING_FLOOR = 16.0 * np.finfo(float).eps
-#: Why a start stopped: the first two count as converged.
-STOP_REASONS = ("tolerance", "rounding_floor", "line_search_exhausted", "max_iter")
 
 
 def _check_exponent(params: SphereParams, p: float) -> None:
@@ -216,15 +212,11 @@ def _descend(ws: Workspace, C0: np.ndarray, cfg: OptimizerConfig):
 
 
 def _starts(cfg: OptimizerConfig, ws: Workspace) -> np.ndarray:
-    K = cfg.K
-    out = [np.eye(K + 1)[0]]  # the constant
+    out = [np.eye(cfg.K + 1)[0]]  # the constant
     for lam in (2.0, 4.0):
-        vals = bubble_values(BubbleParams(lam=lam, params=cfg.params), ws.nodes)
-        out.append(ws.basis.T @ (ws.weights * vals))
-    k = np.arange(K + 1, dtype=float)
+        out.append(ws.basis.T @ (ws.weights * bubble_values(cfg.params, lam, ws.nodes)))
     for i in range(max(cfg.starts - len(out), 0)):
-        rng = np.random.default_rng([cfg.seed, i])
-        out.append(rng.standard_normal(K + 1) / (1.0 + k * k))
+        out.append(ws.damped_draw(np.random.default_rng([cfg.seed, i])))
     return np.array(out[: cfg.starts])
 
 

@@ -29,6 +29,14 @@ from .closed_forms import SphereParams, gjms_lambda0, sharp_constant, sphere_are
 from .closed_forms import in_double_range
 from .errors import AliasingError, DomainError, InconsistencyError
 
+#: Why a sharp-constant solve (minimize's starts, the dual ascent's trials)
+#: stopped: the first two count as converged.
+STOP_REASONS = ("tolerance", "rounding_floor", "line_search_exhausted", "max_iter")
+#: A solve stops when its predicted change falls to this many units of
+#: roundoff in the value it optimizes.
+ROUNDING_FLOOR = 16.0 * np.finfo(float).eps
+
+
 def default_rule_size(K: int) -> int:
     return 2 * K + 8
 
@@ -409,6 +417,11 @@ class Workspace:
         K = operator.index(K)
         Q = default_rule_size(K) if Q is None else operator.index(Q)
         return _shared_workspace(params, K, Q)
+
+    def damped_draw(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+        """Random coefficients scale * z_k / (1 + k^2), z standard normal, k = 0..K."""
+        k = np.arange(self.K + 1, dtype=float)
+        return scale * rng.standard_normal(self.K + 1) / (1.0 + k * k)
 
     # c may be a stack of rows (see rowwise); np.float_power rounds as float ** does
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from gjmslab.cli import main as cli_main
-from gjmslab.conformal import BubbleParams, bubble_on_sphere
+from gjmslab.conformal import bubble_on_sphere
 from gjmslab.kernels import funk_hecke_spectrum, green_constant, hls_dual_ratio
 from gjmslab.lane_emden import (
     Nonlinearity,
@@ -166,7 +166,7 @@ def test_criterion_6_critical_contrast():
     # nonconstant exact solution at the critical power from the lam = 2 bubble
     f = Nonlinearity.single_power(1.0, p_eq, params)
     ws64 = Workspace(params, 64)
-    vb = bubble_on_sphere(BubbleParams(lam=2.0, params=params), ws64)
+    vb = bubble_on_sphere(2.0, ws64)
     scale = (gjms_lambda0(1, 3) * 2.0 ** 2) ** (1.0 / (p_eq - 1.0))
     res = solve_newton(
         1, 3, f, ZonalFunction(params, scale * vb.coeffs), tol=1e-8, workspace=ws64
@@ -178,7 +178,7 @@ def test_criterion_6_critical_contrast():
     ws = Workspace(params, K)
     quotients = []
     for lam in (0.5, 1.0, 2.0):
-        u = bubble_on_sphere(BubbleParams(lam=lam, params=params), ws)
+        u = bubble_on_sphere(lam, ws)
         quotients.append(ws.quotient(u.coeffs, p_norm))
     quotients = np.asarray(quotients)
     spread = float(np.max(np.abs(quotients / quotients[1] - 1.0)))

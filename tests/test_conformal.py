@@ -7,7 +7,6 @@ import pytest
 from scipy.integrate import quad
 
 from gjmslab.conformal import (
-    BubbleParams,
     angle_from_radius,
     bubble_on_sphere,
     bubble_values,
@@ -109,7 +108,7 @@ class TestPullback:
 class TestBubble:
     def test_lam_one_is_constant(self):
         params = SphereParams(n=3, m=1)
-        u = bubble_on_sphere(BubbleParams(lam=1.0, params=params), Workspace(params, 16, 40))
+        u = bubble_on_sphere(1.0, Workspace(params, 16, 40))
         assert u.coeffs[0] == pytest.approx(2 ** (1 - 1.5) * math.sqrt(sphere_area(3)), rel=1e-13)
         assert np.max(np.abs(u.coeffs[1:])) < 1e-13
 
@@ -119,7 +118,7 @@ class TestBubble:
         p_crit = params.critical_norm_exponent
         norms = []
         for lam in (0.25, 0.5, 1.0, 2.0, 4.0):
-            u = bubble_on_sphere(BubbleParams(lam=lam, params=params), ws)
+            u = bubble_on_sphere(lam, ws)
             norms.append(ws.p_norm(u.coeffs, p_crit))
         norms = np.array(norms)
         assert np.max(np.abs(norms / norms[2] - 1.0)) <= 1e-6
@@ -128,7 +127,7 @@ class TestBubble:
         params = SphereParams(n=3, m=1)
         ws = Workspace(params, 128, 300)
         c0 = [
-            bubble_on_sphere(BubbleParams(lam=lam, params=params), ws).coeffs[0]
+            bubble_on_sphere(lam, ws).coeffs[0]
             for lam in (2.0, 4.0, 8.0)
         ]
         assert c0[0] > c0[1] > c0[2] > 0
@@ -136,13 +135,7 @@ class TestBubble:
     def test_tail_warning(self):
         params = SphereParams(n=3, m=1)
         with pytest.warns(TruncationWarning):
-            bubble_on_sphere(BubbleParams(lam=20.0, params=params), Workspace(params, 12, 64))
-
-    def test_workspace_of_another_sphere_raises(self):
-        bubble = BubbleParams(lam=2.0, params=SphereParams(n=5, m=2))
-        for other in (SphereParams(n=5, m=1), SphereParams(n=7, m=2)):
-            with pytest.raises(ValueError):
-                bubble_on_sphere(bubble, Workspace(other, 8))
+            bubble_on_sphere(20.0, Workspace(params, 12, 64))
 
     def test_closed_form_matches_planar_definition(self):
         # push the dilated planar profile forward by hand and compare
@@ -154,7 +147,7 @@ class TestBubble:
             params.m - params.n / 2
         )
         expected = conformal_factor(r) ** (params.m - params.n / 2) * planar
-        got = bubble_values(BubbleParams(lam=lam, params=params), t)
+        got = bubble_values(params, lam, t)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 

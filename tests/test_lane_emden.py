@@ -7,7 +7,6 @@ import pytest
 import sympy
 
 from gjmslab.conformal import (
-    BubbleParams,
     bubble_on_sphere,
     iterated_laplacians,
     pullback_to_plane,
@@ -167,7 +166,7 @@ class TestSolveNewton:
         p_eq = params.critical_equation_exponent
         f = Nonlinearity.single_power(1.0, p_eq, params)
         ws = Workspace(params, 64, 136)
-        vb = bubble_on_sphere(BubbleParams(lam=2.0, params=params), ws)
+        vb = bubble_on_sphere(2.0, ws)
         scale = (gjms_lambda0(1, 3) * 4.0) ** (1.0 / (p_eq - 1.0))
         init = ZonalFunction(params, scale * vb.coeffs)
         res = solve_newton(1, 3, f, init, tol=1e-8, workspace=ws)
@@ -349,6 +348,59 @@ class TestUniquenessProbe:
         assert 0 < rep.regularized <= rep.trials
         assert rep.to_dict()["regularized"] == rep.regularized
 
+    def test_classification_of_crafted_outcomes(self, monkeypatch):
+        # every stop reason and every class the probe tallies, from crafted
+        # solves in place of Newton
+        params = SphereParams(n=3, m=1)
+        f = Nonlinearity.single_power(1.0, 3.0, params)
+        c_star, K = constant_solution(1, 3, f), 8
+        const = constant_coeffs(params, c_star, K).coeffs
+        bump = const.copy()
+        bump[2] = 0.1 * const[0]
+
+        def crafted(coeffs, reason, negativity=0.0, max_tau=0.0):
+            u = ZonalFunction(params, coeffs)
+            return lane_emden.SolveResult(
+                solution=u, residual=3e-13, rel_residual=1e-14, iters=4, stop_reason=reason,
+                classification=lane_emden._classify(u, reason == "diverged"),
+                negativity=negativity, converged=reason == "tolerance", max_tau=max_tau,
+            )
+
+        outcomes = [
+            crafted(const, "tolerance"),  # constant
+            crafted(1.01 * const, "tolerance"),  # constant, 1% off c*
+            crafted(const, "max_iter"),  # nonconverged
+            crafted(const, "line_search_exhausted", max_tau=1e-4),  # nonconverged
+            crafted(1e9 * const, "diverged"),  # diverged
+            crafted(bump, "tolerance", negativity=-0.5),  # negative
+            crafted(np.zeros(K + 1), "tolerance"),  # zero
+            crafted(bump, "tolerance"),  # nonconstant
+        ]
+
+        def newton_batch(ws, f, starts, tol, max_iter):
+            assert len(starts) == len(outcomes)
+            return outcomes
+
+        monkeypatch.setattr(lane_emden, "_newton_batch", newton_batch)
+        rep = uniqueness_probe(1, 3, f, trials=8, seed=0, K=K)
+        counts = (rep.converged, rep.nonconverged, rep.diverged)
+        assert counts == (5, 2, 1)
+        assert (rep.negative, rep.zero, rep.constant, rep.nonconstant) == (1, 1, 2, 1)
+        assert rep.stop_reasons == {
+            "tolerance": 5, "max_iter": 1, "line_search_exhausted": 1, "diverged": 1
+        }
+        assert rep.regularized == 1
+        assert rep.fraction_constant == 0.75
+        assert rep.max_constant_rel_err == pytest.approx(0.01, rel=1e-12)
+        (example,) = rep.counterexamples
+        assert example == {
+            "trial": 7,
+            "residual": 3e-13,
+            "distance_to_constant": outcomes[7].solution.distance_to_constant(),
+            "coeffs": bump.tolist(),
+        }
+        assert 0.0 < example["distance_to_constant"] < 1.0
+
     def test_rejects_supercritical(self):
         params = SphereParams(n=3, m=1)
         f = Nonlinearity.single_power(1.0, 5.0, params)
@@ -427,7 +479,7 @@ class TestMonotonicityVerifier:
 
     def test_bubble_pushforward(self):
         params = SphereParams(n=3, m=1)
-        v = bubble_on_sphere(BubbleParams(lam=1.0, params=params), Workspace(params, 16, 64))
+        v = bubble_on_sphere(1.0, Workspace(params, 16, 64))
         rep = verify_symmetry_monotonicity(v)
         assert rep.passed
 
@@ -436,7 +488,7 @@ class TestMonotonicityVerifier:
         params = SphereParams(n=n, m=m)
         ws = Workspace(params, 64)
         for lam in (1.0, 2.0, 4.0):
-            v = bubble_on_sphere(BubbleParams(lam=lam, params=params), ws)
+            v = bubble_on_sphere(lam, ws)
             rep = verify_symmetry_monotonicity(v)
             assert rep.passed and len(rep.order_minima) == 1
             assert rep.order_minima[0] > 0
@@ -500,7 +552,7 @@ class TestSuperPolyharmonic:
         params = SphereParams(n=n, m=m)
         ws = Workspace(params, 64)
         for lam in (1.0, 2.0, 4.0):
-            v = bubble_on_sphere(BubbleParams(lam=lam, params=params), ws)
+            v = bubble_on_sphere(lam, ws)
             rep = verify_super_polyharmonic(v)
             assert rep.passed and len(rep.order_minima) == m - 1
             assert min(rep.order_minima) > 0

@@ -10,7 +10,7 @@ import gjmslab
 EXPORTS = (
     "GjmsSpectrum", "QuadratureRule", "SphereParams", "Workspace", "ZonalFunction",
     "build_quadrature", "gjms_eigenvalues", "gjms_lambda0", "sphere_area", "zonal_basis",
-    "BubbleParams", "angle_from_radius", "bubble_on_sphere", "conformal_factor",
+    "angle_from_radius", "bubble_on_sphere", "conformal_factor",
     "iterated_laplacians", "pullback_to_plane", "radius_from_angle",
     "GreenConstants", "KernelSpectrum", "funk_hecke_spectrum", "green_constant", "hls_dual_ratio",
     "MinimizationResult", "OptimizerConfig", "minimize", "sharp_constant",
@@ -49,6 +49,9 @@ def test_all_lists_exactly_the_exports():
     for name in ("analyze", "synthesize", "lp_norm", "quadratic_form"):
         assert not hasattr(gjmslab, name)
         assert not hasattr(importlib.import_module("gjmslab.spectral"), name)
+    # a bubble is named by its dilation alone; the workspace carries (n, m)
+    assert not hasattr(gjmslab, "BubbleParams")
+    assert not hasattr(importlib.import_module("gjmslab.conformal"), "BubbleParams")
     # the kernel energy is one dot product with the mu array
     assert not hasattr(gjmslab, "hls_functional")
     assert not hasattr(importlib.import_module("gjmslab.kernels"), "hls_functional")
