@@ -99,10 +99,11 @@ def bubble_values(params: SphereParams, lam: float, t) -> np.ndarray:
     """Pointwise bubble v_lam(t) = (lam / ((1+lam^2) + (1-lam^2) t))^((n-2m)/2).
 
     Pushforward of the dilated planar profile lam^((n-2m)/2) (1+lam^2 r^2)^(m-n/2);
-    lam = 1 is the constant 2^(m-n/2).  The dilation lam must be positive and finite.
+    lam = 1 is the constant 2^(m-n/2).  Near t = -1 the denominator is about
+    2 lam^2, so the dilation must be positive with 2 lam^2 a double.
     """
-    if not (lam > 0 and math.isfinite(lam)):
-        raise DomainError(f"dilation must be positive and finite, got {lam}")
+    if not (lam > 0 and math.isfinite(2.0 * lam * lam)):
+        raise DomainError(f"dilation must be in (0, 9.48e153], got {lam}")
     t = np.asarray(t, dtype=float)
     e = (params.n - 2.0 * params.m) / 2.0
     return (lam / ((1.0 + lam * lam) + (1.0 - lam * lam) * t)) ** e

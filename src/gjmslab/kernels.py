@@ -9,7 +9,7 @@ here spectrally and then certified degree by degree.  The dual check
 hls_dual_ratio is a projected ascent whose trial steps are Barzilai-Borwein
 steps (IMA J. Numer. Anal. 8, 1988), capped so one step moves the iterate by
 at most its own size; its trials ascend in lockstep as one stack, and each
-records its own stop reason.
+records its stop reason in minimize's vocabulary, spectral.STOP_REASONS.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import numpy as np
 
 from .closed_forms import in_double_range
 from .errors import DomainError, InconsistencyError
-from .spectral import STOP_REASONS, GjmsSpectrum, SphereParams, Workspace, backtrack, gamma_ratio
-from .spectral import rowdot, rowwise
+from .spectral import ROUNDING_FLOOR, STOP_REASONS, GjmsSpectrum, SphereParams, Workspace
+from .spectral import backtrack, gamma_ratio, rowdot, rowwise
 
 IDENTITY_TOLERANCE = 1e-8  #: largest |g_mn mu_k Lambda_k - 1| green_constant accepts
 
@@ -122,9 +122,10 @@ def hls_dual_ratio(
     s.y >= 0, it tries the cap alone.  Armijo halving then accepts the first
     strict increase.  The step needed grows like 1/value, so it is read off
     the iterates rather than fixed.  The trials run in lockstep, one batched
-    line search per iteration; a trial stops at the gradient tolerance, when
-    its line search runs out, or after max_iter accepted steps, and only
-    max_iter stops warn.
+    line search per iteration.  A trial stops at the gradient tolerance, at
+    the rounding floor (a predicted gain step * ||d||_w^2 <= 16 eps |value|),
+    after max_iter accepted steps, or when its line search runs out, tested
+    in minimize's order; only max_iter stops warn.
     """
     if not (2.0 < p < params.critical_norm_exponent):
         raise DomainError(
@@ -155,16 +156,17 @@ def hls_dual_ratio(
     return best
 
 
-# a candidate the cone clips to zero is nan, as is a first BB step (s = y = 0)
+# a candidate the cone clips to zero is nan, a step at slope 0 inf, a first BB step nan
 @np.errstate(divide="ignore", invalid="ignore")
 def _ascend(
     ws: Workspace, g: float, mu: np.ndarray, pp: float, V0: np.ndarray, max_iter: int, tol: float
 ):
     """hls_dual_ratio's ascent from every row of node values V0, in lockstep.
 
-    Rows multiply through spectral.rowwise and rowdot, so each rounds as it
-    would alone.  Returns per row the value, the accepted steps and the stop
-    reason, one of STOP_REASONS.
+    The state is one (trials, Q) array per quantity, indexed by the rows
+    still running, and rows multiply through spectral.rowwise and rowdot, so
+    each rounds as it would alone.  Returns per row the value, the accepted
+    steps and the stop reason, one of STOP_REASONS.
     """
     B, w = ws.basis, ws.weights
 
@@ -200,21 +202,23 @@ def _ascend(
     iters, stop = np.zeros(len(V), dtype=int), np.full(len(V), -1)  # stop indexes STOP_REASONS
     while True:
         act = np.flatnonzero(stop < 0)
-        direction = np.where((V[act] <= 0.0) & (grad[act] < 0.0), 0.0, grad[act])  # cone-feasible
+        base, s, value = V[act], S[act], val[act]
+        direction = np.where((base <= 0.0) & (grad[act] < 0.0), 0.0, grad[act])  # cone-feasible
         slope = rowdot(direction * direction, w)
-        stop[act[np.sqrt(slope) <= tol * np.maximum(1.0, np.abs(val[act]))]] = 0
-        stop[act[(stop[act] < 0) & (iters[act] == max_iter)]] = 3
-        keep = stop[act] < 0
-        act, direction, slope = act[keep], direction[keep], slope[keep]
-        if not act.size:
-            break
         # Barzilai-Borwein trial step (none while s = y = 0), capped so one
         # step moves the iterate by at most its own w-norm
-        base, s = V[act], S[act]
         sy = rowdot(s * Y[act], w)
         step = np.sqrt(rowdot(base * base, w) / slope)
         step = np.where(sy < 0.0, np.minimum(rowdot(s * s, w) / -sy, step), step)
-        ran_out = backtrack(attempt, step, 1e-18, act, base, val[act], direction, slope)
+        # tolerance, then a predicted gain below the rounding of the value, then max_iter
+        at_tol = np.sqrt(slope) <= tol * np.maximum(1.0, np.abs(value))
+        at_floor = step * slope <= ROUNDING_FLOOR * np.abs(value)
+        stop[act] = np.select((at_tol, at_floor, iters[act] == max_iter), (0, 1, 3), -1)
+        keep = stop[act] < 0
+        if not np.count_nonzero(keep):
+            break
+        act, args = act[keep], (base[keep], value[keep], direction[keep], slope[keep])
+        ran_out = backtrack(attempt, step[keep], 1e-18, act, *args)
         stop[act[ran_out]] = 2
         iters[act[~ran_out]] += 1
     return val, iters, [STOP_REASONS[code] for code in stop]

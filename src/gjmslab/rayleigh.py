@@ -16,7 +16,8 @@ eigenvalue is at or below the floor, the saddle-free step is the plain Newton
 step and one linear solve gives it; when it fails, the step falls back to a
 full eigendecomposition.  All starts run in lockstep as one stack, each with
 its own Cholesky test, and round as they would alone; each records its
-steps, how many of them fell back, and its stop reason.
+steps, how many of them fell back, and its stop reason, from the vocabulary
+spectral.STOP_REASONS that the dual ascent of kernels.hls_dual_ratio shares.
 """
 
 from __future__ import annotations

@@ -290,6 +290,22 @@ class TestInputValidation:
         assert code == 2
         assert "bubble:LAM" in err
 
+    @pytest.mark.parametrize("lam", ["1e200", "1.2e154", "0"])
+    def test_bubble_dilation_out_of_range(self, lam):
+        # lam^2 = inf once gave inf - inf in the bubble and a numpy warning
+        # before the finiteness error; a fresh process shows the real stderr
+        import gjmslab
+
+        src = str(Path(gjmslab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gjmslab.cli", "solve", "--p", "3", "--K", "8",
+             "--init", f"bubble:{lam}"],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "dilation" in proc.stderr and "RuntimeWarning" not in proc.stderr
+
     def test_fractional_sweep_order(self, capsys):
         code, out, err = run(capsys, "sweep", "--m", "1.5", "--n", "5")
         assert code == 2

@@ -1,6 +1,7 @@
 """Stereographic map, pullback, and bubble-family tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,33 @@ class TestBubble:
         params = SphereParams(n=3, m=1)
         with pytest.warns(TruncationWarning):
             bubble_on_sphere(20.0, Workspace(params, 12, 64))
+
+    def test_dilation_and_its_inverse_mirror_the_sphere(self):
+        # v_lam(t) = v_(1/lam)(-t): the two bubbles concentrate at opposite poles
+        t = np.linspace(-0.99, 0.99, 41)
+        for params in (SphereParams(n=3, m=1), SphereParams(n=7, m=2), SphereParams(n=13, m=5)):
+            for lam in (0.3, 2.0, 7.5, 40.0):
+                got, mirrored = bubble_values(params, lam, t), bubble_values(params, 1.0 / lam, -t)
+                assert np.max(np.abs(got / mirrored - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf, 1e200, 1.2e154])
+    def test_dilation_must_be_positive_with_a_double_square(self, lam):
+        # past 9.48e153 the denominator (1+lam^2) + (1-lam^2) t overflows near
+        # t = -1; the guard runs before any array work, so numpy never warns
+        params = SphereParams(n=3, m=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="dilation"):
+                bubble_values(params, lam, np.linspace(-0.999, 0.999, 9))
+            with pytest.raises(DomainError, match="dilation"):
+                bubble_on_sphere(lam, Workspace(params, 8))
+
+    def test_largest_dilation_is_finite(self):
+        params = SphereParams(n=3, m=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = bubble_values(params, 9.48e153, np.linspace(-0.999, 0.999, 9))
+        assert np.all(np.isfinite(v)) and np.all(v > 0.0)
 
     def test_closed_form_matches_planar_definition(self):
         # push the dilated planar profile forward by hand and compare

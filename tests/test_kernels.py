@@ -286,16 +286,46 @@ class TestDualRatio:
         with pytest.raises(DomainError, match="tolerance"):
             hls_dual_ratio(SphereParams(n=3, m=1), 4.0, K=8, tol_grad=tol_grad)
 
-    def test_trial_step_clipped_to_zero_is_rejected(self):
+    def test_trial_step_clipped_to_zero_is_rejected(self, monkeypatch):
         # below the rounding of the constant's zero gradient the capped trial
-        # step can clip every node value; the line search halves it instead
-        # of reporting a collapsed iterate, and runs out of steps: that is
-        # no max_iter stop, so nothing warns
+        # step can clip every node value; its predicted gain is below the
+        # rounding floor, so the trial stops there instead of reporting a
+        # collapsed iterate: that is no max_iter stop, so nothing warns
+        stops = []
+
+        def recorded(*args):
+            stops.append(ascend(*args))
+            return stops[-1]
+
+        ascend = kernels._ascend
+        monkeypatch.setattr(kernels, "_ascend", recorded)
         params = SphereParams(n=3, m=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             best = hls_dual_ratio(params, 4.0, trials=1, K=1, max_iter=1, tol_grad=1e-300)
         assert best == pytest.approx(1.0 / (0.75 * math.sqrt(2.0 * math.pi**2)), rel=1e-12)
+        assert stops[-1][1:] == ([0], ["rounding_floor"])
+
+    def test_converged_trials_stop_at_the_rounding_floor(self, monkeypatch):
+        # trials 2, 3 and 6 here reach 1/S to the last bits, where the
+        # gradient tolerance is out of reach; without the rounding-floor
+        # stop each halved its trial step 60 times and ran out of line search
+        stops = []
+
+        def recorded(*args):
+            stops.append(ascend(*args))
+            return stops[-1]
+
+        ascend = kernels._ascend
+        monkeypatch.setattr(kernels, "_ascend", recorded)
+        params, p = SphereParams(n=3, m=1), 2.5
+        best = hls_dual_ratio(params, p, seed=1)
+        vals, _, reasons = stops[-1]
+        assert [reasons[i] for i in (2, 3, 6)] == ["rounding_floor"] * 3
+        assert "line_search_exhausted" not in reasons
+        S = sharp_constant(1, 3, p)
+        assert np.all(np.abs(vals[[2, 3, 6]] * S - 1.0) <= 1e-14)
+        assert abs(best * S - 1.0) <= 1e-14
 
     def test_only_max_iter_stops_warn(self, monkeypatch):
         # the constant start passes its first gradient test without moving;

@@ -199,6 +199,34 @@ class TestSolveNewton:
         assert (res.stop_reason, res.iters, res.classification) == ("diverged", 1, "diverged")
         assert not res.converged
 
+    def test_singular_jacobian_falls_back_to_least_squares(self, monkeypatch):
+        # a Jacobian that np.linalg.solve rejects takes its step from lstsq,
+        # and the solve carries on to c*
+        calls = {"solve": 0, "lstsq": 0}
+        solve, lstsq = np.linalg.solve, np.linalg.lstsq
+
+        def failing_once(*args):
+            calls["solve"] += 1
+            if calls["solve"] == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(*args)
+
+        def counted(*args, **kwargs):
+            calls["lstsq"] += 1
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", failing_once)
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        params = SphereParams(n=3, m=1)
+        f = Nonlinearity.single_power(1.0, 3.0, params)
+        c_star = constant_solution(1, 3, f)
+        init = constant_coeffs(params, c_star, 16)
+        init.coeffs[2] = 0.3
+        res = solve_newton(1, 3, f, init)
+        assert calls["lstsq"] == 1 and calls["solve"] > 1
+        assert (res.stop_reason, res.classification) == ("tolerance", "constant")
+        assert abs(res.solution.mean() - c_star) / c_star <= 1e-10
+
     def test_relative_stop_at_order_three(self):
         # from the exact constant the absolute residual is ~1e-9, all rounding
         params = SphereParams(n=9, m=3)

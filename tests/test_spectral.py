@@ -445,6 +445,20 @@ class TestWorkspace:
         assert ws.quotient(c, 2.5) == pytest.approx(828.069754565356, rel=1e-15, abs=0.0)
 
 
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    def test_damped_draw_reproduces_the_inline_draws(self, seed):
+        # probe_start drew base * 0.3 * z / (1 + k^2); minimize's starts and
+        # the dual ascent's starts drew z / (1 + k^2)
+        ws = Workspace.shared(SphereParams(n=5, m=2), 24)
+        k = np.arange(25, dtype=float)
+        base = 0.8660254037844386
+        probe = base * 0.3 * np.random.default_rng([seed, 2]).standard_normal(25) / (1.0 + k * k)
+        plain = np.random.default_rng([seed, 2]).standard_normal(25) / (1.0 + k * k)
+        got = ws.damped_draw(np.random.default_rng([seed, 2]), base * 0.3)
+        np.testing.assert_array_equal(got, probe)
+        np.testing.assert_array_equal(ws.damped_draw(np.random.default_rng([seed, 2])), plain)
+
+
 class TestSharedWorkspace:
     def test_spellings_of_one_key_share_one_workspace(self):
         params = SphereParams(n=5, m=2)
