@@ -273,6 +273,12 @@ class TestNewtonMultistart:
             assert set(res.start_stop_reasons) <= {"tolerance", "rounding_floor"}, key
             assert max(res.start_iters) <= 50, key
 
+    def test_stop_vocabulary_is_shared_with_the_dual_ascent(self):
+        from gjmslab import kernels, rayleigh, spectral
+
+        assert rayleigh.STOP_REASONS is kernels.STOP_REASONS is spectral.STOP_REASONS
+        assert rayleigh.ROUNDING_FLOOR is kernels.ROUNDING_FLOOR is spectral.ROUNDING_FLOOR
+
     def test_fallback_steps_are_recorded_per_start(self, multistart_results):
         for key, res in multistart_results.items():
             assert len(res.start_fallback_steps) == 20
