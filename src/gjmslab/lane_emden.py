@@ -1,14 +1,17 @@
 """Zonal Newton solver and verifiers for P u = f(u) on S^n with polynomial f.
 
 Newton runs in coefficient space on a Workspace (basis B, weights w): the
-residual is Lambda c - B^T(w f(B c)), the Jacobian diag(Lambda) minus the
-quadrature-assembled multiplication operator f'(u).  A solve stops once the
-Lambda-scaled residual is small relative to the iterate, ||res / Lambda|| <=
-tol ||c||: Lambda magnifies the rounding in c, so an absolute stop is out of
-reach on high orders.  Steps are damped on the dual energy norm
-||Lambda^(-1/2) res|| (Deuflhard, Newton Methods for Nonlinear Problems,
-2004), not on ||res||, which Lambda_K dominates.  One loop runs a stack of
-iterates in lockstep: a probe's trials are one batch, a solve a batch of one.
+residual is Lambda c - B^T(w f(B c)), the Jacobian diag(Lambda) - G with
+G = B^T diag(w f'(u)) B.  A solve stops once the Lambda-scaled residual is
+small relative to the iterate, ||res / Lambda|| <= tol ||c||: Lambda magnifies
+the rounding in c, so an absolute stop is out of reach on high orders.  Steps
+are damped on the dual energy norm ||Lambda^(-1/2) res|| (Deuflhard, Newton
+Methods for Nonlinear Problems, 2004), not on ||res||, which Lambda_K
+dominates.  One loop runs a stack of iterates in lockstep: a probe's trials
+are one batch, a solve a batch of one.  A batch of rows * (K+1) >= 800 takes
+its steps by MINRES in lockstep on (1+tau) I - D G D, D = Lambda^(-1/2), which
+is I minus a compact operator, to a residual of 1e-12 ||D res||; smaller ones
+LU-solve each row's J + tau diag(Lambda).
 
 f acts on the positive part u+ = max(u, 0).  The Green kernel of P is
 positive, so the nonnegative solutions of P u = f(u) are exactly the
@@ -33,11 +36,11 @@ import numpy as np
 
 from .conformal import iterated_laplacians
 from .errors import DomainError
-from .spectral import (
-    SphereParams, Workspace, ZonalFunction, backtrack, basis_with_derivatives, gjms_lambda0, norm2
-)
+from .spectral import SphereParams, Workspace, ZonalFunction, backtrack, basis_with_derivatives
+from .spectral import gjms_lambda0, norm2, rowdot
 
 CONSTANT_CLASS_TOL = 1e-7
+_KRYLOV_MIN_SIZE = 800  # rows * (K+1) from which a Newton batch runs MINRES
 
 
 def _check_tolerance(tol: float) -> None:
@@ -186,8 +189,9 @@ class SolveResult:
     `residual` is the absolute ||Lambda c - B^T(w f(B c))||; `rel_residual` is
     ||res / Lambda|| / ||c||, the quantity the stop compares with tol.  `iters`
     counts accepted steps, `stop_reason` is one of STOP_REASONS,
-    `negativity` is the most negative node value (0 if none), and `max_tau`
-    the largest regularization tau an accepted step used (0 for plain Newton).
+    `negativity` is the most negative node value (0 if none), `max_tau`
+    the largest regularization tau an accepted step used (0 for plain Newton),
+    and `krylov_iters` the MINRES iterations of the accepted steps (0 if dense).
     """
 
     solution: ZonalFunction
@@ -199,6 +203,7 @@ class SolveResult:
     negativity: float
     converged: bool
     max_tau: float
+    krylov_iters: int = 0
 
     def to_dict(self) -> dict:
         return {**vars(self), "solution": self.solution.to_dict()}
@@ -207,6 +212,8 @@ class SolveResult:
 def _classify(u: ZonalFunction, diverged: bool) -> str:
     if diverged:
         return "diverged"
+    if not u.coeffs.any():
+        return "zero"  # f(0) = 0, so c = 0 solves every equation
     return "constant" if u.distance_to_constant() <= CONSTANT_CLASS_TOL else "nonconstant"
 
 
@@ -250,13 +257,14 @@ def solve_newton(
 def _newton_batch(ws: Workspace, f: Nonlinearity, C: np.ndarray, tol: float, max_iter: int):
     """solve_newton in lockstep on the rows of C: one SolveResult per row.
 
-    Each row keeps its own iterate, merit, iteration count, largest tau and
-    stop reason.  Jacobians are assembled and solved one row at a time, so
-    no (rows, K+1, K+1) stack is formed; each halving scale is one batched
+    Each row keeps its own iterate, merit, counts, largest tau and stop
+    reason.  No (rows, K+1, K+1) stack is formed: a large batch runs one MINRES,
+    a small one solves a Jacobian per row; each halving scale is one batched
     synthesis X B^T and analysis (w f(V)) B over the rows still searching.
     """
     B, w, lam = ws.basis, ws.weights, ws.lam
     root = np.sqrt(lam)
+    BD = B / root  # B Lambda^(-1/2), the basis of the scaled Newton system
 
     def residuals(X):
         V = X @ B.T
@@ -265,18 +273,23 @@ def _newton_batch(ws: Workspace, f: Nonlinearity, C: np.ndarray, tol: float, max
     def search(rows, tau):
         # the Newton steps of rows at tau, then one batched backtracking pass;
         # returns the rows no scale moved
-        shifted, S = (1.0 + tau) * lam, np.empty((rows.size, lam.size))
-        for j, (i, slope) in enumerate(zip(rows, f.slope(V[rows]))):
-            J = np.negative(ws.weighted_gram(slope))
-            J.ravel()[:: lam.size + 1] += shifted  # J + tau diag(Lambda)
-            try:
-                S[j] = np.linalg.solve(J, -R[i])
-            except np.linalg.LinAlgError:
-                S[j] = np.linalg.lstsq(J, -R[i], rcond=None)[0]
+        slopes, krylov = f.slope(V[rows]), np.zeros(rows.size, dtype=int)
+        if rows.size * lam.size >= _KRYLOV_MIN_SIZE:
+            Y, krylov = _minres(BD, w * slopes, 1.0 + tau, -R[rows] / root, 2 * lam.size)
+            S = Y / root
+        else:
+            shifted, S = (1.0 + tau) * lam, np.empty((rows.size, lam.size))
+            for j, (i, slope) in enumerate(zip(rows, slopes)):
+                J = np.negative(ws.weighted_gram(slope))
+                J.ravel()[:: lam.size + 1] += shifted  # J + tau diag(Lambda)
+                try:
+                    S[j] = np.linalg.solve(J, -R[i])
+                except np.linalg.LinAlgError:
+                    S[j] = np.linalg.lstsq(J, -R[i], rcond=None)[0]
         finite = np.isfinite(S).all(axis=1)
-        left, rows, S = rows[~finite], rows[finite], S[finite]
+        left, rows, S, krylov = rows[~finite], rows[finite], S[finite], krylov[finite]
 
-        def attempt(steps, rows, S):
+        def attempt(steps, rows, S, krylov):
             cand = C[rows] + steps[:, None] * S
             cand_R, cand_V = residuals(cand)
             cand_merit = norm2(cand_R / root, axis=1)
@@ -284,15 +297,16 @@ def _newton_batch(ws: Workspace, f: Nonlinearity, C: np.ndarray, tol: float, max
             took = rows[ok]
             C[took], R[took], V[took], merit[took] = cand[ok], cand_R[ok], cand_V[ok], cand_merit[ok]
             max_tau[took] = np.maximum(max_tau[took], tau)
+            krylov_iters[took] += krylov[ok]
             return ok
 
-        ran_out = backtrack(attempt, np.ones(rows.size), 1.0 / 1024.0, rows, S)
+        ran_out = backtrack(attempt, np.ones(rows.size), 1.0 / 1024.0, rows, S, krylov)
         return np.concatenate((left, rows[ran_out]))
 
     C = C.copy()
     R, V = residuals(C)
     merit, cnorm = norm2(R / root, axis=1), norm2(C, axis=1)
-    iters, max_tau = np.zeros(len(C), dtype=int), np.zeros(len(C))
+    (iters, krylov_iters), max_tau = np.zeros((2, len(C)), dtype=int), np.zeros(len(C))
     stop = np.full(len(C), -1)  # index into STOP_REASONS once a row stops
     while True:
         # f(0) = 0, so c = 0 is an exact solution with a zero residual
@@ -312,7 +326,8 @@ def _newton_batch(ws: Workspace, f: Nonlinearity, C: np.ndarray, tol: float, max
         cnorm[moved] = norm2(C[moved], axis=1)
         stop[moved & ~(cnorm <= 1e8)] = 3
     results = []
-    for c, v, res, rel_i, it, code, tau in zip(C, V, norm2(R, axis=1), rel, iters, stop, max_tau):
+    rows = zip(C, V, norm2(R, axis=1), rel, iters, stop, max_tau, krylov_iters)
+    for c, v, res, rel_i, it, code, tau, kry in rows:
         u, reason = ZonalFunction(ws.params, c), STOP_REASONS[code]
         results.append(
             SolveResult(
@@ -325,9 +340,49 @@ def _newton_batch(ws: Workspace, f: Nonlinearity, C: np.ndarray, tol: float, max
                 negativity=float(min(np.min(v), 0.0)),
                 converged=reason == "tolerance",
                 max_tau=float(tau),
+                krylov_iters=int(kry),
             )
         )
     return results
+
+
+def _minres(BD, S, shift, b, maxiter, rtol=1e-12):
+    """MINRES (Paige & Saunders, 1975) on (shift I - BD^T diag(s) BD) y = b in
+    lockstep for each row s of S and row of b, BD a scaled basis: the y and
+    iteration counts.  A row stops once its residual estimate phibar is <= rtol
+    ||b||, at beta = 0 (an invariant Krylov space, as for a singular consistent
+    system) or after maxiter iterations; only running rows enter the products.
+    """
+    Y, iters, beta = np.zeros_like(b), np.zeros(len(b), dtype=int), norm2(b, axis=1)
+    idx = np.flatnonzero(beta > 0.0)  # y = 0 solves b = 0
+    S, r2, phibar = S[idx], b[idx], beta[idx]
+    beta, stop, it = phibar.copy(), rtol * phibar, 0
+    x, r1, w, w2 = (np.zeros_like(r2) for _ in range(4))
+    oldb, cs, sn, dbar, epsln = np.ones(idx.size), -np.ones(idx.size), *np.zeros((3, idx.size))
+    while idx.size:
+        it += 1
+        # one Lanczos step: the next vector of the tridiagonal reduction
+        v = r2 / beta[:, None]
+        z = shift * v - (S * (v @ BD.T)) @ BD - (beta / oldb)[:, None] * r1
+        alpha = rowdot(v, z)
+        z -= (alpha / beta)[:, None] * r2
+        r1, r2, oldb, beta = r2, z, beta, norm2(z, axis=1)
+        # one plane rotation extends the QR factors of the tridiagonal matrix
+        delta, gbar = cs * dbar + sn * alpha, sn * dbar - cs * alpha
+        oldeps, epsln, dbar = epsln, sn * beta, -cs * beta
+        gamma = np.maximum(np.hypot(gbar, beta), np.finfo(float).eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w, w2 = (v - oldeps[:, None] * w2 - delta[:, None] * w) / gamma[:, None], w
+        x += phi[:, None] * w
+        done = (phibar <= stop) | (beta == 0.0) | (it == maxiter)
+        if np.count_nonzero(done):
+            Y[idx[done]], iters[idx[done]] = x[done], it
+            state = (idx, S, x, r1, r2, w, w2, beta, oldb, phibar, stop, cs, sn, dbar, epsln)
+            idx, S, x, r1, r2, w, w2, beta, oldb, phibar, stop, cs, sn, dbar, epsln = (
+                a[~done] for a in state
+            )
+    return Y, iters
 
 
 @dataclass

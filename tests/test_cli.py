@@ -175,7 +175,7 @@ class TestExitCodes:
         assert quad["passed"] and quad["margin"] <= 1e-12
 
     @pytest.mark.parametrize("K", [0, 16, 200, 800])
-    @pytest.mark.parametrize("m,n", [(1, 3), (2, 5), (2, 7), (2, 9), (3, 9), (5, 11)])
+    @pytest.mark.parametrize("m,n", [(1, 3), (2, 5), (2, 7), (2, 9), (3, 7), (3, 9), (5, 11)])
     def test_verify_passes_across_degrees(self, capsys, m, n, K):
         # K = 0: the exact gradient is 0, so both gradient rows hold rounding
         # noise to the gradient scale; K = 800: the orthonormality row needs
@@ -218,6 +218,22 @@ class TestExitCodes:
         checks = {row["name"]: row for row in json.loads(out)["results"]["checks"]}
         row = checks["constant-green-fixed-point"]
         assert row["passed"] and row["margin"] <= 1e-13 and row["tolerance"] == 1e-12
+
+    def test_verify_newton_krylov_step_catches_a_wrong_step(self, capsys, monkeypatch):
+        import gjmslab.checks as checks
+
+        exact = checks._minres
+
+        def perturbed(*args, **kwargs):
+            Y, iters = exact(*args, **kwargs)
+            return Y * (1.0 + 1e-10), iters
+
+        monkeypatch.setattr(checks, "_minres", perturbed)
+        code, out, _ = run(capsys, "verify", "--format", "json")
+        assert code == 3
+        row = json.loads(out)["results"]["checks"][-1]
+        assert row["name"] == "newton-krylov-step" and row["tolerance"] == 1e-12
+        assert not row["passed"] and 1e-11 < row["margin"] < 1e-9
 
     def test_verify_gradient_finite_difference_at_high_degree(self, capsys):
         # one step h for every degree would leave rounding of order eps Lambda_K h
@@ -699,6 +715,15 @@ class TestSolveCommand:
         report = json.loads(out)
         assert report["results"]["solve"]["classification"] == "nonconstant"
         assert report["results"]["solve"]["residual"] <= 1e-8
+
+    def test_zero_solution_is_reported_as_zero(self, capsys):
+        # a bubble of size about 1e-15 falls onto c = 0, which is not the constant
+        with pytest.warns(TruncationWarning, match="suggest K"):
+            code, out, _ = run(capsys, "solve", "--p", "3", "--K", "8", "--init", "bubble:1e-30")
+        assert code == 0
+        solve = json.loads(out)["results"]["solve"]
+        assert solve["stop_reason"] == "tolerance" and solve["classification"] == "zero"
+        assert not any(solve["solution"]["coeffs"]) and solve["krylov_iters"] == 0
 
     @pytest.mark.parametrize("K", [0, 1, 2, 3])
     def test_bubble_start_below_four_degrees(self, capsys, K):

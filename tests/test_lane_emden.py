@@ -261,6 +261,88 @@ class TestSolveNewton:
             solve_newton(1, 3, f, init, max_iter=-1)
         assert solve_newton(1, 3, f, init, max_iter=0).iters == 0
 
+    def test_zero_solution_is_classified_zero(self):
+        # f(0) = 0, so c = 0 is an exact solution, but not the constant c*
+        params = SphereParams(n=3, m=1)
+        f = Nonlinearity.single_power(1.0, 3.0, params)
+        res = solve_newton(1, 3, f, ZonalFunction(params, np.zeros(9)))
+        assert (res.stop_reason, res.iters, res.classification) == ("tolerance", 0, "zero")
+
+    def test_dense_steps_count_no_krylov_iterations(self):
+        # a batch of one at K = 16 is below the crossover: every step is LU
+        params = SphereParams(n=3, m=1)
+        f = Nonlinearity.single_power(1.0, 3.0, params)
+        init = constant_coeffs(params, constant_solution(1, 3, f), 16)
+        init.coeffs[2] = 0.3
+        res = solve_newton(1, 3, f, init)
+        assert res.converged and res.iters > 0
+        assert res.krylov_iters == 0 and res.to_dict()["krylov_iters"] == 0
+
+    def test_krylov_solve_at_high_degree_matches_dense(self, monkeypatch):
+        # a batch of one at K = 800 runs MINRES; it ends as the dense path does
+        params = SphereParams(n=7, m=2)
+        f = Nonlinearity.single_power(1.0, 3.0, params)
+        ws = Workspace.shared(params, 800)
+        init = probe_start(ws, constant_solution(2, 7, f), np.random.default_rng([7, 0]))
+        krylov = solve_newton(2, 7, f, init, workspace=ws)
+        monkeypatch.setattr(lane_emden, "_KRYLOV_MIN_SIZE", math.inf)
+        dense = solve_newton(2, 7, f, init, workspace=ws)
+        assert (krylov.stop_reason, krylov.iters) == ("tolerance", dense.iters)
+        assert dense.krylov_iters == 0 < krylov.krylov_iters <= 30 * krylov.iters
+        gap = np.linalg.norm(krylov.solution.coeffs - dense.solution.coeffs)
+        assert gap <= 1e-10 * np.linalg.norm(dense.solution.coeffs)
+
+
+class TestMinres:
+    @pytest.mark.parametrize("shift", [1.0, 1.01])
+    def test_stack_matches_dense_solves(self, shift):
+        # at the constant of t^3 mode 0 has eigenvalue 2 - p < 0, so the first
+        # row is indefinite; the others are perturbed constants
+        params, K = SphereParams(n=5, m=2), 24
+        f = Nonlinearity.single_power(1.0, 3.0, params)
+        c = constant_coeffs(params, constant_solution(2, 5, f), K).coeffs
+        rng = np.random.default_rng(3)
+        damping = 0.05 * c[0] / (1.0 + np.arange(K + 1.0) ** 2)
+        C = np.array([c] + [c + damping * rng.standard_normal(K + 1) for _ in range(4)])
+        ws = Workspace.shared(params, K)
+        slopes = f.slope(C @ ws.basis.T)
+        root, S = np.sqrt(ws.lam), ws.weights * slopes
+        DGD = np.array([ws.weighted_gram(s) for s in slopes]) / np.outer(root, root)
+        b = rng.standard_normal((5, K + 1))
+        A = shift * np.eye(K + 1) - DGD
+        assert np.linalg.eigvalsh(A[0])[0] < 0.0 < np.linalg.eigvalsh(A[0])[-1]
+        # the error is up to cond times the residual: run to 1e-14 to hold 1e-12
+        Y, iters = lane_emden._minres(ws.basis / root, S, shift, b, 2 * (K + 1), rtol=1e-14)
+        assert np.all((iters > 0) & (iters < 2 * (K + 1)))
+        for y, a, rhs in zip(Y, A, b):
+            dense = np.linalg.solve(a, rhs)
+            assert np.linalg.norm(y - dense) <= 1e-12 * np.linalg.norm(dense)
+        # at the default stop each row's true residual meets 1e-12 ||b||
+        Y, _ = lane_emden._minres(ws.basis / root, S, shift, b, 2 * (K + 1))
+        for y, a, rhs in zip(Y, A, b):
+            assert np.linalg.norm(rhs - a @ y) <= 1.01e-12 * np.linalg.norm(rhs)
+
+    def test_singular_consistent_system_gives_a_finite_step(self):
+        # s nonzero at three nodes makes G of rank 3; at shift 0 the system is
+        # singular, and a right-hand side in its range is consistent
+        params, K = SphereParams(n=3, m=1), 16
+        ws = Workspace.shared(params, K)
+        root = np.sqrt(ws.lam)
+        s = np.zeros(len(ws.nodes))
+        s[[3, 10, 20]] = ws.weights[[3, 10, 20]]
+        DGD = (ws.basis.T @ (s[:, None] * ws.basis)) / np.outer(root, root)
+        b = DGD @ np.random.default_rng(5).standard_normal(K + 1)
+        Y, iters = lane_emden._minres(ws.basis / root, s[None], 0.0, b[None], 2 * (K + 1))
+        assert np.isfinite(Y).all() and iters[0] <= 4
+        assert np.linalg.norm(b + DGD @ Y[0]) <= 1e-12 * np.linalg.norm(b)
+
+    def test_zero_right_hand_side_takes_no_iteration(self):
+        params, K = SphereParams(n=3, m=1), 8
+        ws = Workspace.shared(params, K)
+        S = np.ones((2, len(ws.nodes)))
+        Y, iters = lane_emden._minres(ws.basis / np.sqrt(ws.lam), S, 1.0, np.zeros((2, K + 1)), 18)
+        assert not Y.any() and not iters.any()
+
 
 class TestUniquenessProbe:
     def test_cubic_all_constant(self):
@@ -359,6 +441,30 @@ class TestUniquenessProbe:
             assert gap <= 1e-12 * np.linalg.norm(alone.solution.coeffs)
             assert got.max_tau == alone.max_tau
         assert rep.regularized == sum(r.max_tau > 0.0 for r in batch)
+
+    def test_probe_batches_above_the_crossover_run_minres(self, monkeypatch):
+        # 50 trials x 25 coefficients >= _KRYLOV_MIN_SIZE, so the first step of
+        # every trial is a MINRES step
+        batches = []
+
+        def recorded(*args, **kwargs):
+            batches.append(newton_batch(*args, **kwargs))
+            return batches[-1]
+
+        newton_batch = lane_emden._newton_batch
+        monkeypatch.setattr(lane_emden, "_newton_batch", recorded)
+        params = SphereParams(n=3, m=1)
+        f = Nonlinearity.single_power(1.0, 3.0, params)
+        assert 50 * 25 >= lane_emden._KRYLOV_MIN_SIZE
+        rep = uniqueness_probe(1, 3, f, trials=50, seed=4, K=24)
+        assert rep.converged == 50
+        assert set(rep.to_dict()) == {  # the probe report carries no Krylov count
+            "m", "n", "nonlinearity", "trials", "constant_value", "converged", "nonconverged",
+            "diverged", "negative", "zero", "constant", "nonconstant", "max_constant_rel_err",
+            "fraction_constant", "counterexamples", "kernel_dimension", "stop_reasons",
+            "regularized",
+        }
+        assert all(r.krylov_iters > 0 for r in batches[0])
 
     @pytest.mark.parametrize("n,m,p,K", [(5, 2, 5.0, 48), (7, 2, 3.0, 96)])
     def test_energy_merit_leaves_no_stalled_trial(self, n, m, p, K):
