@@ -8,10 +8,13 @@ the rounding in c, so an absolute stop is out of reach on high orders.  Steps
 are damped on the dual energy norm ||Lambda^(-1/2) res|| (Deuflhard, Newton
 Methods for Nonlinear Problems, 2004), not on ||res||, which Lambda_K
 dominates.  One loop runs a stack of iterates in lockstep: a probe's trials
-are one batch, a solve a batch of one.  A batch of rows * (K+1) >= 800 takes
-its steps by MINRES in lockstep on (1+tau) I - D G D, D = Lambda^(-1/2), which
-is I minus a compact operator, to a residual of 1e-12 ||D res||; smaller ones
-LU-solve each row's J + tau diag(Lambda).
+are one batch, a solve a batch of one.  Every step solves the scaled system
+(1+tau) I - D G D, D = Lambda^(-1/2), which is I minus a compact operator: a
+batch of rows * (K+1) >= 800 by MINRES in lockstep to a residual of
+1e-12 ||D res||, a smaller one by an LU solve per row.  Iterates are measured
+against the problem scale max(1, c* sqrt|S^n|), the coefficient norm of the
+constant c*: past 1e8 times it a row diverges, and within tol times it of
+c = 0, an exact solution, it is taken as that solution.
 
 f acts on the positive part u+ = max(u, 0).  The Green kernel of P is
 positive, so the nonnegative solutions of P u = f(u) are exactly the
@@ -19,6 +22,10 @@ solutions of P u = f(u+); a solve of the latter cannot settle on a
 sign-changing solution of an extension of f to negative values.  For
 subcritical f the nonnegative solutions are constants; multistart probes
 collect numerical evidence and archive anything that converges elsewhere.
+A probe scales each random start onto the Nehari manifold
+<Pu, u> = int f(u+) u+, which holds every nontrivial solution and meets each
+positive ray once because f(t)/t increases (Nehari, Trans. AMS 95, 1960), so
+Newton starts at the right amplitude and keeps the start's shape.
 
 The verifiers check the planar conclusions on pulled back profiles: monotone
 decay, and nonnegativity of the intermediate iterated Laplacians.  Both are
@@ -132,14 +139,13 @@ class Nonlinearity:
         return " + ".join(f"{a:g} t^{p:g}" for a, p in self.terms)
 
 
-# f(c) overflows to inf, where g < 0, when c nears the top of the double range
-@np.errstate(over="ignore")
 def constant_solution(m: int, n: int, f: Nonlinearity) -> float | None:
     """Positive root of Lambda_0 c = f(c), the constant the solver should find.
 
     Returns 0.0 when f vanishes identically, None when no positive root exists
     (including the resonant all-linear cases); raises DomainError when the
-    root lies past the double range.
+    root lies past the double range.  The root is the fibre root on the ray
+    u = 1, where <Pu, u> = int f(u+) u+ reads Lambda_0 c = f(c).
     """
     lam0 = gjms_lambda0(m, n)
     if not f.terms:
@@ -147,36 +153,64 @@ def constant_solution(m: int, n: int, f: Nonlinearity) -> float | None:
     linear = sum(a for a, p in f.terms if p == 1.0)
     if f.is_linear:
         return None  # either only c = 0, or a whole ray when linear == lam0
-
-    def g(c):
-        return lam0 * c - float(f(np.asarray([c]))[0])
-
     if linear >= lam0:
-        return None  # g < 0 for all c > 0, superlinear terms only push further down
-    lo = 1e-300  # the linear part dominates as c -> 0+, so g(lo) > 0
-    hi = 1.0
-    while not g(hi) < 0.0:  # not >= 0, so a nan g (inf - inf) keeps doubling
-        hi *= 2.0
-        if math.isinf(hi):
-            raise DomainError("the positive root of Lambda_0 c = f(c) overflows a double")
-    # g is concave with g(0) = 0, so Newton from hi, where g < 0, falls
-    # monotonically onto the root; bisection keeps every iterate in (lo, hi)
-    # against rounding
-    c = hi
+        return None  # no root: superlinear terms only push lam0 c - f(c) further down
+    return float(_fibre_roots(f, np.array([lam0]), np.ones((1, 1)), np.ones(1))[0])
+
+
+# f overflows to inf, where g < 0, when s nears the top of the double range;
+# a Newton quotient is only kept where its slope is negative
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _fibre_roots(f: Nonlinearity, E: np.ndarray, U: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The positive root s of s E = sum_i w_i f(s U_i) U_i for each entry of E and row of U.
+
+    With E = <Pc, c> and U = B c the node values of a row c, s c is the one
+    point of the ray through c on the Nehari manifold <Pu, u> = int f(u+) u+
+    (f(t)/t increasing).  A single power a t^q has the closed form
+    s^(q-1) = E / (a sum w (U+)^(q+1)).  Otherwise g(s) = s E - sum w f(s U) U
+    is concave with g(0) = 0 and g > 0 near 0, which needs E > a_1 sum w U^2
+    for the linear coefficient a_1.  Raises DomainError when a root lies past
+    the double range.
+    """
+    overflow = DomainError("the positive root of s <Pu, u> = int f(s u+) u+ overflows a double")
+    if len(f.terms) == 1:
+        ((a, q),) = f.terms
+        s = (E / (a * (w * _term_power(U, q + 1.0)).sum(axis=1))) ** (1.0 / (q - 1.0))
+        if not np.isfinite(s).all():
+            raise overflow
+        return s
+
+    wU = w * U
+
+    def g(s, E, U, wU):
+        return s * E - (f(s[:, None] * U) * wU).sum(axis=1)
+
+    hi, rows = np.ones(len(E)), np.arange(len(E))
+    while rows.size:
+        # not >= 0, so a nan g (inf - inf) keeps doubling
+        rows = rows[~(g(hi[rows], E[rows], U[rows], wU[rows]) < 0.0)]
+        hi[rows] *= 2.0
+        if np.isinf(hi).any():
+            raise overflow
+    # g(lo) > 0, as the linear part dominates near 0; Newton from hi, where
+    # g < 0, falls monotonically onto the root, and bisection keeps every
+    # iterate in (lo, hi) against rounding.  Rows leave once they stop moving.
+    s, idx, c, lo = np.empty(len(E)), np.arange(len(E)), hi, np.full(len(E), 1e-300)
     for _ in range(200):
-        gc = g(c)
-        if gc == 0.0:
-            return c
-        if gc > 0.0:
-            lo = c
-        else:
-            hi = c
-        slope = lam0 - float(f.slope(np.asarray([c]))[0])
-        nxt = c - gc / slope if slope < 0.0 else 0.5 * (lo + hi)
-        if abs(nxt - c) <= 2.0 * np.finfo(float).eps * c:
-            return c
-        c = nxt if lo < nxt < hi else 0.5 * (lo + hi)
-    return c
+        gc = g(c, E, U, wU)
+        lo, hi = np.where(gc > 0.0, c, lo), np.where(gc > 0.0, hi, c)
+        slope = E - (f.slope(c[:, None] * U) * wU * U).sum(axis=1)
+        mid = 0.5 * (lo + hi)
+        nxt = np.where(slope < 0.0, c - gc / slope, mid)
+        done = (gc == 0.0) | (np.abs(nxt - c) <= 2.0 * np.finfo(float).eps * c)
+        s[idx[done]] = c[done]
+        c = np.where((lo < nxt) & (nxt < hi), nxt, mid)
+        if done.all():
+            break
+        idx, c, lo, hi, E, U, wU = (a[~done] for a in (idx, c, lo, hi, E, U, wU))
+    else:
+        s[idx] = c
+    return s
 
 
 STOP_REASONS = ("tolerance", "max_iter", "line_search_exhausted", "diverged")
@@ -235,10 +269,13 @@ def solve_newton(
     dual energy norm of the Euler-Lagrange equation of <Pu, u>/2 - int F(u+),
     drops; when no scale does, it retries at tau = 1e-8, 1e-4, 1e-2, 1 and
     100, and then stops with "line_search_exhausted".  Iterates with
-    coefficient norm beyond 1e8 stop as "diverged"; after max_iter accepted
-    steps the solve stops as "max_iter".  This is a batch of one on the loop
+    coefficient norm beyond 1e8 max(1, c* sqrt|S^n|), c* the constant
+    solution (0 when there is none), stop as "diverged"; one within tol times
+    that scale of c = 0 becomes exactly 0.  After max_iter accepted steps the
+    solve stops as "max_iter".  This is a batch of one on the loop
     that runs a probe's trials in lockstep.  The workspace (default:
-    Workspace.shared(params, init.K)) must match init's (n, m, K).
+    Workspace.shared(params, init.K)) must match init's (n, m, K).  Raises
+    DomainError when c* lies past the double range, as constant_solution does.
     """
     _check_tolerance(tol)
     if max_iter < 0:
@@ -252,19 +289,28 @@ def solve_newton(
     return _newton_batch(ws, f, init.coeffs[None, :], tol, max_iter)[0]
 
 
+def _problem_scale(params: SphereParams, f: Nonlinearity) -> float:
+    # the coefficient norm c* sqrt|S^n| of the constant solution, at least 1
+    c_star = constant_solution(params.m, params.n, f) or 0.0
+    return min(max(1.0, c_star * math.sqrt(params.area)), np.finfo(float).max)
+
+
 # a candidate that overflows has a non-finite merit, and no row accepts it
 @np.errstate(over="ignore", invalid="ignore")
 def _newton_batch(ws: Workspace, f: Nonlinearity, C: np.ndarray, tol: float, max_iter: int):
     """solve_newton in lockstep on the rows of C: one SolveResult per row.
 
     Each row keeps its own iterate, merit, counts, largest tau and stop
-    reason.  No (rows, K+1, K+1) stack is formed: a large batch runs one MINRES,
-    a small one solves a Jacobian per row; each halving scale is one batched
-    synthesis X B^T and analysis (w f(V)) B over the rows still searching.
+    reason.  No (rows, K+1, K+1) stack is formed: a large batch runs one
+    MINRES, a small one LU-solves a scaled Jacobian per row; each halving scale
+    is one batched synthesis X B^T and analysis (w f(V)) B over the rows still
+    searching.
     """
     B, w, lam = ws.basis, ws.weights, ws.lam
     root = np.sqrt(lam)
-    BD = B / root  # B Lambda^(-1/2), the basis of the scaled Newton system
+    # the scaled Newton system, D = Lambda^(-1/2): BD = B D, and -D G D = G / neg_outer
+    BD, neg_outer = B / root, -np.outer(root, root)
+    scale = _problem_scale(ws.params, f)
 
     def residuals(X):
         V = X @ B.T
@@ -273,19 +319,19 @@ def _newton_batch(ws: Workspace, f: Nonlinearity, C: np.ndarray, tol: float, max
     def search(rows, tau):
         # the Newton steps of rows at tau, then one batched backtracking pass;
         # returns the rows no scale moved
-        slopes, krylov = f.slope(V[rows]), np.zeros(rows.size, dtype=int)
+        slopes, krylov, b = f.slope(V[rows]), np.zeros(rows.size, dtype=int), -R[rows] / root
         if rows.size * lam.size >= _KRYLOV_MIN_SIZE:
-            Y, krylov = _minres(BD, w * slopes, 1.0 + tau, -R[rows] / root, 2 * lam.size)
-            S = Y / root
+            Y, krylov = _minres(BD, w * slopes, 1.0 + tau, b, 2 * lam.size)
         else:
-            shifted, S = (1.0 + tau) * lam, np.empty((rows.size, lam.size))
-            for j, (i, slope) in enumerate(zip(rows, slopes)):
-                J = np.negative(ws.weighted_gram(slope))
-                J.ravel()[:: lam.size + 1] += shifted  # J + tau diag(Lambda)
+            Y = np.empty_like(b)
+            for j, slope in enumerate(slopes):
+                A = ws.weighted_gram(slope) / neg_outer
+                A.ravel()[:: lam.size + 1] += 1.0 + tau  # (1+tau) I - D G D
                 try:
-                    S[j] = np.linalg.solve(J, -R[i])
+                    Y[j] = np.linalg.solve(A, b[j])
                 except np.linalg.LinAlgError:
-                    S[j] = np.linalg.lstsq(J, -R[i], rcond=None)[0]
+                    Y[j] = np.linalg.lstsq(A, b[j], rcond=None)[0]
+        S = Y / root
         finite = np.isfinite(S).all(axis=1)
         left, rows, S, krylov = rows[~finite], rows[finite], S[finite], krylov[finite]
 
@@ -324,7 +370,13 @@ def _newton_batch(ws: Workspace, f: Nonlinearity, C: np.ndarray, tol: float, max
         moved &= stop < 0
         iters[moved] += 1
         cnorm[moved] = norm2(C[moved], axis=1)
-        stop[moved & ~(cnorm <= 1e8)] = 3
+        stop[moved & ~(cnorm <= 1e8 * scale)] = 3
+        # f(0) = 0, so c = 0 solves every equation, but a test relative to ||c||
+        # never accepts an iterate that tends to it: one within tol of it on the
+        # problem scale is taken as that exact solution
+        zero = moved & (cnorm <= tol * scale)
+        for a in (C, R, V, merit, cnorm):
+            a[zero] = 0.0
     results = []
     rows = zip(C, V, norm2(R, axis=1), rel, iters, stop, max_tau, krylov_iters)
     for c, v, res, rel_i, it, code, tau, kry in rows:
@@ -389,8 +441,10 @@ def _minres(BD, S, shift, b, maxiter, rtol=1e-12):
 class ProbeReport:
     """Aggregate of multistart Newton solves for one subcritical right-hand side.
 
-    `stop_reasons` counts the trials by SolveResult.stop_reason, and
-    `regularized` the trials that took a step with max_tau > 0.
+    `stop_reasons` counts the trials by SolveResult.stop_reason,
+    `regularized` the trials that took a step with max_tau > 0, and
+    `median_nehari_scale` is the median factor that moved the random starts
+    onto the Nehari manifold (None when the starts were not scaled).
     """
 
     m: int
@@ -411,6 +465,7 @@ class ProbeReport:
     kernel_dimension: int | None = None
     stop_reasons: dict = field(default_factory=lambda: dict.fromkeys(STOP_REASONS, 0))
     regularized: int = 0
+    median_nehari_scale: float | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -443,10 +498,14 @@ def uniqueness_probe(
 ) -> ProbeReport:
     """Run `trials` seeded Newton solves from random positive starts on one workspace.
 
-    Every converged outcome with nonnegative values is classified against the
-    constant; anything nonconstant is archived with full coefficients.  For
-    purely linear f the equation is diagonal and the report carries the kernel
-    dimension instead of Newton runs.
+    Each start is a probe_start draw c scaled to s c on the Nehari manifold
+    s^2 <Pc, c> = int f(s u+) s u+, u = B c, all trials in one call; a single
+    power a t^q has s^(q-1) = <Pc, c> / (a int (u+)^(q+1)).  Without a positive
+    constant the draws stay as they are.  Every converged outcome with
+    nonnegative values is classified against the constant; anything
+    nonconstant is archived with full coefficients.  For purely linear f the
+    equation is diagonal and the report carries the kernel dimension instead
+    of Newton runs.
     """
     _check_tolerance(tol)
     if trials < 1:
@@ -474,6 +533,12 @@ def uniqueness_probe(
     starts = np.array(
         [probe_start(ws, base, np.random.default_rng([seed, t])).coeffs for t in range(trials)]
     )
+    if c_star:  # f(t)/t increases, so each positive ray meets the Nehari manifold once
+        rays = starts / base  # O(1) rows, so <Pc, c> stays in range
+        E, U = rays**2 @ ws.lam, rays @ ws.basis.T
+        scale = _fibre_roots(f, E, U, ws.weights) / base
+        starts *= scale[:, None]
+        report.median_nehari_scale = float(np.median(scale))
     for trial, result in enumerate(_newton_batch(ws, f, starts, tol, max_iter=60)):
         report.stop_reasons[result.stop_reason] += 1
         report.regularized += result.max_tau > 0.0

@@ -634,6 +634,17 @@ class TestProbeCommand:
             "tolerance": 10, "max_iter": 0, "line_search_exhausted": 0, "diverged": 0
         }
 
+    def test_probe_with_a_constant_past_1e8(self, capsys):
+        # c* = 2.4e8; the divergence bound scales with c* sqrt|S^9|, so no
+        # trial stops as diverged before it reaches the constant
+        code, out, _ = run(
+            capsys, "probe", "--n", "9", "--m", "1", "--p", "1.143", "--K", "16", "--trials", "4"
+        )
+        assert code == 0
+        probe = json.loads(out)["results"]["probe"]
+        assert (probe["diverged"], probe["constant"], probe["fraction_constant"]) == (0, 4, 1.0)
+        assert 0.5 < probe["median_nehari_scale"] < 2.0
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path, capsys):
@@ -724,6 +735,16 @@ class TestSolveCommand:
         solve = json.loads(out)["results"]["solve"]
         assert solve["stop_reason"] == "tolerance" and solve["classification"] == "zero"
         assert not any(solve["solution"]["coeffs"]) and solve["krylov_iters"] == 0
+
+    def test_random_start_with_a_constant_past_1e8(self, capsys):
+        # its coefficient norm is about 1.4e9, past the old absolute bound 1e8
+        code, out, _ = run(
+            capsys, "solve", "--n", "9", "--m", "1", "--p", "1.143", "--K", "16", "--init", "random"
+        )
+        assert code == 0
+        solve = json.loads(out)["results"]["solve"]
+        assert (solve["stop_reason"], solve["classification"]) == ("tolerance", "constant")
+        assert solve["iters"] > 1
 
     @pytest.mark.parametrize("K", [0, 1, 2, 3])
     def test_bubble_start_below_four_degrees(self, capsys, K):

@@ -292,6 +292,66 @@ class TestSolveNewton:
         gap = np.linalg.norm(krylov.solution.coeffs - dense.solution.coeffs)
         assert gap <= 1e-10 * np.linalg.norm(dense.solution.coeffs)
 
+    @pytest.mark.parametrize("krylov_min_size", [0, math.inf])
+    def test_iterate_near_zero_lands_on_zero(self, monkeypatch, krylov_min_size):
+        # a start of size 1e-15 heads to the exact solution c = 0; by MINRES it
+        # once crept down by 1e-12 per step until its norm underflowed, and was
+        # then reported as a converged constant
+        monkeypatch.setattr(lane_emden, "_KRYLOV_MIN_SIZE", krylov_min_size)
+        params = SphereParams(n=3, m=1)
+        f = Nonlinearity.single_power(1.0, 3.0, params)
+        c = np.zeros(9)
+        c[0], c[2] = 1e-15, 3e-16
+        res = solve_newton(1, 3, f, ZonalFunction(params, c))
+        assert (res.stop_reason, res.iters, res.classification) == ("tolerance", 1, "zero")
+        assert not res.solution.coeffs.any()
+
+    def test_divergence_bound_scales_with_the_constant(self):
+        # c* = 2.4e8 on (9, 1, t^1.143): its coefficient norm 1.4e9 is past the
+        # old absolute bound 1e8, and a random start reaches it
+        params = SphereParams(n=9, m=1)
+        f = Nonlinearity.single_power(1.0, 1.143, params)
+        c_star = constant_solution(1, 9, f)
+        assert c_star * math.sqrt(params.area) > 1e9
+        ws = Workspace.shared(params, 16)
+        res = solve_newton(1, 9, f, probe_start(ws, c_star, np.random.default_rng([0, 0])))
+        assert (res.stop_reason, res.classification) == ("tolerance", "constant")
+        assert abs(res.solution.mean() - c_star) <= 1e-10 * c_star
+        # past 1e8 times that scale an iterate still stops as diverged
+        init = constant_coeffs(params, 1e9 * c_star, 16)
+        res = solve_newton(1, 9, f, init, workspace=ws)
+        assert (res.stop_reason, res.iters) == ("diverged", 1)
+
+    def test_dense_step_is_the_scaled_lu_solve(self, monkeypatch):
+        # one row at K = 798 is just below the crossover.  On (11, 5, t^11)
+        # Lambda_K / Lambda_0 is about 1e26, and from this start an LU solve of
+        # the unscaled J = diag(Lambda) - G left a scaled residual of 5e-8
+        steps = []
+
+        def recorded(attempt, scales, floor, rows, S, krylov):
+            steps.append(S.copy())
+            return backtrack(attempt, scales, floor, rows, S, krylov)
+
+        backtrack = lane_emden.backtrack
+        monkeypatch.setattr(lane_emden, "backtrack", recorded)
+        params, K = SphereParams(n=11, m=5), 798
+        assert K + 1 < lane_emden._KRYLOV_MIN_SIZE
+        f = Nonlinearity.single_power(1.0, 11.0, params)
+        ws = Workspace.shared(params, K)
+        c = probe_start(ws, constant_solution(5, 11, f), np.random.default_rng([5, 0])).coeffs
+        res = solve_newton(5, 11, f, ZonalFunction(params, c), max_iter=1, workspace=ws)
+        assert res.iters == 1 and res.krylov_iters == 0
+        # the reference: LU on (I - D G D) y = -D res, D = Lambda^(-1/2), with
+        # D G D assembled from the scaled basis B D; the first step is tau = 0
+        V, root = ws.basis @ c, np.sqrt(ws.lam)
+        BD = ws.basis / root
+        A = np.eye(K + 1) - BD.T @ ((ws.weights * f.slope(V))[:, None] * BD)
+        b = (ws.basis.T @ (ws.weights * f(V)) - ws.lam * c) / root
+        y = np.linalg.solve(A, b)
+        got = steps[0][0] * root
+        assert np.linalg.norm(got - y) <= 1e-12 * np.linalg.norm(y)
+        assert np.linalg.norm(A @ got - b) <= 1e-12 * np.linalg.norm(b)
+
 
 class TestMinres:
     @pytest.mark.parametrize("shift", [1.0, 1.01])
@@ -417,11 +477,12 @@ class TestUniquenessProbe:
     @pytest.mark.parametrize("n,m,K", [(3, 1, 16), (7, 2, 32)])
     def test_lockstep_trials_match_single_solves(self, monkeypatch, n, m, K):
         # the probe solves its trials as one batch; each trial ends as a
-        # solve_newton from the same start does
-        batches = []
+        # solve_newton from the same Nehari-scaled start does
+        batches, starts = [], []
 
-        def recorded(*args, **kwargs):
-            batches.append(newton_batch(*args, **kwargs))
+        def recorded(ws, f, C, *args, **kwargs):
+            starts.append(C.copy())
+            batches.append(newton_batch(ws, f, C, *args, **kwargs))
             return batches[-1]
 
         newton_batch = lane_emden._newton_batch
@@ -432,10 +493,8 @@ class TestUniquenessProbe:
         (batch,) = batches
         assert len(batch) == rep.trials == 30
         ws = Workspace.shared(params, K)
-        c_star = constant_solution(m, n, f)
-        for trial, got in enumerate(batch):
-            init = probe_start(ws, c_star, np.random.default_rng([11, trial]))
-            alone = solve_newton(m, n, f, init, workspace=ws)
+        for got, start in zip(batch, starts[0]):
+            alone = solve_newton(m, n, f, ZonalFunction(params, start), workspace=ws)
             assert (got.stop_reason, got.iters) == (alone.stop_reason, alone.iters)
             gap = np.linalg.norm(got.solution.coeffs - alone.solution.coeffs)
             assert gap <= 1e-12 * np.linalg.norm(alone.solution.coeffs)
@@ -462,7 +521,7 @@ class TestUniquenessProbe:
             "m", "n", "nonlinearity", "trials", "constant_value", "converged", "nonconverged",
             "diverged", "negative", "zero", "constant", "nonconstant", "max_constant_rel_err",
             "fraction_constant", "counterexamples", "kernel_dimension", "stop_reasons",
-            "regularized",
+            "regularized", "median_nehari_scale",
         }
         assert all(r.krylov_iters > 0 for r in batches[0])
 
@@ -476,9 +535,9 @@ class TestUniquenessProbe:
         assert sum(r.negative + r.nonconstant for r in reps) == 0
 
     def test_regularized_trials_are_counted(self):
-        # (3, 1, t^4, K=24) needs the tau ladder in a few trials
-        f = Nonlinearity.single_power(1.0, 4.0, SphereParams(n=3, m=1))
-        rep = uniqueness_probe(1, 3, f, trials=50, seed=1000, K=24)
+        # (7, 3, t^12, K=24), near p_c = 13, needs the tau ladder in a few trials
+        f = Nonlinearity.single_power(1.0, 12.0, SphereParams(n=7, m=3))
+        rep = uniqueness_probe(3, 7, f, trials=50, seed=1000, K=24)
         assert 0 < rep.regularized <= rep.trials
         assert rep.to_dict()["regularized"] == rep.regularized
 
@@ -534,6 +593,76 @@ class TestUniquenessProbe:
             "coeffs": bump.tolist(),
         }
         assert 0.0 < example["distance_to_constant"] < 1.0
+
+    @pytest.mark.parametrize(
+        "n,m,terms", [(3, 1, [(1.0, 3.0)]), (5, 2, [(1.0, 1.0), (1.0, 2.0)]), (7, 2, [(2.0, 3.5)])]
+    )
+    def test_starts_are_scaled_onto_the_nehari_manifold(self, monkeypatch, n, m, terms):
+        # each start is s > 0 times its random draw with <Pc, c> = int f(u+) u+
+        starts = []
+
+        def recorded(ws, f, C, *args, **kwargs):
+            starts.append(C.copy())
+            return newton_batch(ws, f, C, *args, **kwargs)
+
+        newton_batch = lane_emden._newton_batch
+        monkeypatch.setattr(lane_emden, "_newton_batch", recorded)
+        params, K = SphereParams(n=n, m=m), 16
+        f = Nonlinearity.from_terms(terms, params)
+        rep = uniqueness_probe(m, n, f, trials=20, seed=3, K=K)
+        ws, c_star = Workspace.shared(params, K), constant_solution(m, n, f)
+        scales = []
+        for trial, c in enumerate(starts[0]):
+            draw = probe_start(ws, c_star, np.random.default_rng([3, trial])).coeffs
+            s = c[0] / draw[0]
+            assert s > 0.0
+            np.testing.assert_allclose(c, s * draw, rtol=1e-14, atol=0.0)
+            u = ws.basis @ c
+            assert np.min(u) > 0.0
+            energy, power = float(ws.lam @ c**2), float(ws.weights @ (f(u) * u))
+            assert abs(energy - power) <= 1e-12 * energy
+            scales.append(s)
+        assert rep.median_nehari_scale == pytest.approx(np.median(scales), rel=1e-14)
+        assert rep.constant == 20 and rep.diverged == 0
+
+    @pytest.mark.parametrize("q", [1.143, 2.5, 3.0, 7.0])
+    def test_closed_form_scale_matches_the_root_finder(self, q):
+        # a t^q split into two halves is the same f, but takes the Newton and
+        # bisection root finder instead of the closed form
+        params, K = SphereParams(n=9, m=2), 16
+        single = Nonlinearity.single_power(1.0, q, params)
+        halves = Nonlinearity.from_terms([(0.5, q), (0.5, q)], params)
+        assert len(halves.terms) == 2
+        ws = Workspace.shared(params, K)
+        C = np.array([probe_start(ws, 1.0, np.random.default_rng([5, t])).coeffs for t in range(8)])
+        E, U = C**2 @ ws.lam, C @ ws.basis.T
+        closed = lane_emden._fibre_roots(single, E, U, ws.weights)
+        found = lane_emden._fibre_roots(halves, E, U, ws.weights)
+        np.testing.assert_allclose(found, closed, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "n,m,q",
+        [
+            (3, 1, 1.5), (3, 1, 4.9), (5, 2, 2.0), (5, 2, 8.5), (7, 3, 3.0),
+            (9, 1, 1.143), (11, 1, 1.111), (11, 2, 1.286), (9, 4, 4.0),
+        ],
+    )
+    def test_probe_grid_has_no_diverged_or_nonconstant_trial(self, n, m, q):
+        # (9,1,1.143), (11,1,1.111) and (11,2,1.286) have c* from 2.4e8 to
+        # 3.6e12, and every trial once stopped there as diverged
+        f = Nonlinearity.single_power(1.0, q, SphereParams(n=n, m=m))
+        rep = uniqueness_probe(m, n, f, trials=20, seed=7, K=16)
+        assert (rep.diverged, rep.negative, rep.nonconstant) == (0, 0, 0)
+        assert rep.constant == rep.converged > 0 and rep.fraction_constant == 1.0
+
+    def test_unscaled_starts_report_no_nehari_scale(self):
+        # without a positive constant there is no Nehari point to move to
+        params = SphereParams(n=3, m=1)
+        linear = Nonlinearity.single_power(1.0, 1.0, params)
+        assert uniqueness_probe(1, 3, linear, trials=3, seed=0, K=8).median_nehari_scale is None
+        rootless = Nonlinearity.from_terms([(1.0, 1.0), (1.0, 3.0)], params)
+        rep = uniqueness_probe(1, 3, rootless, trials=3, seed=0, K=8)
+        assert rep.constant_value is None and rep.median_nehari_scale is None
 
     def test_rejects_supercritical(self):
         params = SphereParams(n=3, m=1)
