@@ -595,9 +595,10 @@ class TestUniquenessProbe:
         assert 0.0 < example["distance_to_constant"] < 1.0
 
     @pytest.mark.parametrize(
-        "n,m,terms", [(3, 1, [(1.0, 3.0)]), (5, 2, [(1.0, 1.0), (1.0, 2.0)]), (7, 2, [(2.0, 3.5)])]
+        "n,m,terms,trials",
+        [(3, 1, [(1.0, 3.0)], 20), (5, 2, [(1.0, 1.0), (1.0, 2.0)], 20), (7, 2, [(2.0, 3.5)], 21)],
     )
-    def test_starts_are_scaled_onto_the_nehari_manifold(self, monkeypatch, n, m, terms):
+    def test_starts_are_scaled_onto_the_nehari_manifold(self, monkeypatch, n, m, terms, trials):
         # each start is s > 0 times its random draw with <Pc, c> = int f(u+) u+
         starts = []
 
@@ -609,7 +610,7 @@ class TestUniquenessProbe:
         monkeypatch.setattr(lane_emden, "_newton_batch", recorded)
         params, K = SphereParams(n=n, m=m), 16
         f = Nonlinearity.from_terms(terms, params)
-        rep = uniqueness_probe(m, n, f, trials=20, seed=3, K=K)
+        rep = uniqueness_probe(m, n, f, trials=trials, seed=3, K=K)
         ws, c_star = Workspace.shared(params, K), constant_solution(m, n, f)
         scales = []
         for trial, c in enumerate(starts[0]):
@@ -623,7 +624,7 @@ class TestUniquenessProbe:
             assert abs(energy - power) <= 1e-12 * energy
             scales.append(s)
         assert rep.median_nehari_scale == pytest.approx(np.median(scales), rel=1e-14)
-        assert rep.constant == 20 and rep.diverged == 0
+        assert rep.constant == trials and rep.diverged == 0
 
     @pytest.mark.parametrize("q", [1.143, 2.5, 3.0, 7.0])
     def test_closed_form_scale_matches_the_root_finder(self, q):
