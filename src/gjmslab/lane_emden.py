@@ -289,12 +289,6 @@ def solve_newton(
     return _newton_batch(ws, f, init.coeffs[None, :], tol, max_iter)[0]
 
 
-def _problem_scale(params: SphereParams, f: Nonlinearity) -> float:
-    # the coefficient norm c* sqrt|S^n| of the constant solution, at least 1
-    c_star = constant_solution(params.m, params.n, f) or 0.0
-    return min(max(1.0, c_star * math.sqrt(params.area)), np.finfo(float).max)
-
-
 # a candidate that overflows has a non-finite merit, and no row accepts it
 @np.errstate(over="ignore", invalid="ignore")
 def _newton_batch(ws: Workspace, f: Nonlinearity, C: np.ndarray, tol: float, max_iter: int):
@@ -310,7 +304,10 @@ def _newton_batch(ws: Workspace, f: Nonlinearity, C: np.ndarray, tol: float, max
     root = np.sqrt(lam)
     # the scaled Newton system, D = Lambda^(-1/2): BD = B D, and -D G D = G / neg_outer
     BD, neg_outer = B / root, -np.outer(root, root)
-    scale = _problem_scale(ws.params, f)
+    # the problem scale: the coefficient norm c* sqrt|S^n| of the constant, at
+    # least 1 and finite
+    c_star = constant_solution(ws.params.m, ws.params.n, f) or 0.0
+    scale = min(max(1.0, c_star * math.sqrt(ws.params.area)), np.finfo(float).max)
 
     def residuals(X):
         V = X @ B.T
@@ -534,7 +531,7 @@ def uniqueness_probe(
         [probe_start(ws, base, np.random.default_rng([seed, t])).coeffs for t in range(trials)]
     )
     if c_star:  # f(t)/t increases, so each positive ray meets the Nehari manifold once
-        rays = starts / base  # O(1) rows, so <Pc, c> stays in range
+        rays = starts / base  # rows of order 1, so <Pc, c> and int (u+)^(q+1) stay in range
         E, U = rays**2 @ ws.lam, rays @ ws.basis.T
         scale = _fibre_roots(f, E, U, ws.weights) / base
         starts *= scale[:, None]
