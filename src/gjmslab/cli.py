@@ -256,16 +256,15 @@ def cmd_minimize(args) -> int:
     return EXIT_OK
 
 
-def _solve_initial(args, f: Nonlinearity, ws: Workspace) -> ZonalFunction:
+def _solve_initial(args, f: Nonlinearity, ws: Workspace, c_star: float | None) -> ZonalFunction:
     import numpy as np
 
     from .conformal import bubble_on_sphere
-    from .lane_emden import constant_solution, probe_start
+    from .lane_emden import probe_start
     from .spectral import ZonalFunction
 
     choice = args.init
     params, K = ws.params, ws.K
-    c_star = constant_solution(args.m, args.n, f)
     base = c_star if (c_star is not None and c_star > 0) else 1.0
     if choice == "constant":
         c = np.zeros(K + 1)
@@ -296,13 +295,14 @@ def cmd_solve(args) -> int:
     params = SphereParams(n=args.n, m=args.m)
     f = _nonlinearity(args, params)
     ws = Workspace.shared(params, args.K, args.Q or None)
-    init = _solve_initial(args, f, ws)
+    c_star = constant_solution(args.m, args.n, f)
+    init = _solve_initial(args, f, ws, c_star)
     result = solve_newton(
         args.m, args.n, f, init, tol=args.tol, max_iter=args.max_iter, workspace=ws
     )
     results = {
         "solve": result.to_dict(),
-        "constant_solution": constant_solution(args.m, args.n, f),
+        "constant_solution": c_star,
         "tolerance": args.tol,
     }
     Q = len(ws.nodes)

@@ -12,9 +12,10 @@ are one batch, a solve a batch of one.  Every step solves the scaled system
 (1+tau) I - D G D, D = Lambda^(-1/2), which is I minus a compact operator: a
 batch of rows * (K+1) >= 800 by MINRES in lockstep to a residual of
 1e-12 ||D res||, a smaller one by an LU solve per row.  Iterates are measured
-against the problem scale max(1, c* sqrt|S^n|), the coefficient norm of the
-constant c*: past 1e8 times it a row diverges, and within tol times it of
-c = 0, an exact solution, it is taken as that solution.
+against the coefficient norm c* sqrt|S^n| of the constant c*: past 1e8 times
+max(1, c* sqrt|S^n|) a row diverges, and within tol times c* sqrt|S^n| (tol
+when there is no positive c*) of c = 0, an exact solution, it is taken as
+that solution.
 
 f acts on the positive part u+ = max(u, 0).  The Green kernel of P is
 positive, so the nonnegative solutions of P u = f(u) are exactly the
@@ -166,20 +167,12 @@ def _fibre_roots(f: Nonlinearity, E: np.ndarray, U: np.ndarray, w: np.ndarray) -
 
     With E = <Pc, c> and U = B c the node values of a row c, s c is the one
     point of the ray through c on the Nehari manifold <Pu, u> = int f(u+) u+
-    (f(t)/t increasing).  A single power a t^q has the closed form
-    s^(q-1) = E / (a sum w (U+)^(q+1)).  Otherwise g(s) = s E - sum w f(s U) U
-    is concave with g(0) = 0 and g > 0 near 0, which needs E > a_1 sum w U^2
-    for the linear coefficient a_1.  Raises DomainError when a root lies past
-    the double range.
+    (f(t)/t increasing).  g(s) = s E - sum w f(s U) U is concave with
+    g(0) = 0 and g > 0 near 0, which needs E > a_1 sum w U^2 for the linear
+    coefficient a_1.  Raises DomainError when a root lies past the double
+    range.
     """
     overflow = DomainError("the positive root of s <Pu, u> = int f(s u+) u+ overflows a double")
-    if len(f.terms) == 1:
-        ((a, q),) = f.terms
-        s = (E / (a * (w * _term_power(U, q + 1.0)).sum(axis=1))) ** (1.0 / (q - 1.0))
-        if not np.isfinite(s).all():
-            raise overflow
-        return s
-
     wU = w * U
 
     def g(s, E, U, wU):
@@ -270,10 +263,10 @@ def solve_newton(
     drops; when no scale does, it retries at tau = 1e-8, 1e-4, 1e-2, 1 and
     100, and then stops with "line_search_exhausted".  Iterates with
     coefficient norm beyond 1e8 max(1, c* sqrt|S^n|), c* the constant
-    solution (0 when there is none), stop as "diverged"; one within tol times
-    that scale of c = 0 becomes exactly 0.  After max_iter accepted steps the
-    solve stops as "max_iter".  This is a batch of one on the loop
-    that runs a probe's trials in lockstep.  The workspace (default:
+    solution (0 when there is none), stop as "diverged"; one within
+    tol c* sqrt|S^n| of c = 0 (tol when c* is not positive) becomes exactly
+    0.  After max_iter accepted steps the solve stops as "max_iter".  This is
+    a batch of one on the loop that runs a probe's trials in lockstep.  The workspace (default:
     Workspace.shared(params, init.K)) must match init's (n, m, K).  Raises
     DomainError when c* lies past the double range, as constant_solution does.
     """
@@ -286,13 +279,18 @@ def solve_newton(
     ws = workspace or Workspace.shared(params, init.K)
     if ws.params != params or ws.K != init.K:
         raise ValueError(f"workspace is for {ws.params}, K={ws.K}; init has K={init.K}")
-    return _newton_batch(ws, f, init.coeffs[None, :], tol, max_iter)[0]
+    c_star = constant_solution(m, n, f)
+    return _newton_batch(ws, f, init.coeffs[None, :], tol, max_iter, c_star)[0]
 
 
 # a candidate that overflows has a non-finite merit, and no row accepts it
 @np.errstate(over="ignore", invalid="ignore")
-def _newton_batch(ws: Workspace, f: Nonlinearity, C: np.ndarray, tol: float, max_iter: int):
+def _newton_batch(
+    ws: Workspace, f: Nonlinearity, C: np.ndarray, tol: float, max_iter: int, c_star: float | None
+):
     """solve_newton in lockstep on the rows of C: one SolveResult per row.
+
+    c_star is constant_solution(m, n, f), which sets the problem scale.
 
     Each row keeps its own iterate, merit, counts, largest tau and stop
     reason.  No (rows, K+1, K+1) stack is formed: a large batch runs one
@@ -304,10 +302,10 @@ def _newton_batch(ws: Workspace, f: Nonlinearity, C: np.ndarray, tol: float, max
     root = np.sqrt(lam)
     # the scaled Newton system, D = Lambda^(-1/2): BD = B D, and -D G D = G / neg_outer
     BD, neg_outer = B / root, -np.outer(root, root)
-    # the problem scale: the coefficient norm c* sqrt|S^n| of the constant, at
-    # least 1 and finite
-    c_star = constant_solution(ws.params.m, ws.params.n, f) or 0.0
-    scale = min(max(1.0, c_star * math.sqrt(ws.params.area)), np.finfo(float).max)
+    # the problem scale: the coefficient norm c* sqrt|S^n| of the constant;
+    # the divergence bound takes it at least 1, the zero snap as it is
+    scale = min((c_star or 0.0) * math.sqrt(ws.params.area), np.finfo(float).max)
+    bound, near_zero = 1e8 * max(1.0, scale), tol * scale if scale > 0.0 else tol
 
     def residuals(X):
         V = X @ B.T
@@ -367,11 +365,11 @@ def _newton_batch(ws: Workspace, f: Nonlinearity, C: np.ndarray, tol: float, max
         moved &= stop < 0
         iters[moved] += 1
         cnorm[moved] = norm2(C[moved], axis=1)
-        stop[moved & ~(cnorm <= 1e8 * scale)] = 3
+        stop[moved & ~(cnorm <= bound)] = 3
         # f(0) = 0, so c = 0 solves every equation, but a test relative to ||c||
         # never accepts an iterate that tends to it: one within tol of it on the
         # problem scale is taken as that exact solution
-        zero = moved & (cnorm <= tol * scale)
+        zero = moved & (cnorm <= near_zero)
         for a in (C, R, V, merit, cnorm):
             a[zero] = 0.0
     results = []
@@ -533,13 +531,15 @@ def uniqueness_probe(
     if c_star:  # f(t)/t increases, so each positive ray meets the Nehari manifold once
         rays = starts / base  # rows of order 1, so <Pc, c> and int (u+)^(q+1) stay in range
         E, U = rays**2 @ ws.lam, rays @ ws.basis.T
-        scale = _fibre_roots(f, E, U, ws.weights) / base
+        if len(f.terms) == 1:
+            ((a, q),) = f.terms
+            power = a * (ws.weights * _term_power(U, q + 1.0)).sum(axis=1)
+            scale = (E / power) ** (1.0 / (q - 1.0)) / base
+        else:
+            scale = _fibre_roots(f, E, U, ws.weights) / base
         starts *= scale[:, None]
-        # np.median's first call maps about 1 MB more of numpy than a sort does
-        mid, scale = trials // 2, np.sort(scale)
-        median = scale[mid] if trials % 2 else 0.5 * (scale[mid - 1] + scale[mid])
-        report.median_nehari_scale = float(median)
-    for trial, result in enumerate(_newton_batch(ws, f, starts, tol, max_iter=60)):
+        report.median_nehari_scale = float(np.median(scale))
+    for trial, result in enumerate(_newton_batch(ws, f, starts, tol, 60, c_star)):
         report.stop_reasons[result.stop_reason] += 1
         report.regularized += result.max_tau > 0.0
         if not result.converged:

@@ -746,6 +746,19 @@ class TestSolveCommand:
         assert (solve["stop_reason"], solve["classification"]) == ("tolerance", "constant")
         assert solve["iters"] > 1
 
+    def test_random_start_with_a_constant_below_tol(self, capsys):
+        # c* = 8.7e-16 is below tol = 1e-12; the iterate reaches it and is not
+        # snapped to the exact zero solution
+        code, out, _ = run(
+            capsys, "solve", "--n", "3", "--m", "1", "--f", "1e30:3", "--init", "random"
+        )
+        assert code == 0
+        results = json.loads(out)["results"]
+        solve = results["solve"]
+        assert (solve["stop_reason"], solve["classification"]) == ("tolerance", "constant")
+        c_star, mean = results["constant_solution"], solve["solution"]["coeffs"][0]
+        assert abs(mean / math.sqrt(2 * math.pi**2) - c_star) <= 1e-10 * c_star
+
     @pytest.mark.parametrize("K", [0, 1, 2, 3])
     def test_bubble_start_below_four_degrees(self, capsys, K):
         # the tail-decay estimate needs fewer than the usual five coefficients

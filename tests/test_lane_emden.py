@@ -306,6 +306,20 @@ class TestSolveNewton:
         assert (res.stop_reason, res.iters, res.classification) == ("tolerance", 1, "zero")
         assert not res.solution.coeffs.any()
 
+    @pytest.mark.parametrize("a,q", [(1e30, 3.0), (1.0, 1.005)])
+    def test_constant_below_tol_is_not_taken_for_zero(self, a, q):
+        # c* is 8.7e-16 for 1e30 t^3 and 1e-25 for t^1.005: a single power is
+        # scale-equivariant, so Newton from a random start reaches it as from
+        # any other constant, and no floor of 1 on the zero snap may cut it off
+        params = SphereParams(n=3, m=1)
+        f = Nonlinearity.single_power(a, q, params)
+        c_star = constant_solution(1, 3, f)
+        assert c_star < 1e-15
+        ws = Workspace.shared(params, 16)
+        res = solve_newton(1, 3, f, probe_start(ws, c_star, np.random.default_rng([0, 0])))
+        assert (res.stop_reason, res.classification) == ("tolerance", "constant")
+        assert abs(res.solution.mean() - c_star) <= 1e-10 * c_star
+
     def test_divergence_bound_scales_with_the_constant(self):
         # c* = 2.4e8 on (9, 1, t^1.143): its coefficient norm 1.4e9 is past the
         # old absolute bound 1e8, and a random start reaches it
@@ -570,7 +584,7 @@ class TestUniquenessProbe:
             crafted(bump, "tolerance"),  # nonconstant
         ]
 
-        def newton_batch(ws, f, starts, tol, max_iter):
+        def newton_batch(ws, f, starts, tol, max_iter, c_star):
             assert len(starts) == len(outcomes)
             return outcomes
 
@@ -626,20 +640,28 @@ class TestUniquenessProbe:
         assert rep.median_nehari_scale == pytest.approx(np.median(scales), rel=1e-14)
         assert rep.constant == trials and rep.diverged == 0
 
-    @pytest.mark.parametrize("q", [1.143, 2.5, 3.0, 7.0])
-    def test_closed_form_scale_matches_the_root_finder(self, q):
-        # a t^q split into two halves is the same f, but takes the Newton and
-        # bisection root finder instead of the closed form
-        params, K = SphereParams(n=9, m=2), 16
-        single = Nonlinearity.single_power(1.0, q, params)
-        halves = Nonlinearity.from_terms([(0.5, q), (0.5, q)], params)
-        assert len(halves.terms) == 2
-        ws = Workspace.shared(params, K)
-        C = np.array([probe_start(ws, 1.0, np.random.default_rng([5, t])).coeffs for t in range(8)])
-        E, U = C**2 @ ws.lam, C @ ws.basis.T
-        closed = lane_emden._fibre_roots(single, E, U, ws.weights)
-        found = lane_emden._fibre_roots(halves, E, U, ws.weights)
-        np.testing.assert_allclose(found, closed, rtol=1e-13, atol=0.0)
+    @pytest.mark.parametrize("n,m,q", [(9, 2, 1.143), (9, 2, 2.5), (3, 1, 3.0), (5, 2, 7.0)])
+    def test_closed_form_scale_matches_the_root_finder(self, monkeypatch, n, m, q):
+        # the probe scales a single power's starts by the closed form; the
+        # Newton and bisection root finder gives the same scales
+        starts = []
+
+        def recorded(ws, f, C, *args, **kwargs):
+            starts.append(C.copy())
+            return newton_batch(ws, f, C, *args, **kwargs)
+
+        newton_batch = lane_emden._newton_batch
+        monkeypatch.setattr(lane_emden, "_newton_batch", recorded)
+        params, K = SphereParams(n=n, m=m), 16
+        f = Nonlinearity.single_power(2.0, q, params)
+        uniqueness_probe(m, n, f, trials=8, seed=5, K=K)
+        ws, c_star = Workspace.shared(params, K), constant_solution(m, n, f)
+        draws = [probe_start(ws, c_star, np.random.default_rng([5, t])).coeffs for t in range(8)]
+        rays = np.array(draws) / c_star
+        E, U = rays**2 @ ws.lam, rays @ ws.basis.T
+        found = lane_emden._fibre_roots(f, E, U, ws.weights) / c_star
+        closed = starts[0][:, 0] / rays[:, 0] / c_star
+        np.testing.assert_allclose(closed, found, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize(
         "n,m,q",
@@ -655,6 +677,13 @@ class TestUniquenessProbe:
         rep = uniqueness_probe(m, n, f, trials=20, seed=7, K=16)
         assert (rep.diverged, rep.negative, rep.nonconstant) == (0, 0, 0)
         assert rep.constant == rep.converged > 0 and rep.fraction_constant == 1.0
+
+    def test_probe_with_a_constant_below_tol(self):
+        # c* = 8.7e-16: every trial reaches it, none is snapped to zero
+        f = Nonlinearity.single_power(1e30, 3.0, SphereParams(n=3, m=1))
+        rep = uniqueness_probe(1, 3, f, trials=20, seed=0, K=16)
+        assert (rep.constant, rep.zero, rep.fraction_constant) == (20, 0, 1.0)
+        assert rep.max_constant_rel_err <= 1e-10
 
     def test_unscaled_starts_report_no_nehari_scale(self):
         # without a positive constant there is no Nehari point to move to
