@@ -10,12 +10,12 @@ Methods for Nonlinear Problems, 2004), not on ||res||, which Lambda_K
 dominates.  One loop runs a stack of iterates in lockstep: a probe's trials
 are one batch, a solve a batch of one.  Every step solves the scaled system
 (1+tau) I - D G D, D = Lambda^(-1/2), which is I minus a compact operator: a
-batch of rows * (K+1) >= 800 by MINRES in lockstep to a residual of
-1e-12 ||D res||, a smaller one by an LU solve per row.  Iterates are measured
-against the coefficient norm c* sqrt|S^n| of the constant c*: past 1e8 times
-max(1, c* sqrt|S^n|) a row diverges, and within tol times c* sqrt|S^n| (tol
-when there is no positive c*) of c = 0, an exact solution, it is taken as
-that solution.
+batch of rows * (K+1)^2 < 4e4 by one LU solve of the stacked matrices, a
+larger or singular one by MINRES in lockstep to a residual of 1e-12 ||D res||.
+Iterates are measured against the coefficient norm c* sqrt|S^n| of the
+constant c*: past 1e8 times max(1, c* sqrt|S^n|) a row diverges, and within
+tol times c* sqrt|S^n| (tol when there is no positive c*) of c = 0, an exact
+solution, it is taken as that solution.
 
 f acts on the positive part u+ = max(u, 0).  The Green kernel of P is
 positive, so the nonnegative solutions of P u = f(u) are exactly the
@@ -37,6 +37,7 @@ through both poles t = 1 (r = 0) and t = -1 (r = infinity).
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -48,7 +49,7 @@ from .spectral import SphereParams, Workspace, ZonalFunction, backtrack, basis_w
 from .spectral import gjms_lambda0, norm2, rowdot
 
 CONSTANT_CLASS_TOL = 1e-7
-_KRYLOV_MIN_SIZE = 800  # rows * (K+1) from which a Newton batch runs MINRES
+_DENSE_WORK_LIMIT = 4e4  # rows * (K+1)^2 below which a Newton batch is LU-solved
 
 
 def _check_tolerance(tol: float) -> None:
@@ -265,10 +266,11 @@ def solve_newton(
     coefficient norm beyond 1e8 max(1, c* sqrt|S^n|), c* the constant
     solution (0 when there is none), stop as "diverged"; one within
     tol c* sqrt|S^n| of c = 0 (tol when c* is not positive) becomes exactly
-    0.  After max_iter accepted steps the solve stops as "max_iter".  This is
-    a batch of one on the loop that runs a probe's trials in lockstep.  The workspace (default:
-    Workspace.shared(params, init.K)) must match init's (n, m, K).  Raises
-    DomainError when c* lies past the double range, as constant_solution does.
+    0.  After max_iter accepted steps the solve stops as "max_iter".  A batch
+    of one on the probe's lockstep loop: its steps are LU solves up to K = 198,
+    MINRES past it.  The workspace (default: Workspace.shared(params, init.K))
+    must match init's (n, m, K).  Raises DomainError when c* lies past the
+    double range, as constant_solution does.
     """
     _check_tolerance(tol)
     if max_iter < 0:
@@ -293,10 +295,10 @@ def _newton_batch(
     c_star is constant_solution(m, n, f), which sets the problem scale.
 
     Each row keeps its own iterate, merit, counts, largest tau and stop
-    reason.  No (rows, K+1, K+1) stack is formed: a large batch runs one
-    MINRES, a small one LU-solves a scaled Jacobian per row; each halving scale
-    is one batched synthesis X B^T and analysis (w f(V)) B over the rows still
-    searching.
+    reason.  A step is one LU solve of the (rows, K+1, K+1) stack of scaled
+    Jacobians below _DENSE_WORK_LIMIT, else (or for a singular stack) one
+    MINRES run; each halving scale is one batched synthesis X B^T and analysis
+    (w f(V)) B over the rows still searching.
     """
     B, w, lam = ws.basis, ws.weights, ws.lam
     root = np.sqrt(lam)
@@ -314,18 +316,15 @@ def _newton_batch(
     def search(rows, tau):
         # the Newton steps of rows at tau, then one batched backtracking pass;
         # returns the rows no scale moved
-        slopes, krylov, b = f.slope(V[rows]), np.zeros(rows.size, dtype=int), -R[rows] / root
-        if rows.size * lam.size >= _KRYLOV_MIN_SIZE:
+        slopes, b, Y = f.slope(V[rows]), -R[rows] / root, None
+        if rows.size * lam.size**2 < _DENSE_WORK_LIMIT:
+            A = ws.weighted_gram(slopes) / neg_outer
+            A.reshape(rows.size, -1)[:, :: lam.size + 1] += 1.0 + tau  # (1+tau) I - D G D
+            # a singular stack goes to MINRES, which solves a consistent one
+            with contextlib.suppress(np.linalg.LinAlgError):
+                Y, krylov = np.linalg.solve(A, b[..., None])[..., 0], np.zeros(rows.size, int)
+        if Y is None:
             Y, krylov = _minres(BD, w * slopes, 1.0 + tau, b, 2 * lam.size)
-        else:
-            Y = np.empty_like(b)
-            for j, slope in enumerate(slopes):
-                A = ws.weighted_gram(slope) / neg_outer
-                A.ravel()[:: lam.size + 1] += 1.0 + tau  # (1+tau) I - D G D
-                try:
-                    Y[j] = np.linalg.solve(A, b[j])
-                except np.linalg.LinAlgError:
-                    Y[j] = np.linalg.lstsq(A, b[j], rcond=None)[0]
         S = Y / root
         finite = np.isfinite(S).all(axis=1)
         left, rows, S, krylov = rows[~finite], rows[finite], S[finite], krylov[finite]

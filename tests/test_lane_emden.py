@@ -199,9 +199,9 @@ class TestSolveNewton:
         assert (res.stop_reason, res.iters, res.classification) == ("diverged", 1, "diverged")
         assert not res.converged
 
-    def test_singular_jacobian_falls_back_to_least_squares(self, monkeypatch):
-        # a Jacobian that np.linalg.solve rejects takes its step from lstsq,
-        # and the solve carries on to c*
+    def test_singular_stack_falls_back_to_minres(self, monkeypatch):
+        # a dense-side stack that np.linalg.solve rejects takes its step from
+        # MINRES, never from lstsq, and the solve carries on to c*
         calls = {"solve": 0, "lstsq": 0}
         solve, lstsq = np.linalg.solve, np.linalg.lstsq
 
@@ -223,7 +223,7 @@ class TestSolveNewton:
         init = constant_coeffs(params, c_star, 16)
         init.coeffs[2] = 0.3
         res = solve_newton(1, 3, f, init)
-        assert calls["lstsq"] == 1 and calls["solve"] > 1
+        assert calls["lstsq"] == 0 and calls["solve"] > 1 and res.krylov_iters > 0
         assert (res.stop_reason, res.classification) == ("tolerance", "constant")
         assert abs(res.solution.mean() - c_star) / c_star <= 1e-10
 
@@ -269,7 +269,7 @@ class TestSolveNewton:
         assert (res.stop_reason, res.iters, res.classification) == ("tolerance", 0, "zero")
 
     def test_dense_steps_count_no_krylov_iterations(self):
-        # a batch of one at K = 16 is below the crossover: every step is LU
+        # a batch of one at K = 16 is below the dense work limit: every step is LU
         params = SphereParams(n=3, m=1)
         f = Nonlinearity.single_power(1.0, 3.0, params)
         init = constant_coeffs(params, constant_solution(1, 3, f), 16)
@@ -285,19 +285,36 @@ class TestSolveNewton:
         ws = Workspace.shared(params, 800)
         init = probe_start(ws, constant_solution(2, 7, f), np.random.default_rng([7, 0]))
         krylov = solve_newton(2, 7, f, init, workspace=ws)
-        monkeypatch.setattr(lane_emden, "_KRYLOV_MIN_SIZE", math.inf)
+        monkeypatch.setattr(lane_emden, "_DENSE_WORK_LIMIT", math.inf)
         dense = solve_newton(2, 7, f, init, workspace=ws)
         assert (krylov.stop_reason, krylov.iters) == ("tolerance", dense.iters)
         assert dense.krylov_iters == 0 < krylov.krylov_iters <= 30 * krylov.iters
         gap = np.linalg.norm(krylov.solution.coeffs - dense.solution.coeffs)
         assert gap <= 1e-10 * np.linalg.norm(dense.solution.coeffs)
 
-    @pytest.mark.parametrize("krylov_min_size", [0, math.inf])
-    def test_iterate_near_zero_lands_on_zero(self, monkeypatch, krylov_min_size):
+    def test_single_solve_past_the_dense_work_limit_runs_minres(self, monkeypatch):
+        # one row at K = 200 has (K+1)^2 past the limit, and one at K = 198
+        # does not; past it the steps are MINRES steps, and the solve ends as
+        # the dense one does
+        assert 199**2 < lane_emden._DENSE_WORK_LIMIT <= 201**2
+        params = SphereParams(n=7, m=2)
+        f = Nonlinearity.single_power(1.0, 3.0, params)
+        ws = Workspace.shared(params, 200)
+        init = probe_start(ws, constant_solution(2, 7, f), np.random.default_rng([7, 0]))
+        krylov = solve_newton(2, 7, f, init, workspace=ws)
+        monkeypatch.setattr(lane_emden, "_DENSE_WORK_LIMIT", math.inf)
+        dense = solve_newton(2, 7, f, init, workspace=ws)
+        assert (krylov.stop_reason, krylov.iters) == ("tolerance", dense.iters)
+        assert dense.krylov_iters == 0 < krylov.krylov_iters
+        gap = np.linalg.norm(krylov.solution.coeffs - dense.solution.coeffs)
+        assert gap <= 1e-12 * np.linalg.norm(dense.solution.coeffs)
+
+    @pytest.mark.parametrize("dense_work_limit", [0, math.inf])
+    def test_iterate_near_zero_lands_on_zero(self, monkeypatch, dense_work_limit):
         # a start of size 1e-15 heads to the exact solution c = 0; by MINRES it
         # once crept down by 1e-12 per step until its norm underflowed, and was
         # then reported as a converged constant
-        monkeypatch.setattr(lane_emden, "_KRYLOV_MIN_SIZE", krylov_min_size)
+        monkeypatch.setattr(lane_emden, "_DENSE_WORK_LIMIT", dense_work_limit)
         params = SphereParams(n=3, m=1)
         f = Nonlinearity.single_power(1.0, 3.0, params)
         c = np.zeros(9)
@@ -337,9 +354,9 @@ class TestSolveNewton:
         assert (res.stop_reason, res.iters) == ("diverged", 1)
 
     def test_dense_step_is_the_scaled_lu_solve(self, monkeypatch):
-        # one row at K = 798 is just below the crossover.  On (11, 5, t^11)
-        # Lambda_K / Lambda_0 is about 1e26, and from this start an LU solve of
-        # the unscaled J = diag(Lambda) - G left a scaled residual of 5e-8
+        # one row at K = 160 is LU-solved.  On (11, 5, t^11) Lambda_K / Lambda_0
+        # is about 2e16, and from two of these starts an LU solve of the
+        # unscaled J = diag(Lambda) - G is off by 7e-13 and 2e-7
         steps = []
 
         def recorded(attempt, scales, floor, rows, S, krylov):
@@ -348,23 +365,31 @@ class TestSolveNewton:
 
         backtrack = lane_emden.backtrack
         monkeypatch.setattr(lane_emden, "backtrack", recorded)
-        params, K = SphereParams(n=11, m=5), 798
-        assert K + 1 < lane_emden._KRYLOV_MIN_SIZE
+        params, K = SphereParams(n=11, m=5), 160
+        assert (K + 1) ** 2 < lane_emden._DENSE_WORK_LIMIT
         f = Nonlinearity.single_power(1.0, 11.0, params)
         ws = Workspace.shared(params, K)
-        c = probe_start(ws, constant_solution(5, 11, f), np.random.default_rng([5, 0])).coeffs
-        res = solve_newton(5, 11, f, ZonalFunction(params, c), max_iter=1, workspace=ws)
-        assert res.iters == 1 and res.krylov_iters == 0
-        # the reference: LU on (I - D G D) y = -D res, D = Lambda^(-1/2), with
-        # D G D assembled from the scaled basis B D; the first step is tau = 0
-        V, root = ws.basis @ c, np.sqrt(ws.lam)
+        root = np.sqrt(ws.lam)
         BD = ws.basis / root
-        A = np.eye(K + 1) - BD.T @ ((ws.weights * f.slope(V))[:, None] * BD)
-        b = (ws.basis.T @ (ws.weights * f(V)) - ws.lam * c) / root
-        y = np.linalg.solve(A, b)
-        got = steps[0][0] * root
-        assert np.linalg.norm(got - y) <= 1e-12 * np.linalg.norm(y)
-        assert np.linalg.norm(A @ got - b) <= 1e-12 * np.linalg.norm(b)
+        unscaled_gaps = []
+        for s in range(5):
+            steps.clear()
+            c = probe_start(ws, constant_solution(5, 11, f), np.random.default_rng([s, 0])).coeffs
+            res = solve_newton(5, 11, f, ZonalFunction(params, c), max_iter=1, workspace=ws)
+            assert res.iters == 1 and res.krylov_iters == 0
+            # the reference: LU on (I - D G D) y = -D res, D = Lambda^(-1/2), with
+            # D G D assembled from the scaled basis B D; the first step is tau = 0
+            V = ws.basis @ c
+            A = np.eye(K + 1) - BD.T @ ((ws.weights * f.slope(V))[:, None] * BD)
+            b = (ws.basis.T @ (ws.weights * f(V)) - ws.lam * c) / root
+            y = np.linalg.solve(A, b)
+            got = steps[0][0] * root
+            assert np.linalg.norm(got - y) <= 1e-12 * np.linalg.norm(y)
+            assert np.linalg.norm(A @ got - b) <= 1e-12 * np.linalg.norm(b)
+            J = np.diag(ws.lam) - ws.weighted_gram(f.slope(V))
+            unscaled = np.linalg.solve(J, b * root) * root
+            unscaled_gaps.append(np.linalg.norm(unscaled - y) / np.linalg.norm(y))
+        assert max(unscaled_gaps) > 1e-9  # the bound above tells the two solves apart
 
 
 class TestMinres:
@@ -488,10 +513,13 @@ class TestUniquenessProbe:
         assert rep.stop_reasons["tolerance"] == 29
         assert rep.max_constant_rel_err <= 1e-11
 
-    @pytest.mark.parametrize("n,m,K", [(3, 1, 16), (7, 2, 32)])
+    @pytest.mark.parametrize("n,m,K", [(3, 1, 16), (7, 2, 32), (7, 2, 48)])
     def test_lockstep_trials_match_single_solves(self, monkeypatch, n, m, K):
         # the probe solves its trials as one batch; each trial ends as a
-        # solve_newton from the same Nehari-scaled start does
+        # solve_newton from the same Nehari-scaled start does.  Below the dense
+        # work limit both take every step by LU; past it only the batch runs
+        # MINRES.  The bits differ: X B^T is one gemm for the batch, a gemv
+        # for one row
         batches, starts = [], []
 
         def recorded(ws, f, C, *args, **kwargs):
@@ -507,17 +535,20 @@ class TestUniquenessProbe:
         (batch,) = batches
         assert len(batch) == rep.trials == 30
         ws = Workspace.shared(params, K)
+        dense = 30 * (K + 1) ** 2 < lane_emden._DENSE_WORK_LIMIT
+        assert dense == (K < 48)
         for got, start in zip(batch, starts[0]):
             alone = solve_newton(m, n, f, ZonalFunction(params, start), workspace=ws)
             assert (got.stop_reason, got.iters) == (alone.stop_reason, alone.iters)
             gap = np.linalg.norm(got.solution.coeffs - alone.solution.coeffs)
             assert gap <= 1e-12 * np.linalg.norm(alone.solution.coeffs)
+            assert alone.krylov_iters == 0 and (got.krylov_iters == 0) == dense
             assert got.max_tau == alone.max_tau
         assert rep.regularized == sum(r.max_tau > 0.0 for r in batch)
 
     def test_probe_batches_above_the_crossover_run_minres(self, monkeypatch):
-        # 50 trials x 25 coefficients >= _KRYLOV_MIN_SIZE, so the first step of
-        # every trial is a MINRES step
+        # 50 trials x 49^2 >= _DENSE_WORK_LIMIT, so the first step of every
+        # trial is a MINRES step
         batches = []
 
         def recorded(*args, **kwargs):
@@ -528,8 +559,8 @@ class TestUniquenessProbe:
         monkeypatch.setattr(lane_emden, "_newton_batch", recorded)
         params = SphereParams(n=3, m=1)
         f = Nonlinearity.single_power(1.0, 3.0, params)
-        assert 50 * 25 >= lane_emden._KRYLOV_MIN_SIZE
-        rep = uniqueness_probe(1, 3, f, trials=50, seed=4, K=24)
+        assert 50 * 49**2 >= lane_emden._DENSE_WORK_LIMIT
+        rep = uniqueness_probe(1, 3, f, trials=50, seed=4, K=48)
         assert rep.converged == 50
         assert set(rep.to_dict()) == {  # the probe report carries no Krylov count
             "m", "n", "nonlinearity", "trials", "constant_value", "converged", "nonconverged",
@@ -538,6 +569,23 @@ class TestUniquenessProbe:
             "regularized", "median_nehari_scale",
         }
         assert all(r.krylov_iters > 0 for r in batches[0])
+
+    def test_probe_batches_below_the_crossover_run_lu(self, monkeypatch):
+        # 50 trials x 25^2 < _DENSE_WORK_LIMIT, so every step is one stacked
+        # LU solve
+        batches = []
+
+        def recorded(*args, **kwargs):
+            batches.append(newton_batch(*args, **kwargs))
+            return batches[-1]
+
+        newton_batch = lane_emden._newton_batch
+        monkeypatch.setattr(lane_emden, "_newton_batch", recorded)
+        f = Nonlinearity.single_power(1.0, 4.0, SphereParams(n=3, m=1))
+        assert 50 * 25**2 < lane_emden._DENSE_WORK_LIMIT
+        rep = uniqueness_probe(1, 3, f, trials=50, seed=4, K=24)
+        assert rep.converged == 50 and rep.nonconstant == 0
+        assert len(batches[0]) == 50 and all(r.krylov_iters == 0 for r in batches[0])
 
     @pytest.mark.parametrize("n,m,p,K", [(5, 2, 5.0, 48), (7, 2, 3.0, 96)])
     def test_energy_merit_leaves_no_stalled_trial(self, n, m, p, K):
