@@ -26,7 +26,9 @@ collect numerical evidence and archive anything that converges elsewhere.
 A probe scales each random start onto the Nehari manifold
 <Pu, u> = int f(u+) u+, which holds every nontrivial solution and meets each
 positive ray once because f(t)/t increases (Nehari, Trans. AMS 95, 1960), so
-Newton starts at the right amplitude and keeps the start's shape.
+Newton starts at the right amplitude and keeps the start's shape.  That
+point, like c* on the ray u = 1, is the root of a concave fibre map in the
+per-term moments int (u+)^(p_i+1), which one monotone Newton finds for any f.
 
 The verifiers check the planar conclusions on pulled back profiles: monotone
 decay, and nonnegativity of the intermediate iterated Laplacians.  Both are
@@ -146,8 +148,9 @@ def constant_solution(m: int, n: int, f: Nonlinearity) -> float | None:
 
     Returns 0.0 when f vanishes identically, None when no positive root exists
     (including the resonant all-linear cases); raises DomainError when the
-    root lies past the double range.  The root is the fibre root on the ray
-    u = 1, where <Pu, u> = int f(u+) u+ reads Lambda_0 c = f(c).
+    root is above the largest or below the smallest normal double.  The root
+    is the fibre root on the ray u = 1, where <Pu, u> = int f(u+) u+ reads
+    Lambda_0 c = f(c) and every moment is 1.
     """
     lam0 = gjms_lambda0(m, n)
     if not f.terms:
@@ -157,53 +160,41 @@ def constant_solution(m: int, n: int, f: Nonlinearity) -> float | None:
         return None  # either only c = 0, or a whole ray when linear == lam0
     if linear >= lam0:
         return None  # no root: superlinear terms only push lam0 c - f(c) further down
-    return float(_fibre_roots(f, np.array([lam0]), np.ones((1, 1)), np.ones(1))[0])
+    return float(_fibre_roots(f, np.array([lam0]), np.ones((1, len(f.terms))))[0])
 
 
-# f overflows to inf, where g < 0, when s nears the top of the double range;
-# a Newton quotient is only kept where its slope is negative
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _fibre_roots(f: Nonlinearity, E: np.ndarray, U: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The positive root s of s E = sum_i w_i f(s U_i) U_i for each entry of E and row of U.
+@np.errstate(over="ignore", divide="ignore")
+def _fibre_roots(f: Nonlinearity, E: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """The positive root s of s E = sum_i a_i M_i s^(p_i) for each entry of E and row of M.
 
-    With E = <Pc, c> and U = B c the node values of a row c, s c is the one
-    point of the ray through c on the Nehari manifold <Pu, u> = int f(u+) u+
-    (f(t)/t increasing).  g(s) = s E - sum w f(s U) U is concave with
-    g(0) = 0 and g > 0 near 0, which needs E > a_1 sum w U^2 for the linear
-    coefficient a_1.  Raises DomainError when a root lies past the double
-    range.
+    M[r, i] = sum_j w_j (u_j+)^(p_i+1) and E = <Pc, c> for a ray c with node
+    values u = B c put s c on the Nehari manifold (f(t)/t increasing).  Linear
+    terms fold into E' = E - sum_{p_i=1} a_i M_i > 0; g(s) = s E' - sum a_i
+    M_i s^(p_i) is concave, so Newton from the least root of one superlinear
+    term alone, min_i (E' / (a_i M_i))^(1/(p_i-1)), falls monotonically onto
+    the root.  Its step s (1 - h/g'), h = g/s, forms no s^(p_i).  Raises
+    DomainError when a root lies past either end of the double range.
     """
-    overflow = DomainError("the positive root of s <Pu, u> = int f(s u+) u+ overflows a double")
-    wU = w * U
-
-    def g(s, E, U, wU):
-        return s * E - (f(s[:, None] * U) * wU).sum(axis=1)
-
-    hi, rows = np.ones(len(E)), np.arange(len(E))
-    while rows.size:
-        # not >= 0, so a nan g (inf - inf) keeps doubling
-        rows = rows[~(g(hi[rows], E[rows], U[rows], wU[rows]) < 0.0)]
-        hi[rows] *= 2.0
-        if np.isinf(hi).any():
-            raise overflow
-    # g(lo) > 0, as the linear part dominates near 0; Newton from hi, where
-    # g < 0, falls monotonically onto the root, and bisection keeps every
-    # iterate in (lo, hi) against rounding.  Rows leave once they stop moving.
-    s, idx, c, lo = np.empty(len(E)), np.arange(len(E)), hi, np.full(len(E), 1e-300)
-    for _ in range(200):
-        gc = g(c, E, U, wU)
-        lo, hi = np.where(gc > 0.0, c, lo), np.where(gc > 0.0, hi, c)
-        slope = E - (f.slope(c[:, None] * U) * wU * U).sum(axis=1)
-        mid = 0.5 * (lo + hi)
-        nxt = np.where(slope < 0.0, c - gc / slope, mid)
-        done = (gc == 0.0) | (np.abs(nxt - c) <= 2.0 * np.finfo(float).eps * c)
-        s[idx[done]] = c[done]
-        c = np.where((lo < nxt) & (nxt < hi), nxt, mid)
-        if done.all():
+    a, p = np.array(f.terms).T
+    linear = p == 1.0
+    E = E - (a[linear] * M[:, linear]).sum(axis=1)
+    aM, q = a[~linear] * M[:, ~linear], p[~linear] - 1.0
+    s = np.min((E[:, None] / aM) ** (1.0 / q), axis=1)
+    if np.isinf(s).any():
+        raise DomainError("the positive root of s <Pu, u> = int f(s u+) u+ overflows a double")
+    while True:
+        t = aM * s[:, None] ** q
+        h = E - t.sum(axis=1)
+        # g' = h - sum (p_i - 1) a_i M_i s^(p_i - 1) < 0 near and past the root
+        step = s * (1.0 - h / (h - (q * t).sum(axis=1)))
+        lower = step < s  # h > 0 below the root, so a step never lowers s there
+        if not lower.any():
             break
-        idx, c, lo, hi, E, U, wU = (a[~done] for a in (idx, c, lo, hi, E, U, wU))
-    else:
-        s[idx] = c
+        s = np.where(lower, step, s)
+    if (s < np.finfo(float).tiny).any():
+        raise DomainError(
+            "the positive root of s <Pu, u> = int f(s u+) u+ is below the smallest normal double"
+        )
     return s
 
 
@@ -493,9 +484,10 @@ def uniqueness_probe(
     """Run `trials` seeded Newton solves from random positive starts on one workspace.
 
     Each start is a probe_start draw c scaled to s c on the Nehari manifold
-    s^2 <Pc, c> = int f(s u+) s u+, u = B c, all trials in one call; a single
-    power a t^q has s^(q-1) = <Pc, c> / (a int (u+)^(q+1)).  Without a positive
-    constant the draws stay as they are.  Every converged outcome with
+    s^2 <Pc, c> = int f(s u+) s u+, u = B c, by one root-finder call on the
+    moments int (u+)^(p_i+1) of each term; a c* past either end of the double
+    range is a DomainError.  Without a positive constant the draws stay as
+    they are.  Every converged outcome with
     nonnegative values is classified against the constant; anything
     nonconstant is archived with full coefficients.  For purely linear f the
     equation is diagonal and the report carries the kernel dimension instead
@@ -528,14 +520,10 @@ def uniqueness_probe(
         [probe_start(ws, base, np.random.default_rng([seed, t])).coeffs for t in range(trials)]
     )
     if c_star:  # f(t)/t increases, so each positive ray meets the Nehari manifold once
-        rays = starts / base  # rows of order 1, so <Pc, c> and int (u+)^(q+1) stay in range
-        E, U = rays**2 @ ws.lam, rays @ ws.basis.T
-        if len(f.terms) == 1:
-            ((a, q),) = f.terms
-            power = a * (ws.weights * _term_power(U, q + 1.0)).sum(axis=1)
-            scale = (E / power) ** (1.0 / (q - 1.0)) / base
-        else:
-            scale = _fibre_roots(f, E, U, ws.weights) / base
+        rays = starts / base  # rows of order 1, so <Pc, c> and int (u+)^(p+1) stay in range
+        U, w = rays @ ws.basis.T, ws.weights
+        M = np.stack([(w * _term_power(U, p + 1.0)).sum(axis=1) for _, p in f.terms], axis=1)
+        scale = _fibre_roots(f, rays**2 @ ws.lam, M) / base
         starts *= scale[:, None]
         report.median_nehari_scale = float(np.median(scale))
     for trial, result in enumerate(_newton_batch(ws, f, starts, tol, 60, c_star)):

@@ -278,19 +278,22 @@ def zonal_basis(rule: QuadratureRule, params: SphereParams, K: int) -> np.ndarra
 
 
 def norm2(x: np.ndarray, axis: int | None = None):
-    """2-norm of x, or of each slice along axis, without overflow on finite entries.
+    """2-norm of x, or of each slice along axis, without overflow or underflow.
 
-    np.linalg.norm squares the entries, so finite ones past about 1e154 give
-    inf (and numpy's overflow warning, unless the caller ignores overflow);
-    only such slices are divided by their largest magnitude and taken again,
-    so every other norm keeps np.linalg.norm's bits.
+    np.linalg.norm squares the entries: finite ones past about 1e154 give inf
+    (and numpy's overflow warning, unless the caller ignores overflow), and
+    a norm below 1e-150 has lost bits to subnormal or zero squares.  Only such
+    finite, nonzero slices are divided by their largest magnitude and taken
+    again, so every other norm keeps np.linalg.norm's bits.
     """
     r = np.linalg.norm(x, axis=axis)
-    if (math.isinf(r) if axis is None else np.isinf(r).any()):
-        with np.errstate(over="ignore", invalid="ignore"):
-            over = np.isinf(r) & np.isfinite(x).all(axis=axis)
-            s = np.max(np.abs(x), axis=axis, keepdims=True)
-            return np.where(over, np.squeeze(s, axis) * np.linalg.norm(x / s, axis=axis), r)
+    redo = np.isinf(r) | (r < 1e-150)
+    if redo.any():
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            s = np.max(np.abs(x), axis=axis, keepdims=True, initial=0.0)
+            top = np.squeeze(s, axis)
+            redo &= np.isfinite(top) & (top > 0.0)
+            return np.where(redo, top * np.linalg.norm(x / s, axis=axis), r)
     return r
 
 

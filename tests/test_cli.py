@@ -438,6 +438,9 @@ class TestDoubleRangeAndOutputPaths:
             ["verify", "--n", "170", "--m", "1"],  # the constant root is about 1e324
             ["solve", "--p", "1.001", "--init", "bubble:2"],  # the bubble scale is 3^1000
             ["probe", "--f", "1:1", "--trials", "-5", "--K", "4"],
+            # the constant root (0.75 / 1e300)^2 = 5.6e-601 underflows a double
+            ["probe", "--n", "3", "--m", "1", "--f", "1e300:1.5", "--K", "8", "--trials", "4"],
+            ["solve", "--n", "3", "--m", "1", "--f", "1e300:1.5", "--K", "8"],
         ],
     )
     def test_is_a_usage_error(self, tmp_path, capsys, argv):
@@ -458,6 +461,24 @@ class TestDoubleRangeAndOutputPaths:
         assert code == 0
         root = json.loads(out)["results"]["constant_solution"]
         assert root == pytest.approx((23.0 * 24.0) ** (1.0 / 0.03), rel=1e-12)  # 2.5e91
+
+    def test_constant_roots_far_below_one(self, capsys):
+        # c* = 5.6e-121 for 1e60 t^1.5 and 5.6e-201 for 1e100 t^1.5, whose
+        # coefficients square to below the smallest double
+        code, out, _ = run(capsys, "probe", "--n", "3", "--m", "1", "--f", "1e60:1.5",
+                           "--K", "8", "--trials", "4", "--format", "json")
+        assert code == 0
+        probe = json.loads(out)["results"]["probe"]
+        assert (probe["constant"], probe["zero"]) == (4, 0)
+        assert probe["constant_value"] == pytest.approx(5.625e-121, rel=1e-14, abs=0.0)
+        code, out, _ = run(capsys, "solve", "--n", "3", "--m", "1", "--f", "1e100:1.5",
+                           "--K", "8", "--init", "random", "--format", "json")
+        assert code == 0
+        results = json.loads(out)["results"]
+        solve, c_star = results["solve"], results["constant_solution"]
+        assert c_star == pytest.approx(5.625e-201, rel=1e-14, abs=0.0)
+        assert (solve["stop_reason"], solve["classification"]) == ("tolerance", "constant")
+        assert solve["iters"] > 0 and 0.0 < solve["rel_residual"] <= 1e-12
 
     def test_kernel_spectrum_below_the_double_range(self, capsys):
         # for (341, 52) mu_K drops below the smallest normal double at K = 537,

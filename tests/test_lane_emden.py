@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -127,6 +128,49 @@ class TestConstantSolution:
         f = Nonlinearity.single_power(1.0, 1.001, SphereParams(n=5, m=1))
         with pytest.raises(DomainError, match="overflows a double"):
             constant_solution(1, 5, f)
+
+    @pytest.mark.parametrize(
+        "n,m,terms",
+        [
+            (400, 1, [(2e4, 1.005)]),
+            (100, 1, [(1.0, 1.0204)]),
+            (48, 1, [(1.0, 1.03)]),
+            (13, 5, [(1.0, 1.05)]),
+            (9, 2, [(1.0, 1.143)]),
+            (3, 1, [(1e60, 1.5)]),  # c* = 5.6e-121
+            (3, 1, [(1e-300, 3.0)]),  # c* = 8.7e149
+            (11, 5, [(1.0, 20.8)]),
+            (5, 2, [(0.5, 1.0), (2.0, 1.7), (0.1, 4.0)]),
+            (3, 1, [(1e-200, 2.0), (1e200, 4.0)]),  # c* = 2.0e-67
+            (7, 2, [(0.3, 1.0), (1.5, 1.2), (4.0, 2.5), (1e-3, 3.5)]),
+        ],
+    )
+    def test_root_to_sixty_digits(self, n, m, terms):
+        # the root of Lambda_0 = sum a_i c^(p_i - 1) for the double inputs, by
+        # Newton in x = log c at 60 digits; the bound is 8 eps times the root's
+        # condition number sum a_i c^(p_i - 1) / sum (p_i - 1) a_i c^(p_i - 1)
+        f = Nonlinearity.from_terms(terms, SphereParams(n=n, m=m))
+        got = constant_solution(m, n, f)
+        with mpmath.workdps(60):
+            lam0 = mpmath.mpf(gjms_lambda0(m, n))
+            ap = [(mpmath.mpf(a), mpmath.mpf(p) - 1) for a, p in f.terms]
+            x = mpmath.log(got)
+            for _ in range(100):
+                h = lam0 - sum(a * mpmath.exp(q * x) for a, q in ap)
+                step = h / sum(a * q * mpmath.exp(q * x) for a, q in ap)
+                x += step
+                if abs(step) < mpmath.mpf(10) ** -55:
+                    break
+            ref = mpmath.exp(x)
+            kappa = float(lam0 / sum(a * q * ref**q for a, q in ap))
+            rel = float(abs(mpmath.mpf(got) - ref) / ref)
+        assert rel <= 8.0 * np.finfo(float).eps * max(1.0, kappa)
+
+    def test_root_below_the_double_range_is_a_domain_error(self):
+        # (0.75 / 1e300)^2 = 5.6e-601 underflows a double
+        f = Nonlinearity.single_power(1e300, 1.5, SphereParams(n=3, m=1))
+        with pytest.raises(DomainError, match="below the smallest normal double"):
+            constant_solution(1, 3, f)
 
     def test_no_positive_root(self):
         params = SphereParams(n=3, m=1)
@@ -323,9 +367,10 @@ class TestSolveNewton:
         assert (res.stop_reason, res.iters, res.classification) == ("tolerance", 1, "zero")
         assert not res.solution.coeffs.any()
 
-    @pytest.mark.parametrize("a,q", [(1e30, 3.0), (1.0, 1.005)])
+    @pytest.mark.parametrize("a,q", [(1e30, 3.0), (1.0, 1.005), (1e100, 1.5)])
     def test_constant_below_tol_is_not_taken_for_zero(self, a, q):
-        # c* is 8.7e-16 for 1e30 t^3 and 1e-25 for t^1.005: a single power is
+        # c* is 8.7e-16 for 1e30 t^3, 1e-25 for t^1.005 and 5.6e-201 for
+        # 1e100 t^1.5, whose squares underflow a double: a single power is
         # scale-equivariant, so Newton from a random start reaches it as from
         # any other constant, and no floor of 1 on the zero snap may cut it off
         params = SphereParams(n=3, m=1)
@@ -690,8 +735,8 @@ class TestUniquenessProbe:
 
     @pytest.mark.parametrize("n,m,q", [(9, 2, 1.143), (9, 2, 2.5), (3, 1, 3.0), (5, 2, 7.0)])
     def test_closed_form_scale_matches_the_root_finder(self, monkeypatch, n, m, q):
-        # the probe scales a single power's starts by the closed form; the
-        # Newton and bisection root finder gives the same scales
+        # a single power a t^q has the fibre root s^(q-1) = <Pc, c> / (a int (u+)^(q+1)),
+        # the root finder's start; the probe's scales are that closed form
         starts = []
 
         def recorded(ws, f, C, *args, **kwargs):
@@ -707,9 +752,9 @@ class TestUniquenessProbe:
         draws = [probe_start(ws, c_star, np.random.default_rng([5, t])).coeffs for t in range(8)]
         rays = np.array(draws) / c_star
         E, U = rays**2 @ ws.lam, rays @ ws.basis.T
-        found = lane_emden._fibre_roots(f, E, U, ws.weights) / c_star
-        closed = starts[0][:, 0] / rays[:, 0] / c_star
-        np.testing.assert_allclose(closed, found, rtol=1e-13, atol=0.0)
+        power = 2.0 * (ws.weights * np.maximum(U, 0.0) ** (q + 1.0)).sum(axis=1)
+        closed = (E / power) ** (1.0 / (q - 1.0))
+        np.testing.assert_allclose(starts[0][:, 0] / rays[:, 0], closed, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize(
         "n,m,q",
@@ -732,6 +777,14 @@ class TestUniquenessProbe:
         rep = uniqueness_probe(1, 3, f, trials=20, seed=0, K=16)
         assert (rep.constant, rep.zero, rep.fraction_constant) == (20, 0, 1.0)
         assert rep.max_constant_rel_err <= 1e-10
+
+    @pytest.mark.parametrize("terms", [[(1e60, 1.5)], [(1e-200, 2.0), (1e200, 4.0)]])
+    def test_probe_with_a_constant_far_below_one(self, terms):
+        # c* = 5.6e-121 and 2.0e-67: every trial reaches it
+        f = Nonlinearity.from_terms(terms, SphereParams(n=3, m=1))
+        rep = uniqueness_probe(1, 3, f, trials=4, seed=0, K=8)
+        assert (rep.constant, rep.zero, rep.fraction_constant) == (4, 0, 1.0)
+        assert rep.max_constant_rel_err <= 1e-12
 
     def test_unscaled_starts_report_no_nehari_scale(self):
         # without a positive constant there is no Nehari point to move to

@@ -612,10 +612,29 @@ class TestLpNorm:
 class TestNorm2:
     def test_in_range_bits_are_numpys(self):
         rng = np.random.default_rng(8)
-        for scale in (1e-300, 1e-5, 1.0, 1e150):
+        for scale in (1e-140, 1e-5, 1.0, 1e150):
             x = scale * rng.standard_normal((7, 13))
             assert norm2(x) == np.linalg.norm(x)
             assert np.array_equal(norm2(x, axis=1), np.linalg.norm(x, axis=1))
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-300, 1e-320])
+    def test_entries_below_the_square_root_of_the_smallest_double(self, scale):
+        # their squares are subnormal or zero: norm2([3e-200, 0]) once read 0.0
+        rng = np.random.default_rng(8)
+        x = scale * rng.standard_normal((7, 13))
+        assert norm2(x) == pytest.approx(math.hypot(*x.ravel()), rel=1e-15, abs=0.0)
+        for got, row in zip(norm2(x, axis=1), x):
+            assert got == pytest.approx(math.hypot(*row), rel=1e-15, abs=0.0)
+        assert norm2(np.array([3e-200, 0.0])) == 3e-200
+
+    def test_zero_and_empty_slices(self):
+        assert norm2(np.zeros(3)) == 0.0 and norm2(np.zeros(0)) == 0.0
+        np.testing.assert_array_equal(norm2(np.zeros((2, 3)), axis=1), [0.0, 0.0])
+        assert norm2(np.zeros((3, 0)), axis=1).tolist() == [0.0, 0.0, 0.0]
+        assert norm2(np.zeros((0, 4)), axis=1).shape == (0,)
+        got = norm2(np.array([[0.0, 0.0], [3e-200, 4e-200], [3.0, 4.0]]), axis=1)
+        assert got[0] == 0.0 and got[2] == 5.0
+        assert got[1] == pytest.approx(5e-200, rel=1e-15, abs=0.0)
 
     def test_finite_entries_past_the_square_root_of_the_double_range(self):
         # squaring 3e200 overflows; the rescaled norm is 5e200
