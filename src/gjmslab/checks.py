@@ -16,7 +16,7 @@ from .closed_forms import sharp_constant
 from .conformal import angle_from_radius, bubble_on_sphere, pullback_to_plane, radius_from_angle
 from .errors import DomainError
 from .kernels import IDENTITY_TOLERANCE, funk_hecke_spectrum, green_constant
-from .lane_emden import Nonlinearity, _minres, constant_solution
+from .lane_emden import Nonlinearity, _minres, _preconditioner, constant_solution
 from .spectral import (
     GjmsSpectrum,
     SphereParams,
@@ -121,8 +121,9 @@ def verify_checks(m: int, n: int, K: int, seed: int, trials: int):
 
     # the constant solution of P u = u^q is a fixed point of u -> P^{-1} f(u)
     f = Nonlinearity.single_power(1.0, (1.0 + params.critical_equation_exponent) / 2.0, params)
+    c_value = constant_solution(m, n, f)
     c_star = np.zeros(K + 1)
-    c_star[0] = constant_solution(m, n, f) * math.sqrt(area)
+    c_star[0] = c_value * math.sqrt(area)
     image = ws.basis.T @ (ws.weights * f(ws.basis @ c_star)) / ws.lam
     add(
         "constant-green-fixed-point",
@@ -216,7 +217,8 @@ def verify_checks(m: int, n: int, K: int, seed: int, trials: int):
 
     # a MINRES step near the constant of t^q against LU on the Newton system
     # scaled by D = Lambda^(-1/2) (unscaled LU loses digits at high K), in the
-    # scaled norm; its error is cond times its residual, so it runs to 1e-14
+    # scaled norm, unpreconditioned and with the preconditioner Newton uses;
+    # its error is cond times its residual, so it runs to 1e-14
     c = ws.damped_draw(np.random.default_rng([seed, 1]))
     c = c_star + c * (0.1 * c_star[0] * ws.basis[0, 0] / np.max(np.abs(ws.basis @ c)))
     V, root = ws.basis @ c, np.sqrt(ws.lam)
@@ -225,8 +227,9 @@ def verify_checks(m: int, n: int, K: int, seed: int, trials: int):
     krylov_gap = 0.0
     for shift in (1.0, 1.01):  # tau = 0 and 1e-2
         dense = np.linalg.solve(shift * np.eye(K + 1) - DGD, b)
-        y = _minres(ws.basis / root, s[None], shift, b[None], 2 * K + 2, rtol=1e-14)[0][0]
-        krylov_gap = max(krylov_gap, np.linalg.norm(y - dense) / np.linalg.norm(dense))
+        for M in (None, _preconditioner(ws.lam, f, c_value, shift)):
+            Y, _ = _minres(ws.basis / root, s[None], shift, b[None], 2 * K + 2, 1e-14, M)
+            krylov_gap = max(krylov_gap, np.linalg.norm(Y[0] - dense) / np.linalg.norm(dense))
     add("newton-krylov-step", krylov_gap, 1e-12)
 
     return rows

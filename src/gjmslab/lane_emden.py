@@ -12,6 +12,12 @@ are one batch, a solve a batch of one.  Every step solves the scaled system
 (1+tau) I - D G D, D = Lambda^(-1/2), which is I minus a compact operator: a
 batch of rows * (K+1)^2 < 4e4 by one LU solve of the stacked matrices, a
 larger or singular one by MINRES in lockstep to a residual of 1e-12 ||D res||.
+MINRES is preconditioned by the matrix at the constant c*, where f'(c*) is
+constant and the Gauss rule makes B^T diag(w) B = I, so the system is the
+diagonal (1+tau) - f'(c*) / Lambda exactly (Wathen, Acta Numerica 24, 2015,
+on such spectrally equivalent preconditioners).  A probe is lockstep from
+draw to tally: its starts are one stack, its results are classified and
+counted with array operations.
 Iterates are measured against the coefficient norm c* sqrt|S^n| of the
 constant c*: past 1e8 times max(1, c* sqrt|S^n|) a row diverges, and within
 tol times c* sqrt|S^n| (tol when there is no positive c*) of c = 0, an exact
@@ -48,10 +54,11 @@ import numpy as np
 from .conformal import iterated_laplacians
 from .errors import DomainError
 from .spectral import SphereParams, Workspace, ZonalFunction, backtrack, basis_with_derivatives
-from .spectral import gjms_lambda0, norm2, rowdot
+from .spectral import gjms_lambda0, norm2, rowdot, rowwise
 
 CONSTANT_CLASS_TOL = 1e-7
 _DENSE_WORK_LIMIT = 4e4  # rows * (K+1)^2 below which a Newton batch is LU-solved
+_PRECONDITIONER_FLOOR = 1e-3  # the least entry of the MINRES preconditioner
 
 
 def _check_tolerance(tol: float) -> None:
@@ -118,15 +125,29 @@ class Nonlinearity:
         return cls.from_terms([(a, p)], params)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(np.asarray(u, dtype=float))
-        for a, p in self.terms:
-            out += a * _term_power(u, p)
-        return out
+        return self._sum(u, _term_power, False)
 
     def slope(self, u: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(np.asarray(u, dtype=float))
+        return self._sum(u, _term_slope, True)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _sum(self, u, power, chain: bool) -> np.ndarray:
+        # each term is a power(u, p) as written wherever that is finite and
+        # nonzero.  Where power(u, p) overflows or underflows, a = m 2^e and
+        # r = 2^round(e/p) give the term as b h(r u), b = m 2^(e - p log2 r),
+        # h = (u+)^p, and its slope as b r h'(r u): the powers of two scale
+        # exactly, so an integer p keeps the bits of the unscaled form
+        u = np.asarray(u, dtype=float)
+        out = np.zeros_like(u)
         for a, p in self.terms:
-            out += a * _term_slope(u, p)
+            term = a * power(u, p)
+            off = ~np.isfinite(term) | ((term == 0.0) & (u > 0.0))
+            if off.any():
+                m, e = math.frexp(a)
+                k = round(e / p)
+                b, r = m * 2.0 ** (e - k * p), 2.0**k
+                term = np.where(off, (b * r if chain else b) * power(r * u, p), term)
+            out += term
         return out
 
     @property
@@ -228,12 +249,14 @@ class SolveResult:
         return {**vars(self), "solution": self.solution.to_dict()}
 
 
-def _classify(u: ZonalFunction, diverged: bool) -> str:
-    if diverged:
-        return "diverged"
-    if not u.coeffs.any():
-        return "zero"  # f(0) = 0, so c = 0 solves every equation
-    return "constant" if u.distance_to_constant() <= CONSTANT_CLASS_TOL else "nonconstant"
+def _classify(C: np.ndarray, diverged: np.ndarray) -> list:
+    """The class of each row of coefficients C, or of one coefficient vector."""
+    total, rest = norm2(C, axis=-1), norm2(C[..., 1:], axis=-1)
+    distance = np.divide(rest, total, out=np.zeros_like(total), where=total > 0.0)
+    classes = np.where(distance <= CONSTANT_CLASS_TOL, "constant", "nonconstant")
+    classes[total == 0.0] = "zero"  # f(0) = 0, so c = 0 solves every equation
+    classes[diverged] = "diverged"
+    return classes.tolist()
 
 
 def solve_newton(
@@ -288,8 +311,9 @@ def _newton_batch(
     Each row keeps its own iterate, merit, counts, largest tau and stop
     reason.  A step is one LU solve of the (rows, K+1, K+1) stack of scaled
     Jacobians below _DENSE_WORK_LIMIT, else (or for a singular stack) one
-    MINRES run; each halving scale is one batched synthesis X B^T and analysis
-    (w f(V)) B over the rows still searching.
+    MINRES run preconditioned at c*; each halving scale is one batched
+    synthesis X B^T and analysis (w f(V)) B over the rows still searching.
+    Residuals, negativity and classes are computed for all rows at once.
     """
     B, w, lam = ws.basis, ws.weights, ws.lam
     root = np.sqrt(lam)
@@ -315,7 +339,8 @@ def _newton_batch(
             with contextlib.suppress(np.linalg.LinAlgError):
                 Y, krylov = np.linalg.solve(A, b[..., None])[..., 0], np.zeros(rows.size, int)
         if Y is None:
-            Y, krylov = _minres(BD, w * slopes, 1.0 + tau, b, 2 * lam.size)
+            M = _preconditioner(lam, f, c_star, 1.0 + tau)
+            Y, krylov = _minres(BD, w * slopes, 1.0 + tau, b, 2 * lam.size, precond=M)
         S = Y / root
         finite = np.isfinite(S).all(axis=1)
         left, rows, S, krylov = rows[~finite], rows[finite], S[finite], krylov[finite]
@@ -362,38 +387,66 @@ def _newton_batch(
         zero = moved & (cnorm <= near_zero)
         for a in (C, R, V, merit, cnorm):
             a[zero] = 0.0
-    results = []
-    rows = zip(C, V, norm2(R, axis=1), rel, iters, stop, max_tau, krylov_iters)
-    for c, v, res, rel_i, it, code, tau, kry in rows:
-        u, reason = ZonalFunction(ws.params, c), STOP_REASONS[code]
-        results.append(
-            SolveResult(
-                solution=u,
-                residual=float(res),
-                rel_residual=float(rel_i),
-                iters=int(it),
-                stop_reason=reason,
-                classification=_classify(u, reason == "diverged"),
-                negativity=float(min(np.min(v), 0.0)),
-                converged=reason == "tolerance",
-                max_tau=float(tau),
-                krylov_iters=int(kry),
-            )
+    rows = zip(
+        ZonalFunction._rows(ws.params, C), norm2(R, axis=1).tolist(), rel.tolist(),
+        iters.tolist(), stop.tolist(), _classify(C, stop == 3),
+        np.minimum(np.min(V, axis=1), 0.0).tolist(), max_tau.tolist(), krylov_iters.tolist(),
+    )
+    return [
+        SolveResult(
+            solution=u,
+            residual=res,
+            rel_residual=rel_i,
+            iters=it,
+            stop_reason=STOP_REASONS[code],
+            classification=cls,
+            negativity=neg,
+            converged=code == 0,
+            max_tau=tau,
+            krylov_iters=kry,
         )
-    return results
+        for u, res, rel_i, it, code, cls, neg, tau, kry in rows
+    ]
 
 
-def _minres(BD, S, shift, b, maxiter, rtol=1e-12):
+def _preconditioner(lam, f: Nonlinearity, c_star: float | None, shift: float):
+    """The diagonal that shift I - D G D, D = Lambda^(-1/2), is exactly at u = c*.
+
+    There f'(u) = f'(c*) is constant and the Gauss rule makes B^T diag(w) B
+    = I, so the matrix is diag(shift - f'(c*) / Lambda).  Its magnitudes,
+    floored at _PRECONDITIONER_FLOOR, are an SPD preconditioner for _minres;
+    None (the identity) when there is no positive c*.
+    """
+    if not c_star:
+        return None
+    return np.maximum(np.abs(shift - f.slope(np.array(c_star)) / lam), _PRECONDITIONER_FLOOR)
+
+
+def _minres(BD, S, shift, b, maxiter, rtol=1e-12, precond=None):
     """MINRES (Paige & Saunders, 1975) on (shift I - BD^T diag(s) BD) y = b in
     lockstep for each row s of S and row of b, BD a scaled basis: the y and
-    iteration counts.  A row stops once its residual estimate phibar is <= rtol
-    ||b||, at beta = 0 (an invariant Krylov space, as for a singular consistent
-    system) or after maxiter iterations; only running rows enter the products.
+    iteration counts.
+
+    precond, a positive diagonal M (None: the identity), enters split: the
+    recurrence runs on M^(-1/2) A M^(-1/2) and M^(-1/2) b, the same iterates
+    as Paige and Saunders' preconditioned form, with no extra product per
+    iteration and every norm a norm2.  Its residual estimate phibar is then
+    ||r||_(M^-1) >= ||r|| / sqrt(max M), so a row stops once phibar
+    sqrt(max M) <= rtol ||b||, which holds the true residual to rtol ||b||;
+    or at beta = 0 (an invariant Krylov space, as for a singular consistent
+    system), or after maxiter iterations.  Only running rows enter the
+    products.
     """
     Y, iters, beta = np.zeros_like(b), np.zeros(len(b), dtype=int), norm2(b, axis=1)
     idx = np.flatnonzero(beta > 0.0)  # y = 0 solves b = 0
+    stop, split = rtol * beta[idx], 1.0
+    if precond is not None:
+        split = 1.0 / np.sqrt(precond)
+        BD, shift, b = BD * split, shift * split**2, b * split
+        stop *= np.min(split)  # 1 / sqrt(max M)
+        beta = norm2(b, axis=1)
     S, r2, phibar = S[idx], b[idx], beta[idx]
-    beta, stop, it = phibar.copy(), rtol * phibar, 0
+    beta, it = phibar.copy(), 0
     x, r1, w, w2 = (np.zeros_like(r2) for _ in range(4))
     oldb, cs, sn, dbar, epsln = np.ones(idx.size), -np.ones(idx.size), *np.zeros((3, idx.size))
     while idx.size:
@@ -419,7 +472,7 @@ def _minres(BD, S, shift, b, maxiter, rtol=1e-12):
             idx, S, x, r1, r2, w, w2, beta, oldb, phibar, stop, cs, sn, dbar, epsln = (
                 a[~done] for a in state
             )
-    return Y, iters
+    return Y * split, iters
 
 
 @dataclass
@@ -461,15 +514,22 @@ def probe_start(workspace: Workspace, base: float, rng: np.random.Generator) -> 
 
     When the draw dips below 0.05 base at a node, the nonconstant part c[1:]
     is scaled down just enough that the minimum over the nodes is that floor.
+    The one-row case of the probe's stacked draw.
     """
-    params, B = workspace.params, workspace.basis
-    c = workspace.damped_draw(rng, base * 0.3)
-    c[0] = base * rng.uniform(0.7, 2.0) * math.sqrt(params.area)
-    mean, low = c[0] * B[0, 0], float(np.min(B @ c))  # Y_0 is constant
+    return ZonalFunction(workspace.params, _probe_starts(workspace, base, [rng])[0])
+
+
+def _probe_starts(ws: Workspace, base: float, rngs) -> np.ndarray:
+    # one probe_start row per generator: each draws its damped modes, then its
+    # mean; the node minima come one row per BLAS call (spectral.rowwise), so
+    # every row has the bits it has alone
+    C = np.array([ws.damped_draw(rng, base * 0.3) for rng in rngs])
+    C[:, 0] = base * np.array([rng.uniform(0.7, 2.0) for rng in rngs]) * math.sqrt(ws.params.area)
+    mean, low = C[:, 0] * ws.basis[0, 0], np.min(rowwise(C, ws.basis.T), axis=1)  # Y_0 is constant
     floor = 0.05 * base
-    if low < floor:
-        c[1:] *= (mean - floor) / (mean - low)
-    return ZonalFunction(params, c)
+    dip = low < floor
+    C[dip, 1:] *= ((mean - floor) / (mean - low))[dip, None]
+    return C
 
 
 def uniqueness_probe(
@@ -483,15 +543,17 @@ def uniqueness_probe(
 ) -> ProbeReport:
     """Run `trials` seeded Newton solves from random positive starts on one workspace.
 
-    Each start is a probe_start draw c scaled to s c on the Nehari manifold
+    Each start is a probe_start draw c, made for all trials as one stack
+    with each trial's own generator, scaled to s c on the Nehari manifold
     s^2 <Pc, c> = int f(s u+) s u+, u = B c, by one root-finder call on the
     moments int (u+)^(p_i+1) of each term; a c* past either end of the double
     range is a DomainError.  Without a positive constant the draws stay as
-    they are.  Every converged outcome with
-    nonnegative values is classified against the constant; anything
-    nonconstant is archived with full coefficients.  For purely linear f the
-    equation is diagonal and the report carries the kernel dimension instead
-    of Newton runs.
+    they are.  The trials run as one _newton_batch, and the tallies are
+    array masks over its results: every converged outcome with nonnegative
+    values is classified against the constant; anything nonconstant is
+    archived with full coefficients.  For purely linear f the equation is
+    diagonal and the report carries the kernel dimension instead of Newton
+    runs.
     """
     _check_tolerance(tol)
     if trials < 1:
@@ -516,9 +578,7 @@ def uniqueness_probe(
         return report
 
     base = c_star if (c_star is not None and c_star > 0) else 1.0
-    starts = np.array(
-        [probe_start(ws, base, np.random.default_rng([seed, t])).coeffs for t in range(trials)]
-    )
+    starts = _probe_starts(ws, base, [np.random.default_rng([seed, t]) for t in range(trials)])
     if c_star:  # f(t)/t increases, so each positive ray meets the Nehari manifold once
         rays = starts / base  # rows of order 1, so <Pc, c> and int (u+)^(p+1) stay in range
         U, w = rays @ ws.basis.T, ws.weights
@@ -526,37 +586,35 @@ def uniqueness_probe(
         scale = _fibre_roots(f, rays**2 @ ws.lam, M) / base
         starts *= scale[:, None]
         report.median_nehari_scale = float(np.median(scale))
-    for trial, result in enumerate(_newton_batch(ws, f, starts, tol, 60, c_star)):
-        report.stop_reasons[result.stop_reason] += 1
-        report.regularized += result.max_tau > 0.0
-        if not result.converged:
-            continue
-        sol = result.solution
-        scale = max(abs(float(np.max(np.abs(sol.coeffs)))), 1e-30)
-        if result.negativity < -1e-8 * scale:
-            report.negative += 1
-            continue
-        # measured against the problem scale, not the (possibly tiny) iterate
-        if sol.l2_norm() <= 1e-8 * base * math.sqrt(params.area):
-            report.zero += 1
-            continue
-        if result.classification == "constant" and c_star:
-            rel = abs(sol.mean() - c_star) / c_star
-            report.constant += 1
-            report.max_constant_rel_err = max(report.max_constant_rel_err, rel)
-        else:
-            report.nonconstant += 1
-            report.counterexamples.append(
-                {
-                    "trial": trial,
-                    "residual": result.residual,
-                    "distance_to_constant": sol.distance_to_constant(),
-                    "coeffs": [float(v) for v in sol.coeffs],
-                }
-            )
-    reasons = report.stop_reasons
-    report.converged, report.diverged = reasons["tolerance"], reasons["diverged"]
-    report.nonconverged = reasons["max_iter"] + reasons["line_search_exhausted"]
+    results = _newton_batch(ws, f, starts, tol, 60, c_star)
+    reasons = [r.stop_reason for r in results]
+    report.stop_reasons = {reason: reasons.count(reason) for reason in STOP_REASONS}
+    report.regularized = sum(r.max_tau > 0.0 for r in results)
+    C = np.array([r.solution.coeffs for r in results])
+    converged = np.array([r.converged for r in results])
+    negativity = np.array([r.negativity for r in results])
+    # negative nodes and the zero function, both against the problem scale
+    negative = converged & (negativity < -1e-8 * np.maximum(np.max(np.abs(C), axis=1), 1e-30))
+    zero = converged & ~negative & (norm2(C, axis=1) <= 1e-8 * base * math.sqrt(params.area))
+    rest = converged & ~negative & ~zero
+    constant = rest & bool(c_star) & np.array([r.classification == "constant" for r in results])
+    rel = np.abs(C[constant, 0] / math.sqrt(params.area) - base) / base  # base = c* here
+    report.negative, report.zero = int(np.count_nonzero(negative)), int(np.count_nonzero(zero))
+    report.constant = int(np.count_nonzero(constant))
+    report.max_constant_rel_err = float(np.max(rel, initial=0.0))
+    for trial in np.flatnonzero(rest & ~constant).tolist():
+        sol = results[trial].solution
+        report.counterexamples.append(
+            {
+                "trial": trial,
+                "residual": results[trial].residual,
+                "distance_to_constant": sol.distance_to_constant(),
+                "coeffs": [float(v) for v in sol.coeffs],
+            }
+        )
+    report.nonconstant = len(report.counterexamples)
+    report.converged, report.diverged = reasons.count("tolerance"), reasons.count("diverged")
+    report.nonconverged = reasons.count("max_iter") + reasons.count("line_search_exhausted")
     pool = report.zero + report.constant + report.nonconstant
     report.fraction_constant = (
         (report.zero + report.constant) / pool if pool else 0.0

@@ -111,6 +111,26 @@ class MinimizationResult:
         return {**fields, "minimizer": self.minimizer.to_dict()}
 
 
+# np.linalg.cholesky raises for a whole stack; the private gufunc behind it
+# gives a failed matrix nan.  Any numpy release may drop that name, so it is
+# looked up once, and per-row np.linalg.cholesky calls stand in when it is gone
+_CHOLESKY_LO = getattr(getattr(np.linalg, "_umath_linalg", None), "cholesky_lo", None)
+
+
+def _cholesky_succeeds(L: np.ndarray) -> np.ndarray:
+    """Whether a Cholesky factorization of each matrix of the stack L succeeds; L is overwritten."""
+    if _CHOLESKY_LO is not None:
+        with np.errstate(invalid="ignore"):
+            return ~np.isnan(_CHOLESKY_LO(L, out=L)[:, -1, -1])
+    ok = np.ones(len(L), dtype=bool)
+    for i, a in enumerate(L):
+        try:
+            np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            ok[i] = False
+    return ok
+
+
 def _newton_step(ws: Workspace, X: np.ndarray, p: float, val: np.ndarray, grad: np.ndarray):
     """Saddle-free Newton steps on the p-sphere at the p-normalized rows of X.
 
@@ -147,11 +167,7 @@ def _newton_step(ws: Workspace, X: np.ndarray, p: float, val: np.ndarray, grad: 
     T = H @ Z  # Z^T H Z
     del H
     r = rowwise(scale * grad, Z)
-    # np.linalg.cholesky raises for a whole stack; its gufunc gives a failed matrix nan
-    L = T - SADDLE_FREE_FLOOR * np.eye(ws.K)
-    with np.errstate(invalid="ignore"):
-        certified = ~np.isnan(np.linalg._umath_linalg.cholesky_lo(L, out=L)[:, -1, -1])
-    del L
+    certified = _cholesky_succeeds(T - SADDLE_FREE_FLOOR * np.eye(ws.K))
     y = np.empty_like(r)
     y[certified] = np.linalg.solve(T[certified], r[certified][..., None])[..., 0] / 2.0
     evals, E = np.linalg.eigh(T[~certified])

@@ -313,6 +313,18 @@ class ZonalFunction:
             raise DomainError("zonal coefficients must be finite")
         self.coeffs = c
 
+    @classmethod
+    def _rows(cls, params: SphereParams, C: np.ndarray) -> list:
+        """One function per row of a float stack C, checked finite once for the stack."""
+        if not np.isfinite(C).all():
+            raise DomainError("zonal coefficients must be finite")
+        rows = []
+        for c in C:
+            u = cls.__new__(cls)
+            u.params, u.coeffs = params, c
+            rows.append(u)
+        return rows
+
     @property
     def K(self) -> int:
         return len(self.coeffs) - 1

@@ -480,6 +480,22 @@ class TestDoubleRangeAndOutputPaths:
         assert (solve["stop_reason"], solve["classification"]) == ("tolerance", "constant")
         assert solve["iters"] > 0 and 0.0 < solve["rel_residual"] <= 1e-12
 
+    def test_right_hand_sides_whose_powers_leave_the_double_range(self, capsys):
+        # (u+)^3 overflows at c* = 8.7e149 although 1e-300 (u+)^3 does not, and
+        # (u+)^2 underflows at c* = 7.5e-201 although 1e200 (u+)^2 does not
+        code, out, _ = run(capsys, "solve", "--n", "3", "--m", "1", "--f", "1e-300:3", "--K", "8",
+                           "--init", "constant", "--format", "json")
+        assert code == 0
+        solve = json.loads(out)["results"]["solve"]
+        assert (solve["stop_reason"], solve["classification"]) == ("tolerance", "constant")
+        assert solve["rel_residual"] <= 1e-12
+        code, out, _ = run(capsys, "probe", "--n", "3", "--m", "1", "--f", "1e200:2,1e-200:4",
+                           "--K", "8", "--trials", "4", "--format", "json")
+        assert code == 0
+        probe = json.loads(out)["results"]["probe"]
+        assert (probe["constant"], probe["zero"]) == (4, 0)
+        assert probe["max_constant_rel_err"] <= 1e-12
+
     def test_kernel_spectrum_below_the_double_range(self, capsys):
         # for (341, 52) mu_K drops below the smallest normal double at K = 537,
         # while Lambda_K is still finite

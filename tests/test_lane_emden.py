@@ -81,6 +81,31 @@ class TestNonlinearity:
         np.testing.assert_array_equal(f(pos), old_value)
         np.testing.assert_array_equal(f.slope(pos), old_slope)
 
+    @pytest.mark.parametrize(
+        "a,p,u,rtol",
+        [
+            (1e-300, 3.0, 8.660254037844386e149, 1e-15),
+            (1e200, 2.0, 7.5e-201, 1e-15),
+            (1e-200, 2.5, 1e120, 1e-15),
+            (1e-250, 2.3, 1e140, 2e-13),
+        ],
+    )
+    def test_terms_whose_powers_leave_the_double_range(self, a, p, u, rtol):
+        # (u+)^p overflows or underflows where a (u+)^p does not; f and its
+        # slope then scale u by a power of two, exactly, and a by its inverse,
+        # which is exact too where p is short in binary
+        f = Nonlinearity.single_power(a, p, SphereParams(n=3, m=1))
+        x = np.array([u, 2.0 * u, -u])
+        value, slope = f(x), f.slope(x)
+        exact = [mpmath.mpf(a) * mpmath.mpf(float(v)) ** p for v in x[:2]]
+        exact_slope = [p * mpmath.mpf(a) * mpmath.mpf(float(v)) ** (p - 1) for v in x[:2]]
+        for got, want in zip(value, exact):
+            assert abs(got - want) <= rtol * want
+        for got, want in zip(slope, exact_slope):
+            assert abs(got - want) <= rtol * want
+        assert value[2] == 0.0 and slope[2] == 0.0
+        assert float(f(np.float64(u))) == value[0]
+
 
 class TestConstantSolution:
     def test_cubic_n3(self):
@@ -480,6 +505,68 @@ class TestMinres:
         assert np.isfinite(Y).all() and iters[0] <= 4
         assert np.linalg.norm(b + DGD @ Y[0]) <= 1e-12 * np.linalg.norm(b)
 
+    def _order_five_stack(self, K, shift):
+        # the constant of t^11 on (11, 5), where Lambda_K / Lambda_0 is 1.5e15
+        # at K = 120, and four perturbed constants
+        params = SphereParams(n=11, m=5)
+        f = Nonlinearity.single_power(1.0, 11.0, params)
+        c_star = constant_solution(5, 11, f)
+        c = constant_coeffs(params, c_star, K).coeffs
+        rng = np.random.default_rng(8)
+        ws = Workspace.shared(params, K)
+        rows = [c]
+        for _ in range(4):  # 5% of c* at the nodes, in damped modes
+            d = ws.damped_draw(rng)
+            rows.append(c + d * (0.05 * c[0] * ws.basis[0, 0] / np.max(np.abs(ws.basis @ d))))
+        C = np.array(rows)
+        slopes = f.slope(C @ ws.basis.T)
+        root = np.sqrt(ws.lam)
+        DGD = np.array([ws.weighted_gram(s) for s in slopes]) / np.outer(root, root)
+        M = lane_emden._preconditioner(ws.lam, f, c_star, shift)
+        return ws, root, ws.weights * slopes, shift * np.eye(K + 1) - DGD, M, rng
+
+    @pytest.mark.parametrize("shift", [1.0, 1.01])
+    def test_preconditioned_stack_matches_dense_solves(self, shift):
+        K = 120
+        ws, root, S, A, M, rng = self._order_five_stack(K, shift)
+        # at u = c* the scaled Jacobian is the preconditioner's diagonal, up to sign
+        np.testing.assert_allclose(np.abs(np.diag(A[0])), M, rtol=1e-12)
+        b = rng.standard_normal((5, K + 1))
+        Y, iters = lane_emden._minres(ws.basis / root, S, shift, b, 2 * (K + 1), 1e-14, M)
+        assert np.all((iters > 0) & (iters < 2 * (K + 1)))
+        plain = lane_emden._minres(ws.basis / root, S, shift, b, 2 * (K + 1), 1e-14)[1]
+        assert iters.sum() < plain.sum()
+        for y, a, rhs in zip(Y, A, b):
+            dense = np.linalg.solve(a, rhs)
+            assert np.linalg.norm(y - dense) <= 1e-12 * np.linalg.norm(dense)
+        # a row stops once ||r||_(M^-1) sqrt(max M) <= rtol ||b||, which bounds
+        # the 2-norm residual; max M = |shift - 11| is the constant mode's
+        assert M.max() == pytest.approx(11.0 - shift, rel=1e-12)
+        for rtol in np.logspace(-2, -12, 41):
+            Y, _ = lane_emden._minres(ws.basis / root, S, shift, b, 2 * (K + 1), rtol, M)
+            for y, a, rhs in zip(Y, A, b):
+                r = rhs - a @ y
+                bound = rtol * np.linalg.norm(rhs)
+                assert np.linalg.norm(r / np.sqrt(M)) * np.sqrt(M.max()) <= 1.001 * bound
+                assert np.linalg.norm(r) <= 1.001 * bound
+
+    def test_preconditioned_singular_consistent_stack(self):
+        # s nonzero at three nodes of each row makes G of rank 3; at shift 0 the
+        # systems are singular, and right-hand sides in their ranges consistent
+        params, K = SphereParams(n=3, m=1), 16
+        ws = Workspace.shared(params, K)
+        root, rng = np.sqrt(ws.lam), np.random.default_rng(5)
+        f = Nonlinearity.single_power(1.0, 3.0, params)
+        M = lane_emden._preconditioner(ws.lam, f, constant_solution(1, 3, f), 0.0)
+        S = np.zeros((2, len(ws.nodes)))
+        S[0, [3, 10, 20]], S[1, [1, 7, 30]] = ws.weights[[3, 10, 20]], ws.weights[[1, 7, 30]]
+        DGD = np.array([ws.basis.T @ (s[:, None] * ws.basis) for s in S]) / np.outer(root, root)
+        b = np.array([g @ rng.standard_normal(K + 1) for g in DGD])
+        Y, iters = lane_emden._minres(ws.basis / root, S, 0.0, b, 2 * (K + 1), precond=M)
+        assert np.isfinite(Y).all() and np.all(iters <= 4)
+        for y, g, rhs in zip(Y, DGD, b):
+            assert np.linalg.norm(rhs + g @ y) <= 1e-12 * np.linalg.norm(rhs)
+
     def test_zero_right_hand_side_takes_no_iteration(self):
         params, K = SphereParams(n=3, m=1), 8
         ws = Workspace.shared(params, K)
@@ -662,7 +749,7 @@ class TestUniquenessProbe:
             u = ZonalFunction(params, coeffs)
             return lane_emden.SolveResult(
                 solution=u, residual=3e-13, rel_residual=1e-14, iters=4, stop_reason=reason,
-                classification=lane_emden._classify(u, reason == "diverged"),
+                classification=lane_emden._classify(u.coeffs, reason == "diverged"),
                 negativity=negativity, converged=reason == "tolerance", max_tau=max_tau,
             )
 
@@ -808,6 +895,73 @@ class TestUniquenessProbe:
         f = Nonlinearity.single_power(1.0, 3.0, params)
         with pytest.raises(DomainError, match="finite"):
             uniqueness_probe(1, 3, f, trials=3, seed=0, K=8, tol=tol)
+
+    @pytest.mark.parametrize("n,m,K", [(3, 1, 24), (7, 2, 96), (9, 3, 64), (11, 5, 32)])
+    def test_stacked_starts_are_one_row_draws_bit_for_bit(self, n, m, K):
+        # the probe draws its starts as one stack; every row has the bits of
+        # probe_start and of the one-row draw, whose node minimum is one gemv
+        params = SphereParams(n=n, m=m)
+        ws = Workspace.shared(params, K)
+        base = constant_solution(m, n, Nonlinearity.single_power(1.0, 3.0, params))
+        floor, dips = 0.05 * base, 0
+        for seed in range(4):
+            rngs = [np.random.default_rng([seed, t]) for t in range(50)]
+            for t, row in enumerate(lane_emden._probe_starts(ws, base, rngs)):
+                alone = probe_start(ws, base, np.random.default_rng([seed, t])).coeffs
+                rng = np.random.default_rng([seed, t])
+                c = ws.damped_draw(rng, base * 0.3)
+                c[0] = base * rng.uniform(0.7, 2.0) * math.sqrt(params.area)
+                mean, low = c[0] * ws.basis[0, 0], float(np.min(ws.basis @ c))
+                if low < floor:
+                    c[1:] *= (mean - floor) / (mean - low)
+                    dips += 1
+                np.testing.assert_array_equal(row, alone)
+                np.testing.assert_array_equal(row, c)
+        assert (dips > 0) == (n > 3)  # on S^3 no draw comes near the floor
+
+    def test_every_krylov_step_meets_the_residual_bound(self, monkeypatch):
+        # each MINRES solve of a probe's Newton steps holds the 2-norm residual
+        # of every row it stops on the estimate to 1e-12 ||b||
+        solves = []
+
+        def recorded(BD, S, shift, b, maxiter, rtol=1e-12, precond=None):
+            Y, iters = minres(BD, S, shift, b, maxiter, rtol, precond)
+            solves.append((BD, S, shift, b, maxiter, precond, Y, iters))
+            return Y, iters
+
+        minres = lane_emden._minres
+        monkeypatch.setattr(lane_emden, "_minres", recorded)
+        for n, m, K in [(3, 1, 48), (7, 2, 96)]:
+            f = Nonlinearity.single_power(1.0, 3.0, SphereParams(n=n, m=m))
+            assert uniqueness_probe(m, n, f, trials=20, seed=1000, K=K).converged == 20
+        checked = 0
+        for BD, S, shift, b, maxiter, precond, Y, iters in solves:
+            assert precond is not None and precond.min() >= lane_emden._PRECONDITIONER_FLOOR
+            AY = shift * Y - (S * (Y @ BD.T)) @ BD
+            stopped = iters < maxiter
+            gap = np.linalg.norm(b - AY, axis=1)[stopped]
+            assert np.all(gap <= 1e-12 * np.linalg.norm(b, axis=1)[stopped])
+            checked += np.count_nonzero(stopped)
+        assert checked >= 40
+
+    @pytest.mark.parametrize(
+        "n,m,terms,K",
+        [
+            (3, 1, [(1.0, 3.0)], 48), (3, 1, [(1.0, 4.0)], 24), (7, 2, [(1.0, 3.0)], 96),
+            (5, 2, [(1.0, 1.0), (1.0, 2.0)], 64), (9, 3, [(1.0, 3.0)], 64),
+        ],
+    )
+    def test_benchmark_configs_reach_the_constant(self, n, m, terms, K):
+        # the probe benchmark's configurations; every trial stopped on tolerance
+        # at the constant before the Krylov solves were preconditioned, too
+        f = Nonlinearity.from_terms(terms, SphereParams(n=n, m=m))
+        reps = [uniqueness_probe(m, n, f, trials=50, seed=s, K=K) for s in (1000, 1001, 1002)]
+        for rep in reps:
+            assert rep.stop_reasons == {
+                "tolerance": 50, "max_iter": 0, "line_search_exhausted": 0, "diverged": 0
+            }
+            assert (rep.constant, rep.zero, rep.negative, rep.nonconstant) == (50, 0, 0, 0)
+            assert rep.max_constant_rel_err <= 1e-11
 
     def test_probe_starts_positive(self):
         ws = Workspace(SphereParams(n=3, m=1), 16, 40)

@@ -290,6 +290,36 @@ class TestNewtonMultistart:
             assert sum(res.start_fallback_steps[3:]) > 0, key
             assert res.to_dict()["start_fallback_steps"] == res.start_fallback_steps
 
+    @pytest.mark.parametrize("n,m,p", [(3, 1, 2.5), (7, 2, 3.0)])
+    def test_per_row_cholesky_stands_in_for_the_private_gufunc(self, monkeypatch, n, m, p):
+        # np.linalg._umath_linalg.cholesky_lo is private; with the name hidden,
+        # per-row np.linalg.cholesky gives every step the same certified mask
+        from gjmslab import rayleigh
+
+        def recorded(*args):
+            step, certified = newton_step(*args)
+            masks.append(certified.copy())
+            return step, certified
+
+        newton_step = rayleigh._newton_step
+        monkeypatch.setattr(rayleigh, "_newton_step", recorded)
+        cfg = OptimizerConfig(params=SphereParams(n=n, m=m), p=p, K=32, starts=20, seed=0)
+        runs = []
+        for hidden in (False, True):
+            if hidden:
+                monkeypatch.setattr(rayleigh, "_CHOLESKY_LO", None)
+            masks = []
+            runs.append((minimize(cfg), masks))
+        (gufunc, gufunc_masks), (per_row, per_row_masks) = runs
+        assert any(mask.all() for mask in gufunc_masks)
+        assert any(not mask.all() for mask in gufunc_masks)
+        assert len(per_row_masks) == len(gufunc_masks)
+        for a, b in zip(gufunc_masks, per_row_masks):
+            np.testing.assert_array_equal(a, b)
+        assert per_row.start_values == gufunc.start_values
+        assert per_row.start_fallback_steps == gufunc.start_fallback_steps
+        assert per_row.value == gufunc.value
+
     def test_scale_aware_stop_on_high_order(self):
         # on (9,3,4) the quotient is about 1e4 and Lambda_32 about 2e9, so an
         # absolute 1e-9 gradient test fires only at the exact constant start;
