@@ -11,13 +11,17 @@ dominates.  One loop runs a stack of iterates in lockstep: a probe's trials
 are one batch, a solve a batch of one.  Every step solves the scaled system
 (1+tau) I - D G D, D = Lambda^(-1/2), which is I minus a compact operator: a
 batch of rows * (K+1)^2 < 4e4 by one LU solve of the stacked matrices, a
-larger or singular one by MINRES in lockstep to a residual of 1e-12 ||D res||.
+larger or singular one by MINRES in lockstep, each row to a residual of
+eta ||D res||, with the forcing term eta = ||D res|| / ||D res_0|| clipped to
+[1e-12, 0.1] and res_0 the row's first residual: an inexact Newton method
+(Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982; Eisenstat &
+Walker, SIAM J. Sci. Comput. 17, 1996).
 MINRES is preconditioned by the matrix at the constant c*, where f'(c*) is
 constant and the Gauss rule makes B^T diag(w) B = I, so the system is the
 diagonal (1+tau) - f'(c*) / Lambda exactly (Wathen, Acta Numerica 24, 2015,
 on such spectrally equivalent preconditioners).  A probe is lockstep from
-draw to tally: its starts are one stack, its results are classified and
-counted with array operations.
+draw to tally: its starts are one stacked draw, its results are classified
+and counted with array operations.
 Iterates are measured against the coefficient norm c* sqrt|S^n| of the
 constant c*: past 1e8 times max(1, c* sqrt|S^n|) a row diverges, and within
 tol times c* sqrt|S^n| (tol when there is no positive c*) of c = 0, an exact
@@ -59,6 +63,7 @@ from .spectral import gjms_lambda0, norm2, rowdot, rowwise
 CONSTANT_CLASS_TOL = 1e-7
 _DENSE_WORK_LIMIT = 4e4  # rows * (K+1)^2 below which a Newton batch is LU-solved
 _PRECONDITIONER_FLOOR = 1e-3  # the least entry of the MINRES preconditioner
+_FORCING_MAX = 0.1  # the loosest relative residual a MINRES Newton step is solved to
 
 
 def _check_tolerance(tol: float) -> None:
@@ -311,8 +316,11 @@ def _newton_batch(
     Each row keeps its own iterate, merit, counts, largest tau and stop
     reason.  A step is one LU solve of the (rows, K+1, K+1) stack of scaled
     Jacobians below _DENSE_WORK_LIMIT, else (or for a singular stack) one
-    MINRES run preconditioned at c*; each halving scale is one batched
-    synthesis X B^T and analysis (w f(V)) B over the rows still searching.
+    MINRES run preconditioned at c*, which stops each row at a residual of
+    eta ||D res||, eta = clip(||D res|| / ||D res_0||, 1e-12, _FORCING_MAX)
+    and res_0 the row's residual at the start; each halving scale is one
+    batched synthesis X B^T and analysis (w f(V)) B over the rows still
+    searching.
     Residuals, negativity and classes are computed for all rows at once.
     """
     B, w, lam = ws.basis, ws.weights, ws.lam
@@ -339,8 +347,13 @@ def _newton_batch(
             with contextlib.suppress(np.linalg.LinAlgError):
                 Y, krylov = np.linalg.solve(A, b[..., None])[..., 0], np.zeros(rows.size, int)
         if Y is None:
+            # an inexact Newton step: far from the solution a loose solve moves
+            # the merit as far as an exact one; a start of merit 0 never steps
+            m0 = merit0[rows]
+            eta = np.divide(merit[rows], m0, out=np.zeros(rows.size), where=m0 > 0.0)
+            eta = np.clip(eta, 1e-12, _FORCING_MAX)
             M = _preconditioner(lam, f, c_star, 1.0 + tau)
-            Y, krylov = _minres(BD, w * slopes, 1.0 + tau, b, 2 * lam.size, precond=M)
+            Y, krylov = _minres(BD, w * slopes, 1.0 + tau, b, 2 * lam.size, eta, M)
         S = Y / root
         finite = np.isfinite(S).all(axis=1)
         left, rows, S, krylov = rows[~finite], rows[finite], S[finite], krylov[finite]
@@ -362,6 +375,7 @@ def _newton_batch(
     C = C.copy()
     R, V = residuals(C)
     merit, cnorm = norm2(R / root, axis=1), norm2(C, axis=1)
+    merit0 = merit.copy()  # ||D res_0||, the base of the forcing terms
     (iters, krylov_iters), max_tau = np.zeros((2, len(C)), dtype=int), np.zeros(len(C))
     stop = np.full(len(C), -1)  # index into STOP_REASONS once a row stops
     while True:
@@ -425,7 +439,8 @@ def _preconditioner(lam, f: Nonlinearity, c_star: float | None, shift: float):
 def _minres(BD, S, shift, b, maxiter, rtol=1e-12, precond=None):
     """MINRES (Paige & Saunders, 1975) on (shift I - BD^T diag(s) BD) y = b in
     lockstep for each row s of S and row of b, BD a scaled basis: the y and
-    iteration counts.
+    iteration counts.  rtol is one relative tolerance for all rows or one per
+    row; the Newton loop passes each row's forcing term, the verify row 1e-14.
 
     precond, a positive diagonal M (None: the identity), enters split: the
     recurrence runs on M^(-1/2) A M^(-1/2) and M^(-1/2) b, the same iterates
@@ -439,7 +454,7 @@ def _minres(BD, S, shift, b, maxiter, rtol=1e-12, precond=None):
     """
     Y, iters, beta = np.zeros_like(b), np.zeros(len(b), dtype=int), norm2(b, axis=1)
     idx = np.flatnonzero(beta > 0.0)  # y = 0 solves b = 0
-    stop, split = rtol * beta[idx], 1.0
+    stop, split = (np.broadcast_to(rtol, beta.shape) * beta)[idx], 1.0
     if precond is not None:
         split = 1.0 / np.sqrt(precond)
         BD, shift, b = BD * split, shift * split**2, b * split
@@ -512,19 +527,22 @@ class ProbeReport:
 def probe_start(workspace: Workspace, base: float, rng: np.random.Generator) -> ZonalFunction:
     """Positive random start: scaled constant plus damped modes.
 
-    When the draw dips below 0.05 base at a node, the nonconstant part c[1:]
-    is scaled down just enough that the minimum over the nodes is that floor.
-    The one-row case of the probe's stacked draw.
+    rng draws the damped modes, base * 0.3 z_k / (1 + k^2), then the mean,
+    base uniform(0.7, 2.0).  When the draw dips below 0.05 base at a node,
+    the nonconstant part c[1:] is scaled down just enough that the minimum
+    over the nodes is that floor.  The one-row case of the probe's stacked
+    draw, with rng as both of its streams.
     """
-    return ZonalFunction(workspace.params, _probe_starts(workspace, base, [rng])[0])
+    return ZonalFunction(workspace.params, _probe_starts(workspace, base, 1, rng, rng)[0])
 
 
-def _probe_starts(ws: Workspace, base: float, rngs) -> np.ndarray:
-    # one probe_start row per generator: each draws its damped modes, then its
-    # mean; the node minima come one row per BLAS call (spectral.rowwise), so
-    # every row has the bits it has alone
-    C = np.array([ws.damped_draw(rng, base * 0.3) for rng in rngs])
-    C[:, 0] = base * np.array([rng.uniform(0.7, 2.0) for rng in rngs]) * math.sqrt(ws.params.area)
+def _probe_starts(ws: Workspace, base: float, rows: int, modes, means) -> np.ndarray:
+    # the damped modes of all rows are one draw from the generator modes and
+    # their means one draw from means, so the first rows do not depend on
+    # how many are drawn; the node minima come one row per BLAS call
+    # (spectral.rowwise), so every row has the bits it has alone
+    C = ws.damped_draw(modes, base * 0.3, rows)
+    C[:, 0] = base * means.uniform(0.7, 2.0, rows) * math.sqrt(ws.params.area)
     mean, low = C[:, 0] * ws.basis[0, 0], np.min(rowwise(C, ws.basis.T), axis=1)  # Y_0 is constant
     floor = 0.05 * base
     dip = low < floor
@@ -543,12 +561,15 @@ def uniqueness_probe(
 ) -> ProbeReport:
     """Run `trials` seeded Newton solves from random positive starts on one workspace.
 
-    Each start is a probe_start draw c, made for all trials as one stack
-    with each trial's own generator, scaled to s c on the Nehari manifold
-    s^2 <Pc, c> = int f(s u+) s u+, u = B c, by one root-finder call on the
-    moments int (u+)^(p_i+1) of each term; a c* past either end of the double
-    range is a DomainError.  Without a positive constant the draws stay as
-    they are.  The trials run as one _newton_batch, and the tallies are
+    Each start is a probe_start draw c, made for all trials as one stack:
+    the damped modes of all trials are one draw from default_rng([seed, 0])
+    and the means one draw from default_rng([seed, 1]), so trial t starts
+    where it does for any trials > t.  It is scaled to s c on the Nehari
+    manifold s^2 <Pc, c> = int f(s u+) s u+, u = B c, by one root-finder call
+    on the moments int (u+)^(p_i+1) of each term; a c* past either end of
+    the double range is a DomainError.  Without a positive constant the
+    draws stay as they are.  The trials run as one _newton_batch, whose
+    MINRES steps stop at each trial's forcing term, and the tallies are
     array masks over its results: every converged outcome with nonnegative
     values is classified against the constant; anything nonconstant is
     archived with full coefficients.  For purely linear f the equation is
@@ -578,7 +599,8 @@ def uniqueness_probe(
         return report
 
     base = c_star if (c_star is not None and c_star > 0) else 1.0
-    starts = _probe_starts(ws, base, [np.random.default_rng([seed, t]) for t in range(trials)])
+    modes, means = np.random.default_rng([seed, 0]), np.random.default_rng([seed, 1])
+    starts = _probe_starts(ws, base, trials, modes, means)
     if c_star:  # f(t)/t increases, so each positive ray meets the Nehari manifold once
         rays = starts / base  # rows of order 1, so <Pc, c> and int (u+)^(p+1) stay in range
         U, w = rays @ ws.basis.T, ws.weights

@@ -433,10 +433,18 @@ class Workspace:
         Q = default_rule_size(K) if Q is None else operator.index(Q)
         return _shared_workspace(params, K, Q)
 
-    def damped_draw(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-        """Random coefficients scale * z_k / (1 + k^2), z standard normal, k = 0..K."""
+    def damped_draw(
+        self, rng: np.random.Generator, scale: float = 1.0, rows: int | None = None
+    ) -> np.ndarray:
+        """Random coefficients scale * z_k / (1 + k^2), z standard normal, k = 0..K.
+
+        rows = None draws one vector; an integer draws a (rows, K+1) stack in
+        one call, row after row from the stream, so row 0 is the one-vector
+        draw and the first rows do not depend on how many are drawn.
+        """
         k = np.arange(self.K + 1, dtype=float)
-        return scale * rng.standard_normal(self.K + 1) / (1.0 + k * k)
+        shape = self.K + 1 if rows is None else (rows, self.K + 1)
+        return scale * rng.standard_normal(shape) / (1.0 + k * k)
 
     # c may be a stack of rows (see rowwise); np.float_power rounds as float ** does
 

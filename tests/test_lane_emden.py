@@ -40,6 +40,28 @@ def constant_coeffs(params, value, K):
     return ZonalFunction(params, c)
 
 
+def stacked_draws(ws, base, trials, seed):
+    """A probe's draws before the Nehari scale, built one row at a time.
+
+    Row t is base * 0.3 z_k / (1 + k^2), z row t of one standard-normal
+    (trials, K+1) draw from default_rng([seed, 0]), with mean base times entry
+    t of one uniform(0.7, 2.0) draw from default_rng([seed, 1]); where its
+    node minimum, one gemv, dips below 0.05 base, c[1:] is pulled in to it.
+    """
+    k = np.arange(ws.K + 1.0)
+    Z = np.random.default_rng([seed, 0]).standard_normal((trials, ws.K + 1))
+    means = np.random.default_rng([seed, 1]).uniform(0.7, 2.0, trials)
+    rows, floor = [], 0.05 * base
+    for z, mean in zip(Z, means):
+        c = base * 0.3 * z / (1.0 + k * k)
+        c[0] = base * mean * math.sqrt(ws.params.area)
+        mean, low = c[0] * ws.basis[0, 0], float(np.min(ws.basis @ c))
+        if low < floor:
+            c[1:] *= (mean - floor) / (mean - low)
+        rows.append(c)
+    return np.array(rows)
+
+
 class TestNonlinearity:
     def test_classification(self):
         params = SphereParams(n=3, m=1)  # critical equation power 5
@@ -378,6 +400,37 @@ class TestSolveNewton:
         gap = np.linalg.norm(krylov.solution.coeffs - dense.solution.coeffs)
         assert gap <= 1e-12 * np.linalg.norm(dense.solution.coeffs)
 
+    def test_krylov_steps_stop_at_their_forcing_terms(self, monkeypatch):
+        # an inexact Newton solve: each MINRES solve stops at eta ||b||, eta =
+        # ||D res|| / ||D res_0|| clipped to [1e-12, 0.1], b = -D res, so the
+        # first steps are loose.  The solve is the one the test above holds
+        # to the dense solve's stop reason, steps and solution within 1e-12
+        solves = []
+
+        def recorded(BD, S, shift, b, maxiter, rtol=1e-12, precond=None):
+            Y, iters = minres(BD, S, shift, b, maxiter, rtol, precond)
+            solves.append((BD, S, shift, b, maxiter, rtol, Y, iters))
+            return Y, iters
+
+        minres = lane_emden._minres
+        monkeypatch.setattr(lane_emden, "_minres", recorded)
+        params = SphereParams(n=7, m=2)
+        f = Nonlinearity.single_power(1.0, 3.0, params)
+        ws = Workspace.shared(params, 200)
+        init = probe_start(ws, constant_solution(2, 7, f), np.random.default_rng([7, 0]))
+        krylov = solve_newton(2, 7, f, init, workspace=ws)
+        first = np.linalg.norm(solves[0][3], axis=1)  # ||D res_0|| of the start
+        loose = 0
+        for BD, S, shift, b, maxiter, eta, Y, iters in solves:
+            norm_b = np.linalg.norm(b, axis=1)
+            np.testing.assert_array_equal(eta, np.clip(norm_b / first, 1e-12, 0.1))
+            gap = np.linalg.norm(b - (shift * Y - (S * (Y @ BD.T)) @ BD), axis=1)
+            assert np.all(iters < maxiter) and np.all(gap <= eta * norm_b)
+            loose += np.count_nonzero(gap > 1e-12 * norm_b)
+        assert solves[0][5][0] == 0.1 and loose > 0
+        assert sum(iters.sum() for *_, iters in solves) == krylov.krylov_iters
+        assert krylov.stop_reason == "tolerance"
+
     @pytest.mark.parametrize("dense_work_limit", [0, math.inf])
     def test_iterate_near_zero_lands_on_zero(self, monkeypatch, dense_work_limit):
         # a start of size 1e-15 heads to the exact solution c = 0; by MINRES it
@@ -649,9 +702,10 @@ class TestUniquenessProbe:
     def test_lockstep_trials_match_single_solves(self, monkeypatch, n, m, K):
         # the probe solves its trials as one batch; each trial ends as a
         # solve_newton from the same Nehari-scaled start does.  Below the dense
-        # work limit both take every step by LU; past it only the batch runs
-        # MINRES.  The bits differ: X B^T is one gemm for the batch, a gemv
-        # for one row
+        # work limit both take every step by LU; past it the batch runs MINRES,
+        # and so do the single solves, with the limit at 0, so both stop each
+        # step at the row's forcing term.  The bits differ: X B^T is one gemm
+        # for the batch, a gemv for one row
         batches, starts = [], []
 
         def recorded(ws, f, C, *args, **kwargs):
@@ -669,12 +723,14 @@ class TestUniquenessProbe:
         ws = Workspace.shared(params, K)
         dense = 30 * (K + 1) ** 2 < lane_emden._DENSE_WORK_LIMIT
         assert dense == (K < 48)
+        if not dense:
+            monkeypatch.setattr(lane_emden, "_DENSE_WORK_LIMIT", 0)
         for got, start in zip(batch, starts[0]):
             alone = solve_newton(m, n, f, ZonalFunction(params, start), workspace=ws)
             assert (got.stop_reason, got.iters) == (alone.stop_reason, alone.iters)
             gap = np.linalg.norm(got.solution.coeffs - alone.solution.coeffs)
             assert gap <= 1e-12 * np.linalg.norm(alone.solution.coeffs)
-            assert alone.krylov_iters == 0 and (got.krylov_iters == 0) == dense
+            assert (alone.krylov_iters == 0) == (got.krylov_iters == 0) == dense
             assert got.max_tau == alone.max_tau
         assert rep.regularized == sum(r.max_tau > 0.0 for r in batch)
 
@@ -807,8 +863,7 @@ class TestUniquenessProbe:
         rep = uniqueness_probe(m, n, f, trials=trials, seed=3, K=K)
         ws, c_star = Workspace.shared(params, K), constant_solution(m, n, f)
         scales = []
-        for trial, c in enumerate(starts[0]):
-            draw = probe_start(ws, c_star, np.random.default_rng([3, trial])).coeffs
+        for c, draw in zip(starts[0], stacked_draws(ws, c_star, trials, 3)):
             s = c[0] / draw[0]
             assert s > 0.0
             np.testing.assert_allclose(c, s * draw, rtol=1e-14, atol=0.0)
@@ -836,8 +891,7 @@ class TestUniquenessProbe:
         f = Nonlinearity.single_power(2.0, q, params)
         uniqueness_probe(m, n, f, trials=8, seed=5, K=K)
         ws, c_star = Workspace.shared(params, K), constant_solution(m, n, f)
-        draws = [probe_start(ws, c_star, np.random.default_rng([5, t])).coeffs for t in range(8)]
-        rays = np.array(draws) / c_star
+        rays = stacked_draws(ws, c_star, 8, 5) / c_star
         E, U = rays**2 @ ws.lam, rays @ ws.basis.T
         power = 2.0 * (ws.weights * np.maximum(U, 0.0) ** (q + 1.0)).sum(axis=1)
         closed = (E / power) ** (1.0 / (q - 1.0))
@@ -898,35 +952,78 @@ class TestUniquenessProbe:
 
     @pytest.mark.parametrize("n,m,K", [(3, 1, 24), (7, 2, 96), (9, 3, 64), (11, 5, 32)])
     def test_stacked_starts_are_one_row_draws_bit_for_bit(self, n, m, K):
-        # the probe draws its starts as one stack; every row has the bits of
-        # probe_start and of the one-row draw, whose node minimum is one gemv
+        # the probe draws its starts as one stack from two streams; every row
+        # has the bits of the one-row draw, whose node minimum is one gemv
         params = SphereParams(n=n, m=m)
         ws = Workspace.shared(params, K)
         base = constant_solution(m, n, Nonlinearity.single_power(1.0, 3.0, params))
-        floor, dips = 0.05 * base, 0
+        dips = 0
         for seed in range(4):
-            rngs = [np.random.default_rng([seed, t]) for t in range(50)]
-            for t, row in enumerate(lane_emden._probe_starts(ws, base, rngs)):
-                alone = probe_start(ws, base, np.random.default_rng([seed, t])).coeffs
-                rng = np.random.default_rng([seed, t])
-                c = ws.damped_draw(rng, base * 0.3)
-                c[0] = base * rng.uniform(0.7, 2.0) * math.sqrt(params.area)
-                mean, low = c[0] * ws.basis[0, 0], float(np.min(ws.basis @ c))
-                if low < floor:
-                    c[1:] *= (mean - floor) / (mean - low)
-                    dips += 1
-                np.testing.assert_array_equal(row, alone)
-                np.testing.assert_array_equal(row, c)
+            modes, means = np.random.default_rng([seed, 0]), np.random.default_rng([seed, 1])
+            rows = lane_emden._probe_starts(ws, base, 50, modes, means)
+            np.testing.assert_array_equal(rows, stacked_draws(ws, base, 50, seed))
+            draws = ws.damped_draw(np.random.default_rng([seed, 0]), base * 0.3, 50)
+            dips += np.count_nonzero((rows[:, 1:] != draws[:, 1:]).any(axis=1))
         assert (dips > 0) == (n > 3)  # on S^3 no draw comes near the floor
+
+    @pytest.mark.parametrize("n,m,K", [(3, 1, 24), (7, 2, 96), (9, 3, 64), (11, 5, 32)])
+    def test_probe_start_is_the_one_stream_draw(self, n, m, K):
+        # solve --init random draws its one start from one generator, the
+        # damped modes and then the mean, with the bits it had when every
+        # probe trial drew that way
+        params = SphereParams(n=n, m=m)
+        ws = Workspace.shared(params, K)
+        base = constant_solution(m, n, Nonlinearity.single_power(1.0, 3.0, params))
+        floor = 0.05 * base
+        for seed in range(8):
+            rng = np.random.default_rng([seed, 0])
+            c = ws.damped_draw(rng, base * 0.3)
+            c[0] = base * rng.uniform(0.7, 2.0) * math.sqrt(params.area)
+            mean, low = c[0] * ws.basis[0, 0], float(np.min(ws.basis @ c))
+            if low < floor:
+                c[1:] *= (mean - floor) / (mean - low)
+            start = probe_start(ws, base, np.random.default_rng([seed, 0])).coeffs
+            np.testing.assert_array_equal(start, c)
+
+    @pytest.mark.parametrize("n,m,terms,K", [(3, 1, [(1.0, 4.0)], 24), (7, 2, [(1.0, 3.0)], 96)])
+    def test_first_trials_start_alike_at_any_trial_count(self, monkeypatch, n, m, terms, K):
+        # the draws come from one stream per part, so the first t trials of a
+        # probe draw the same starts at --trials t as at 50; the Nehari scale
+        # takes its moments in one product over the stack, which may round
+        # a row's last bit by the stack's size
+        starts = []
+
+        def recorded(ws, f, C, *args, **kwargs):
+            starts.append(C.copy())
+            return newton_batch(ws, f, C, *args, **kwargs)
+
+        newton_batch = lane_emden._newton_batch
+        monkeypatch.setattr(lane_emden, "_newton_batch", recorded)
+        params = SphereParams(n=n, m=m)
+        f = Nonlinearity.from_terms(terms, params)
+        ws, c_star = Workspace.shared(params, K), constant_solution(m, n, f)
+        streams = ([21, 0], [21, 1])  # the probe's streams at seed 21
+        for t in (1, 7, 13):
+            starts.clear()
+            short = uniqueness_probe(m, n, f, trials=t, seed=21, K=K)
+            uniqueness_probe(m, n, f, trials=50, seed=21, K=K)
+            draws = [
+                lane_emden._probe_starts(ws, c_star, trials, *map(np.random.default_rng, streams))
+                for trials in (t, 50)
+            ]
+            np.testing.assert_array_equal(draws[0], draws[1][:t])
+            np.testing.assert_allclose(starts[0], starts[1][:t], rtol=1e-14, atol=0.0)
+            assert short.constant == t
 
     def test_every_krylov_step_meets_the_residual_bound(self, monkeypatch):
         # each MINRES solve of a probe's Newton steps holds the 2-norm residual
-        # of every row it stops on the estimate to 1e-12 ||b||
+        # of every row it stops on the estimate to that row's eta ||b||, eta
+        # its forcing term in [1e-12, 0.1]
         solves = []
 
         def recorded(BD, S, shift, b, maxiter, rtol=1e-12, precond=None):
             Y, iters = minres(BD, S, shift, b, maxiter, rtol, precond)
-            solves.append((BD, S, shift, b, maxiter, precond, Y, iters))
+            solves.append((BD, S, shift, b, maxiter, rtol, precond, Y, iters))
             return Y, iters
 
         minres = lane_emden._minres
@@ -935,12 +1032,13 @@ class TestUniquenessProbe:
             f = Nonlinearity.single_power(1.0, 3.0, SphereParams(n=n, m=m))
             assert uniqueness_probe(m, n, f, trials=20, seed=1000, K=K).converged == 20
         checked = 0
-        for BD, S, shift, b, maxiter, precond, Y, iters in solves:
+        for BD, S, shift, b, maxiter, eta, precond, Y, iters in solves:
             assert precond is not None and precond.min() >= lane_emden._PRECONDITIONER_FLOOR
+            assert eta.shape == (len(b),) and np.all((eta >= 1e-12) & (eta <= 0.1))
             AY = shift * Y - (S * (Y @ BD.T)) @ BD
             stopped = iters < maxiter
             gap = np.linalg.norm(b - AY, axis=1)[stopped]
-            assert np.all(gap <= 1e-12 * np.linalg.norm(b, axis=1)[stopped])
+            assert np.all(gap <= (eta * np.linalg.norm(b, axis=1))[stopped])
             checked += np.count_nonzero(stopped)
         assert checked >= 40
 
