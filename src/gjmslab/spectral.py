@@ -6,7 +6,9 @@ t = cos(theta).  The surface measure restricted to zonal functions is
 |S^{n-1}| (1-t^2)^{(n-2)/2} dt on [-1, 1], so Gauss-Jacobi rules integrate
 the basis exactly.  A Workspace holds plain arrays (nodes t, weights w, basis
 B, spectrum lam); on it analysis is B^T(w v), synthesis B c, and every norm
-and quadratic form diagonal or one product.
+and quadratic form diagonal or one product.  The rules are symmetric, so the
+basis recurrence runs on the nodes t >= 0 and Y_k(-t) = (-1)^k Y_k(t) fills
+in the rest, bit for bit.
 
 The Gauss-Jacobi rules come from the same three-term recurrence as the
 basis, whose Jacobi matrix has the nodes as eigenvalues and the Christoffel
@@ -231,39 +233,57 @@ def basis_values(n: int, K: int, t) -> np.ndarray:
     polynomial normalized so that its squared surface integral is 1; Y_0 is the
     constant |S^n|^(-1/2).
     """
-    return np.ascontiguousarray(_basis_rows(n, K, t)[1].T)
+    return _basis_tables(n, K, t, 1)[0]
 
 
-def _basis_rows(n: int, K: int, t) -> tuple[np.ndarray, np.ndarray]:
-    # Cosines t as a 1-d array, and Y_k(t) as row k of a (K+1) x len(t)
-    # array: the recurrence reads and writes contiguous rows.  Callers
-    # transpose to one C-ordered copy, since the BLAS products B @ c, B.T @ v
-    # and B.T diag(s) B round differently on an F-ordered B.
+def _basis_tables(n: int, K: int, t, count: int) -> list[np.ndarray]:
+    # Y_k(t_i), then with count = 3 its first two t-derivatives, as C-ordered
+    # (len(t), K+1) arrays, since BLAS rounds B @ c, B.T @ v and B.T diag(s) B
+    # differently on an F-ordered B.  The recurrences fill contiguous rows k
+    # of a (K+1) x m table, whose transpose is copied out.  On a symmetric t
+    # (any Gauss rule) with normal doubles in the mirrored half, they run on
+    # the m = Q - Q//2 nodes t >= 0, in the first half of each output for even
+    # Q; the rest follows by parity, (-1)^k for Y_k and Y_k'', (-1)^(k+1) for
+    # Y_k'.  Negation as 0 - x is exact and keeps +0, so no bit moves.
     t = np.atleast_1d(np.asarray(t, dtype=float))
+    if t.ndim > 1:
+        raise DomainError("cosines t must be a scalar or a 1-D array")
     if K < 0:
         raise DomainError("truncation degree must be >= 0")
-    Y = np.empty((K + 1, t.size))
+    Q, half = t.size, t.size // 2
+    if not (np.array_equal(t, -t[::-1]) and np.all(np.abs(t[:half]) >= np.finfo(float).tiny)):
+        half = 0
+    t, m = t[half:], Q - half
+    outs = [np.empty((Q, K + 1)) for _ in range(count)]
+    tables = [out[:m].reshape(K + 1, m) if half == m else np.empty((K + 1, m)) for out in outs]
+    Y, tmp = tables[0], np.empty(m)
     Y[0] = 1.0 / math.sqrt(sphere_area(n))
+    b = _recurrence_offdiag(n, K).tolist()
     if K >= 1:
-        b = _recurrence_offdiag(n, K)
-        Y[1] = t * Y[0] / b[0]
+        np.divide(np.multiply(t, Y[0], Y[1]), b[0], Y[1])
+    for nxt, cur, prev, b_prev, b_k in zip(Y[2:], Y[1:], Y, b, b[1:]):
+        np.multiply(t, cur, nxt)
+        np.subtract(nxt, np.multiply(prev, b_prev, tmp), nxt)
+        np.divide(nxt, b_k, nxt)
+    if count == 3:
+        _, D1, D2 = tables
+        D1[0] = D2[:2] = 0.0
+        if K >= 1:
+            D1[1] = Y[0] / b[0]
         for k in range(1, K):
-            Y[k + 1] = (t * Y[k] - b[k - 1] * Y[k - 1]) / b[k]
-    return t, Y
+            D1[k + 1] = (Y[k] + t * D1[k] - b[k - 1] * D1[k - 1]) / b[k]
+            D2[k + 1] = (2.0 * D1[k] + t * D2[k] - b[k - 1] * D2[k - 1]) / b[k]
+    for out, table, odd in zip(outs, tables, (1, 0, 1)):  # first column of odd parity
+        out[half:] = table.T
+        if half:
+            np.copyto(out[:half], out[m:][::-1])
+            np.subtract(0.0, out[:half, odd::2], out=out[:half, odd::2])
+    return outs
 
 
 def basis_with_derivatives(n: int, K: int, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values, first, and second t-derivatives of Y_0..Y_K at cosines t."""
-    t, Y = _basis_rows(n, K, t)
-    D1 = np.zeros_like(Y)
-    D2 = np.zeros_like(Y)
-    if K >= 1:
-        b = _recurrence_offdiag(n, K)
-        D1[1] = Y[0] / b[0]
-        for k in range(1, K):
-            D1[k + 1] = (Y[k] + t * D1[k] - b[k - 1] * D1[k - 1]) / b[k]
-            D2[k + 1] = (2.0 * D1[k] + t * D2[k] - b[k - 1] * D2[k - 1]) / b[k]
-    return tuple(np.ascontiguousarray(R.T) for R in (Y, D1, D2))
+    return tuple(_basis_tables(n, K, t, 3))
 
 
 def zonal_basis(rule: QuadratureRule, params: SphereParams, K: int) -> np.ndarray:

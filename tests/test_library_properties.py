@@ -21,7 +21,13 @@ from gjmslab.lane_emden import (
     uniqueness_probe,
 )
 from gjmslab.rayleigh import OptimizerConfig, minimize
-from gjmslab.spectral import SphereParams, Workspace, gjms_eigenvalues
+from gjmslab.spectral import (
+    SphereParams,
+    Workspace,
+    basis_values,
+    basis_with_derivatives,
+    gjms_eigenvalues,
+)
 
 TOLERANCES = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 1e-300, 1e-8])
 ITERATION_CAPS = st.sampled_from([-3, 0, 1])
@@ -132,3 +138,23 @@ def test_spectra_are_valid_or_a_domain_error(size):
     if green is None:
         return
     assert np.max(np.abs(green.g_mn * mu * lam - 1.0)) <= IDENTITY_TOLERANCE
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 13),
+    st.integers(0, 40),
+    st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=24),
+    st.booleans(),
+)
+def test_symmetric_cosines_match_the_general_path(n, K, s, middle):
+    # t = (-s reversed, [0], s) runs the basis recurrences on t >= 0 and fills
+    # the rest by parity; one cosine at a time runs them on all of t, and the
+    # bytes, signs of zero included, agree
+    s = np.array(s)
+    t = np.concatenate((-s[::-1], [0.0] if middle else [], s))
+    general = np.vstack([basis_values(n, K, x) for x in t])
+    assert basis_values(n, K, t).tobytes() == general.tobytes()
+    singles = zip(*(basis_with_derivatives(n, K, x) for x in t))
+    for got, rows in zip(basis_with_derivatives(n, K, t), singles):
+        assert got.tobytes() == np.vstack(rows).tobytes()

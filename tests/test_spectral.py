@@ -274,6 +274,87 @@ class TestBitIdentity:
         assert peak < 1.5 * buffer_bytes
 
 
+class TestMirroredBasis:
+    # A symmetric t (t[Q-1-i] = -t[i], as in every Gauss rule) runs the basis
+    # recurrences on t >= 0 and fills the rest by parity.  tobytes() equality
+    # with the column-by-column reference also checks the sign of every zero.
+
+    def test_basis_memory_is_one_output(self):
+        # the Q = 1608 basis of a K = 800 workspace is 10.3 MB; the recurrence
+        # runs in the memory of its first half, so nothing else of that size
+        t = build_quadrature(7, 1608).nodes
+        tracemalloc.start()
+        try:
+            B = basis_values(7, 800, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * B.nbytes
+
+    @pytest.mark.parametrize("Q", [4, 5, 72, 73])
+    @pytest.mark.parametrize("n", [2, 3, 7, 13])
+    def test_gauss_rules_match_the_reference_bytes(self, n, Q):
+        t = build_quadrature(n, Q).nodes
+        assert np.array_equal(t, -t[::-1]) and (Q % 2 == 0 or t[Q // 2] == 0.0)
+        for K in (0, 1, 2, Q - 1):
+            ref = reference_basis_with_derivatives(n, K, t)
+            got = basis_values(n, K, t)
+            assert got.flags.c_contiguous and got.tobytes() == ref[0].tobytes()
+            for got, want in zip(basis_with_derivatives(n, K, t), ref):
+                assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("Q", [12, 13])
+    def test_vanishing_derivative_columns_are_positive_zeros(self, Q):
+        # Y_0' and Y_1'' vanish, and the odd parity of Y_0' must not make -0.0
+        _, D1, D2 = basis_with_derivatives(5, 4, build_quadrature(5, Q).nodes)
+        for column in (D1[:, 0], D2[:, 1]):
+            assert np.all(column == 0.0) and not np.any(np.signbit(column))
+
+    @pytest.mark.parametrize("n,m,K", [(3, 1, 24), (5, 2, 40), (7, 3, 16), (9, 2, 200)])
+    def test_kernel_moment_nodes_take_the_general_path(self, n, m, K):
+        # checks._kernel_moments' (m-1, (n-2)/2) Jacobi rule is not symmetric
+        x, _ = gauss_jacobi(K // 2 + 8, m - 1.0, (n - 2.0) / 2.0)
+        assert not np.array_equal(x, -x[::-1])
+        ref = reference_basis_with_derivatives(n, K, x)
+        assert basis_values(n, K, x).tobytes() == ref[0].tobytes()
+
+    @pytest.mark.parametrize("N", [16, 40, 136])
+    def test_lobatto_points_take_the_general_path(self, N):
+        # verify_symmetry_monotonicity's points cos(pi i / N) round asymmetrically
+        t = np.cos(np.pi * np.arange(N + 1) / N)
+        assert not np.array_equal(t, -t[::-1])
+        ref = reference_basis_with_derivatives(7, N // 8, t)
+        for got, want in zip(basis_with_derivatives(7, N // 8, t), ref):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "t", [[0.0, 0.0], [-0.0, 0.0, 0.0], [-5e-324, 5e-324], [-5e-324, 0.0, 5e-324], [-1.0, 1.0]]
+    )
+    def test_signed_zeros_and_underflow_keep_their_bits(self, t):
+        # +0 and -0 compare equal, and subnormal products underflow to signed
+        # zeros, so mirrored pairs of either run the full recurrence
+        t = np.array(t)
+        for K in (0, 1, 5, 12):
+            ref = reference_basis_with_derivatives(3, K, t)
+            for got, want in zip(basis_with_derivatives(3, K, t), ref):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("t", [np.zeros((2, 3)), np.zeros((1, 1)), [[0.5]]])
+    @pytest.mark.parametrize("K", [0, 4])
+    def test_two_dimensional_cosines_are_a_domain_error(self, t, K):
+        u = ZonalFunction(SphereParams(n=3, m=1), np.ones(K + 1))
+        for call in (basis_values, basis_with_derivatives, lambda n, K, t: u.evaluate(t)):
+            with pytest.raises(DomainError, match="cosines t must be a scalar or a 1-D array"):
+                call(3, K, t)
+
+    def test_scalar_and_one_dimensional_cosines_keep_their_shapes(self):
+        assert basis_values(3, 4, 0.5).shape == (1, 5)
+        assert basis_values(3, 4, [0.5, -0.5]).shape == (2, 5)
+        assert basis_values(3, 4, np.empty(0)).shape == (0, 5)
+        u = ZonalFunction(SphereParams(n=3, m=1), np.ones(5))
+        assert u.evaluate(0.5).shape == (1,) and u.evaluate(np.linspace(-1, 1, 7)).shape == (7,)
+
+
 class TestBasis:
     def test_constant_mode(self):
         rule = build_quadrature(3, 16)
