@@ -298,8 +298,8 @@ class TestMirroredBasis:
         assert np.array_equal(t, -t[::-1]) and (Q % 2 == 0 or t[Q // 2] == 0.0)
         for K in (0, 1, 2, Q - 1):
             ref = reference_basis_with_derivatives(n, K, t)
-            got = basis_values(n, K, t)
-            assert got.flags.c_contiguous and got.tobytes() == ref[0].tobytes()
+            B = basis_values(n, K, t)
+            assert B.flags.c_contiguous and B.tobytes() == ref[0].tobytes()
             for got, want in zip(basis_with_derivatives(n, K, t), ref):
                 assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
 
