@@ -15,7 +15,11 @@ basis, whose Jacobi matrix has the nodes as eigenvalues and the Christoffel
 numbers 1/sum_k p_k(t_i)^2 as weights (Golub & Welsch, Math. Comp. 23,
 1969).  The nodes are found without that matrix: Gatteschi-Pittaluga
 guesses polished by Newton steps on the recurrence (Hale & Townsend, SIAM
-J. Sci. Comput. 35, 2013) with the Aberth-Ehrlich correction.
+J. Sci. Comput. 35, 2013) with the Aberth-Ehrlich correction.  One pass of
+the recurrence serves a whole rule: nodes that need more than its step are
+finished by Newton on their Taylor series, whose terms the Jacobi
+differential equation gives from the two values the pass holds, and their
+Christoffel numbers follow by the exact Christoffel-Darboux change.
 """
 
 from __future__ import annotations
@@ -98,6 +102,71 @@ def _aberth_sums(xa: np.ndarray, active: np.ndarray, zeros: np.ndarray) -> np.nd
     return sums
 
 
+#: Rules of fewer nodes take a second recurrence pass instead of the ODE
+#: finish, which costs about 100 us of numpy calls whatever its size; a pass
+#: costs about 1.7 us per degree (2 vCPU, numpy 2.4), so below about 72
+#: nodes it is the cheaper one.
+_FINISH_MIN_NODES = 72
+
+
+def _half_gaps(x0: np.ndarray, zeros: np.ndarray) -> np.ndarray:
+    # half the distance from each x0 (an entry of zeros) to the nearest other
+    # entry or endpoint; 0 where x0 is repeated
+    zs = np.concatenate(([-1.0], np.sort(zeros), [1.0]))
+    i = np.searchsorted(zs, x0)
+    return 0.5 * np.minimum(x0 - zs.take(i - 1, mode="clip"), zs.take(i + 1, mode="clip") - x0)
+
+
+def _ode_finish(N, alpha, beta, x0, d0, e0, delta):
+    # Newton on P(s) = q_N(x0 + r s) / (r q_N'(x0)), r = 2|delta|, from the
+    # Aberth step s = -delta/r, on its Taylor series sum e_k s^k: e_1 = 1 and
+    # the Jacobi equation gives (k+2)(k+1)(1-x0^2) c_{k+2} = ((2k+a+b+2) x0
+    # - (b-a))(k+1) c_{k+1} + (k-N)(k+N+a+b+1) c_k for c_k = q_N^(k)(x0)/k!.
+    # Terms stop once two in a row are below 1e-17 at |s| = 1 on every node
+    # (at most 40).  A node stops after a step below 4 eps / r and keeps P'
+    # moved along that step to first order, an error of (4 eps / r)^2 P'''.
+    # Returns the offsets h, the change (1-x^2) P'^2 - F(x0) / q_N'(x0)^2 of
+    # F = (1-x^2)(q'^2 - q q'') + 2x q q' - N q^2 (Christoffel-Darboux: the
+    # Christoffel sum is F scale_N^2 / (2N+a+b+1), and q = 0 at the end), and
+    # the mask of nodes that converged within |delta|/4 of the Aberth step.
+    ab, r = alpha + beta, 2.0 * np.abs(delta)
+    v, den = r / d0, np.arange(2.0, 40.0)[:, None]  # den = k + 2
+    lin = (2.0 + (ab - 2.0) / den) * (x0 * v)
+    if beta != alpha:
+        lin -= (beta - alpha) / den * v
+    con = (den - (N + 2.0)) * (den + (N + ab - 1.0)) / ((den - 1.0) * den) * (r * v)
+    C = np.zeros((3, 40, x0.size))  # the series of P, P' and P''
+    E, tmp = C[0], np.empty(x0.size)
+    E[0], E[1] = e0 / r, 1.0
+    for j, (a, c, e, e1, e2) in enumerate(zip(lin, con, E, E[1:], E[2:])):
+        np.multiply(a, e1, out=e2)
+        np.add(e2, np.multiply(c, e, out=tmp), out=e2)
+        if j % 2 and np.abs(E[j + 1 : j + 3]).max() <= 1e-17:
+            break
+    T = j + 3
+    C, V, k = C[:, :T], np.ones((T, x0.size)), np.arange(1.0, T)[:, None]
+    np.multiply(k, E[1:T], out=C[1, :-1])
+    np.multiply(k[:-1] * k[1:], E[2:T], out=C[2, :-2])
+    s, live, tol = -0.5 * np.sign(delta), np.ones(x0.size, dtype=bool), 4.0 * np.finfo(float).eps / r
+    for it in range(11):
+        V[1:] = s
+        np.multiply.accumulate(V[1:], axis=0, out=V[1:])
+        P, P1, P2 = np.add.accumulate(C * V, axis=1)[:, -1]
+        step = P / P1 * live
+        slope = np.where(live, P1 - step * P2, slope) if it else P1 - step * P2
+        s = s - step
+        live = np.abs(step) > tol
+        if not live.any():
+            break
+    h = r * s
+    change = (d0 - h * (2.0 * x0 + h)) * (slope * slope) - d0 * (1.0 - 2.0 * E[0] * E[2])
+    change -= r * E[0] * (2.0 * x0 - N * r * E[0])
+    ok = ~live & (np.abs(h + delta) <= 0.25 * np.abs(delta))
+    if T == 40:  # the terms did not fall below 1e-17 on every node
+        ok &= np.abs(E[38:]).max(axis=0) <= 1e-17
+    return h, change, ok
+
+
 @in_double_range
 def gauss_jacobi(N: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """N-point Gauss rule for the weight (1-t)^alpha (1+t)^beta on [-1, 1].
@@ -114,13 +183,32 @@ def gauss_jacobi(N: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndar
     1/sum_{k<N} p_k(t_i)^2, moved to the final node by the first-order
     Christoffel-Darboux term.
 
+    One pass of the recurrence per rule: a node whose step is too long to
+    stop on is finished without another pass (Glaser, Liu & Rokhlin, SIAM J.
+    Sci. Comput. 29, 2007).  The Jacobi differential equation gives every
+    Taylor coefficient of p_N about the iterate from p_N and p_N' there;
+    Newton on that series from the Aberth step ends within 4 eps of the
+    zero, and the Christoffel sum moves to it by the exact
+    Christoffel-Darboux change (F(t) - F(t_0)) / (2N+alpha+beta+1), F =
+    (1-t^2)(p'^2 - p p'') + 2t p p' - N p^2 for p = p_N, with 1-t^2 from
+    the unrounded offset.  It
+    runs once every long step is within 0.8 of half the gap to any other
+    iterate or endpoint, and keeps a node that ends within a quarter of its
+    step from the Aberth one; any other node takes another Aberth pass.
+    Rules of fewer than 72 nodes take the second pass instead, which costs
+    less there.  On 2 vCPU with one BLAS thread, the 1608-node rules of
+    n = 5..13 take 9.6-11.0 ms, against 12.7-18.9 ms in two or three
+    passes; nodes agree with scipy's roots_jacobi to 2.2e-16, and the
+    weights with 30-digit Christoffel numbers at the true zeros to 1.5e-12
+    at N = 1608 and 2.3e-13 at N <= 408.
+
     Memory: each pass writes the recurrence rows q_0..q_N of its A active
     nodes into one (N+1) x A view of a buffer allocated once, squares rows
     0..N-1 in place for the Christoffel sums, and builds the Aberth sums
     sum_j 1/(x_i - x_j) a block of 64 rows at a time, so no A x N matrix is
     formed.  Every product and sum runs in the same order and memory layout
-    as with per-degree row arrays and a full Aberth matrix, so nodes and
-    weights are bit-identical to that form.
+    as with per-degree row arrays, a full Aberth matrix and a node-by-node
+    finish, so nodes and weights are bit-identical to that form.
     """
     if int(N) != N or N < 1:
         raise DomainError(f"Gauss-Jacobi rule needs N >= 1 nodes, got N={N}")
@@ -146,6 +234,7 @@ def gauss_jacobi(N: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndar
     shift = N * (alpha - beta) / (2.0 * N + ab)
     c_prev = (2.0 * N + ab + 1.0) * b[-1] * scale[-2] / scale[-1]
     c_darboux = b[-1] * scale[-1] * scale[-2]
+    c_finish = scale[-1] ** 2 / rho
     weights = np.empty(M)
     active = np.arange(M)
     # rows q_0..q_N of every pass, as one C-ordered (N+1) x A view at its start
@@ -173,7 +262,8 @@ def gauss_jacobi(N: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndar
             d = 1.0 - xa * xa
             dp = ((shift - N * xa) * cur + c_prev * prev) / d
             ddp = ((alpha - beta + (ab + 2.0) * xa) * dp - N * (N + ab + 1.0) * cur) / d
-            zeros = np.concatenate((x, -x[: N // 2])) if sym else x
+            # the iterates of this pass, kept apart from x for the half-gaps
+            zeros = np.concatenate((x, -x[: N // 2])) if sym else x.copy()
             delta = cur / dp
             delta /= 1.0 - delta * _aberth_sums(xa, active, zeros)
             x[active] = xa - delta
@@ -182,7 +272,25 @@ def gauss_jacobi(N: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndar
             # near 1e-14 in the node and in its corrected weight; 4 eps is the
             # rounding floor of the step near the endpoints
             tol = np.maximum(1e-7 / N * np.sqrt(d), 4.0 * np.finfo(float).eps)
-            active = active[~(np.abs(delta) <= tol)]
+            far = ~(np.abs(delta) <= tol)
+            i = np.flatnonzero(far)
+            # once every long step stays well inside its half-gaps, finish
+            # those nodes from the Jacobi ODE instead of taking another pass;
+            # each moves by at most 1.25 |delta|, so no two reach one zero
+            if (
+                N >= _FINISH_MIN_NODES
+                and i.size
+                and (1.25 * np.abs(delta[i]) < _half_gaps(xa[i], zeros)).all()
+            ):
+                x0 = xa[i]
+                d0 = (1.0 - x0) * (1.0 + x0)
+                c1 = ((shift - N * x0) * cur[i] + c_prev * prev[i]) / d0
+                h, change, ok = _ode_finish(N, alpha, beta, x0, d0, cur[i] / c1, delta[i])
+                done = i[ok]
+                x[active[done]] = (x0 + h)[ok]
+                weights[active[done]] = 1.0 / (christoffel[i] + c_finish * c1 * c1 * change)[ok]
+                far[done] = False
+            active = active[far]
             if active.size == 0:
                 break
         else:
@@ -194,8 +302,8 @@ def gauss_jacobi(N: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndar
         weights = np.concatenate((weights[: N // 2], weights))
     order = np.argsort(x)
     x, weights = x[order], weights[order]
-    distinct = np.all(np.diff(x) > 0.0) and np.all(np.abs(x) < 1.0)
-    if not (distinct and np.all(weights > 0.0) and np.all(np.isfinite(weights))):
+    distinct = (np.diff(x) > 0.0).all() and -1.0 < x[0] and x[-1] < 1.0
+    if not (distinct and (weights > 0.0).all() and np.isfinite(weights).all()):
         raise InconsistencyError(
             f"degenerate Gauss-Jacobi rule for N={N}, alpha={alpha}, beta={beta}"
         )
@@ -231,7 +339,8 @@ def basis_values(n: int, K: int, t) -> np.ndarray:
 
     Returns an array of shape (len(t), K+1).  Y_k is the degree-k ultraspherical
     polynomial normalized so that its squared surface integral is 1; Y_0 is the
-    constant |S^n|^(-1/2).
+    constant |S^n|^(-1/2).  An infinite or NaN cosine is a DomainError; finite
+    cosines outside [-1, 1] give the polynomials' values.
     """
     return _basis_tables(n, K, t, 1)[0]
 
@@ -248,6 +357,8 @@ def _basis_tables(n: int, K: int, t, count: int) -> list[np.ndarray]:
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.ndim > 1:
         raise DomainError("cosines t must be a scalar or a 1-D array")
+    if not np.isfinite(t).all():
+        raise DomainError("cosines t must be finite")
     if K < 0:
         raise DomainError("truncation degree must be >= 0")
     Q, half = t.size, t.size // 2
@@ -270,9 +381,16 @@ def _basis_tables(n: int, K: int, t, count: int) -> list[np.ndarray]:
         D1[0] = D2[:2] = 0.0
         if K >= 1:
             D1[1] = Y[0] / b[0]
-        for k in range(1, K):
-            D1[k + 1] = (Y[k] + t * D1[k] - b[k - 1] * D1[k - 1]) / b[k]
-            D2[k + 1] = (2.0 * D1[k] + t * D2[k] - b[k - 1] * D2[k - 1]) / b[k]
+        # D1[k+1] = (Y[k] + t D1[k] - b[k-1] D1[k-1]) / b[k] and D2[k+1] =
+        # (2 D1[k] + t D2[k] - b[k-1] D2[k-1]) / b[k], each rounding in turn
+        for k, (b_prev, b_k) in enumerate(zip(b, b[1:]), start=1):
+            d, e = D1[k + 1], D2[k + 1]
+            np.add(Y[k], np.multiply(t, D1[k], d), d)
+            np.subtract(d, np.multiply(D1[k - 1], b_prev, tmp), d)
+            np.divide(d, b_k, d)
+            np.add(np.multiply(D1[k], 2.0, tmp), np.multiply(t, D2[k], e), e)
+            np.subtract(e, np.multiply(D2[k - 1], b_prev, tmp), e)
+            np.divide(e, b_k, e)
     for out, table, odd in zip(outs, tables, (1, 0, 1)):  # first column of odd parity
         out[half:] = table.T
         if half:
@@ -357,7 +475,7 @@ class ZonalFunction:
         return float(self.coeffs[0]) / math.sqrt(self.params.area)
 
     def evaluate(self, t) -> np.ndarray:
-        """Pointwise values at arbitrary cosines t via the stable recurrence."""
+        """Pointwise values at finite cosines t via the stable recurrence."""
         return basis_values(self.params.n, self.K, t) @ self.coeffs
 
     def sup_bound(self) -> float:

@@ -8,6 +8,7 @@ import sys
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,7 @@ from gjmslab.rayleigh import OptimizerConfig, minimize
 from gjmslab.spectral import (
     SphereParams,
     Workspace,
+    ZonalFunction,
     basis_values,
     basis_with_derivatives,
     gjms_eigenvalues,
@@ -158,3 +160,25 @@ def test_symmetric_cosines_match_the_general_path(n, K, s, middle):
     singles = zip(*(basis_with_derivatives(n, K, x) for x in t))
     for got, rows in zip(basis_with_derivatives(n, K, t), singles):
         assert got.tobytes() == np.vstack(rows).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    SPHERES,
+    st.integers(0, 12),
+    st.lists(st.floats(-3.0, 3.0), max_size=8),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.integers(0, 8),
+)
+def test_non_finite_cosines_are_a_domain_error(sphere, K, t, bad, at):
+    # any inf or nan among the cosines is refused before the recurrence runs,
+    # with no numpy warning; finite cosines outside [-1, 1] are evaluated
+    n, m = sphere
+    u = ZonalFunction(SphereParams(n=n, m=m), np.ones(K + 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(u.evaluate(t)).all()
+        t = t[:at] + [bad] + t[at:]
+        for call in (basis_values, basis_with_derivatives, lambda n, K, t: u.evaluate(t)):
+            with pytest.raises(DomainError, match="cosines t must be finite"):
+                call(n, K, t)

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 from scipy.special import eval_chebyu, roots_jacobi, roots_legendre
 
+from gjmslab import spectral
 from gjmslab.checks import laplace_beltrami_ode_residual
 from gjmslab.errors import AliasingError, DomainError
 from gjmslab.spectral import (
+    _FINISH_MIN_NODES,
     SphereParams,
     Workspace,
     ZonalFunction,
@@ -113,6 +115,32 @@ def mp_christoffel_weight(n, Q, t):
         return float(1 / total)
 
 
+def mp_root_christoffel_weight(n, Q, t):
+    # Oracle: the surface Christoffel number 1/sum_{k<Q} Y_k(z)^2 at the true
+    # zero z of Y_Q next to t, found by Newton steps in 30-digit arithmetic
+    # from t; near t = 1 the Christoffel function moves by about 1e-11 per
+    # ulp of its argument, so it is not taken at the rounded node.
+    with mpmath.workdps(30):
+        a = mpmath.mpf(n - 2) / 2
+        area = 2 * mpmath.pi ** (mpmath.mpf(n + 1) / 2) / mpmath.gamma(mpmath.mpf(n + 1) / 2)
+        bs = [mpmath.sqrt(k * (k + 2 * a) / ((2 * k + 2 * a + 1) * (2 * k + 2 * a - 1))) for k in range(1, Q + 1)]
+
+        def values(z):  # Y_Q(z), Y_Q'(z) and sum_{k<Q} Y_k(z)^2
+            prev, cur, dprev, dcur = mpmath.mpf(0), 1 / mpmath.sqrt(area), mpmath.mpf(0), mpmath.mpf(0)
+            b_prev, total = mpmath.mpf(0), mpmath.mpf(0)
+            for b in bs:
+                total += cur**2
+                prev, cur, dprev, dcur = cur, (z * cur - b_prev * prev) / b, dcur, (cur + z * dcur - b_prev * dprev) / b
+                b_prev = b
+            return cur, dcur, total
+
+        z = mpmath.mpf(t)
+        for _ in range(3):
+            p, dp, _ = values(z)
+            z -= p / dp
+        return float(1 / values(z)[2])
+
+
 class TestGaussJacobi:
     @pytest.mark.parametrize("Q", [4, 5, 24, 72, 73, 408, 1608])
     @pytest.mark.parametrize("n", [2, 3, 5, 9, 13])
@@ -129,6 +157,39 @@ class TestGaussJacobi:
             ref = mp_christoffel_weight(n, Q, rule.nodes[i])
             assert abs(rule.weights[i] / ref - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("Q", [72, 408])
+    @pytest.mark.parametrize("n", [4, 5, 7, 9, 13])
+    def test_boundary_weights_match_christoffel_at_true_roots(self, monkeypatch, n, Q):
+        # the 6 nodes nearest t = 1 and 4 inner nodes finished from the
+        # Jacobi equation (their mirror images have the same weights)
+        finished = []
+        finish = spectral._ode_finish
+
+        def recording(N, alpha, beta, x0, *args):
+            h, change, ok = finish(N, alpha, beta, x0, *args)
+            finished.extend((x0 + h)[ok])
+            return h, change, ok
+
+        monkeypatch.setattr(spectral, "_ode_finish", recording)
+        rule = build_quadrature(n, Q)
+        inner = np.flatnonzero(np.isin(rule.nodes, finished))
+        inner = inner[inner < Q - 6]
+        assert inner.size >= 4
+        for i in [*range(Q - 6, Q), *inner[np.linspace(0, inner.size - 1, 4).astype(int)]]:
+            ref = mp_root_christoffel_weight(n, Q, rule.nodes[i])
+            assert abs(rule.weights[i] / ref - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("Q", [72, 408, 1608])
+    @pytest.mark.parametrize("n", [2, 4, 5, 7, 9, 13])
+    def test_one_recurrence_pass(self, monkeypatch, n, Q):
+        # every pass takes one Aberth sum; the nodes whose first step is too
+        # long to stop on are finished from the Jacobi equation instead
+        passes = []
+        aberth = spectral._aberth_sums
+        monkeypatch.setattr(spectral, "_aberth_sums", lambda *args: passes.append(1) or aberth(*args))
+        build_quadrature(n, Q)
+        assert len(passes) == 1
+
     def test_unequal_exponents_match_scipy(self):
         alpha, beta = 1.0, 1.5  # the Funk-Hecke weight of (n, m) = (5, 2)
         x, w = gauss_jacobi(40, alpha, beta)
@@ -138,13 +199,16 @@ class TestGaussJacobi:
         mass = 2 ** (alpha + beta + 1) * math.gamma(alpha + 1) * math.gamma(beta + 1) / math.gamma(alpha + beta + 2)
         assert abs(np.sum(w) / mass - 1.0) <= 1e-13
 
-    @pytest.mark.parametrize("alpha", [14.0, 49.0])
+    @pytest.mark.parametrize("alpha", [14.0, 20.0, 30.0, 49.0, 70.0])
     def test_large_exponents(self, alpha):
         # Gatteschi-Pittaluga guesses are off by a third of a node spacing or
         # more near the endpoints here, where plain Newton steps land on a
-        # neighbouring zero; the Aberth correction still finds every node once
-        x, _ = gauss_jacobi(72, alpha, alpha)
-        assert np.max(np.abs(x - roots_jacobi(72, alpha, alpha)[0])) <= 1e-14
+        # neighbouring zero; the Aberth correction still finds every node
+        # once, and no node is finished from the Jacobi equation before every
+        # long step is well inside its half-gaps
+        for Q in (5, 9, 16, 24, 40, 72, 73, 200):
+            x, _ = gauss_jacobi(Q, alpha, alpha)
+            assert np.max(np.abs(x - roots_jacobi(Q, alpha, alpha)[0])) <= 1e-14
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
@@ -158,10 +222,65 @@ class TestGaussJacobi:
             gauss_jacobi(16, 85.0, 85.0)
 
 
+def reference_ode_finish(N, alpha, beta, x0, c0, c1, delta):
+    # Reference for the finish of the long steps, one node at a time in
+    # Python floats: the Taylor terms of q_N about x0 from the Jacobi
+    # equation, as many as the whole batch needs, Newton on them from the
+    # Aberth step, and the Christoffel-Darboux change at the new node.
+    # Returns (h, change) for a finished node and None for any other.
+    ab, eps = alpha + beta, np.finfo(float).eps
+    series = []
+    for x, q, dq, dl in zip(x0.tolist(), c0.tolist(), c1.tolist(), delta.tolist()):
+        d0 = (1.0 - x) * (1.0 + x)
+        r = 2.0 * abs(dl)
+        v = r / d0
+        e = [q / dq / r, 1.0]
+        for k in range(38):
+            den = k + 2.0
+            lin = (2.0 + (ab - 2.0) / den) * (x * v)
+            if beta != alpha:
+                lin -= (beta - alpha) / den * v
+            con = (den - (N + 2.0)) * (den + (N + ab - 1.0)) / ((den - 1.0) * den) * (r * v)
+            e.append(lin * e[-1] + con * e[-2])
+        series.append((x, d0, r, e))
+    # terms stop at the first odd k whose next two terms are below 1e-17 on
+    # every node of the batch
+    T = 40
+    for k in range(1, 38, 2):
+        if all(abs(e[k + 1]) <= 1e-17 and abs(e[k + 2]) <= 1e-17 for _, _, _, e in series):
+            T = k + 3
+            break
+    out = []
+    for (x, d0, r, e), dl in zip(series, delta.tolist()):
+        e = e[:T]
+        e1 = [(k + 1.0) * e[k + 1] for k in range(T - 1)]
+        e2 = [((k + 1.0) * (k + 2.0)) * e[k + 2] for k in range(T - 2)]
+        s, tol, done = (-0.5 if dl > 0 else 0.5), 4.0 * eps / r, False
+        for _ in range(11):
+            powers = [1.0, s]
+            for _ in range(T - 2):
+                powers.append(powers[-1] * s)
+            P, P1, P2 = (sum(c * p for c, p in zip(cs, powers)) for cs in (e, e1, e2))
+            step = P / P1
+            slope = P1 - step * P2
+            s = s - step
+            if not abs(step) > tol:
+                done = True
+                break
+        h = r * s
+        change = (d0 - h * (2.0 * x + h)) * (slope * slope) - d0 * (1.0 - 2.0 * e[0] * e[2])
+        change -= r * e[0] * (2.0 * x - N * r * e[0])
+        tail = T < 40 or (abs(e[38]) <= 1e-17 and abs(e[39]) <= 1e-17)
+        out.append((h, change) if done and tail and abs(h + dl) <= 0.25 * abs(dl) else None)
+    return out
+
+
 def reference_gauss_jacobi(N, alpha, beta):
     # Reference: the same Newton passes with a list of row arrays, its
-    # np.array copy, and the full A x N Aberth matrix; gauss_jacobi must
-    # reproduce it bit for bit.
+    # np.array copy, and the full A x N Aberth matrix, whose rows also give
+    # each iterate's distance to the nearest other one; long steps are
+    # finished by reference_ode_finish.  gauss_jacobi must reproduce it bit
+    # for bit.
     N = int(N)
     ab = alpha + beta
     a, b = _jacobi_recurrence(alpha, beta, N)
@@ -179,6 +298,7 @@ def reference_gauss_jacobi(N, alpha, beta):
     shift = N * (alpha - beta) / (2.0 * N + ab)
     c_prev = (2.0 * N + ab + 1.0) * b[-1] * scale[-2] / scale[-1]
     c_darboux = b[-1] * scale[-1] * scale[-2]
+    c_finish = scale[-1] ** 2 / rho
     weights = np.empty(M)
     active = np.arange(M)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -204,7 +324,20 @@ def reference_gauss_jacobi(N, alpha, beta):
             x[active] = xa - delta
             weights[active] = 1.0 / (christoffel - delta * c_darboux * prev * ddp)
             tol = np.maximum(1e-7 / N * np.sqrt(d), 4.0 * np.finfo(float).eps)
-            active = active[~(np.abs(delta) <= tol)]
+            far = ~(np.abs(delta) <= tol)
+            i = np.flatnonzero(far)
+            gaps = 0.5 * np.minimum(np.min(np.abs(diff), axis=1), np.minimum(1.0 - xa, 1.0 + xa))
+            if N >= _FINISH_MIN_NODES and i.size and np.all(1.25 * np.abs(delta[i]) < gaps[i]):
+                x0 = xa[i]
+                c1 = ((shift - N * x0) * cur[i] + c_prev * prev[i]) / ((1.0 - x0) * (1.0 + x0))
+                finished = reference_ode_finish(N, alpha, beta, x0, cur[i], c1, delta[i])
+                for j, f, dq in zip(i, finished, c1.tolist()):
+                    if f is not None:
+                        h, change = f
+                        x[active[j]] = xa[j] + h
+                        weights[active[j]] = 1.0 / (christoffel[j] + c_finish * dq * dq * change)
+                        far[j] = False
+            active = active[far]
             if active.size == 0:
                 break
     if sym:
@@ -346,6 +479,19 @@ class TestMirroredBasis:
         for call in (basis_values, basis_with_derivatives, lambda n, K, t: u.evaluate(t)):
             with pytest.raises(DomainError, match="cosines t must be a scalar or a 1-D array"):
                 call(3, K, t)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_cosines_are_a_domain_error(self, bad):
+        u = ZonalFunction(SphereParams(n=3, m=1), np.ones(6))
+        t = [bad, 1e200, 2.0, 0.5]
+        for call in (basis_values, basis_with_derivatives, lambda n, K, t: u.evaluate(t)):
+            with pytest.raises(DomainError, match="cosines t must be finite"):
+                call(3, 5, t)
+        # finite cosines outside [-1, 1] keep the polynomial's value, here
+        # sum_k U_k(t) / sqrt(|S^2| pi / 2) on S^3
+        t = np.array([2.0, -3.0])
+        expected = sum(eval_chebyu(k, t) for k in range(6)) * (sphere_area(2) * np.pi / 2) ** -0.5
+        assert np.allclose(u.evaluate(t), expected, rtol=1e-13)
 
     def test_scalar_and_one_dimensional_cosines_keep_their_shapes(self):
         assert basis_values(3, 4, 0.5).shape == (1, 5)
