@@ -123,19 +123,19 @@ def _ode_finish(N, alpha, beta, x0, d0, e0, delta):
     # the Jacobi equation gives (k+2)(k+1)(1-x0^2) c_{k+2} = ((2k+a+b+2) x0
     # - (b-a))(k+1) c_{k+1} + (k-N)(k+N+a+b+1) c_k for c_k = q_N^(k)(x0)/k!.
     # Terms stop once two in a row are below 1e-17 at |s| = 1 on every node
-    # (at most 40).  A node stops after a step below 4 eps / r and keeps P'
-    # moved along that step to first order, an error of (4 eps / r)^2 P'''.
-    # Returns the offsets h, the change (1-x^2) P'^2 - F(x0) / q_N'(x0)^2 of
-    # F = (1-x^2)(q'^2 - q q'') + 2x q q' - N q^2 (Christoffel-Darboux: the
-    # Christoffel sum is F scale_N^2 / (2N+a+b+1), and q = 0 at the end), and
-    # the mask of nodes that converged within |delta|/4 of the Aberth step.
+    # (at most 40), and Newton once every step is below 4 eps / r (at most 11
+    # steps).  Returns the offsets h, the change (1-x^2) P'^2 - F(x0) /
+    # q_N'(x0)^2 of F = (1-x^2)(q'^2 - q q'') + 2x q q' - N q^2
+    # (Christoffel-Darboux: the Christoffel sum is F scale_N^2 / (2N+a+b+1),
+    # and q = 0 at the end), and the mask of nodes that converged within
+    # |delta|/4 of the Aberth step.
     ab, r = alpha + beta, 2.0 * np.abs(delta)
     v, den = r / d0, np.arange(2.0, 40.0)[:, None]  # den = k + 2
     lin = (2.0 + (ab - 2.0) / den) * (x0 * v)
     if beta != alpha:
         lin -= (beta - alpha) / den * v
     con = (den - (N + 2.0)) * (den + (N + ab - 1.0)) / ((den - 1.0) * den) * (r * v)
-    C = np.zeros((3, 40, x0.size))  # the series of P, P' and P''
+    C = np.zeros((2, 40, x0.size))  # the series of P and P'
     E, tmp = C[0], np.empty(x0.size)
     E[0], E[1] = e0 / r, 1.0
     for j, (a, c, e, e1, e2) in enumerate(zip(lin, con, E, E[1:], E[2:])):
@@ -144,24 +144,23 @@ def _ode_finish(N, alpha, beta, x0, d0, e0, delta):
         if j % 2 and np.abs(E[j + 1 : j + 3]).max() <= 1e-17:
             break
     T = j + 3
-    C, V, k = C[:, :T], np.ones((T, x0.size)), np.arange(1.0, T)[:, None]
-    np.multiply(k, E[1:T], out=C[1, :-1])
-    np.multiply(k[:-1] * k[1:], E[2:T], out=C[2, :-2])
-    s, live, tol = -0.5 * np.sign(delta), np.ones(x0.size, dtype=bool), 4.0 * np.finfo(float).eps / r
-    for it in range(11):
+    C, V = C[:, :T], np.ones((T, x0.size))
+    np.multiply(np.arange(1.0, T)[:, None], E[1:T], out=C[1, :-1])
+    s, tol = -0.5 * np.sign(delta), 4.0 * np.finfo(float).eps / r
+    converged = np.zeros(x0.size, dtype=bool)
+    for it in range(12):  # the last evaluation gives P' at the final s
         V[1:] = s
         np.multiply.accumulate(V[1:], axis=0, out=V[1:])
-        P, P1, P2 = np.add.accumulate(C * V, axis=1)[:, -1]
-        step = P / P1 * live
-        slope = np.where(live, P1 - step * P2, slope) if it else P1 - step * P2
-        s = s - step
-        live = np.abs(step) > tol
-        if not live.any():
+        P, P1 = np.add.accumulate(C * V, axis=1)[:, -1]
+        if converged.all() or it == 11:
             break
+        step = P / P1
+        s = s - step
+        converged = np.abs(step) <= tol
     h = r * s
-    change = (d0 - h * (2.0 * x0 + h)) * (slope * slope) - d0 * (1.0 - 2.0 * E[0] * E[2])
+    change = (d0 - h * (2.0 * x0 + h)) * (P1 * P1) - d0 * (1.0 - 2.0 * E[0] * E[2])
     change -= r * E[0] * (2.0 * x0 - N * r * E[0])
-    ok = ~live & (np.abs(h + delta) <= 0.25 * np.abs(delta))
+    ok = converged & (np.abs(h + delta) <= 0.25 * np.abs(delta))
     if T == 40:  # the terms did not fall below 1e-17 on every node
         ok &= np.abs(E[38:]).max(axis=0) <= 1e-17
     return h, change, ok
@@ -340,11 +339,13 @@ def basis_values(n: int, K: int, t) -> np.ndarray:
     Returns an array of shape (len(t), K+1).  Y_k is the degree-k ultraspherical
     polynomial normalized so that its squared surface integral is 1; Y_0 is the
     constant |S^n|^(-1/2).  An infinite or NaN cosine is a DomainError; finite
-    cosines outside [-1, 1] give the polynomials' values.
+    cosines outside [-1, 1] give the polynomials' values, or a DomainError
+    where those overflow a double.
     """
     return _basis_tables(n, K, t, 1)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _basis_tables(n: int, K: int, t, count: int) -> list[np.ndarray]:
     # Y_k(t_i), then with count = 3 its first two t-derivatives, as C-ordered
     # (len(t), K+1) arrays, since BLAS rounds B @ c, B.T @ v and B.T diag(s) B
@@ -353,7 +354,8 @@ def _basis_tables(n: int, K: int, t, count: int) -> list[np.ndarray]:
     # (any Gauss rule) with normal doubles in the mirrored half, they run on
     # the m = Q - Q//2 nodes t >= 0, in the first half of each output for even
     # Q; the rest follows by parity, (-1)^k for Y_k and Y_k'', (-1)^(k+1) for
-    # Y_k'.  Negation as 0 - x is exact and keeps +0, so no bit moves.
+    # Y_k'.  Negation as 0 - x is exact and keeps +0, so no bit moves.  A
+    # value past the double range stays inf or nan in every later row.
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.ndim > 1:
         raise DomainError("cosines t must be a scalar or a 1-D array")
@@ -381,16 +383,11 @@ def _basis_tables(n: int, K: int, t, count: int) -> list[np.ndarray]:
         D1[0] = D2[:2] = 0.0
         if K >= 1:
             D1[1] = Y[0] / b[0]
-        # D1[k+1] = (Y[k] + t D1[k] - b[k-1] D1[k-1]) / b[k] and D2[k+1] =
-        # (2 D1[k] + t D2[k] - b[k-1] D2[k-1]) / b[k], each rounding in turn
-        for k, (b_prev, b_k) in enumerate(zip(b, b[1:]), start=1):
-            d, e = D1[k + 1], D2[k + 1]
-            np.add(Y[k], np.multiply(t, D1[k], d), d)
-            np.subtract(d, np.multiply(D1[k - 1], b_prev, tmp), d)
-            np.divide(d, b_k, d)
-            np.add(np.multiply(D1[k], 2.0, tmp), np.multiply(t, D2[k], e), e)
-            np.subtract(e, np.multiply(D2[k - 1], b_prev, tmp), e)
-            np.divide(e, b_k, e)
+        for k in range(1, K):
+            D1[k + 1] = (Y[k] + t * D1[k] - b[k - 1] * D1[k - 1]) / b[k]
+            D2[k + 1] = (2.0 * D1[k] + t * D2[k] - b[k - 1] * D2[k - 1]) / b[k]
+    if not all(np.isfinite(table[-1]).all() for table in tables):
+        raise DomainError("cosines t are too large: the zonal basis overflows a double")
     for out, table, odd in zip(outs, tables, (1, 0, 1)):  # first column of odd parity
         out[half:] = table.T
         if half:

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -223,10 +224,10 @@ class TestGaussJacobi:
 
 
 def reference_ode_finish(N, alpha, beta, x0, c0, c1, delta):
-    # Reference for the finish of the long steps, one node at a time in
-    # Python floats: the Taylor terms of q_N about x0 from the Jacobi
-    # equation, as many as the whole batch needs, Newton on them from the
-    # Aberth step, and the Christoffel-Darboux change at the new node.
+    # Reference for the finish of the long steps, node by node in Python
+    # floats: the Taylor terms of q_N about x0 from the Jacobi equation, as
+    # many as the whole batch needs, Newton on them from the Aberth step, and
+    # the Christoffel-Darboux change at the new node.
     # Returns (h, change) for a finished node and None for any other.
     ab, eps = alpha + beta, np.finfo(float).eps
     series = []
@@ -250,24 +251,26 @@ def reference_ode_finish(N, alpha, beta, x0, c0, c1, delta):
         if all(abs(e[k + 1]) <= 1e-17 and abs(e[k + 2]) <= 1e-17 for _, _, _, e in series):
             T = k + 3
             break
-    out = []
-    for (x, d0, r, e), dl in zip(series, delta.tolist()):
-        e = e[:T]
-        e1 = [(k + 1.0) * e[k + 1] for k in range(T - 1)]
-        e2 = [((k + 1.0) * (k + 2.0)) * e[k + 2] for k in range(T - 2)]
-        s, tol, done = (-0.5 if dl > 0 else 0.5), 4.0 * eps / r, False
-        for _ in range(11):
-            powers = [1.0, s]
+    # Newton on every node in step until every step is below 4 eps / r (at
+    # most 11 steps), then P' at the final s
+    series = [(x, d0, r, e[:T], [(k + 1.0) * e[k + 1] for k in range(T - 1)]) for x, d0, r, e in series]
+    s = [-0.5 if dl > 0 else 0.5 for dl in delta.tolist()]
+    converged = [False] * len(s)
+    for it in range(12):
+        values = []
+        for (_, _, _, e, e1), sj in zip(series, s):
+            powers = [1.0, sj]
             for _ in range(T - 2):
-                powers.append(powers[-1] * s)
-            P, P1, P2 = (sum(c * p for c, p in zip(cs, powers)) for cs in (e, e1, e2))
-            step = P / P1
-            slope = P1 - step * P2
-            s = s - step
-            if not abs(step) > tol:
-                done = True
-                break
-        h = r * s
+                powers.append(powers[-1] * sj)
+            values.append([sum(c * p for c, p in zip(cs, powers)) for cs in (e, e1)])
+        if all(converged) or it == 11:
+            break
+        steps = [P / P1 for P, P1 in values]
+        s = [sj - step for sj, step in zip(s, steps)]
+        converged = [abs(step) <= 4.0 * eps / r for step, (_, _, r, _, _) in zip(steps, series)]
+    out = []
+    for (x, d0, r, e, _), sj, (_, slope), done, dl in zip(series, s, values, converged, delta.tolist()):
+        h = r * sj
         change = (d0 - h * (2.0 * x + h)) * (slope * slope) - d0 * (1.0 - 2.0 * e[0] * e[2])
         change -= r * e[0] * (2.0 * x - N * r * e[0])
         tail = T < 40 or (abs(e[38]) <= 1e-17 and abs(e[39]) <= 1e-17)
@@ -487,6 +490,16 @@ class TestMirroredBasis:
         for call in (basis_values, basis_with_derivatives, lambda n, K, t: u.evaluate(t)):
             with pytest.raises(DomainError, match="cosines t must be finite"):
                 call(3, 5, t)
+        # so are finite ones where the polynomials overflow, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call, K, t in [(basis_values, 5, 1e200), (basis_with_derivatives, 5, [0.5, -1e200])]:
+                with pytest.raises(DomainError, match="overflows a double"):
+                    call(3, K, t)
+            with pytest.raises(DomainError, match="overflows a double"):
+                u.evaluate([2.0, 1e200])
+            with pytest.raises(DomainError, match="overflows a double"):
+                basis_values(3, 600, 2.0)  # U_600(2) is about 1e343
         # finite cosines outside [-1, 1] keep the polynomial's value, here
         # sum_k U_k(t) / sqrt(|S^2| pi / 2) on S^3
         t = np.array([2.0, -3.0])
