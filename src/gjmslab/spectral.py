@@ -15,11 +15,13 @@ basis, whose Jacobi matrix has the nodes as eigenvalues and the Christoffel
 numbers 1/sum_k p_k(t_i)^2 as weights (Golub & Welsch, Math. Comp. 23,
 1969).  The nodes are found without that matrix: Gatteschi-Pittaluga
 guesses polished by Newton steps on the recurrence (Hale & Townsend, SIAM
-J. Sci. Comput. 35, 2013) with the Aberth-Ehrlich correction.  One pass of
-the recurrence serves a whole rule: nodes that need more than its step are
-finished by Newton on their Taylor series, whose terms the Jacobi
-differential equation gives from the two values the pass holds, and their
-Christoffel numbers follow by the exact Christoffel-Darboux change.
+J. Sci. Comput. 35, 2013), plain where the guesses are good and with the
+Aberth-Ehrlich correction where they are not.  One pass of the recurrence
+serves a whole rule, and builds its Christoffel sums a block of rows at a
+time: nodes that need more than its step are finished by Newton on their
+Taylor series, whose terms the Jacobi differential equation gives from the
+two values the pass holds, and their Christoffel numbers follow by the
+exact Christoffel-Darboux change.
 """
 
 from __future__ import annotations
@@ -84,8 +86,51 @@ def _jacobi_recurrence(alpha: float, beta: float, K: int) -> tuple[np.ndarray, n
 #: Active nodes per block of the Aberth sum.  A 64 x N block is 0.8 MB at
 #: N = 1608, against 10 MB for the whole A x N matrix, and runs as fast as
 #: that matrix from N = 72 to 1608; 8-row blocks pay numpy's per-call
-#: overhead, 20% slower at N = 1608 and twice as slow at N = 408.
+#: overhead, 20% slower at N = 1608 and twice as slow at N = 408.  Only
+#: passes whose plain Newton steps cannot all finish take the sums.
 _ABERTH_BLOCK = 64
+
+#: Recurrence rows per block of the Christoffel sums.  A pass holds one
+#: block and the two rows before it: 130 rows of 804 nodes are 0.8 MB at
+#: N = 1608, squared in place and summed by one gemv while they are still in
+#: L2, against 10 MB for all N + 1 rows.
+_ROW_BLOCK = 128
+
+
+def _christoffel_pass(xa, two_a, four_b2, s2, buf):
+    # One pass of q_{k+1} = (2 x - 2 a_k) q_k - 4 b_k^2 q_{k-1} from q_0 = 1
+    # over the nodes xa, three array operations per degree.  Row j of a
+    # C-ordered (_ROW_BLOCK + 2) x A view of buf (N + 1 rows if fewer) holds
+    # degree lo + j; once it is full, rows 0.._ROW_BLOCK-1 are squared in
+    # place and added to the Christoffel sums sum_{k<N} s2_k q_k^2 by one
+    # gemv, and the last two rows move to the front.  Returns the sums,
+    # q_{N-1} and q_N.
+    N, A = len(two_a), xa.size
+    two_x = 2.0 * xa
+    tmp = np.empty(A)
+    rows = buf[: min(N + 1, _ROW_BLOCK + 2) * A].reshape(-1, A)
+    views = list(rows)
+    rows[0] = 1.0
+    rows[1] = two_x - two_a[0] if two_a[0] else two_x
+    christoffel, lo = 0.0, 0
+    while True:
+        top = min(_ROW_BLOCK + 1, N - lo)  # the row of the last degree in this block
+        steps = zip(views[2 : top + 1], views[1:top], views, two_a[lo + 1 : lo + top], four_b2[lo:])
+        for nxt, cur, prev, ta, c in steps:
+            np.multiply(two_x - ta if ta else two_x, cur, nxt)
+            np.multiply(prev, c, tmp)
+            np.subtract(nxt, tmp, nxt)
+        if lo + top == N:
+            break
+        head = rows[:_ROW_BLOCK]
+        np.multiply(head, head, out=head)
+        christoffel = christoffel + s2[lo : lo + _ROW_BLOCK] @ head
+        rows[:2] = rows[_ROW_BLOCK:]
+        lo += _ROW_BLOCK
+    prev, cur = rows[top - 1].copy(), rows[top]
+    head = rows[:top]
+    np.multiply(head, head, out=head)
+    return christoffel + s2[lo:] @ head, prev, cur
 
 
 def _aberth_sums(xa: np.ndarray, active: np.ndarray, zeros: np.ndarray) -> np.ndarray:
@@ -102,10 +147,10 @@ def _aberth_sums(xa: np.ndarray, active: np.ndarray, zeros: np.ndarray) -> np.nd
     return sums
 
 
-#: Rules of fewer nodes take a second recurrence pass instead of the ODE
-#: finish, which costs about 100 us of numpy calls whatever its size; a pass
-#: costs about 1.7 us per degree (2 vCPU, numpy 2.4), so below about 72
-#: nodes it is the cheaper one.
+#: Rules of fewer nodes take Aberth steps and a second recurrence pass
+#: instead of plain Newton steps and the ODE finish, which costs about 100 us
+#: of numpy calls whatever its size; a pass costs about 1.7 us per degree
+#: (2 vCPU, numpy 2.4), so below about 72 nodes it is the cheaper one.
 _FINISH_MIN_NODES = 72
 
 
@@ -117,26 +162,32 @@ def _half_gaps(x0: np.ndarray, zeros: np.ndarray) -> np.ndarray:
     return 0.5 * np.minimum(x0 - zs.take(i - 1, mode="clip"), zs.take(i + 1, mode="clip") - x0)
 
 
+def _finishable(delta, far, xa, zeros) -> bool:
+    # every long step is within 0.8 of the half-gaps of its iterate
+    return (1.25 * np.abs(delta[far]) < _half_gaps(xa[far], zeros)).all()
+
+
 def _ode_finish(N, alpha, beta, x0, d0, e0, delta):
     # Newton on P(s) = q_N(x0 + r s) / (r q_N'(x0)), r = 2|delta|, from the
-    # Aberth step s = -delta/r, on its Taylor series sum e_k s^k: e_1 = 1 and
+    # pass's step s = -delta/r, on its Taylor series sum e_k s^k: e_1 = 1 and
     # the Jacobi equation gives (k+2)(k+1)(1-x0^2) c_{k+2} = ((2k+a+b+2) x0
     # - (b-a))(k+1) c_{k+1} + (k-N)(k+N+a+b+1) c_k for c_k = q_N^(k)(x0)/k!.
     # Terms stop once two in a row are below 1e-17 at |s| = 1 on every node
     # (at most 40), and Newton once every step is below 4 eps / r (at most 11
-    # steps).  Returns the offsets h, the change (1-x^2) P'^2 - F(x0) /
+    # steps), with P and P' summed term by term over the outer axis of one
+    # (T, 2, F) stack.  Returns the offsets h, the change (1-x^2) P'^2 - F(x0) /
     # q_N'(x0)^2 of F = (1-x^2)(q'^2 - q q'') + 2x q q' - N q^2
     # (Christoffel-Darboux: the Christoffel sum is F scale_N^2 / (2N+a+b+1),
     # and q = 0 at the end), and the mask of nodes that converged within
-    # |delta|/4 of the Aberth step.
+    # |delta|/4 of the pass's step.
     ab, r = alpha + beta, 2.0 * np.abs(delta)
     v, den = r / d0, np.arange(2.0, 40.0)[:, None]  # den = k + 2
     lin = (2.0 + (ab - 2.0) / den) * (x0 * v)
     if beta != alpha:
         lin -= (beta - alpha) / den * v
     con = (den - (N + 2.0)) * (den + (N + ab - 1.0)) / ((den - 1.0) * den) * (r * v)
-    C = np.zeros((2, 40, x0.size))  # the series of P and P'
-    E, tmp = C[0], np.empty(x0.size)
+    C = np.zeros((40, 2, x0.size))  # the series of P and P', term by term
+    E, tmp = C[:, 0], np.empty(x0.size)
     E[0], E[1] = e0 / r, 1.0
     for j, (a, c, e, e1, e2) in enumerate(zip(lin, con, E, E[1:], E[2:])):
         np.multiply(a, e1, out=e2)
@@ -144,14 +195,14 @@ def _ode_finish(N, alpha, beta, x0, d0, e0, delta):
         if j % 2 and np.abs(E[j + 1 : j + 3]).max() <= 1e-17:
             break
     T = j + 3
-    C, V = C[:, :T], np.ones((T, x0.size))
-    np.multiply(np.arange(1.0, T)[:, None], E[1:T], out=C[1, :-1])
+    C, V = C[:T], np.ones((T, 1, x0.size))
+    np.multiply(np.arange(1.0, T)[:, None], E[1:T], out=C[:-1, 1])
     s, tol = -0.5 * np.sign(delta), 4.0 * np.finfo(float).eps / r
     converged = np.zeros(x0.size, dtype=bool)
     for it in range(12):  # the last evaluation gives P' at the final s
         V[1:] = s
         np.multiply.accumulate(V[1:], axis=0, out=V[1:])
-        P, P1 = np.add.accumulate(C * V, axis=1)[:, -1]
+        P, P1 = np.add.reduce(C * V, axis=0)
         if converged.all() or it == 11:
             break
         step = P / P1
@@ -166,48 +217,68 @@ def _ode_finish(N, alpha, beta, x0, d0, e0, delta):
     return h, change, ok
 
 
+def _jacobi_mass(alpha: float, beta: float) -> float:
+    # 2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2), from log-Gamma only
+    # where a Gamma or the product overflows (from a + b = 169.6 on; about
+    # 5e-14 relative at a = b = 85), so masses in range keep their bits
+    ab = alpha + beta
+    try:
+        mass = 2.0 ** (ab + 1.0) * math.gamma(alpha + 1.0) / math.gamma(ab + 2.0) * math.gamma(beta + 1.0)
+        if math.isfinite(mass):
+            return mass
+    except OverflowError:
+        pass
+    log_beta = math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(ab + 2.0)
+    return math.exp((ab + 1.0) * math.log(2.0) + log_beta)
+
+
 @in_double_range
 def gauss_jacobi(N: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """N-point Gauss rule for the weight (1-t)^alpha (1+t)^beta on [-1, 1].
 
     Returns ascending nodes and their weights; the weights sum to the total
-    mass 2^(alpha+beta+1) Gamma(alpha+1) Gamma(beta+1) / Gamma(alpha+beta+2).
-    Nodes start from the Gatteschi-Pittaluga asymptotics and take Newton
-    steps on the orthonormal recurrence, with p_N' from the identity
+    mass 2^(alpha+beta+1) Gamma(alpha+1) Gamma(beta+1) / Gamma(alpha+beta+2),
+    taken from log-Gamma where Gamma leaves the double range.  Nodes start
+    from the Gatteschi-Pittaluga asymptotics and take Newton steps on the
+    orthonormal recurrence, with p_N' from the identity
     (1-t^2) p_N' = (N(alpha-beta)/(2N+alpha+beta) - N t) p_N
-    + (2N+alpha+beta+1) b_N p_{N-1}; the Aberth-Ehrlich correction keeps
-    every iterate on its own zero when the guesses are poor (large alpha or
-    beta).  Only unconverged nodes are iterated, and for alpha = beta only
-    the nonnegative half.  The weights are the Christoffel numbers
-    1/sum_{k<N} p_k(t_i)^2, moved to the final node by the first-order
-    Christoffel-Darboux term.
+    + (2N+alpha+beta+1) b_N p_{N-1}.  Only unconverged nodes are iterated,
+    and for alpha = beta only the nonnegative half.  The weights are the
+    Christoffel numbers 1/sum_{k<N} p_k(t_i)^2, moved to the final node by
+    the first-order Christoffel-Darboux term.
 
-    One pass of the recurrence per rule: a node whose step is too long to
-    stop on is finished without another pass (Glaser, Liu & Rokhlin, SIAM J.
-    Sci. Comput. 29, 2007).  The Jacobi differential equation gives every
-    Taylor coefficient of p_N about the iterate from p_N and p_N' there;
-    Newton on that series from the Aberth step ends within 4 eps of the
-    zero, and the Christoffel sum moves to it by the exact
-    Christoffel-Darboux change (F(t) - F(t_0)) / (2N+alpha+beta+1), F =
-    (1-t^2)(p'^2 - p p'') + 2t p p' - N p^2 for p = p_N, with 1-t^2 from
-    the unrounded offset.  It
-    runs once every long step is within 0.8 of half the gap to any other
-    iterate or endpoint, and keeps a node that ends within a quarter of its
-    step from the Aberth one; any other node takes another Aberth pass.
-    Rules of fewer than 72 nodes take the second pass instead, which costs
-    less there.  On 2 vCPU with one BLAS thread, the 1608-node rules of
-    n = 5..13 take 9.6-11.0 ms, against 12.7-18.9 ms in two or three
-    passes; nodes agree with scipy's roots_jacobi to 2.2e-16, and the
-    weights with 30-digit Christoffel numbers at the true zeros to 1.5e-12
-    at N = 1608 and 2.3e-13 at N <= 408.
+    One pass of the recurrence per rule on good guesses.  A pass takes plain
+    Newton steps when every step too long to stop on is within 0.8 of half
+    the gap to any other iterate or endpoint, and finishes those nodes
+    without another pass (Glaser, Liu & Rokhlin, SIAM J. Sci. Comput. 29,
+    2007).  The Jacobi differential equation gives every Taylor coefficient
+    of p_N about the iterate from p_N and p_N' there; Newton on that series
+    from the step ends within 4 eps of the zero, and the Christoffel sum
+    moves to it by the exact Christoffel-Darboux change (F(t) - F(t_0)) /
+    (2N+alpha+beta+1), F = (1-t^2)(p'^2 - p p'') + 2t p p' - N p^2 for
+    p = p_N, with 1-t^2 from the unrounded offset.  A node that does not
+    end within a quarter of its step takes another pass.  Any other pass,
+    and every pass of a rule below 72 nodes, takes Aberth-Ehrlich steps,
+    which keep every iterate on its own zero when the guesses are poor
+    (large alpha or beta), and runs the same test on them; a step that would
+    leave (-1, 1) moves halfway to that endpoint instead.  Every rule for
+    alpha = beta <= 5.5 (n <= 13 on S^n) from 72 to 1608 nodes takes one
+    pass of plain steps.  On 2 vCPU with one BLAS thread, the 1608-node
+    rules of n = 3..13 take 4.2-5.6 ms, against 8.0-10.3 ms with Aberth
+    steps and all rows held; nodes agree with scipy's roots_jacobi to
+    2.2e-16, and the weights with 30-digit Christoffel numbers at the true
+    zeros to 1.5e-12 at N = 1608 and 2.3e-13 at N <= 408.
 
-    Memory: each pass writes the recurrence rows q_0..q_N of its A active
-    nodes into one (N+1) x A view of a buffer allocated once, squares rows
-    0..N-1 in place for the Christoffel sums, and builds the Aberth sums
-    sum_j 1/(x_i - x_j) a block of 64 rows at a time, so no A x N matrix is
-    formed.  Every product and sum runs in the same order and memory layout
-    as with per-degree row arrays, a full Aberth matrix and a node-by-node
-    finish, so nodes and weights are bit-identical to that form.
+    Memory: a pass writes the recurrence rows q_k of its A active nodes
+    into a (128 + 2) x A view of one buffer allocated per rule; each full
+    block of 128 rows is squared in place and added to the Christoffel sums
+    by one gemv while it is in L2, and its last two rows carry the
+    recurrence into the next block.  The Aberth sums sum_j 1/(x_i - x_j)
+    are built a block of 64 rows at a time, so no (N+1) x A or A x N matrix
+    is formed.  Every product and sum runs in the same order and memory
+    layout as with per-degree row arrays summed over the same blocks, a full
+    Aberth matrix and a node-by-node finish, so nodes and weights are
+    bit-identical to that form.
     """
     if int(N) != N or N < 1:
         raise DomainError(f"Gauss-Jacobi rule needs N >= 1 nodes, got N={N}")
@@ -216,7 +287,7 @@ def gauss_jacobi(N: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndar
     N = int(N)
     ab = alpha + beta
     a, b = _jacobi_recurrence(alpha, beta, N)
-    mass = 2.0 ** (ab + 1.0) * math.gamma(alpha + 1.0) / math.gamma(ab + 2.0) * math.gamma(beta + 1.0)
+    mass = _jacobi_mass(alpha, beta)
     sym = alpha == beta
     M = (N + 1) // 2 if sym else N
     rho = 2.0 * N + ab + 1.0
@@ -228,6 +299,7 @@ def gauss_jacobi(N: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndar
     # p_k = scale_k q_k with q_{k+1} = 2(t - a_k) q_k - 4 b_k^2 q_{k-1}: three
     # array operations per degree, and q stays O(1) because 2 b_k -> 1
     scale = np.cumprod(np.concatenate(([1.0 / math.sqrt(mass)], 0.5 / b)))
+    s2 = scale[:-1] ** 2
     two_a = (2.0 * a).tolist()
     four_b2 = (4.0 * b[:-1] ** 2).tolist()
     shift = N * (alpha - beta) / (2.0 * N + ab)
@@ -236,51 +308,40 @@ def gauss_jacobi(N: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndar
     c_finish = scale[-1] ** 2 / rho
     weights = np.empty(M)
     active = np.arange(M)
-    # rows q_0..q_N of every pass, as one C-ordered (N+1) x A view at its start
-    buf = np.empty((N + 1) * M)
+    buf = np.empty(min(N + 1, _ROW_BLOCK + 2) * M)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(100):
-            A = active.size
             xa = x[active]
-            two_x = 2.0 * xa
-            tmp = np.empty(A)
-            rows = buf[: (N + 1) * A].reshape(N + 1, A)
-            rows[0] = 1.0
-            rows[1] = two_x - two_a[0] if two_a[0] else two_x
-            views = list(rows)
-            for nxt, cur, prev, ta, c in zip(views[2:], views[1:], views, two_a[1:], four_b2):
-                np.multiply(two_x - ta if ta else two_x, cur, nxt)
-                np.multiply(prev, c, tmp)
-                np.subtract(nxt, tmp, nxt)
-            # prev = p_{N-1} and cur = p_N in q units; p_N' from the identity,
-            # p_N'' from the Jacobi differential equation
-            prev, cur = rows[N - 1].copy(), rows[N]
-            head = rows[:N]
-            np.multiply(head, head, out=head)
-            christoffel = scale[:-1] ** 2 @ head
+            christoffel, prev, cur = _christoffel_pass(xa, two_a, four_b2, s2, buf)
+            # p_N' from the identity, p_N'' from the Jacobi differential equation
             d = 1.0 - xa * xa
             dp = ((shift - N * xa) * cur + c_prev * prev) / d
             ddp = ((alpha - beta + (ab + 2.0) * xa) * dp - N * (N + ab + 1.0) * cur) / d
             # the iterates of this pass, kept apart from x for the half-gaps
             zeros = np.concatenate((x, -x[: N // 2])) if sym else x.copy()
-            delta = cur / dp
-            delta /= 1.0 - delta * _aberth_sums(xa, active, zeros)
-            x[active] = xa - delta
-            weights[active] = 1.0 / (christoffel - delta * c_darboux * prev * ddp)
             # a step below 1e-7 sqrt(1 - t^2) / N leaves second-order errors
             # near 1e-14 in the node and in its corrected weight; 4 eps is the
             # rounding floor of the step near the endpoints
             tol = np.maximum(1e-7 / N * np.sqrt(d), 4.0 * np.finfo(float).eps)
+            # plain Newton steps if every long one stays well inside its
+            # half-gaps, where the Jacobi ODE finishes it and each moves by at
+            # most 1.25 |delta|, so no two reach one zero; Aberth steps otherwise
+            delta = cur / dp
             far = ~(np.abs(delta) <= tol)
+            finish = N >= _FINISH_MIN_NODES and _finishable(delta, far, xa, zeros)
+            if not finish:
+                delta /= 1.0 - delta * _aberth_sums(xa, active, zeros)
+                # an iterate whose step would leave (-1, 1) moves halfway to
+                # that endpoint instead
+                leave = np.abs(xa - delta) >= 1.0
+                if leave.any():
+                    delta[leave] = 0.5 * (xa - np.sign(xa - delta))[leave]
+                far = ~(np.abs(delta) <= tol)
+                finish = N >= _FINISH_MIN_NODES and _finishable(delta, far, xa, zeros)
+            x[active] = xa - delta
+            weights[active] = 1.0 / (christoffel - delta * c_darboux * prev * ddp)
             i = np.flatnonzero(far)
-            # once every long step stays well inside its half-gaps, finish
-            # those nodes from the Jacobi ODE instead of taking another pass;
-            # each moves by at most 1.25 |delta|, so no two reach one zero
-            if (
-                N >= _FINISH_MIN_NODES
-                and i.size
-                and (1.25 * np.abs(delta[i]) < _half_gaps(xa[i], zeros)).all()
-            ):
+            if finish and i.size:
                 x0 = xa[i]
                 d0 = (1.0 - x0) * (1.0 + x0)
                 c1 = ((shift - N * x0) * cur[i] + c_prev * prev[i]) / d0

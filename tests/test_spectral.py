@@ -16,6 +16,7 @@ from gjmslab.checks import laplace_beltrami_ode_residual
 from gjmslab.errors import AliasingError, DomainError
 from gjmslab.spectral import (
     _FINISH_MIN_NODES,
+    _ROW_BLOCK,
     SphereParams,
     Workspace,
     ZonalFunction,
@@ -158,11 +159,16 @@ class TestGaussJacobi:
             ref = mp_christoffel_weight(n, Q, rule.nodes[i])
             assert abs(rule.weights[i] / ref - 1.0) <= 1e-12
 
-    @pytest.mark.parametrize("Q", [72, 408])
-    @pytest.mark.parametrize("n", [4, 5, 7, 9, 13])
+    @pytest.mark.parametrize(
+        "n,Q", [(n, Q) for n in (4, 5, 7, 9, 13) for Q in (72, 408)] + [(5, 1608), (9, 1608), (13, 1608)]
+    )
     def test_boundary_weights_match_christoffel_at_true_roots(self, monkeypatch, n, Q):
         # the 6 nodes nearest t = 1 and 4 inner nodes finished from the
-        # Jacobi equation (their mirror images have the same weights)
+        # Jacobi equation (their mirror images have the same weights).  At
+        # N = 1608 the outermost node of n = 5 reads 1.5e-12: the degree-N
+        # recurrence leaves about 2e-10 relative error in q_N at its start,
+        # 1.2e-8 from the zero, and the finish's Christoffel-Darboux change
+        # carries it into the weight
         finished = []
         finish = spectral._ode_finish
 
@@ -178,18 +184,20 @@ class TestGaussJacobi:
         assert inner.size >= 4
         for i in [*range(Q - 6, Q), *inner[np.linspace(0, inner.size - 1, 4).astype(int)]]:
             ref = mp_root_christoffel_weight(n, Q, rule.nodes[i])
-            assert abs(rule.weights[i] / ref - 1.0) <= 1e-12
+            assert abs(rule.weights[i] / ref - 1.0) <= (1e-12 if Q <= 408 else 2e-12)
 
     @pytest.mark.parametrize("Q", [72, 408, 1608])
-    @pytest.mark.parametrize("n", [2, 4, 5, 7, 9, 13])
+    @pytest.mark.parametrize("n", range(2, 14))
     def test_one_recurrence_pass(self, monkeypatch, n, Q):
-        # every pass takes one Aberth sum; the nodes whose first step is too
-        # long to stop on are finished from the Jacobi equation instead
-        passes = []
-        aberth = spectral._aberth_sums
-        monkeypatch.setattr(spectral, "_aberth_sums", lambda *args: passes.append(1) or aberth(*args))
+        # one recurrence pass of plain Newton steps: the nodes whose first
+        # step is too long to stop on are finished from the Jacobi equation,
+        # and no Aberth sum is needed on these guesses
+        calls = []
+        for name in ("_christoffel_pass", "_aberth_sums"):
+            f = getattr(spectral, name)
+            monkeypatch.setattr(spectral, name, lambda *args, name=name, f=f: calls.append(name) or f(*args))
         build_quadrature(n, Q)
-        assert len(passes) == 1
+        assert calls == ["_christoffel_pass"]
 
     def test_unequal_exponents_match_scipy(self):
         alpha, beta = 1.0, 1.5  # the Funk-Hecke weight of (n, m) = (5, 2)
@@ -217,10 +225,15 @@ class TestGaussJacobi:
         with pytest.raises(DomainError):
             gauss_jacobi(8, -0.5, 0.5)
 
-    def test_mass_past_the_double_range_is_a_domain_error(self):
-        # the mass needs Gamma(alpha + beta + 2) = Gamma(172) at n = 172
-        with pytest.raises(DomainError, match="overflows a double"):
-            gauss_jacobi(16, 85.0, 85.0)
+    def test_mass_past_the_gamma_range_matches_mpmath(self):
+        # the mass needs Gamma(alpha + beta + 2) = Gamma(172) at n = 172,
+        # past the double range, so it comes from log-Gamma
+        x, w = gauss_jacobi(16, 85.0, 85.0)
+        xs, ws = roots_jacobi(16, 85.0, 85.0)
+        assert np.max(np.abs(x - xs)) <= 1e-14
+        mass = float(mpmath.mpf(2) ** 171 * mpmath.gamma(86) ** 2 / mpmath.gamma(172))
+        assert abs(np.sum(w) / mass - 1.0) <= 1e-12
+        assert abs(np.sum(ws) / mass - 1.0) <= 1e-12
 
 
 def reference_ode_finish(N, alpha, beta, x0, c0, c1, delta):
@@ -280,14 +293,22 @@ def reference_ode_finish(N, alpha, beta, x0, c0, c1, delta):
 
 def reference_gauss_jacobi(N, alpha, beta):
     # Reference: the same Newton passes with a list of row arrays, its
-    # np.array copy, and the full A x N Aberth matrix, whose rows also give
-    # each iterate's distance to the nearest other one; long steps are
-    # finished by reference_ode_finish.  gauss_jacobi must reproduce it bit
-    # for bit.
+    # np.array copy summed over the same row blocks, and the full A x N
+    # Aberth matrix, whose rows also give each iterate's distance to the
+    # nearest other one.  A pass takes plain Newton steps when every long one
+    # is within 0.8 of its half-gap and Aberth steps otherwise, which move
+    # halfway to an endpoint they would pass; long steps are finished by
+    # reference_ode_finish.  gauss_jacobi must reproduce it bit for bit.
     N = int(N)
     ab = alpha + beta
     a, b = _jacobi_recurrence(alpha, beta, N)
     mass = 2.0 ** (ab + 1.0) * math.gamma(alpha + 1.0) / math.gamma(ab + 2.0) * math.gamma(beta + 1.0)
+    # the Christoffel sums' row blocks: the last holds up to _ROW_BLOCK + 1 rows
+    lo, blocks = 0, []
+    while N - lo > _ROW_BLOCK + 1:
+        blocks.append((lo, lo + _ROW_BLOCK))
+        lo += _ROW_BLOCK
+    blocks.append((lo, N))
     sym = alpha == beta
     M = (N + 1) // 2 if sym else N
     rho = 2.0 * N + ab + 1.0
@@ -316,21 +337,30 @@ def reference_gauss_jacobi(N, alpha, beta):
                 prev, cur = cur, nxt
                 rows.append(cur)
             rows = np.array(rows[:-1])
-            christoffel = scale[:-1] ** 2 @ (rows * rows)
+            christoffel = 0.0
+            for lo, hi in blocks:
+                christoffel = christoffel + scale[lo:hi] ** 2 @ (rows[lo:hi] * rows[lo:hi])
             d = 1.0 - xa * xa
             dp = ((shift - N * xa) * cur + c_prev * prev) / d
             ddp = ((alpha - beta + (ab + 2.0) * xa) * dp - N * (N + ab + 1.0) * cur) / d
             diff = xa[:, None] - (np.concatenate((x, -x[: N // 2])) if sym else x)
             diff[np.arange(active.size), active] = np.inf
+            gaps = 0.5 * np.minimum(np.min(np.abs(diff), axis=1), np.minimum(1.0 - xa, 1.0 + xa))
+            tol = np.maximum(1e-7 / N * np.sqrt(d), 4.0 * np.finfo(float).eps)
             delta = cur / dp
-            delta /= 1.0 - delta * np.sum(1.0 / diff, axis=1)
+            far = ~(np.abs(delta) <= tol)
+            finish = N >= _FINISH_MIN_NODES and np.all(1.25 * np.abs(delta[far]) < gaps[far])
+            if not finish:
+                delta /= 1.0 - delta * np.sum(1.0 / diff, axis=1)
+                for j in range(active.size):
+                    if abs(xa[j] - delta[j]) >= 1.0:
+                        delta[j] = 0.5 * (xa[j] - (1.0 if xa[j] > delta[j] else -1.0))
+                far = ~(np.abs(delta) <= tol)
+                finish = N >= _FINISH_MIN_NODES and np.all(1.25 * np.abs(delta[far]) < gaps[far])
             x[active] = xa - delta
             weights[active] = 1.0 / (christoffel - delta * c_darboux * prev * ddp)
-            tol = np.maximum(1e-7 / N * np.sqrt(d), 4.0 * np.finfo(float).eps)
-            far = ~(np.abs(delta) <= tol)
             i = np.flatnonzero(far)
-            gaps = 0.5 * np.minimum(np.min(np.abs(diff), axis=1), np.minimum(1.0 - xa, 1.0 + xa))
-            if N >= _FINISH_MIN_NODES and i.size and np.all(1.25 * np.abs(delta[i]) < gaps[i]):
+            if finish and i.size:
                 x0 = xa[i]
                 c1 = ((shift - N * x0) * cur[i] + c_prev * prev[i]) / ((1.0 - x0) * (1.0 + x0))
                 finished = reference_ode_finish(N, alpha, beta, x0, cur[i], c1, delta[i])
@@ -397,17 +427,19 @@ class TestBitIdentity:
         assert B.shape == (37, K + 1) and B.flags.c_contiguous
 
     def test_rule_memory_is_one_row_buffer(self):
-        # the Q = 1608 rule of a K = 800 workspace: (N+1) x M rows of q_k for
-        # M = 804 active nodes are 10.3 MB; the Aberth sum adds one 64-row block
+        # the Q = 1608 rule of a K = 800 workspace: one block of q_k rows and
+        # the two before it for M = 804 active nodes are 0.84 MB, where all
+        # N + 1 rows would be 10.3 MB; the finish's series and the node-sized
+        # arrays add about 0.4 MB
         N = 1608
-        buffer_bytes = (N + 1) * ((N + 1) // 2) * 8
+        buffer_bytes = (_ROW_BLOCK + 2) * ((N + 1) // 2) * 8
         tracemalloc.start()
         try:
             gauss_jacobi(N, 1.5, 1.5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * buffer_bytes
+        assert peak < 2.0 * buffer_bytes
 
 
 class TestMirroredBasis:
@@ -684,6 +716,17 @@ class TestWorkspace:
         c = np.random.default_rng(7).standard_normal(13) / (1.0 + np.arange(13.0) ** 2)
         assert ws.quotient(c, 2.5) == pytest.approx(828.069754565356, rel=1e-15, abs=0.0)
 
+    def test_default_rule_of_n_100_at_K_396_builds(self):
+        # gauss_jacobi(800, 49, 49): the guesses are poor enough for Aberth
+        # steps, one of which would send an iterate near t = 1 to t = 2.78
+        # and NaN through every Aberth sum; it moves halfway to t = 1 instead
+        ws = Workspace(SphereParams(n=100, m=1), 396)
+        assert ws.nodes.size == 800 and np.isfinite(ws.basis).all()
+        assert np.max(np.abs(ws.nodes - roots_jacobi(800, 49.0, 49.0)[0])) <= 1e-14
+        assert abs(np.sum(ws.weights) / sphere_area(100) - 1.0) <= 1e-13
+        for i in (799, 798, 790, 400):
+            ref = mp_root_christoffel_weight(100, 800, ws.nodes[i])
+            assert abs(ws.weights[i] / ref - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("seed", [0, 3, 17])
     def test_damped_draw_reproduces_the_inline_draws(self, seed):
