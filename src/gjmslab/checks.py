@@ -24,7 +24,7 @@ from .spectral import (
     ZonalFunction,
     basis_values,
     basis_with_derivatives,
-    gauss_jacobi,
+    gauss_legendre,
     sphere_area,
 )
 
@@ -55,13 +55,28 @@ def laplace_beltrami_ode_residual(workspace: Workspace) -> float:
     return float(np.max(resid[1:] / size[1:], initial=0.0))
 
 
-def _kernel_moments(params: SphereParams, K: int, nodes: int) -> np.ndarray:
+def _kernel_rule(params: SphereParams, K: int) -> tuple[np.ndarray, np.ndarray]:
+    # Nodes t and weights w with sum w g(t) = int g(t) (1-t)^(m-1) (1+t)^((n-2)/2) dt
+    # for every polynomial g of degree <= K.  Put t = 2s^2 - 1: then
+    # 1 + t = 2s^2, 1 - t = 2(1 - s^2) and dt = 4s ds, so the integrand is
+    # 2^(m+1+(n-2)/2) g(2s^2-1) (1-s^2)^(m-1) s^(n-1) ds on [0, 1], a
+    # polynomial of degree 2K+2m+n-3 in s, which the Gauss-Legendre rule of
+    # K + m + (n-1)//2 nodes integrates exactly; s = (1+x)/2 takes its
+    # nodes x from [-1, 1] and halves its weights.
+    n, m = params.n, params.m
+    x, w = gauss_legendre(K + m + (n - 1) // 2)
+    s, one_minus_s = 0.5 * (1.0 + x), 0.5 * (1.0 - x)
+    w = w * 2.0 ** (m + (n - 2) / 2.0) * ((1.0 + s) * one_minus_s) ** (m - 1) * s ** (n - 1)
+    return 2.0 * s * s - 1.0, w
+
+
+def _kernel_moments(params: SphereParams, K: int) -> np.ndarray:
     # mu_k = |S^{n-1}| 2^((2m-n)/2) * int G_k(t) (1-t)^(m-1) (1+t)^((n-2)/2) dt
     # with G_k the degree-k ultraspherical polynomial normalized to 1 at t=1:
     # the Funk-Hecke weight (2 - 2t)^((2m-n)/2) (1 - t^2)^((n-2)/2) is a
     # Jacobi weight, so each eigenvalue is a Jacobi integral of a polynomial.
     n, m = params.n, params.m
-    x, w = gauss_jacobi(nodes, m - 1.0, (n - 2.0) / 2.0)
+    x, w = _kernel_rule(params, K)
     B = basis_values(n, K, x)
     at_one = basis_values(n, K, np.array([1.0]))[0]
     scale = sphere_area(n - 1) * 2.0 ** ((2.0 * m - n) / 2.0)
@@ -74,7 +89,7 @@ def verify_checks(m: int, n: int, K: int, seed: int, trials: int):
         raise DomainError("need at least one trial")
     params = SphereParams(n=n, m=m)
     ws = Workspace.shared(params, K)
-    Q = len(ws.nodes)
+    Q = len(ws.nodes)  # the node count; ws.Q is the rule's order
     area = sphere_area(n)
     rng = np.random.default_rng(seed)
 
@@ -85,10 +100,11 @@ def verify_checks(m: int, n: int, K: int, seed: int, trials: int):
 
     add("quadrature-total-mass", abs(float(np.sum(ws.weights)) / area - 1.0), 1e-12)
 
-    # a Q-node rule integrates Y_j Y_k exactly for j, k < Q
-    full = basis_values(n, Q - 1, ws.nodes)
+    # a rule of order Q (exact through degree 2Q-1) integrates Y_j Y_k
+    # exactly for j, k < Q
+    full = basis_values(n, ws.Q - 1, ws.nodes)
     gram = full.T @ (ws.weights[:, None] * full)
-    add("quadrature-moments", float(np.max(np.abs(gram - np.eye(Q)))), 1e-12)
+    add("quadrature-moments", float(np.max(np.abs(gram - np.eye(ws.Q)))), 1e-12)
 
     gram = ws.weighted_gram(np.ones(Q))
     add("basis-gram-identity", float(np.max(np.abs(gram - np.eye(K + 1)))), 1e-10)
@@ -131,8 +147,8 @@ def verify_checks(m: int, n: int, K: int, seed: int, trials: int):
         1e-12,
     )
 
-    # one Jacobi rule of K//2 + 8 nodes integrates the degree-K integrand exactly
-    quad_gap = np.max(np.abs(_kernel_moments(params, K, K // 2 + 8) - kernel.mu)) / kernel.mu[0]
+    # one Gauss-Legendre rule in s = sqrt((1+t)/2) integrates the integrand exactly
+    quad_gap = np.max(np.abs(_kernel_moments(params, K) - kernel.mu)) / kernel.mu[0]
     add("kernel-funk-hecke-quadrature", quad_gap, 1e-12)
     add("kernel-monotone", 0.0 if np.all(np.diff(kernel.mu) < 0) else 1.0, 0.5)
 

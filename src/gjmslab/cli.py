@@ -153,14 +153,15 @@ def _csv_table(header: list[str], rows: list) -> str:
 _PLUMBING = frozenset({"command", "config", "func", "out", "format", "trace_out", "started"})
 
 
-def _report(args, results: dict, Q: int | None = None, /, **inputs) -> str:
+def _report(args, results: dict, ws: Workspace | None = None, /, **inputs) -> str:
     """JSON report text: the options as `inputs`, then `results` and provenance.
 
     `inputs` echoes every parsed option but the plumbing; keyword entries
     replace echoed values, and an entry that is None is dropped.  Provenance
-    takes seed and K from the options, and Q, the node count of the rule the
-    results came from, from the caller.  A NaN or infinite number, which
-    JSON cannot hold, raises ToolkitError (exit 3).
+    takes seed and K from the options, and from the workspace the results
+    came from, if any, the order Q of its rule (exact through degree 2Q-1)
+    and its node count.  A NaN or infinite number, which JSON cannot hold,
+    raises ToolkitError (exit 3).
     """
     inputs = {**{k: v for k, v in vars(args).items() if k not in _PLUMBING}, **inputs}
     report = {
@@ -172,7 +173,8 @@ def _report(args, results: dict, Q: int | None = None, /, **inputs) -> str:
             "wall_time_s": time.time() - args.started,
             "seed": getattr(args, "seed", None),
             "K": getattr(args, "K", None),
-            "Q": Q,
+            "Q": None if ws is None else ws.Q,
+            "nodes": None if ws is None else len(ws.nodes),
         },
     }
     try:
@@ -229,7 +231,7 @@ def cmd_sharp_constant(args) -> int:
 
 def cmd_minimize(args) -> int:
     from .rayleigh import OptimizerConfig, minimize as minimize_quotient
-    from .spectral import default_rule_size
+    from .spectral import Workspace
 
     if args.p is None:
         raise UsageError("minimize needs --p (flag or config)")
@@ -251,8 +253,8 @@ def cmd_minimize(args) -> int:
         "sharp_constant": S,
         "relative_error": abs(result.value / S - 1.0),
     }
-    Q = default_rule_size(args.K)
-    _emit(_report(args, results, Q, tol=None, tol_grad=args.tol), args.out)
+    ws = Workspace.shared(cfg.params, args.K)
+    _emit(_report(args, results, ws, tol=None, tol_grad=args.tol), args.out)
     return EXIT_OK
 
 
@@ -305,22 +307,23 @@ def cmd_solve(args) -> int:
         "constant_solution": c_star,
         "tolerance": args.tol,
     }
-    Q = len(ws.nodes)
-    inputs = {"p": None, "f": f.describe(), "classification": f.classification, "Q": Q}
-    _emit(_report(args, results, Q, **inputs), args.out)
+    inputs = {"p": None, "f": f.describe(), "classification": f.classification, "Q": ws.Q}
+    _emit(_report(args, results, ws, **inputs), args.out)
     return EXIT_OK
 
 
 def cmd_probe(args) -> int:
     from .lane_emden import uniqueness_probe
-    from .spectral import default_rule_size
+    from .spectral import Workspace
 
-    f = _nonlinearity(args, SphereParams(n=args.n, m=args.m))
+    params = SphereParams(n=args.n, m=args.m)
+    f = _nonlinearity(args, params)
     report = uniqueness_probe(
         args.m, args.n, f, trials=args.trials, seed=args.seed, K=args.K, tol=args.tol
     )
     results = {"probe": report.to_dict(), "tolerance": args.tol}
-    _emit(_report(args, results, default_rule_size(args.K), p=None, f=f.describe()), args.out)
+    ws = Workspace.shared(params, args.K)
+    _emit(_report(args, results, ws, p=None, f=f.describe()), args.out)
     return EXIT_OK
 
 
@@ -363,13 +366,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     from .checks import verify_checks
-    from .spectral import default_rule_size
+    from .spectral import Workspace
 
     rows = verify_checks(args.m, args.n, args.K, args.seed, args.trials)
     all_pass = all(passed for *_, passed in rows)
     if args.format == "json":
         checks = [dict(zip(("name", "margin", "tolerance", "passed"), row)) for row in rows]
-        text = _report(args, {"checks": checks, "passed": all_pass}, default_rule_size(args.K))
+        ws = Workspace.shared(SphereParams(n=args.n, m=args.m), args.K)
+        text = _report(args, {"checks": checks, "passed": all_pass}, ws)
     else:
         lines = [f"{'check':34s} {'margin':>12s} {'tolerance':>12s} {'status':>8s}"]
         for name, margin, tol, passed in rows:
@@ -443,7 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("solve", help="one damped Newton solve")
     common(p, K=32, seed=True, tol=1e-12, tol_help=newton_tol_help, fmt=("json",))
     rhs(p)
-    p.add_argument("--Q", type=int, default=0, help="quadrature size (default 2K+8)")
+    p.add_argument(
+        "--Q", type=int, default=0, help="quadrature order, exact through degree 2Q-1 (default 2K+8)"
+    )
     p.add_argument("--max-iter", type=int, default=60)
     p.add_argument("--init", default="constant", help="constant | bubble:LAM | random")
     p.set_defaults(func=cmd_solve)

@@ -3,24 +3,26 @@
 A zonal (rotationally symmetric) function is stored as a coefficient vector
 c_0..c_K in an L^2(S^n)-orthonormal basis of ultraspherical polynomials in
 t = cos(theta).  The surface measure restricted to zonal functions is
-|S^{n-1}| (1-t^2)^{(n-2)/2} dt on [-1, 1], so Gauss-Jacobi rules integrate
-the basis exactly.  A Workspace holds plain arrays (nodes t, weights w, basis
-B, spectrum lam); on it analysis is B^T(w v), synthesis B c, and every norm
-and quadratic form diagonal or one product.  The rules are symmetric, so the
-basis recurrence runs on the nodes t >= 0 and Y_k(-t) = (-1)^k Y_k(t) fills
-in the rest, bit for bit.
+|S^{n-1}| (1-t^2)^{(n-2)/2} dt on [-1, 1].  A Workspace holds plain arrays
+(nodes t, weights w, basis B, spectrum lam); on it analysis is B^T(w v),
+synthesis B c, and every norm and quadratic form diagonal or one product.
+The rules are symmetric, so the basis recurrence runs on the nodes t >= 0
+and Y_k(-t) = (-1)^k Y_k(t) fills in the rest, bit for bit.
 
-The Gauss-Jacobi rules come from the same three-term recurrence as the
-basis, whose Jacobi matrix has the nodes as eigenvalues and the Christoffel
-numbers 1/sum_k p_k(t_i)^2 as weights (Golub & Welsch, Math. Comp. 23,
-1969).  The nodes are found without that matrix: Gatteschi-Pittaluga
-guesses polished by Newton steps on the recurrence (Hale & Townsend, SIAM
-J. Sci. Comput. 35, 2013), plain where the guesses are good and with the
-Aberth-Ehrlich correction where they are not.  One pass of the recurrence
-serves a whole rule, and builds its Christoffel sums a block of rows at a
-time: nodes that need more than its step are finished by Newton on their
-Taylor series, whose terms the Jacobi differential equation gives from the
-two values the pass holds, and their Christoffel numbers follow by the
+No rule needs a general Gauss-Jacobi solve.  For odd n the zonal weight is
+the Chebyshev-U weight sqrt(1-t^2) times the polynomial (1-t^2)^{(n-3)/2},
+so the Gauss-Chebyshev rule of the second kind with (n-3)/2 more nodes
+integrates the basis exactly, and it is a closed form.  For even n it is
+the Legendre weight times (1-t^2)^{(n-2)/2}: a Gauss-Legendre rule with
+(n-2)/2 more nodes, its weights times that polynomial.  Gauss-Legendre
+nodes are Gatteschi-Pittaluga guesses polished by Newton steps on the
+basis's own three-term recurrence (Hale & Townsend, SIAM J. Sci. Comput.
+35, 2013), with the Christoffel numbers 1/sum_k p_k(t_i)^2 as weights.  One
+pass of the recurrence serves a whole rule, and builds its Christoffel sums
+a block of rows at a time: nodes that need more than its step are finished
+by Newton on their Taylor series, whose terms the Legendre differential
+equation gives from the two values the pass holds (Glaser, Liu & Rokhlin,
+SIAM J. Sci. Comput. 29, 2007), and their Christoffel numbers follow by the
 exact Christoffel-Darboux change.
 """
 
@@ -34,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_forms import SphereParams, gjms_lambda0, sharp_constant, sphere_area  # noqa: F401
-from .closed_forms import in_double_range
 from .errors import AliasingError, DomainError, InconsistencyError
 
 #: Why a sharp-constant solve (minimize's starts, the dual ascent's trials)
@@ -54,41 +55,26 @@ class QuadratureRule:
     """Nodes t_i in (-1, 1) and weights w_i > 0 integrating zonal functions on S^n.
 
     sum(w_i f(t_i)) equals the surface integral of f for polynomial f of degree
-    up to 2*order - 1; in particular sum(w_i) = |S^n|.
+    up to 2*order - 1; in particular sum(w_i) = |S^n|.  The node count is
+    len(nodes): at least order, less the pairs build_quadrature drops where
+    their weights underflow at large n.
     """
 
     n: int
     nodes: np.ndarray
     weights: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return len(self.nodes)
+    order: int
 
 
-def _jacobi_recurrence(alpha: float, beta: float, K: int) -> tuple[np.ndarray, np.ndarray]:
-    # Recurrence t p_k = b_{k+1} p_{k+1} + a_k p_k + b_k p_{k-1} of the
-    # polynomials orthonormal for (1-t)^alpha (1+t)^beta: returns a_0..a_{K-1}
-    # and b_1..b_K.  Rescaling the measure leaves both unchanged.  For
-    # alpha = beta and half-integer alpha every factor is an exact integer and
-    # the second one is exactly 1, so b_k is bit for bit the ultraspherical
-    # sqrt(k(k+2a)/((2k+2a+1)(2k+2a-1))).
+def _recurrence_offdiag(n: int, K: int) -> np.ndarray:
+    # Off-diagonal entries b_1..b_K of the symmetric Jacobi matrix for the
+    # zonal measure: t q_k = b_{k+1} q_{k+1} + b_k q_{k-1} with q_k orthonormal,
+    # b_k = sqrt(k(k+2a) / ((2k+2a+1)(2k+2a-1))) for a = (n-2)/2.  Every
+    # factor is an exact integer.  n = 2 gives the Legendre recurrence.
     k = np.arange(1.0, K + 1.0)
-    s = 2.0 * k + alpha + beta
-    b2 = k * (k + alpha + beta) / ((s + 1.0) * (s - 1.0)) * (4.0 * (k + alpha) * (k + beta) / (s * s))
-    a = np.zeros(K)
-    if alpha != beta and K > 0:
-        a[0] = (beta - alpha) / (alpha + beta + 2.0)
-        a[1:] = (beta * beta - alpha * alpha) / (s[:-1] * (s[:-1] + 2.0))
-    return a, np.sqrt(b2)
+    s = 2.0 * k + (n - 2.0)
+    return np.sqrt(k * (k + (n - 2.0)) / ((s + 1.0) * (s - 1.0)))
 
-
-#: Active nodes per block of the Aberth sum.  A 64 x N block is 0.8 MB at
-#: N = 1608, against 10 MB for the whole A x N matrix, and runs as fast as
-#: that matrix from N = 72 to 1608; 8-row blocks pay numpy's per-call
-#: overhead, 20% slower at N = 1608 and twice as slow at N = 408.  Only
-#: passes whose plain Newton steps cannot all finish take the sums.
-_ABERTH_BLOCK = 64
 
 #: Recurrence rows per block of the Christoffel sums.  A pass holds one
 #: block and the two rows before it: 130 rows of 804 nodes are 0.8 MB at
@@ -97,27 +83,25 @@ _ABERTH_BLOCK = 64
 _ROW_BLOCK = 128
 
 
-def _christoffel_pass(xa, two_a, four_b2, s2, buf):
-    # One pass of q_{k+1} = (2 x - 2 a_k) q_k - 4 b_k^2 q_{k-1} from q_0 = 1
-    # over the nodes xa, three array operations per degree.  Row j of a
-    # C-ordered (_ROW_BLOCK + 2) x A view of buf (N + 1 rows if fewer) holds
-    # degree lo + j; once it is full, rows 0.._ROW_BLOCK-1 are squared in
-    # place and added to the Christoffel sums sum_{k<N} s2_k q_k^2 by one
-    # gemv, and the last two rows move to the front.  Returns the sums,
-    # q_{N-1} and q_N.
-    N, A = len(two_a), xa.size
+def _christoffel_pass(xa, four_b2, s2, buf):
+    # One pass of q_{k+1} = 2 x q_k - 4 b_k^2 q_{k-1} from q_0 = 1 over the
+    # nodes xa, three array operations per degree.  Row j of a C-ordered
+    # (_ROW_BLOCK + 2) x A view of buf (N + 1 rows if fewer) holds degree
+    # lo + j; once it is full, rows 0.._ROW_BLOCK-1 are squared in place and
+    # added to the Christoffel sums sum_{k<N} s2_k q_k^2 by one gemv, and the
+    # last two rows move to the front.  Returns the sums, q_{N-1} and q_N.
+    N, A = len(s2), xa.size
     two_x = 2.0 * xa
     tmp = np.empty(A)
     rows = buf[: min(N + 1, _ROW_BLOCK + 2) * A].reshape(-1, A)
     views = list(rows)
     rows[0] = 1.0
-    rows[1] = two_x - two_a[0] if two_a[0] else two_x
+    rows[1] = two_x
     christoffel, lo = 0.0, 0
     while True:
         top = min(_ROW_BLOCK + 1, N - lo)  # the row of the last degree in this block
-        steps = zip(views[2 : top + 1], views[1:top], views, two_a[lo + 1 : lo + top], four_b2[lo:])
-        for nxt, cur, prev, ta, c in steps:
-            np.multiply(two_x - ta if ta else two_x, cur, nxt)
+        for nxt, cur, prev, c in zip(views[2 : top + 1], views[1:top], views, four_b2[lo:]):
+            np.multiply(two_x, cur, nxt)
             np.multiply(prev, c, tmp)
             np.subtract(nxt, tmp, nxt)
         if lo + top == N:
@@ -133,24 +117,10 @@ def _christoffel_pass(xa, two_a, four_b2, s2, buf):
     return christoffel + s2[lo:] @ head, prev, cur
 
 
-def _aberth_sums(xa: np.ndarray, active: np.ndarray, zeros: np.ndarray) -> np.ndarray:
-    # sum_{j != i} 1/(x_i - z_j) for the active nodes x_i = zeros[active[i]],
-    # built a block of rows at a time; each row is summed exactly as a row of
-    # the full A x N matrix would be, so the sums do not depend on the block
-    sums = np.empty(xa.size)
-    for lo in range(0, xa.size, _ABERTH_BLOCK):
-        hi = min(lo + _ABERTH_BLOCK, xa.size)
-        diff = np.subtract(xa[lo:hi, None], zeros)
-        diff[np.arange(hi - lo), active[lo:hi]] = np.inf
-        np.divide(1.0, diff, out=diff)
-        sums[lo:hi] = np.sum(diff, axis=1)
-    return sums
-
-
-#: Rules of fewer nodes take Aberth steps and a second recurrence pass
-#: instead of plain Newton steps and the ODE finish, which costs about 100 us
-#: of numpy calls whatever its size; a pass costs about 1.7 us per degree
-#: (2 vCPU, numpy 2.4), so below about 72 nodes it is the cheaper one.
+#: Rules of fewer nodes take a second recurrence pass instead of the ODE
+#: finish, which costs about 100 us of numpy calls whatever its size; a pass
+#: costs about 1.7 us per degree (2 vCPU, numpy 2.4), so below about 72
+#: nodes it is the cheaper one.
 _FINISH_MIN_NODES = 72
 
 
@@ -167,25 +137,22 @@ def _finishable(delta, far, xa, zeros) -> bool:
     return (1.25 * np.abs(delta[far]) < _half_gaps(xa[far], zeros)).all()
 
 
-def _ode_finish(N, alpha, beta, x0, d0, e0, delta):
+def _ode_finish(N, x0, d0, e0, delta):
     # Newton on P(s) = q_N(x0 + r s) / (r q_N'(x0)), r = 2|delta|, from the
     # pass's step s = -delta/r, on its Taylor series sum e_k s^k: e_1 = 1 and
-    # the Jacobi equation gives (k+2)(k+1)(1-x0^2) c_{k+2} = ((2k+a+b+2) x0
-    # - (b-a))(k+1) c_{k+1} + (k-N)(k+N+a+b+1) c_k for c_k = q_N^(k)(x0)/k!.
-    # Terms stop once two in a row are below 1e-17 at |s| = 1 on every node
-    # (at most 40), and Newton once every step is below 4 eps / r (at most 11
-    # steps), with P and P' summed term by term over the outer axis of one
-    # (T, 2, F) stack.  Returns the offsets h, the change (1-x^2) P'^2 - F(x0) /
-    # q_N'(x0)^2 of F = (1-x^2)(q'^2 - q q'') + 2x q q' - N q^2
-    # (Christoffel-Darboux: the Christoffel sum is F scale_N^2 / (2N+a+b+1),
-    # and q = 0 at the end), and the mask of nodes that converged within
-    # |delta|/4 of the pass's step.
-    ab, r = alpha + beta, 2.0 * np.abs(delta)
+    # the Legendre equation gives (k+2)(k+1)(1-x0^2) c_{k+2} = 2(k+1)^2 x0
+    # c_{k+1} + (k-N)(k+N+1) c_k for c_k = q_N^(k)(x0)/k!.  Terms stop once
+    # two in a row are below 1e-17 at |s| = 1 on every node (at most 40), and
+    # Newton once every step is below 4 eps / r (at most 11 steps), with P
+    # and P' summed term by term over the outer axis of one (T, 2, F) stack.
+    # Returns the offsets h, the change (1-x^2) P'^2 - F(x0) / q_N'(x0)^2 of
+    # F = (1-x^2)(q'^2 - q q'') + 2x q q' - N q^2 (Christoffel-Darboux: the
+    # Christoffel sum is F scale_N^2 / (2N+1), and q = 0 at the end), and the
+    # mask of nodes that converged within |delta|/4 of the pass's step.
+    r = 2.0 * np.abs(delta)
     v, den = r / d0, np.arange(2.0, 40.0)[:, None]  # den = k + 2
-    lin = (2.0 + (ab - 2.0) / den) * (x0 * v)
-    if beta != alpha:
-        lin -= (beta - alpha) / den * v
-    con = (den - (N + 2.0)) * (den + (N + ab - 1.0)) / ((den - 1.0) * den) * (r * v)
+    lin = (2.0 - 2.0 / den) * (x0 * v)
+    con = (den - (N + 2.0)) * (den + (N - 1.0)) / ((den - 1.0) * den) * (r * v)
     C = np.zeros((40, 2, x0.size))  # the series of P and P', term by term
     E, tmp = C[:, 0], np.empty(x0.size)
     E[0], E[1] = e0 / r, 1.0
@@ -217,135 +184,63 @@ def _ode_finish(N, alpha, beta, x0, d0, e0, delta):
     return h, change, ok
 
 
-def _jacobi_mass(alpha: float, beta: float) -> float:
-    # 2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2), from log-Gamma only
-    # where a Gamma or the product overflows (from a + b = 169.6 on; about
-    # 5e-14 relative at a = b = 85), so masses in range keep their bits
-    ab = alpha + beta
-    try:
-        mass = 2.0 ** (ab + 1.0) * math.gamma(alpha + 1.0) / math.gamma(ab + 2.0) * math.gamma(beta + 1.0)
-        if math.isfinite(mass):
-            return mass
-    except OverflowError:
-        pass
-    log_beta = math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(ab + 2.0)
-    return math.exp((ab + 1.0) * math.log(2.0) + log_beta)
-
-
-@in_double_range
-def gauss_jacobi(N: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """N-point Gauss rule for the weight (1-t)^alpha (1+t)^beta on [-1, 1].
-
-    Returns ascending nodes and their weights; the weights sum to the total
-    mass 2^(alpha+beta+1) Gamma(alpha+1) Gamma(beta+1) / Gamma(alpha+beta+2),
-    taken from log-Gamma where Gamma leaves the double range.  Nodes start
-    from the Gatteschi-Pittaluga asymptotics and take Newton steps on the
-    orthonormal recurrence, with p_N' from the identity
-    (1-t^2) p_N' = (N(alpha-beta)/(2N+alpha+beta) - N t) p_N
-    + (2N+alpha+beta+1) b_N p_{N-1}.  Only unconverged nodes are iterated,
-    and for alpha = beta only the nonnegative half.  The weights are the
-    Christoffel numbers 1/sum_{k<N} p_k(t_i)^2, moved to the final node by
-    the first-order Christoffel-Darboux term.
-
-    One pass of the recurrence per rule on good guesses.  A pass takes plain
-    Newton steps when every step too long to stop on is within 0.8 of half
-    the gap to any other iterate or endpoint, and finishes those nodes
-    without another pass (Glaser, Liu & Rokhlin, SIAM J. Sci. Comput. 29,
-    2007).  The Jacobi differential equation gives every Taylor coefficient
-    of p_N about the iterate from p_N and p_N' there; Newton on that series
-    from the step ends within 4 eps of the zero, and the Christoffel sum
-    moves to it by the exact Christoffel-Darboux change (F(t) - F(t_0)) /
-    (2N+alpha+beta+1), F = (1-t^2)(p'^2 - p p'') + 2t p p' - N p^2 for
-    p = p_N, with 1-t^2 from the unrounded offset.  A node that does not
-    end within a quarter of its step takes another pass.  Any other pass,
-    and every pass of a rule below 72 nodes, takes Aberth-Ehrlich steps,
-    which keep every iterate on its own zero when the guesses are poor
-    (large alpha or beta), and runs the same test on them; a step that would
-    leave (-1, 1) moves halfway to that endpoint instead.  Every rule for
-    alpha = beta <= 5.5 (n <= 13 on S^n) from 72 to 1608 nodes takes one
-    pass of plain steps.  On 2 vCPU with one BLAS thread, the 1608-node
-    rules of n = 3..13 take 4.2-5.6 ms, against 8.0-10.3 ms with Aberth
-    steps and all rows held; nodes agree with scipy's roots_jacobi to
-    2.2e-16, and the weights with 30-digit Christoffel numbers at the true
-    zeros to 1.5e-12 at N = 1608 and 2.3e-13 at N <= 408.
-
-    Memory: a pass writes the recurrence rows q_k of its A active nodes
-    into a (128 + 2) x A view of one buffer allocated per rule; each full
-    block of 128 rows is squared in place and added to the Christoffel sums
-    by one gemv while it is in L2, and its last two rows carry the
-    recurrence into the next block.  The Aberth sums sum_j 1/(x_i - x_j)
-    are built a block of 64 rows at a time, so no (N+1) x A or A x N matrix
-    is formed.  Every product and sum runs in the same order and memory
-    layout as with per-degree row arrays summed over the same blocks, a full
-    Aberth matrix and a node-by-node finish, so nodes and weights are
-    bit-identical to that form.
-    """
+def _legendre_half(N: int) -> tuple[np.ndarray, np.ndarray]:
+    # the nodes t >= 0 of the N-point Gauss-Legendre rule, ascending (t[0] = 0
+    # for odd N), and their weights; see gauss_legendre
     if int(N) != N or N < 1:
-        raise DomainError(f"Gauss-Jacobi rule needs N >= 1 nodes, got N={N}")
-    if not (alpha >= 0.0 and beta >= 0.0):
-        raise DomainError(f"Gauss-Jacobi rule needs alpha, beta >= 0, got {alpha}, {beta}")
+        raise DomainError(f"Gauss-Legendre rule needs N >= 1 nodes, got N={N}")
     N = int(N)
-    ab = alpha + beta
-    a, b = _jacobi_recurrence(alpha, beta, N)
-    mass = _jacobi_mass(alpha, beta)
-    sym = alpha == beta
-    M = (N + 1) // 2 if sym else N
-    rho = 2.0 * N + ab + 1.0
-    theta = (2.0 * np.arange(1.0, M + 1.0) + alpha - 0.5) * (math.pi / rho)
+    b = _recurrence_offdiag(2, N)
+    M = (N + 1) // 2
+    rho = 2.0 * N + 1.0
+    theta = (2.0 * np.arange(1.0, M + 1.0) - 0.5) * (math.pi / rho)
     half = np.tan(0.5 * theta)
-    x = np.cos(theta + ((0.25 - alpha * alpha) / half - (0.25 - beta * beta) * half) / rho**2)
-    if sym and N % 2:
+    x = np.cos(theta + (0.25 / half - 0.25 * half) / rho**2)
+    if N % 2:
         x[-1] = 0.0
-    # p_k = scale_k q_k with q_{k+1} = 2(t - a_k) q_k - 4 b_k^2 q_{k-1}: three
-    # array operations per degree, and q stays O(1) because 2 b_k -> 1
-    scale = np.cumprod(np.concatenate(([1.0 / math.sqrt(mass)], 0.5 / b)))
-    s2 = scale[:-1] ** 2
-    two_a = (2.0 * a).tolist()
+    # p_k = scale_k q_k with q_{k+1} = 2t q_k - 4 b_k^2 q_{k-1}: three array
+    # operations per degree, and q stays O(1) because 2 b_k -> 1.  The
+    # squares s2_k = scale_k^2 = (1/2) prod_{j<=k} (1 - 1/(4j^2)) take one
+    # rounded factor per degree, within 2e-15 of exact at k = 1600 where the
+    # product of the rounded 0.5/b_j drifts 6e-15
+    k = np.arange(1.0, N + 1.0)
+    s2 = 0.5 * np.cumprod(np.concatenate(([1.0], 1.0 - 0.25 / (k * k))))
     four_b2 = (4.0 * b[:-1] ** 2).tolist()
-    shift = N * (alpha - beta) / (2.0 * N + ab)
-    c_prev = (2.0 * N + ab + 1.0) * b[-1] * scale[-2] / scale[-1]
-    c_darboux = b[-1] * scale[-1] * scale[-2]
-    c_finish = scale[-1] ** 2 / rho
+    c_prev = 2.0 * rho * b[-1] ** 2  # (2N+1) b_N scale_{N-1} / scale_N
+    c_darboux = b[-1] * math.sqrt(s2[-1] * s2[-2])
+    c_finish = s2[-1] / rho
+    s2 = s2[:-1]
     weights = np.empty(M)
     active = np.arange(M)
     buf = np.empty(min(N + 1, _ROW_BLOCK + 2) * M)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(100):
             xa = x[active]
-            christoffel, prev, cur = _christoffel_pass(xa, two_a, four_b2, s2, buf)
-            # p_N' from the identity, p_N'' from the Jacobi differential equation
+            christoffel, prev, cur = _christoffel_pass(xa, four_b2, s2, buf)
+            # p_N' from (1-t^2) p_N' = (2N+1) b_N p_{N-1} - N t p_N, p_N'' from
+            # the Legendre differential equation
             d = 1.0 - xa * xa
-            dp = ((shift - N * xa) * cur + c_prev * prev) / d
-            ddp = ((alpha - beta + (ab + 2.0) * xa) * dp - N * (N + ab + 1.0) * cur) / d
-            # the iterates of this pass, kept apart from x for the half-gaps
-            zeros = np.concatenate((x, -x[: N // 2])) if sym else x.copy()
+            dp = (c_prev * prev - N * xa * cur) / d
+            ddp = (2.0 * xa * dp - N * (N + 1.0) * cur) / d
             # a step below 1e-7 sqrt(1 - t^2) / N leaves second-order errors
             # near 1e-14 in the node and in its corrected weight; 4 eps is the
             # rounding floor of the step near the endpoints
             tol = np.maximum(1e-7 / N * np.sqrt(d), 4.0 * np.finfo(float).eps)
-            # plain Newton steps if every long one stays well inside its
-            # half-gaps, where the Jacobi ODE finishes it and each moves by at
-            # most 1.25 |delta|, so no two reach one zero; Aberth steps otherwise
             delta = cur / dp
             far = ~(np.abs(delta) <= tol)
+            # the Legendre ODE finishes the long steps if each stays well
+            # inside the half-gaps of this pass's iterates, so that each moves
+            # by at most 1.25 |delta| and no two reach one zero
+            zeros = np.concatenate((x, -x[: N // 2]))
             finish = N >= _FINISH_MIN_NODES and _finishable(delta, far, xa, zeros)
-            if not finish:
-                delta /= 1.0 - delta * _aberth_sums(xa, active, zeros)
-                # an iterate whose step would leave (-1, 1) moves halfway to
-                # that endpoint instead
-                leave = np.abs(xa - delta) >= 1.0
-                if leave.any():
-                    delta[leave] = 0.5 * (xa - np.sign(xa - delta))[leave]
-                far = ~(np.abs(delta) <= tol)
-                finish = N >= _FINISH_MIN_NODES and _finishable(delta, far, xa, zeros)
             x[active] = xa - delta
             weights[active] = 1.0 / (christoffel - delta * c_darboux * prev * ddp)
             i = np.flatnonzero(far)
             if finish and i.size:
                 x0 = xa[i]
                 d0 = (1.0 - x0) * (1.0 + x0)
-                c1 = ((shift - N * x0) * cur[i] + c_prev * prev[i]) / d0
-                h, change, ok = _ode_finish(N, alpha, beta, x0, d0, cur[i] / c1, delta[i])
+                c1 = (c_prev * prev[i] - N * x0 * cur[i]) / d0
+                h, change, ok = _ode_finish(N, x0, d0, cur[i] / c1, delta[i])
                 done = i[ok]
                 x[active[done]] = (x0 + h)[ok]
                 weights[active[done]] = 1.0 / (christoffel[i] + c_finish * c1 * c1 * change)[ok]
@@ -354,44 +249,102 @@ def gauss_jacobi(N: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndar
             if active.size == 0:
                 break
         else:
-            raise InconsistencyError(
-                f"Gauss-Jacobi nodes did not converge for N={N}, alpha={alpha}, beta={beta}"
-            )
-    if sym:
-        x = np.concatenate((-x[: N // 2], x))
-        weights = np.concatenate((weights[: N // 2], weights))
-    order = np.argsort(x)
-    x, weights = x[order], weights[order]
-    distinct = (np.diff(x) > 0.0).all() and -1.0 < x[0] and x[-1] < 1.0
+            raise InconsistencyError(f"Gauss-Legendre nodes did not converge for N={N}")
+    x, weights = x[::-1], weights[::-1]
+    distinct = (np.diff(x) > 0.0).all() and x[-1] < 1.0 and (x[0] == 0.0 if N % 2 else x[0] > 0.0)
     if not (distinct and (weights > 0.0).all() and np.isfinite(weights).all()):
-        raise InconsistencyError(
-            f"degenerate Gauss-Jacobi rule for N={N}, alpha={alpha}, beta={beta}"
-        )
+        raise InconsistencyError(f"degenerate Gauss-Legendre rule for N={N}")
     return x, weights
 
 
+def _mirrored(t: np.ndarray, w: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    # the symmetric rule from its nodes t >= 0, ascending, and their weights;
+    # an odd N has its middle node at t[0] = 0
+    k = t.size - N % 2
+    return np.concatenate((-t[::-1][:k], t)), np.concatenate((w[::-1][:k], w))
+
+
+def gauss_legendre(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """N-point Gauss-Legendre rule on [-1, 1]: ascending nodes, weights summing to 2.
+
+    The nodes t >= 0 start from the Gatteschi-Pittaluga asymptotics and take
+    plain Newton steps on the orthonormal recurrence, with p_N' from
+    (1-t^2) p_N' = (2N+1) b_N p_{N-1} - N t p_N; the rest follow by
+    symmetry.  The weights are the Christoffel numbers 1/sum_{k<N} p_k(t_i)^2,
+    moved to the final node by the first-order Christoffel-Darboux term.
+
+    One pass of the recurrence per rule of 72 nodes or more: when every step
+    too long to stop on is within 0.8 of half the gap to any other iterate
+    or endpoint, the pass finishes those nodes without another one.  The
+    Legendre equation gives every Taylor coefficient of p_N about the
+    iterate from p_N and p_N' there; Newton on that series from the step
+    ends within 4 eps of the zero, and the Christoffel sum moves to it by
+    the exact Christoffel-Darboux change (F(t) - F(t_0)) / (2N+1),
+    F = (1-t^2)(p'^2 - p p'') + 2t p p' - N p^2 for p = p_N, with 1-t^2 from
+    the unrounded offset.  A node that does not end within a quarter of its
+    step takes another pass, as does every node of a smaller rule.  Nodes
+    agree with scipy's roots_legendre to 2.2e-16.  The scales of the
+    orthonormal p_k come squared from (1/2) prod_{j<=k} (1 - 1/(4j^2)), one
+    rounding per degree, so the weights sum to 2 within a few ulps; the
+    outermost weights of a 1610-node rule read up to 7e-13 from 30-digit
+    Christoffel numbers at the true zeros, the interior ones about 5e-15.
+
+    Memory: a pass writes the recurrence rows q_k of its A active nodes
+    into a (128 + 2) x A view of one buffer allocated per rule; each full
+    block of 128 rows is squared in place and added to the Christoffel sums
+    by one gemv while it is in L2, and its last two rows carry the
+    recurrence into the next block, so no (N+1) x A matrix is formed.
+    """
+    x, w = _legendre_half(N)
+    return _mirrored(x, w, int(N))
+
+
 def build_quadrature(n: int, Q: int) -> QuadratureRule:
-    """Gauss-Jacobi rule for the zonal surface measure on S^n.
+    """Gauss rule of order Q for the zonal surface measure on S^n.
+
+    The rule integrates zonal polynomials of degree up to 2Q-1 exactly.  The
+    zonal weight (1-t^2)^((n-2)/2) is a classical weight times a polynomial,
+    which a few more nodes absorb; N is the least even count that does, so
+    the nodes pair off as t and -t and the basis runs on the half t > 0:
+
+    - odd n: the Chebyshev-U weight sqrt(1-t^2) times (1-t^2)^((n-3)/2), and
+      N >= Q + (n-3)/2.  The Gauss-Chebyshev rule of the second kind is a
+      closed form: t_j = cos(theta_j), theta_j = j pi / (N+1), with weights
+      pi / (N+1) sin^(n-1)(theta_j) |S^(n-1)|; no recurrence, no iteration.
+    - even n: the Legendre weight times (1-t^2)^((n-2)/2), and
+      N >= Q + (n-2)/2.  The Gauss-Legendre rule (gauss_legendre), its
+      weights times (1-t_j^2)^((n-2)/2) |S^(n-1)|.
+
+    At large n the outermost weights underflow to 0.  Those nodes are
+    dropped, in pairs, so N stays even and a sum over the rule does not
+    change: each dropped weight is below the smallest subnormal double, so
+    the rule's error grows by less than 5e-324 |f(t_j)| per dropped node.
 
     Parameters
     ----------
     n : ambient sphere dimension, n >= 2.
-    Q : node count, Q >= 4; exact for integrands of polynomial degree <= 2Q-1.
+    Q : the order, Q >= 4; exact for integrands of polynomial degree <= 2Q-1.
     """
-    if n < 2:
-        raise DomainError(f"quadrature needs n >= 2, got n={n}")
-    if Q < 4:
-        raise DomainError(f"quadrature needs Q >= 4, got Q={Q}")
-    a = (n - 2) / 2.0
-    nodes, weights = gauss_jacobi(Q, a, a)
-    return QuadratureRule(n=n, nodes=nodes, weights=weights * sphere_area(n - 1))
-
-
-def _recurrence_offdiag(n: int, K: int) -> np.ndarray:
-    # Off-diagonal entries b_1..b_K of the symmetric Jacobi matrix for the
-    # zonal measure: t q_k = b_{k+1} q_{k+1} + b_k q_{k-1} with q_k orthonormal.
-    a = (n - 2) / 2.0
-    return _jacobi_recurrence(a, a, K)[1]
+    if int(n) != n or n < 2:
+        raise DomainError(f"quadrature needs an integer n >= 2, got n={n}")
+    if int(Q) != Q or Q < 4:
+        raise DomainError(f"quadrature needs an integer Q >= 4, got Q={Q}")
+    n, Q = int(n), int(Q)
+    N = Q + (n - 2) // 2
+    N += N % 2
+    if n % 2:
+        j = np.arange(N // 2, 0, -1)
+        # t_j = cos(j pi / (N+1)) as sin((N+1-2j) pi / (2N+2)), within an ulp
+        # of the exact node also near t = 0
+        t = np.sin((N + 1 - 2 * j) * (math.pi / (2 * N + 2)))
+        w = np.sin(j * math.pi / (N + 1)) ** (n - 1) * (math.pi / (N + 1))
+    else:
+        t, w = _legendre_half(N)
+        w = w * ((1.0 - t) * (1.0 + t)) ** ((n - 2) // 2)
+    w = w * sphere_area(n - 1)
+    keep = w > 0.0
+    nodes, weights = _mirrored(t[keep], w[keep], N)
+    return QuadratureRule(n=n, nodes=nodes, weights=weights, order=Q)
 
 
 def basis_values(n: int, K: int, t) -> np.ndarray:
@@ -412,9 +365,9 @@ def _basis_tables(n: int, K: int, t, count: int) -> list[np.ndarray]:
     # (len(t), K+1) arrays, since BLAS rounds B @ c, B.T @ v and B.T diag(s) B
     # differently on an F-ordered B.  The recurrences fill contiguous rows k
     # of a (K+1) x m table, whose transpose is copied out.  On a symmetric t
-    # (any Gauss rule) with normal doubles in the mirrored half, they run on
-    # the m = Q - Q//2 nodes t >= 0, in the first half of each output for even
-    # Q; the rest follows by parity, (-1)^k for Y_k and Y_k'', (-1)^(k+1) for
+    # (any zonal rule) with normal doubles in the mirrored half, they run on
+    # the m = N - N//2 nodes t >= 0, in the first half of each output for even
+    # N; the rest follows by parity, (-1)^k for Y_k and Y_k'', (-1)^(k+1) for
     # Y_k'.  Negation as 0 - x is exact and keeps +0, so no bit moves.  A
     # value past the double range stays inf or nan in every later row.
     t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -424,11 +377,11 @@ def _basis_tables(n: int, K: int, t, count: int) -> list[np.ndarray]:
         raise DomainError("cosines t must be finite")
     if K < 0:
         raise DomainError("truncation degree must be >= 0")
-    Q, half = t.size, t.size // 2
+    N, half = t.size, t.size // 2
     if not (np.array_equal(t, -t[::-1]) and np.all(np.abs(t[:half]) >= np.finfo(float).tiny)):
         half = 0
-    t, m = t[half:], Q - half
-    outs = [np.empty((Q, K + 1)) for _ in range(count)]
+    t, m = t[half:], N - half
+    outs = [np.empty((N, K + 1)) for _ in range(count)]
     tables = [out[:m].reshape(K + 1, m) if half == m else np.empty((K + 1, m)) for out in outs]
     Y, tmp = tables[0], np.empty(m)
     Y[0] = 1.0 / math.sqrt(sphere_area(n))
@@ -468,7 +421,7 @@ def zonal_basis(rule: QuadratureRule, params: SphereParams, K: int) -> np.ndarra
         raise ValueError(f"rule is for n={rule.n}, params have n={params.n}")
     if K >= rule.order:
         raise AliasingError(
-            f"truncation K={K} is not resolved by a {rule.order}-node rule; need K < Q"
+            f"truncation K={K} is not resolved by a rule of order Q={rule.order}; need K < Q"
         )
     return basis_values(params.n, K, rule.nodes)
 
@@ -597,10 +550,13 @@ def gjms_eigenvalues(params: SphereParams, K: int) -> GjmsSpectrum:
 class Workspace:
     """Nodes, weights, basis and spectrum for one (n, m, K), built once and shared.
 
-    Plain arrays: the Gauss-Jacobi `nodes` and `weights` (Q = 2K + 8 nodes
-    unless given), the `basis` B[i, k] = Y_k(t_i) and the eigenvalues `lam`.
-    Every solve, probe, quotient evaluation, bubble projection and verify row
-    runs on one of these.  Production code takes its workspace from
+    Plain arrays: the `nodes` and `weights` of build_quadrature's rule of
+    order `Q` (exact through degree 2Q - 1; Q = 2K + 8 unless given), the
+    closed-form Gauss-Chebyshev-U rule for odd n and Gauss-Legendre times a
+    polynomial for even n, on len(nodes) nodes (see QuadratureRule); the
+    `basis` B[i, k] = Y_k(t_i) and the eigenvalues `lam`.  Every solve,
+    probe, quotient evaluation, bubble projection and verify row runs on
+    one of these.  Production code takes its workspace from
     `Workspace.shared`, which builds each (n, m, K, Q) once per process;
     calling the constructor builds a fresh, writable one.
     """
@@ -609,6 +565,7 @@ class Workspace:
         self.params = params
         self.K = K
         rule = build_quadrature(params.n, default_rule_size(K) if Q is None else Q)
+        self.Q = rule.order
         self.nodes, self.weights = rule.nodes, rule.weights
         self.basis = zonal_basis(rule, params, K)
         self.lam = gamma_ratio(params, K)

@@ -1087,7 +1087,7 @@ class TestUniquenessProbe:
         rule = build_quadrature(5, 40)
         area = sphere_area(5)
         for _ in range(25):
-            vals = np.abs(rng.standard_normal(rule.order)) + 0.01
+            vals = np.abs(rng.standard_normal(rule.nodes.size)) + 0.01
             for p in (1.0, 1.7, 2.0, 3.0):
                 mean_u = float(np.dot(rule.weights, vals)) / area
                 mean_up = float(np.dot(rule.weights, vals**p)) / area
@@ -1183,26 +1183,27 @@ def pulled_back(params, K, fn):
 def pulled_back_exactly(params, K, fn):
     """pulled_back with every coefficient from 30-digit nodes, weights and values.
 
-    Each float node of the (2K+8)-node rule takes one Newton step in mpmath;
-    the weights are the Christoffel numbers 1/sum_(k<Q) Y_k(t)^2 there, and
-    fn takes and returns mpmath numbers, so the coefficients are those of the
-    function itself, rounded once, whatever the float rule's last bits.
+    For odd n the rule of order 2K+8 is a closed form: its N nodes are
+    t_j = cos(theta_j), theta_j = j pi/(N+1), with weights pi/(N+1)
+    sin^(n-1)(theta_j) |S^(n-1)|, taken here in mpmath, and fn takes and
+    returns mpmath numbers, so the coefficients are those of the function
+    itself, rounded once, whatever the float rule's last bits.
     """
-    n, m, Q = params.n, params.m, 2 * K + 8
+    n, m = params.n, params.m
+    assert n % 2
+    N = build_quadrature(n, 2 * K + 8).nodes.size
     with mpmath.workdps(30):
         a = mpmath.mpf(n - 2) / 2
-        b = [mpmath.sqrt(k * (k + 2 * a) / ((2 * k + 2 * a + 1) * (2 * k + 2 * a - 1))) for k in range(1, Q + 1)]
+        b = [mpmath.sqrt(k * (k + 2 * a) / ((2 * k + 2 * a + 1) * (2 * k + 2 * a - 1))) for k in range(1, K + 1)]
         y0 = 1 / mpmath.sqrt(2 * mpmath.pi ** (a + 1.5) / mpmath.gamma(a + 1.5))
+        area = 2 * mpmath.pi ** (a + 1) / mpmath.gamma(a + 1)  # |S^(n-1)|
         c = [mpmath.mpf(0)] * (K + 1)
-        for node in build_quadrature(n, Q).nodes[Q // 2 :]:  # Q is even: the nodes t > 0
-            t = mpmath.mpf(node)
-            for newton in (True, False):
-                y = [y0, t * y0 / b[0]]
-                for k in range(1, Q):
-                    y.append((t * y[k] - b[k - 1] * y[k - 1]) / b[k])
-                if newton:  # (1-t^2) Y_Q' = -Q t Y_Q + (2Q+n-1) b_Q Y_(Q-1)
-                    t -= y[Q] * (1 - t * t) / ((2 * Q + n - 1) * b[Q - 1] * y[Q - 1] - Q * t * y[Q])
-            w = 1 / mpmath.fsum(yk * yk for yk in y[:Q])
+        for j in range(1, N // 2 + 1):  # N is even: the nodes t > 0
+            theta = j * mpmath.pi / (N + 1)
+            t, w = mpmath.cos(theta), mpmath.pi / (N + 1) * mpmath.sin(theta) ** (n - 1) * area
+            y = [y0, t * y0 / b[0]]
+            for k in range(1, K):
+                y.append((t * y[k] - b[k - 1] * y[k - 1]) / b[k])
             for sign in (1, -1):  # Y_k(-t) = (-1)^k Y_k(t)
                 u = w * (1 + sign * t) ** (m - a - 1) * fn(mpmath.sqrt((1 - sign * t) / (1 + sign * t)))
                 for k in range(K + 1):
@@ -1283,8 +1284,11 @@ class TestSuperPolyharmonic:
         # On (7,3) the coefficients near K = 128 are about 1e-16 and reach w_2
         # magnified by about K^4, so the error is that of the truncated series
         # itself, and rounding in the float rule and projection moves it by
-        # a like amount.  The tolerances are set on the exact series, 4.0e-9
-        # and 6.9e-6; the float rule measures 7.6e-9 and 1.1e-5.
+        # a like amount or more.  The tolerances are set on the exact series,
+        # 4.0e-9 and 6.9e-6; the float rule measures 1.4e-8 and 2.4e-5 (the
+        # Gauss-Jacobi rule before it, 4.9e-9 and 7.7e-6).  Moving the float
+        # nodes by an ulp moves its first figure anywhere from 6e-10 to 3e-7,
+        # on either rule.
         v = pulled_back_exactly(SphereParams(n=7, m=3), 128, sympy.lambdify(r, wave, "mpmath"))
         errors = laplacian_errors(v, r, wave, grid)
         assert all(e <= tol for e, tol in zip(errors, wave_tols, strict=True)), errors

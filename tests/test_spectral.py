@@ -9,10 +9,12 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import eval_chebyu, roots_jacobi, roots_legendre
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import eval_chebyu, roots_chebyu, roots_jacobi, roots_legendre
 
 from gjmslab import spectral
-from gjmslab.checks import laplace_beltrami_ode_residual
+from gjmslab.checks import _kernel_rule, laplace_beltrami_ode_residual
 from gjmslab.errors import AliasingError, DomainError
 from gjmslab.spectral import (
     _FINISH_MIN_NODES,
@@ -20,12 +22,12 @@ from gjmslab.spectral import (
     SphereParams,
     Workspace,
     ZonalFunction,
-    _jacobi_recurrence,
+    _recurrence_offdiag,
     basis_values,
     basis_with_derivatives,
     build_quadrature,
     gamma_ratio,
-    gauss_jacobi,
+    gauss_legendre,
     gjms_eigenvalues,
     gjms_lambda0,
     norm2,
@@ -49,6 +51,13 @@ def brute_force_moment(n, j, nodes=10_000):
     return sphere_area(n - 1) * float(np.dot(w, x**j * (1 - x * x) ** ((n - 2) / 2)))
 
 
+def rule_size(n, Q):
+    # the node count of the order-Q rule: the least even N >= Q + (n-3)/2
+    # for odd n, >= Q + (n-2)/2 for even n
+    N = Q + (n - 2) // 2
+    return N + N % 2
+
+
 class TestSphereArea:
     def test_circle(self):
         assert sphere_area(1) == pytest.approx(2 * math.pi, rel=1e-15)
@@ -59,7 +68,7 @@ class TestSphereArea:
     def test_three_sphere_gamma_and_quadrature(self):
         assert sphere_area(3) == pytest.approx(2 * math.pi**2, rel=1e-14)
         rule = build_quadrature(3, 16)
-        total = np.dot(rule.weights, np.ones(rule.order))
+        total = np.dot(rule.weights, np.ones(len(rule.nodes)))
         assert total == pytest.approx(2 * math.pi**2, rel=1e-13)
 
     def test_domain(self):
@@ -100,35 +109,18 @@ class TestQuadrature:
             build_quadrature(3, 3)
 
 
-def mp_christoffel_weight(n, Q, t):
-    # Oracle: surface Christoffel number 1/sum_{k<Q} Y_k(t)^2 in 30-digit
-    # arithmetic, from the ultraspherical recurrence written out afresh.
+def mp_legendre_zero(N, t):
+    # Oracle: the zero z of the Legendre polynomial P_N next to t, by Newton
+    # steps in 30-digit arithmetic from t, and its Christoffel number
+    # 1/sum_{k<N} p_k(z)^2 for the orthonormal p_k (p_0 = 1/sqrt(2)), from the
+    # recurrence z p_k = b_{k+1} p_{k+1} + b_k p_{k-1}, b_k = k/sqrt(4k^2-1),
+    # written out afresh.  Near t = 1 the Christoffel function moves by about
+    # 1e-11 per ulp of its argument, so it is not taken at the rounded node.
     with mpmath.workdps(30):
-        a = mpmath.mpf(n - 2) / 2
-        t = mpmath.mpf(t)
-        area = 2 * mpmath.pi ** (mpmath.mpf(n + 1) / 2) / mpmath.gamma(mpmath.mpf(n + 1) / 2)
-        prev, cur = mpmath.mpf(0), 1 / mpmath.sqrt(area)
-        b_prev, total = mpmath.mpf(0), mpmath.mpf(0)
-        for k in range(1, Q + 1):
-            total += cur**2
-            b = mpmath.sqrt(k * (k + 2 * a) / ((2 * k + 2 * a + 1) * (2 * k + 2 * a - 1)))
-            prev, cur = cur, (t * cur - b_prev * prev) / b
-            b_prev = b
-        return float(1 / total)
+        bs = [k / mpmath.sqrt(4 * k * k - 1) for k in range(1, N + 1)]
 
-
-def mp_root_christoffel_weight(n, Q, t):
-    # Oracle: the surface Christoffel number 1/sum_{k<Q} Y_k(z)^2 at the true
-    # zero z of Y_Q next to t, found by Newton steps in 30-digit arithmetic
-    # from t; near t = 1 the Christoffel function moves by about 1e-11 per
-    # ulp of its argument, so it is not taken at the rounded node.
-    with mpmath.workdps(30):
-        a = mpmath.mpf(n - 2) / 2
-        area = 2 * mpmath.pi ** (mpmath.mpf(n + 1) / 2) / mpmath.gamma(mpmath.mpf(n + 1) / 2)
-        bs = [mpmath.sqrt(k * (k + 2 * a) / ((2 * k + 2 * a + 1) * (2 * k + 2 * a - 1))) for k in range(1, Q + 1)]
-
-        def values(z):  # Y_Q(z), Y_Q'(z) and sum_{k<Q} Y_k(z)^2
-            prev, cur, dprev, dcur = mpmath.mpf(0), 1 / mpmath.sqrt(area), mpmath.mpf(0), mpmath.mpf(0)
+        def values(z):  # p_N(z), p_N'(z) and sum_{k<N} p_k(z)^2
+            prev, cur, dprev, dcur = mpmath.mpf(0), 1 / mpmath.sqrt(2), mpmath.mpf(0), mpmath.mpf(0)
             b_prev, total = mpmath.mpf(0), mpmath.mpf(0)
             for b in bs:
                 total += cur**2
@@ -140,109 +132,178 @@ def mp_root_christoffel_weight(n, Q, t):
         for _ in range(3):
             p, dp, _ = values(z)
             z -= p / dp
-        return float(1 / values(z)[2])
+        return z, 1 / values(z)[2]
+
+
+def mp_rule_point(n, N, t):
+    # Oracle: the exact node of build_quadrature's N-node rule on S^n next to
+    # t and the weight the rule gives the node t, in 30-digit arithmetic.
+    # Odd n: the closed form cos(theta), pi/(N+1) sin^(n-1)(theta) |S^(n-1)|
+    # at the theta = j pi/(N+1) nearest acos(t).  Even n: the Legendre zero z
+    # next to t and its Christoffel number (mp_legendre_zero), times
+    # (1-t^2)^((n-2)/2) |S^(n-1)| at the node t itself, as the rule takes it.
+    with mpmath.workdps(30):
+        area = 2 * mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2)
+        t = mpmath.mpf(t)
+        if n % 2:
+            theta = mpmath.nint(mpmath.acos(t) * (N + 1) / mpmath.pi) * mpmath.pi / (N + 1)
+            return float(mpmath.cos(theta)), float(mpmath.pi / (N + 1) * mpmath.sin(theta) ** (n - 1) * area)
+        z, christoffel = mp_legendre_zero(N, t)
+        return float(z), float(christoffel * (1 - t * t) ** ((n - 2) // 2) * area)
 
 
 class TestGaussJacobi:
+    # The zonal weight (1-t^2)^((n-2)/2) is the Jacobi weight alpha = beta =
+    # (n-2)/2.  Its rules are Gauss-Chebyshev-U in closed form for odd n and
+    # Gauss-Legendre times a polynomial for even n; no Gauss-Jacobi solve.
+
     @pytest.mark.parametrize("Q", [4, 5, 24, 72, 73, 408, 1608])
     @pytest.mark.parametrize("n", [2, 3, 5, 9, 13])
     def test_nodes_match_scipy_and_weights_sum_to_area(self, n, Q):
         rule = build_quadrature(n, Q)
-        a = (n - 2) / 2
-        assert np.max(np.abs(rule.nodes - roots_jacobi(Q, a, a)[0])) <= 1e-14
-        assert abs(np.sum(rule.weights) / sphere_area(n) - 1.0) <= 1e-13
+        N = rule_size(n, Q)
+        assert rule.order == Q and rule.nodes.size == N
+        roots = roots_chebyu(N)[0] if n % 2 else roots_legendre(N)[0]
+        assert np.max(np.abs(rule.nodes - roots)) <= 1e-14
+        assert abs(np.sum(rule.weights) / sphere_area(n) - 1.0) <= (1e-15 if n % 2 else 1e-13)
 
     @pytest.mark.parametrize("n,Q", [(3, 72), (5, 73), (9, 408), (2, 200)])
     def test_interior_weights_match_christoffel_oracle(self, n, Q):
+        # the weights are Christoffel numbers of the Chebyshev-U weight (odd
+        # n) or the Legendre weight (even n) times the polynomial factor
         rule = build_quadrature(n, Q)
+        N = rule.nodes.size
         for i in np.flatnonzero(np.abs(rule.nodes) <= 0.9)[:: max(1, Q // 12)]:
-            ref = mp_christoffel_weight(n, Q, rule.nodes[i])
-            assert abs(rule.weights[i] / ref - 1.0) <= 1e-12
+            node, ref = mp_rule_point(n, N, rule.nodes[i])
+            assert abs(rule.nodes[i] - node) <= 2.3e-16
+            assert abs(rule.weights[i] / ref - 1.0) <= (4e-15 if n % 2 else 1e-12)
 
     @pytest.mark.parametrize(
         "n,Q", [(n, Q) for n in (4, 5, 7, 9, 13) for Q in (72, 408)] + [(5, 1608), (9, 1608), (13, 1608)]
     )
     def test_boundary_weights_match_christoffel_at_true_roots(self, monkeypatch, n, Q):
-        # the 6 nodes nearest t = 1 and 4 inner nodes finished from the
-        # Jacobi equation (their mirror images have the same weights).  At
-        # N = 1608 the outermost node of n = 5 reads 1.5e-12: the degree-N
-        # recurrence leaves about 2e-10 relative error in q_N at its start,
-        # 1.2e-8 from the zero, and the finish's Christoffel-Darboux change
-        # carries it into the weight
+        # the 6 nodes nearest t = 1 and 4 inner nodes (their mirror images
+        # have the same weights).  For even n the inner ones are Legendre
+        # nodes finished from the Legendre equation; their Christoffel
+        # numbers are taken at the true zeros.  For odd n the closed form
+        # is exact to a few ulps of its sine's (n-1)th power.
         finished = []
         finish = spectral._ode_finish
 
-        def recording(N, alpha, beta, x0, *args):
-            h, change, ok = finish(N, alpha, beta, x0, *args)
+        def recording(N, x0, *args):
+            h, change, ok = finish(N, x0, *args)
             finished.extend((x0 + h)[ok])
             return h, change, ok
 
         monkeypatch.setattr(spectral, "_ode_finish", recording)
         rule = build_quadrature(n, Q)
-        inner = np.flatnonzero(np.isin(rule.nodes, finished))
-        inner = inner[inner < Q - 6]
+        N = rule.nodes.size
+        if n % 2:
+            assert finished == []
+            inner = np.arange(N // 2, N - 6)
+        else:
+            inner = np.flatnonzero(np.isin(rule.nodes, finished))
+            inner = inner[inner < N - 6]
         assert inner.size >= 4
-        for i in [*range(Q - 6, Q), *inner[np.linspace(0, inner.size - 1, 4).astype(int)]]:
-            ref = mp_root_christoffel_weight(n, Q, rule.nodes[i])
-            assert abs(rule.weights[i] / ref - 1.0) <= (1e-12 if Q <= 408 else 2e-12)
+        for i in [*range(N - 6, N), *inner[np.linspace(0, inner.size - 1, 4).astype(int)]]:
+            _, ref = mp_rule_point(n, N, rule.nodes[i])
+            assert abs(rule.weights[i] / ref - 1.0) <= (4e-15 if n % 2 else 1e-12 if Q <= 408 else 2e-12)
 
     @pytest.mark.parametrize("Q", [72, 408, 1608])
     @pytest.mark.parametrize("n", range(2, 14))
     def test_one_recurrence_pass(self, monkeypatch, n, Q):
-        # one recurrence pass of plain Newton steps: the nodes whose first
-        # step is too long to stop on are finished from the Jacobi equation,
-        # and no Aberth sum is needed on these guesses
+        # odd n is a closed form and runs no recurrence; even n runs one pass
+        # of plain Newton steps, whose long steps the Legendre equation finishes
         calls = []
-        for name in ("_christoffel_pass", "_aberth_sums"):
-            f = getattr(spectral, name)
-            monkeypatch.setattr(spectral, name, lambda *args, name=name, f=f: calls.append(name) or f(*args))
+        f = spectral._christoffel_pass
+        monkeypatch.setattr(spectral, "_christoffel_pass", lambda *args: calls.append(1) or f(*args))
         build_quadrature(n, Q)
-        assert calls == ["_christoffel_pass"]
+        assert len(calls) == (0 if n % 2 else 1)
 
     def test_unequal_exponents_match_scipy(self):
-        alpha, beta = 1.0, 1.5  # the Funk-Hecke weight of (n, m) = (5, 2)
-        x, w = gauss_jacobi(40, alpha, beta)
+        # the Funk-Hecke weight (1-t)^(m-1) (1+t)^((n-2)/2) of (n, m) = (5, 2):
+        # checks._kernel_rule integrates it through degree K = 36 from a
+        # Gauss-Legendre rule in s = sqrt((1+t)/2), as scipy's 40-node
+        # Gauss-Jacobi rule does
+        alpha, beta = 1.0, 1.5
+        x, w = _kernel_rule(SphereParams(n=5, m=2), 36)
         xs, ws = roots_jacobi(40, alpha, beta)
-        assert np.max(np.abs(x - xs)) <= 1e-14
-        assert np.max(np.abs(w / ws - 1.0)) <= 1e-11
+        for j in range(37):
+            assert abs(w @ x**j - ws @ xs**j) <= 1e-14 * (ws @ np.abs(xs) ** j)
         mass = 2 ** (alpha + beta + 1) * math.gamma(alpha + 1) * math.gamma(beta + 1) / math.gamma(alpha + beta + 2)
         assert abs(np.sum(w) / mass - 1.0) <= 1e-13
 
     @pytest.mark.parametrize("alpha", [14.0, 20.0, 30.0, 49.0, 70.0])
     def test_large_exponents(self, alpha):
-        # Gatteschi-Pittaluga guesses are off by a third of a node spacing or
-        # more near the endpoints here, where plain Newton steps land on a
-        # neighbouring zero; the Aberth correction still finds every node
-        # once, and no node is finished from the Jacobi equation before every
-        # long step is well inside its half-gaps
+        # n = 2 alpha + 2 = 30..142: Gauss-Legendre nodes with weights times
+        # (1-t^2)^alpha, which falls below the double range at the outermost
+        # nodes of the larger rules; those pairs are dropped
+        n = int(2 * alpha + 2)
         for Q in (5, 9, 16, 24, 40, 72, 73, 200):
-            x, _ = gauss_jacobi(Q, alpha, alpha)
-            assert np.max(np.abs(x - roots_jacobi(Q, alpha, alpha)[0])) <= 1e-14
+            rule = build_quadrature(n, Q)
+            N, kept = rule_size(n, Q), rule.nodes.size
+            assert kept % 2 == 0 and kept <= N and np.all(rule.weights > 0.0)
+            drop = (N - kept) // 2
+            assert np.max(np.abs(rule.nodes - roots_legendre(N)[0][drop : N - drop])) <= 1e-14
+            assert abs(np.sum(rule.weights) / sphere_area(n) - 1.0) <= 1e-13
+            B = basis_values(n, Q - 1, rule.nodes)
+            assert np.max(np.abs(B.T @ (rule.weights[:, None] * B) - np.eye(Q))) <= 1e-12
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(DomainError):
-            gauss_jacobi(0, 0.5, 0.5)
-        with pytest.raises(DomainError):
-            gauss_jacobi(8, -0.5, 0.5)
+        for N in (0, 2.5):
+            with pytest.raises(DomainError):
+                gauss_legendre(N)
+        for n, Q in ((3.5, 8), (3, 8.5)):
+            with pytest.raises(DomainError):
+                build_quadrature(n, Q)
 
     def test_mass_past_the_gamma_range_matches_mpmath(self):
-        # the mass needs Gamma(alpha + beta + 2) = Gamma(172) at n = 172,
-        # past the double range, so it comes from log-Gamma
-        x, w = gauss_jacobi(16, 85.0, 85.0)
-        xs, ws = roots_jacobi(16, 85.0, 85.0)
-        assert np.max(np.abs(x - xs)) <= 1e-14
-        mass = float(mpmath.mpf(2) ** 171 * mpmath.gamma(86) ** 2 / mpmath.gamma(172))
-        assert abs(np.sum(w) / mass - 1.0) <= 1e-12
-        assert abs(np.sum(ws) / mass - 1.0) <= 1e-12
+        # the Gauss-Jacobi mass of n = 172 needed Gamma(172), past the double
+        # range; the Legendre rule needs no mass, and the weights sum to
+        # |S^172| = 2 pi^86.5 / Gamma(86.5)
+        rule = build_quadrature(172, 16)
+        area = float(2 * mpmath.pi ** mpmath.mpf(86.5) / mpmath.gamma(mpmath.mpf(86.5)))
+        assert abs(np.sum(rule.weights) / area - 1.0) <= 1e-13
 
 
-def reference_ode_finish(N, alpha, beta, x0, c0, c1, delta):
+class TestClosedForm:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40), Q=st.integers(4, 400))
+    def test_rules_are_symmetric_positive_and_exact(self, n, Q):
+        rule = build_quadrature(n, Q)
+        t, w = rule.nodes, rule.weights
+        N = t.size
+        assert N == rule_size(n, Q) and N % 2 == 0 and N >= Q and rule.order == Q
+        assert np.array_equal(t, -t[::-1]) and np.all(np.diff(t) > 0.0)
+        assert np.all(w > 0.0) and np.array_equal(w, w[::-1])
+        assert abs(np.sum(w) / sphere_area(n) - 1.0) <= 1e-14
+        B = basis_values(n, Q - 1, t)
+        assert np.max(np.abs(B.T @ (w[:, None] * B) - np.eye(Q))) <= 1e-12
+
+    @pytest.mark.parametrize("N", [1608, 1614])
+    @pytest.mark.parametrize("n", [5, 13])
+    def test_outermost_weights_match_the_closed_form(self, n, N):
+        # the weights pi/(N+1) sin^(n-1)(theta_j) |S^(n-1)| at theta_j =
+        # j pi/(N+1), j = 1..6 (and their mirror images), against 30 digits;
+        # N = 1614 is the rule of a K = 800 workspace on S^13
+        rule = build_quadrature(n, N - (n - 3) // 2)
+        assert rule.nodes.size == N
+        with mpmath.workdps(30):
+            area = 2 * mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2)
+            ref = [float(mpmath.pi / (N + 1) * mpmath.sin(j * mpmath.pi / (N + 1)) ** (n - 1) * area) for j in range(1, 7)]
+        got = rule.weights[::-1][:6]
+        assert np.array_equal(got, rule.weights[:6])
+        assert abs(got[0] / ref[0] - 1.0) <= 1e-15
+        assert np.max(np.abs(got / ref - 1.0)) <= 4e-15
+
+
+def reference_ode_finish(N, x0, c0, c1, delta):
     # Reference for the finish of the long steps, node by node in Python
-    # floats: the Taylor terms of q_N about x0 from the Jacobi equation, as
-    # many as the whole batch needs, Newton on them from the Aberth step, and
+    # floats: the Taylor terms of q_N about x0 from the Legendre equation, as
+    # many as the whole batch needs, Newton on them from the pass's step, and
     # the Christoffel-Darboux change at the new node.
     # Returns (h, change) for a finished node and None for any other.
-    ab, eps = alpha + beta, np.finfo(float).eps
+    eps = np.finfo(float).eps
     series = []
     for x, q, dq, dl in zip(x0.tolist(), c0.tolist(), c1.tolist(), delta.tolist()):
         d0 = (1.0 - x) * (1.0 + x)
@@ -251,10 +312,8 @@ def reference_ode_finish(N, alpha, beta, x0, c0, c1, delta):
         e = [q / dq / r, 1.0]
         for k in range(38):
             den = k + 2.0
-            lin = (2.0 + (ab - 2.0) / den) * (x * v)
-            if beta != alpha:
-                lin -= (beta - alpha) / den * v
-            con = (den - (N + 2.0)) * (den + (N + ab - 1.0)) / ((den - 1.0) * den) * (r * v)
+            lin = (2.0 - 2.0 / den) * (x * v)
+            con = (den - (N + 2.0)) * (den + (N - 1.0)) / ((den - 1.0) * den) * (r * v)
             e.append(lin * e[-1] + con * e[-2])
         series.append((x, d0, r, e))
     # terms stop at the first odd k whose next two terms are below 1e-17 on
@@ -291,38 +350,37 @@ def reference_ode_finish(N, alpha, beta, x0, c0, c1, delta):
     return out
 
 
-def reference_gauss_jacobi(N, alpha, beta):
-    # Reference: the same Newton passes with a list of row arrays, its
-    # np.array copy summed over the same row blocks, and the full A x N
-    # Aberth matrix, whose rows also give each iterate's distance to the
-    # nearest other one.  A pass takes plain Newton steps when every long one
-    # is within 0.8 of its half-gap and Aberth steps otherwise, which move
-    # halfway to an endpoint they would pass; long steps are finished by
-    # reference_ode_finish.  gauss_jacobi must reproduce it bit for bit.
+def reference_gauss_legendre(N):
+    # Reference: the same plain Newton passes with a list of row arrays and
+    # its np.array copy summed over the same row blocks; each iterate's
+    # distance to the nearest other one comes from the full A x N matrix of
+    # differences.  A pass finishes its long steps by reference_ode_finish
+    # when every one is within 0.8 of its half-gap.  gauss_legendre must
+    # reproduce it bit for bit.
     N = int(N)
-    ab = alpha + beta
-    a, b = _jacobi_recurrence(alpha, beta, N)
-    mass = 2.0 ** (ab + 1.0) * math.gamma(alpha + 1.0) / math.gamma(ab + 2.0) * math.gamma(beta + 1.0)
+    b = _recurrence_offdiag(2, N)
     # the Christoffel sums' row blocks: the last holds up to _ROW_BLOCK + 1 rows
     lo, blocks = 0, []
     while N - lo > _ROW_BLOCK + 1:
         blocks.append((lo, lo + _ROW_BLOCK))
         lo += _ROW_BLOCK
     blocks.append((lo, N))
-    sym = alpha == beta
-    M = (N + 1) // 2 if sym else N
-    rho = 2.0 * N + ab + 1.0
-    theta = (2.0 * np.arange(1.0, M + 1.0) + alpha - 0.5) * (math.pi / rho)
+    M = (N + 1) // 2
+    rho = 2.0 * N + 1.0
+    theta = (2.0 * np.arange(1.0, M + 1.0) - 0.5) * (math.pi / rho)
     half = np.tan(0.5 * theta)
-    x = np.cos(theta + ((0.25 - alpha * alpha) / half - (0.25 - beta * beta) * half) / rho**2)
-    if sym and N % 2:
+    x = np.cos(theta + (0.25 / half - 0.25 * half) / rho**2)
+    if N % 2:
         x[-1] = 0.0
-    scale = np.cumprod(np.concatenate(([1.0 / math.sqrt(mass)], 0.5 / b)))
-    steps = list(zip((2.0 * a).tolist(), [0.0] + (4.0 * b[:-1] ** 2).tolist()))
-    shift = N * (alpha - beta) / (2.0 * N + ab)
-    c_prev = (2.0 * N + ab + 1.0) * b[-1] * scale[-2] / scale[-1]
-    c_darboux = b[-1] * scale[-1] * scale[-2]
-    c_finish = scale[-1] ** 2 / rho
+    # scale_k^2 = (1/2) prod_{j<=k} (1 - 1/(4j^2)), built up degree by degree
+    s2 = [0.5]
+    for j in range(1, N + 1):
+        s2.append(s2[-1] * (1.0 - 0.25 / (j * j)))
+    s2 = np.array(s2)
+    steps = [0.0] + (4.0 * b[:-1] ** 2).tolist()
+    c_prev = 2.0 * rho * b[-1] ** 2
+    c_darboux = b[-1] * math.sqrt(s2[-1] * s2[-2])
+    c_finish = s2[-1] / rho
     weights = np.empty(M)
     active = np.arange(M)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -331,39 +389,32 @@ def reference_gauss_jacobi(N, alpha, beta):
             two_x = 2.0 * xa
             prev, cur = np.zeros_like(xa), np.ones_like(xa)
             rows = [cur]
-            for two_a, c in steps:
-                nxt = (two_x - two_a) * cur if two_a else two_x * cur
+            for c in steps:
+                nxt = two_x * cur
                 nxt -= c * prev
                 prev, cur = cur, nxt
                 rows.append(cur)
             rows = np.array(rows[:-1])
             christoffel = 0.0
             for lo, hi in blocks:
-                christoffel = christoffel + scale[lo:hi] ** 2 @ (rows[lo:hi] * rows[lo:hi])
+                christoffel = christoffel + s2[lo:hi] @ (rows[lo:hi] * rows[lo:hi])
             d = 1.0 - xa * xa
-            dp = ((shift - N * xa) * cur + c_prev * prev) / d
-            ddp = ((alpha - beta + (ab + 2.0) * xa) * dp - N * (N + ab + 1.0) * cur) / d
-            diff = xa[:, None] - (np.concatenate((x, -x[: N // 2])) if sym else x)
+            dp = (c_prev * prev - N * xa * cur) / d
+            ddp = (2.0 * xa * dp - N * (N + 1.0) * cur) / d
+            diff = xa[:, None] - np.concatenate((x, -x[: N // 2]))
             diff[np.arange(active.size), active] = np.inf
             gaps = 0.5 * np.minimum(np.min(np.abs(diff), axis=1), np.minimum(1.0 - xa, 1.0 + xa))
             tol = np.maximum(1e-7 / N * np.sqrt(d), 4.0 * np.finfo(float).eps)
             delta = cur / dp
             far = ~(np.abs(delta) <= tol)
             finish = N >= _FINISH_MIN_NODES and np.all(1.25 * np.abs(delta[far]) < gaps[far])
-            if not finish:
-                delta /= 1.0 - delta * np.sum(1.0 / diff, axis=1)
-                for j in range(active.size):
-                    if abs(xa[j] - delta[j]) >= 1.0:
-                        delta[j] = 0.5 * (xa[j] - (1.0 if xa[j] > delta[j] else -1.0))
-                far = ~(np.abs(delta) <= tol)
-                finish = N >= _FINISH_MIN_NODES and np.all(1.25 * np.abs(delta[far]) < gaps[far])
             x[active] = xa - delta
             weights[active] = 1.0 / (christoffel - delta * c_darboux * prev * ddp)
             i = np.flatnonzero(far)
             if finish and i.size:
                 x0 = xa[i]
-                c1 = ((shift - N * x0) * cur[i] + c_prev * prev[i]) / ((1.0 - x0) * (1.0 + x0))
-                finished = reference_ode_finish(N, alpha, beta, x0, cur[i], c1, delta[i])
+                c1 = (c_prev * prev[i] - N * x0 * cur[i]) / ((1.0 - x0) * (1.0 + x0))
+                finished = reference_ode_finish(N, x0, cur[i], c1, delta[i])
                 for j, f, dq in zip(i, finished, c1.tolist()):
                     if f is not None:
                         h, change = f
@@ -373,11 +424,29 @@ def reference_gauss_jacobi(N, alpha, beta):
             active = active[far]
             if active.size == 0:
                 break
-    if sym:
-        x = np.concatenate((-x[: N // 2], x))
-        weights = np.concatenate((weights[: N // 2], weights))
+    x = np.concatenate((-x[: N // 2], x))
+    weights = np.concatenate((weights[: N // 2], weights))
     order = np.argsort(x)
     return x[order], weights[order]
+
+
+def reference_rule(n, Q):
+    # Reference: build_quadrature's rule from the whole index range at once.
+    # Odd n: node j = 1..N is sin((N+1-2j) pi / (2N+2)) and its weight takes
+    # the sine at min(j, N+1-j) pi / (N+1), so mirror images agree; even n:
+    # reference_gauss_legendre's weights times the polynomial factor.
+    N = rule_size(n, Q)
+    if n % 2:
+        j = np.arange(1, N + 1)
+        x = np.sin((N + 1 - 2 * j) * (math.pi / (2 * N + 2)))
+        w = np.sin(np.minimum(j, N + 1 - j) * math.pi / (N + 1)) ** (n - 1) * (math.pi / (N + 1))
+    else:
+        x, w = reference_gauss_legendre(N)
+        w = w * ((1.0 - x) * (1.0 + x)) ** ((n - 2) // 2)
+    w = w * sphere_area(n - 1)
+    keep = w > 0.0
+    order = np.argsort(x[keep])
+    return x[keep][order], w[keep][order]
 
 
 def reference_basis_with_derivatives(n, K, t):
@@ -388,7 +457,7 @@ def reference_basis_with_derivatives(n, K, t):
     D1 = np.zeros_like(B)
     D2 = np.zeros_like(B)
     if K >= 1:
-        b = _jacobi_recurrence((n - 2) / 2.0, (n - 2) / 2.0, K)[1]
+        b = _recurrence_offdiag(n, K)
         B[:, 1] = t * B[:, 0] / b[0]
         D1[:, 1] = B[:, 0] / b[0]
         for k in range(1, K):
@@ -402,13 +471,15 @@ class TestBitIdentity:
     @pytest.mark.parametrize("Q", [4, 5, 72, 73, 408, 1608])
     @pytest.mark.parametrize("n", [2, 3, 5, 9, 13])
     def test_rule_and_basis_match_references(self, n, Q):
-        a = (n - 2) / 2
-        x, w = gauss_jacobi(Q, a, a)
-        x_ref, w_ref = reference_gauss_jacobi(Q, a, a)
+        rule = build_quadrature(n, Q)
+        x, w = rule.nodes, rule.weights
+        x_ref, w_ref = reference_rule(n, Q)
         assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+        if n % 2 == 0:
+            assert all(map(np.array_equal, gauss_legendre(x.size), reference_gauss_legendre(x.size)))
         B = basis_values(n, Q - 1, x)
         assert np.array_equal(B, reference_basis_with_derivatives(n, Q - 1, x)[0])
-        K = max((Q - 8) // 2, 1)  # the truncation a Q-node workspace resolves
+        K = max((Q - 8) // 2, 1)  # the truncation an order-Q workspace resolves
         for got, ref in zip(basis_with_derivatives(n, K, x), reference_basis_with_derivatives(n, K, x)):
             assert got.flags.c_contiguous and np.array_equal(got, ref)
 
@@ -416,9 +487,22 @@ class TestBitIdentity:
         "N,alpha,beta", [(72, 14.0, 14.0), (72, 49.0, 49.0), (40, 1.0, 1.5), (408, 0.0, 1.5)]
     )
     def test_jacobi_rules_match_reference(self, N, alpha, beta):
-        x, w = gauss_jacobi(N, alpha, beta)
-        x_ref, w_ref = reference_gauss_jacobi(N, alpha, beta)
-        assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+        # the rules for the Jacobi weights (1-t)^alpha (1+t)^beta that the
+        # toolkit integrates against: the zonal rule of S^(2 alpha + 2) of
+        # order N, and the Funk-Hecke rule of (n, m) = (2 beta + 2, alpha + 1)
+        # on N Legendre nodes in s = sqrt((1+t)/2)
+        if alpha == beta:
+            n = int(2 * alpha + 2)
+            rule = build_quadrature(n, N)
+            x_ref, w_ref = reference_rule(n, N)
+            assert np.array_equal(rule.nodes, x_ref) and np.array_equal(rule.weights, w_ref)
+            return
+        n, m = int(2 * beta + 2), int(alpha + 1)
+        x, w = _kernel_rule(SphereParams(n=n, m=m), N - m - (n - 1) // 2)
+        s_ref, w_ref = reference_gauss_legendre(N)
+        s, one_minus_s = 0.5 * (1.0 + s_ref), 0.5 * (1.0 - s_ref)
+        w_ref = w_ref * 2.0 ** (m + (n - 2) / 2.0) * ((1.0 + s) * one_minus_s) ** (m - 1) * s ** (n - 1)
+        assert np.array_equal(x, 2.0 * s * s - 1.0) and np.array_equal(w, w_ref)
 
     @pytest.mark.parametrize("K", [0, 1, 200])
     def test_basis_is_c_ordered(self, K):
@@ -427,15 +511,15 @@ class TestBitIdentity:
         assert B.shape == (37, K + 1) and B.flags.c_contiguous
 
     def test_rule_memory_is_one_row_buffer(self):
-        # the Q = 1608 rule of a K = 800 workspace: one block of q_k rows and
-        # the two before it for M = 804 active nodes are 0.84 MB, where all
-        # N + 1 rows would be 10.3 MB; the finish's series and the node-sized
-        # arrays add about 0.4 MB
+        # the 1608-node Legendre rule: one block of q_k rows and the two
+        # before it for M = 804 active nodes are 0.84 MB, where all N + 1 rows
+        # would be 10.3 MB; the finish's series and the node-sized arrays add
+        # about 0.4 MB
         N = 1608
         buffer_bytes = (_ROW_BLOCK + 2) * ((N + 1) // 2) * 8
         tracemalloc.start()
         try:
-            gauss_jacobi(N, 1.5, 1.5)
+            gauss_legendre(N)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -463,7 +547,7 @@ class TestMirroredBasis:
     @pytest.mark.parametrize("n", [2, 3, 7, 13])
     def test_gauss_rules_match_the_reference_bytes(self, n, Q):
         t = build_quadrature(n, Q).nodes
-        assert np.array_equal(t, -t[::-1]) and (Q % 2 == 0 or t[Q // 2] == 0.0)
+        assert np.array_equal(t, -t[::-1]) and t.size % 2 == 0
         for K in (0, 1, 2, Q - 1):
             ref = reference_basis_with_derivatives(n, K, t)
             B = basis_values(n, K, t)
@@ -480,8 +564,9 @@ class TestMirroredBasis:
 
     @pytest.mark.parametrize("n,m,K", [(3, 1, 24), (5, 2, 40), (7, 3, 16), (9, 2, 200)])
     def test_kernel_moment_nodes_take_the_general_path(self, n, m, K):
-        # checks._kernel_moments' (m-1, (n-2)/2) Jacobi rule is not symmetric
-        x, _ = gauss_jacobi(K // 2 + 8, m - 1.0, (n - 2.0) / 2.0)
+        # checks._kernel_rule's nodes t = 2s^2 - 1 for the (m-1, (n-2)/2)
+        # Jacobi weight are not symmetric
+        x, _ = _kernel_rule(SphereParams(n=n, m=m), K)
         assert not np.array_equal(x, -x[::-1])
         ref = reference_basis_with_derivatives(n, K, x)
         assert basis_values(n, K, x).tobytes() == ref[0].tobytes()
@@ -702,30 +787,51 @@ class TestWorkspace:
         params = SphereParams(n=5, m=2)
         ws = Workspace(params, 12, 40)
         rule = build_quadrature(5, 40)
-        assert len(ws.nodes) == 40 and ws.K == 12
+        assert ws.Q == 40 and len(ws.nodes) == 42 and ws.K == 12
         np.testing.assert_array_equal(ws.nodes, rule.nodes)
         np.testing.assert_array_equal(ws.weights, rule.weights)
         np.testing.assert_array_equal(ws.basis, zonal_basis(rule, params, 12))
         np.testing.assert_array_equal(ws.lam, gjms_eigenvalues(params, 12).lam)
         assert not hasattr(ws, "rule") and not hasattr(ws, "spectrum")
-        assert len(Workspace(params, 12).nodes) == 32
+        ws = Workspace(params, 12)
+        assert ws.Q == 32 and len(ws.nodes) == 34
 
     def test_quotient_unchanged(self):
-        # frozen from the quotient workspace before it became public
+        # the quotient sum_k Lambda_k c_k^2 / (sum_i w_i |u(t_i)|^p)^(2/p)
+        # against the same sum in 30-digit arithmetic on the workspace's own
+        # nodes and weights, with u from the ultraspherical recurrence written
+        # out afresh.  u changes sign twice, so |u|^2.5 is not a polynomial and
+        # the value moves with the rule: 828.0698 on the Gauss-Jacobi rule it
+        # was first frozen on, 827.9810 here, 828.0510 at Q = 1000
         ws = Workspace(SphereParams(n=5, m=2), 12)
         c = np.random.default_rng(7).standard_normal(13) / (1.0 + np.arange(13.0) ** 2)
-        assert ws.quotient(c, 2.5) == pytest.approx(828.069754565356, rel=1e-15, abs=0.0)
+        with mpmath.workdps(30):
+            a = mpmath.mpf(3) / 2
+            bs = [mpmath.sqrt(k * (k + 2 * a) / ((2 * k + 2 * a + 1) * (2 * k + 2 * a - 1))) for k in range(1, 13)]
+            y0 = 1 / mpmath.sqrt(2 * mpmath.pi**3 / mpmath.gamma(3))
+            total = mpmath.mpf(0)
+            for t, w in zip(ws.nodes, ws.weights):
+                t = mpmath.mpf(t)
+                y = [y0, t * y0 / bs[0]]
+                for k in range(1, 12):
+                    y.append((t * y[k] - bs[k - 1] * y[k - 1]) / bs[k])
+                u = mpmath.fsum(mpmath.mpf(ck) * yk for ck, yk in zip(c, y))
+                total += mpmath.mpf(w) * abs(u) ** mpmath.mpf(2.5)
+            num = mpmath.fsum(mpmath.mpf(lam) * mpmath.mpf(ck) ** 2 for lam, ck in zip(ws.lam, c))
+            ref = float(num / total ** (2 / mpmath.mpf(2.5)))
+        assert ws.quotient(c, 2.5) == pytest.approx(ref, rel=1e-15, abs=0.0)
 
     def test_default_rule_of_n_100_at_K_396_builds(self):
-        # gauss_jacobi(800, 49, 49): the guesses are poor enough for Aberth
-        # steps, one of which would send an iterate near t = 1 to t = 2.78
-        # and NaN through every Aberth sum; it moves halfway to t = 1 instead
+        # the order-800 rule of n = 100 (alpha = 49), which the Gauss-Jacobi
+        # solve once failed to converge on: 849 Legendre nodes, rounded up to
+        # 850, with weights times (1-t^2)^49
         ws = Workspace(SphereParams(n=100, m=1), 396)
-        assert ws.nodes.size == 800 and np.isfinite(ws.basis).all()
-        assert np.max(np.abs(ws.nodes - roots_jacobi(800, 49.0, 49.0)[0])) <= 1e-14
+        assert ws.Q == 800 and ws.nodes.size == 850 and np.isfinite(ws.basis).all()
+        assert np.max(np.abs(ws.nodes - roots_legendre(850)[0])) <= 1e-14
         assert abs(np.sum(ws.weights) / sphere_area(100) - 1.0) <= 1e-13
-        for i in (799, 798, 790, 400):
-            ref = mp_root_christoffel_weight(100, 800, ws.nodes[i])
+        for i in (849, 848, 840, 425):
+            node, ref = mp_rule_point(100, 850, ws.nodes[i])
+            assert abs(ws.nodes[i] - node) <= 2.3e-16
             assert abs(ws.weights[i] / ref - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("seed", [0, 3, 17])
@@ -749,7 +855,7 @@ class TestSharedWorkspace:
         assert Workspace.shared(params, 32, 72) is ws
         assert Workspace.shared(params, np.int64(32)) is ws
         assert Workspace.shared(SphereParams(n=5, m=2), 32, np.int64(72)) is ws
-        assert ws.K == 32 and len(ws.nodes) == 72
+        assert ws.K == 32 and ws.Q == 72 and len(ws.nodes) == 74
 
     def test_other_order_gets_its_own_workspace(self):
         one = Workspace.shared(SphereParams(n=5, m=1), 12)
